@@ -9,7 +9,6 @@ entanglement-breaking property of the structural physical approximation.
 
 from .certify import (
     SpanningFamily,
-    block_positivity_seesaw,
     detect,
     detection_root,
     detection_sum,
@@ -26,7 +25,7 @@ from .certify import (
     verify_positivity,
     verify_self_duality,
 )
-from .linalg import BlockView, assemble, blocks, hermitian_eig, kron, numerical_rank, partial_transpose
+from .linalg import hermitian_eig, kron, numerical_rank, partial_transpose, realign
 from .maps import (
     SIGMA_Y,
     MapDescriptor,

@@ -25,8 +25,13 @@ from .linalg import (
     min_eigenvalue,
     numerical_rank,
     partial_transpose,
+    realign,
 )
 from .report import CertReport, rule_report, value_report
+
+# Projectors mapped per batched call in the positivity sampling; bounds the
+# stack (and the peak memory) at 256 (4N)^2 matrices, whatever ``trials`` is.
+POSITIVITY_BLOCK = 256
 
 
 def detect(w: witnesses.Witness, s: states.DensityOperator) -> float:
@@ -42,11 +47,6 @@ def detect(w: witnesses.Witness, s: states.DensityOperator) -> float:
 def _random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2
 
 
 # --- positivity -------------------------------------------------------------
@@ -71,11 +71,13 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
     half = 2 * n
     rng = np.random.default_rng(seed)
 
+    g = rng.standard_normal((trials, 2, d))  # same stream as `trials` calls to _random_unit_vector
+    psi = g[:, 0] + 1j * g[:, 1]
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     worst = np.inf
-    for _ in range(trials):
-        psi = _random_unit_vector(rng, d)
-        image = maps.apply_map(m, np.outer(psi, psi.conj()))
-        worst = min(worst, min_eigenvalue(image))
+    for start in range(0, trials, POSITIVITY_BLOCK):
+        p = psi[start : start + POSITIVITY_BLOCK]
+        worst = min(worst, min_eigenvalue(maps.apply_map(m, p[:, :, None] * p[:, None, :].conj())))
 
     eye = np.eye(half, dtype=complex)
     identity_defect = 0.0
@@ -167,7 +169,6 @@ class SpanningFamily:
 
     n: int
     generators: list
-    vectors: list
 
 
 def spanning_family(n: int) -> SpanningFamily:
@@ -183,7 +184,7 @@ def spanning_family(n: int) -> SpanningFamily:
         for b in range(a + 1, d):
             gens.append(basis_vector(d, a) + basis_vector(d, b))
             gens.append(basis_vector(d, a) + 1j * basis_vector(d, b))
-    return SpanningFamily(n, gens, [np.kron(g, g.conj()) for g in gens])
+    return SpanningFamily(n, gens)
 
 
 def zero_product_pairs(m: maps.MapDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -263,13 +264,12 @@ def verify_self_duality(m: maps.MapDescriptor, trials: int = 200, seed: int = 11
     """Tr(X F(Y)) = Tr(F(X) Y) over seeded random Hermitian pairs."""
     d = maps.input_dim(m)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = random_hermitian(rng, d)
-        y = random_hermitian(rng, d)
-        lhs = complex(np.einsum("ij,ji->", x, maps.apply_map(m, y)))
-        rhs = complex(np.einsum("ij,ji->", maps.apply_map(m, x), y))
-        worst = max(worst, abs(lhs - rhs))
+    g = rng.standard_normal((trials, 2, 2, d, d))  # per trial: X then Y, each real then imaginary part
+    g = g[:, :, 0] + 1j * g[:, :, 1]
+    xy = (g + np.swapaxes(g, -1, -2).conj()) / 2
+    # pairings[t] = [Tr(X F(Y)), Tr(Y F(X))], and Tr(Y F(X)) = Tr(F(X) Y)
+    pairings = np.einsum("tsij,tsji->ts", xy, maps.apply_map(m, xy)[:, ::-1])
+    worst = float(np.max(np.abs(pairings[:, 0] - pairings[:, 1]), initial=0.0))
     return rule_report(
         "self-duality",
         worst,
@@ -350,12 +350,8 @@ def detection_sum(m: maps.MapDescriptor) -> float:
     the isotropic detection curve.
     """
     d = maps.input_dim(m)
-    total = 0.0j
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, l] = 1.0
-            total += maps.apply_map(m, e)[k, l]
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
+    total = complex(np.einsum("klkl->", maps.apply_map(m, units)))
     if abs(total.imag) > CONSTRUCTION_TOL * max(1.0, abs(total.real)):
         raise ValueError(f"detection sum has a non-negligible imaginary part: {total}")
     return float(total.real)
@@ -372,14 +368,6 @@ def detection_root(w: witnesses.Witness, n: int) -> float:
     if g0 >= 0 or g1 <= 0:
         raise ValueError("detection curve does not change sign on [0, 1]")
     return g0 / (g0 - g1)
-
-
-def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Realignment R(m)_{(i,j),(k,l)} = m_{(i,k),(j,l)} as a dA^2 x dB^2 matrix."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d_a * d_b, d_a * d_b):
-        raise ValueError(f"expected a {d_a * d_b}x{d_a * d_b} matrix, got {m.shape}")
-    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a ** 2, d_b ** 2)
 
 
 def realignment_trace_norm(rho: np.ndarray, d_a: int, d_b: int) -> float:
@@ -443,42 +431,6 @@ def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e
         ),
         extra_ok=ok,
     )
-
-
-# --- block positivity heuristic ----------------------------------------------
-
-
-def block_positivity_seesaw(w, restarts: int = 50, seed: int = 5) -> float:
-    """Heuristic minimum of <psi (x) phi| W |psi (x) phi> over product vectors.
-
-    Alternates exact eigenvector optimization over each factor from seeded
-    random starts and returns the smallest value found.  For the Choi
-    matrix of a positive map the result cannot drop below zero by more than
-    eigensolver noise.
-    """
-    matrix = w.matrix if isinstance(w, witnesses.Witness) else np.asarray(w, dtype=complex)
-    d = int(round(np.sqrt(matrix.shape[0])))
-    if matrix.shape != (d * d, d * d):
-        raise ValueError("seesaw needs an operator on C^d (x) C^d")
-    tensor = matrix.reshape(d, d, d, d)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(restarts):
-        phi = _random_unit_vector(rng, d)
-        value = np.inf
-        for _ in range(500):
-            m1 = np.einsum("a,iajb,b->ij", phi.conj(), tensor, phi, optimize=True)
-            _, vecs = np.linalg.eigh((m1 + m1.conj().T) / 2)
-            psi = vecs[:, 0]
-            m2 = np.einsum("i,iajb,j->ab", psi.conj(), tensor, psi, optimize=True)
-            vals, vecs = np.linalg.eigh((m2 + m2.conj().T) / 2)
-            phi = vecs[:, 0]
-            if abs(vals[0] - value) < 1e-14:
-                value = vals[0]
-                break
-            value = vals[0]
-        best = min(best, float(value))
-    return best
 
 
 # --- the full suite -----------------------------------------------------------

@@ -33,11 +33,14 @@ def matrix_to_payload(m: np.ndarray) -> dict:
 
 
 def matrix_from_payload(obj: dict) -> np.ndarray:
-    d = int(obj["d"])
-    rows = obj["rows"]
-    if len(rows) != d or any(len(r) != d for r in rows):
+    try:
+        d = int(obj["d"])
+        m = np.array([[complex(re, im) for re, im in row] for row in obj["rows"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed matrix payload, expected {{d, rows: [[[re, im], ...], ...]}}: {exc}") from None
+    if m.shape != (d, d):
         raise ValueError(f"matrix payload claims d={d} but rows disagree")
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    return m
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -82,7 +85,10 @@ def parse_tolerances(entries: list[str] | None) -> dict[str, float]:
         name, raw = entry.split("=", 1)
         if name not in certify.SUITE_CHECKS:
             raise ValueError(f"unknown check {name!r}; valid: {', '.join(certify.SUITE_CHECKS)}")
-        overrides[name] = float(raw)
+        value = float(raw)
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"--tol {name} must be a finite non-negative number, got {raw!r}")
+        overrides[name] = value
     return overrides
 
 
@@ -104,20 +110,19 @@ def csv_table(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def build_witness(args) -> witnesses.Witness:
+def resolve_map(args) -> maps.MapDescriptor:
+    """The plain or conjugated PhiU map named by --n, --u and the optional --v1/--v2 pair."""
     u = resolve_u(args.u, args.n)
     if (args.v1 is None) != (args.v2 is None):
         raise ValueError("--v1 and --v2 must be supplied together")
-    if args.v1 is not None:
-        d = 4 * args.n
-        v1 = resolve_v(args.v1, d, "V1")
-        v2 = resolve_v(args.v2, d, "V2")
-        return witnesses.choi(maps.conjugated_phi(args.n, u, v1, v2))
-    return witnesses.choi(maps.phi_u(args.n, u))
+    if args.v1 is None:
+        return maps.phi_u(args.n, u)
+    d = 4 * args.n
+    return maps.conjugated_phi(args.n, u, resolve_v(args.v1, d, "V1"), resolve_v(args.v2, d, "V2"))
 
 
 def cmd_build(args) -> int:
-    w = build_witness(args)
+    w = witnesses.choi(resolve_map(args))
     if args.output == "json":
         payload = {"family": w.source.family, "n": args.n, "u": args.u}
         if args.v1 is not None:
@@ -125,7 +130,7 @@ def cmd_build(args) -> int:
             payload["v2"] = args.v2
         payload.update(matrix_to_payload(w.matrix))
         emit(json.dumps(payload, indent=2, sort_keys=True), args.out_path)
-    elif args.output == "text":
+    else:
         lines = [
             f"family: {w.source.family}",
             f"n: {args.n}",
@@ -134,28 +139,19 @@ def cmd_build(args) -> int:
             f"min eigenvalue: {np.linalg.eigvalsh(w.matrix)[0]:.12g}",
         ]
         emit("\n".join(lines) + "\n", args.out_path)
-    else:
-        raise ValueError(f"build supports json or text output, not {args.output!r}")
     return 0
 
 
 def cmd_certify(args) -> int:
-    u = resolve_u(args.u, args.n)
-    v1 = v2 = None
-    if (args.v1 is None) != (args.v2 is None):
-        raise ValueError("--v1 and --v2 must be supplied together")
-    if args.v1 is not None:
-        d = 4 * args.n
-        v1 = resolve_v(args.v1, d, "V1")
-        v2 = resolve_v(args.v2, d, "V2")
-    reports = certify.run_full_suite(args.n, u, v1, v2, seed=args.seed,
+    m = resolve_map(args)
+    reports = certify.run_full_suite(args.n, m.u, m.v1, m.v2, seed=args.seed,
                                      tolerances=parse_tolerances(args.tol))
     all_pass = all(r.passed for r in reports)
     verdict = "pass" if all_pass else "fail"
 
     if args.output == "json":
         payload = {
-            "family": "ConjugatedPhiU" if v1 is not None else "PhiU4N",
+            "family": m.family,
             "n": args.n,
             "d": 4 * args.n,
             "seed": args.seed,
@@ -163,18 +159,23 @@ def cmd_certify(args) -> int:
             "verdict": verdict,
         }
         emit(json.dumps(payload, indent=2, sort_keys=True), args.out_path)
-    elif args.output == "text":
+    else:
         lines = [str(r) for r in reports]
         passed = sum(r.passed for r in reports)
         lines.append(f"verdict: {verdict} ({passed}/{len(reports)} checks passed)")
         emit("\n".join(lines) + "\n", args.out_path)
-    else:
-        raise ValueError(f"certify supports json or text output, not {args.output!r}")
     return 0 if all_pass else 1
 
 
 def cmd_curve(args) -> int:
-    w = build_witness(args)
+    m = resolve_map(args)
+    if m.v1 is not None:
+        # Tr(W rho_lam) is the closed form only when V2-bar (x) V1 leaves the
+        # isotropic states invariant, i.e. for V1 = V2
+        gap = float(np.max(np.abs(m.v1 - m.v2)))
+        if gap > 1e-12:
+            raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
+    w = witnesses.choi(m)
     grid = np.linspace(0.0, 1.0, args.points)
     rows = []
     for lam in grid:
@@ -183,16 +184,14 @@ def cmd_curve(args) -> int:
         rows.append([float(lam), closed, numeric, abs(closed - numeric)])
     if args.output == "csv":
         emit(csv_table(["lambda", "closed_form", "numeric", "abs_difference"], rows), args.out_path)
-    elif args.output == "text":
+    else:
         lines = [f"lambda={r[0]:.4f} closed={r[1]:+.12f} numeric={r[2]:+.12f} diff={r[3]:.2e}" for r in rows]
         emit("\n".join(lines) + "\n", args.out_path)
-    else:
-        raise ValueError(f"curve supports csv or text output, not {args.output!r}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    w = build_witness(args)
+    w = witnesses.choi(resolve_map(args))
     computed = np.linalg.eigvalsh(w.matrix)
     expected = witnesses.expected_spectrum_sorted(args.n)
     rows = [
@@ -201,12 +200,17 @@ def cmd_spectrum(args) -> int:
     ]
     if args.output == "csv":
         emit(csv_table(["index", "computed", "expected", "abs_difference"], rows), args.out_path)
-    elif args.output == "text":
+    else:
         lines = [f"{i:4d}  computed={c:+.12f}  expected={e:+.12f}  diff={d:.2e}" for i, c, e, d in rows]
         emit("\n".join(lines) + "\n", args.out_path)
-    else:
-        raise ValueError(f"spectrum supports csv or text output, not {args.output!r}")
     return 0
+
+
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
+    return value
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -216,33 +220,34 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_default, output_help):
-        p.add_argument("--n", type=int, required=True, help="family size parameter N (dimension 4N)")
+    def common(p, outputs):
+        p.add_argument("--n", type=positive_int, required=True, help="family size parameter N (dimension 4N)")
         p.add_argument("--u", type=str, default="canonical",
                        help="U spec: canonical, seed:<int> or file:<path>")
         p.add_argument("--v1", type=str, default=None, help="optional V1 spec: seed:<int> or file:<path>")
         p.add_argument("--v2", type=str, default=None, help="optional V2 spec: seed:<int> or file:<path>")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="global seed for randomized checks")
-        p.add_argument("--output", type=str, default=output_default, help=output_help)
+        p.add_argument("--output", choices=outputs, default=outputs[0],
+                       help=f"output format (default {outputs[0]})")
         p.add_argument("--out-path", type=str, default=None, help="write output to this file instead of stdout")
 
     build_cmd = sub.add_parser("build", help="construct a witness and serialize it")
-    common(build_cmd, "json", "output format: json or text")
+    common(build_cmd, ("json", "text"))
     build_cmd.set_defaults(func=cmd_build)
 
     certify_cmd = sub.add_parser("certify", help="run the full certification suite")
-    common(certify_cmd, "text", "output format: text or json")
+    common(certify_cmd, ("text", "json"))
     certify_cmd.add_argument("--tol", action="append", default=None, metavar="CHECK=VALUE",
                              help="override one check tolerance, repeatable")
     certify_cmd.set_defaults(func=cmd_certify)
 
     curve_cmd = sub.add_parser("curve", help="isotropic detection curve, closed form vs numeric")
-    common(curve_cmd, "csv", "output format: csv or text")
-    curve_cmd.add_argument("--points", type=int, default=11, help="number of lambda grid points on [0, 1]")
+    common(curve_cmd, ("csv", "text"))
+    curve_cmd.add_argument("--points", type=positive_int, default=11, help="number of lambda grid points on [0, 1]")
     curve_cmd.set_defaults(func=cmd_curve)
 
     spectrum_cmd = sub.add_parser("spectrum", help="computed vs expected Choi eigenvalues")
-    common(spectrum_cmd, "csv", "output format: csv or text")
+    common(spectrum_cmd, ("csv", "text"))
     spectrum_cmd.set_defaults(func=cmd_spectrum)
 
     return parser
@@ -251,11 +256,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.error("--n must be a positive integer")
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,6 @@ sits at row ``k * d + a`` (0-based).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerance ladder used throughout: exact construction identities at 1e-12,
@@ -38,9 +36,9 @@ def basis_vector(d: int, i: int) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dagger| entrywise."""
+    """max |M - M^dagger| entrywise, over every member of a stack."""
     m = as_complex(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
 
 
 def is_hermitian(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
@@ -74,59 +72,38 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int, subsystem: str = "A") -
 
 
 def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of a ``(..., n, n)`` stack.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
     ascending and orthonormal eigenvector columns, so that
-    ``M @ V = V @ diag(w)`` up to ``tol * ||M||_max``.  Raises if the input
-    fails the Hermiticity check ``max|M - M^dagger| <= tol``.
+    ``M @ V = V @ diag(w)`` up to ``tol * ||M||_max``, member by member.
+    Raises if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``.
     """
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
     return w, v
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> float:
-    return float(hermitian_eig(m, tol)[0][0])
+    """Smallest eigenvalue of a Hermitian matrix, or the smallest over a stack."""
+    return float(np.min(hermitian_eig(m, tol)[0][..., 0]))
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """2 x 2 block decomposition of a 2K x 2K matrix.
+def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Realignment R(m)_{(i,j),(k,l)} = m_{(i,k),(j,l)} as a dA^2 x dB^2 matrix.
 
-    Reassembling the four K x K blocks reproduces the parent exactly.
+    The same reshuffle maps the natural (superoperator) matrix of a map to
+    its Choi matrix and back.
     """
-
-    k: int
-    x11: np.ndarray
-    x12: np.ndarray
-    x21: np.ndarray
-    x22: np.ndarray
-
-
-def blocks(x: np.ndarray, k: int | None = None) -> BlockView:
-    """Split a 2K x 2K matrix into its four K x K blocks."""
-    x = as_complex(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if x.shape[0] % 2 != 0:
-        raise ValueError(f"block view needs an even dimension, got {x.shape[0]}")
-    half = x.shape[0] // 2
-    if k is None:
-        k = half
-    elif k != half:
-        raise ValueError(f"K={k} inconsistent with a {x.shape[0]}x{x.shape[0]} matrix")
-    return BlockView(k, x[:k, :k].copy(), x[:k, k:].copy(), x[k:, :k].copy(), x[k:, k:].copy())
-
-
-def assemble(view: BlockView) -> np.ndarray:
-    """Inverse of :func:`blocks`."""
-    return np.block([[view.x11, view.x12], [view.x21, view.x22]])
+    m = as_complex(m)
+    if m.shape != (d_a * d_b, d_a * d_b):
+        raise ValueError(f"expected a {d_a * d_b}x{d_a * d_b} matrix, got {m.shape}")
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a ** 2, d_b ** 2)
 
 
 def numerical_rank(vectors, tol: float = EIGENVALUE_TOL) -> int:

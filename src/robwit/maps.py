@@ -2,8 +2,8 @@
 
 Every map here acts on square complex matrices and is described by an
 immutable :class:`MapDescriptor`; :func:`apply_map` is the single
-interpreter.  The families, with X split into half-size blocks
-``[[X11, X12], [X21, X22]]``:
+interpreter, for one matrix or a ``(..., d, d)`` stack alike.  The
+families, with X split into half-size blocks ``[[X11, X12], [X21, X22]]``:
 
 * ``Reduction`` (dim K):      X -> I Tr X - X
 * ``MapI`` (dim 2K):          X -> (1/K) [[X22, -X12], [-X21, X11]]
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CONSTRUCTION_TOL, as_complex, blocks
+from .linalg import CONSTRUCTION_TOL, as_complex
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -249,60 +249,64 @@ def input_dim(m: MapDescriptor) -> int:
     raise ValueError(f"unknown family {m.family!r}")
 
 
+def _trace_eye(x: np.ndarray) -> np.ndarray:
+    """I Tr X for X and for each member of a stack."""
+    return np.eye(x.shape[-1], dtype=complex) * np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+
+
 def _reduction(x: np.ndarray) -> np.ndarray:
-    return np.eye(x.shape[0], dtype=complex) * np.trace(x) - x
+    return _trace_eye(x) - x
 
 
-def _robertson_scheme(x: np.ndarray, off12, off21) -> np.ndarray:
-    """Shared block scheme: traces on the diagonal, negated terms off it."""
-    v = blocks(x)
-    eye = np.eye(v.k, dtype=complex)
+def _quarters(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Half-size blocks (X11, X12, X21, X22), sliced on the trailing two axes."""
+    k = x.shape[-1] // 2
+    return x[..., :k, :k], x[..., :k, k:], x[..., k:, :k], x[..., k:, k:]
+
+
+def _robertson_scheme(x: np.ndarray, off) -> np.ndarray:
+    """Shared block scheme: traces on the diagonal, -off(X12, X21) and -off(X21, X12) off it."""
+    x11, x12, x21, x22 = _quarters(x)
     return np.block(
         [
-            [eye * np.trace(v.x22), -off12(v)],
-            [-off21(v), eye * np.trace(v.x11)],
+            [_trace_eye(x22), -off(x12, x21)],
+            [-off(x21, x12), _trace_eye(x11)],
         ]
-    ) / v.k
+    ) / x11.shape[-1]
 
 
 def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
-    """Apply the described map to a square matrix of the matching dimension.
+    """Apply the described map to a d x d matrix or to each member of a (..., d, d) stack.
 
     Linear in X and Hermiticity preserving for every family.
     """
     x = as_complex(x)
     d = input_dim(m)
-    if x.shape != (d, d):
-        raise ValueError(f"{m.family} with size {m.size} acts on {d}x{d} matrices, got {x.shape}")
+    if x.ndim < 2 or x.shape[-2:] != (d, d):
+        raise ValueError(
+            f"{m.family} with size {m.size} acts on {d}x{d} matrices or (..., {d}, {d}) stacks, got {x.shape}"
+        )
 
     if m.family == "Reduction":
         return _reduction(x)
 
     if m.family == "MapI":
-        v = blocks(x)
-        return np.block([[v.x22, -v.x12], [-v.x21, v.x11]]) / v.k
+        x11, x12, x21, x22 = _quarters(x)
+        return np.block([[x22, -x12], [-x21, x11]]) / x11.shape[-1]
 
     if m.family == "MapII":
-        return _robertson_scheme(x, lambda v: v.x12, lambda v: v.x21)
+        return _robertson_scheme(x, lambda a, b: a)
 
     if m.family in ("Robertson4", "Psi2K"):
-        return _robertson_scheme(
-            x,
-            lambda v: v.x12 + _reduction(v.x21),
-            lambda v: v.x21 + _reduction(v.x12),
-        )
+        return _robertson_scheme(x, lambda a, b: a + _reduction(b))
 
     if m.family == "PhiU4N":
         u = m.u
-        return _robertson_scheme(
-            x,
-            lambda v: v.x12 + u @ v.x21.T @ u.conj().T,
-            lambda v: v.x21 + u @ v.x12.T @ u.conj().T,
-        )
+        return _robertson_scheme(x, lambda a, b: a + u @ np.swapaxes(b, -1, -2) @ u.conj().T)
 
     if m.family == "BreuerHall":
         dim = 2 * m.size
-        return (_reduction(x) - m.u @ x.T @ m.u.conj().T) / (dim - 2)
+        return (_reduction(x) - m.u @ np.swapaxes(x, -1, -2) @ m.u.conj().T) / (dim - 2)
 
     if m.family == "ConjugatedPhiU":
         inner = apply_map(base_descriptor(m), m.v2 @ x @ m.v2.conj().T)

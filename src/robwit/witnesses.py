@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .linalg import CONSTRUCTION_TOL, as_complex, hermitian_eig, kron, matrix_unit, partial_transpose
+from .linalg import CONSTRUCTION_TOL, as_complex, hermitian_eig, kron, partial_transpose, realign
 from .report import CertReport, rule_report
 
 
@@ -40,11 +40,9 @@ def max_entangled(d: int) -> np.ndarray:
 def choi(m: maps.MapDescriptor) -> Witness:
     """Choi matrix of a map descriptor, W = (1 (x) F) P+_d."""
     d = maps.input_dim(m)
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            w[k * d : (k + 1) * d, l * d : (l + 1) * d] = maps.apply_map(m, matrix_unit(d, k, l))
-    return Witness(w / d, d, m)
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
+    images = maps.apply_map(m, units).reshape(d * d, d * d)  # row (k, l), column (i, j)
+    return Witness(realign(images, d, d) / d, d, m)
 
 
 def witness_block(w: Witness, i: int, j: int) -> np.ndarray:

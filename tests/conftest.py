@@ -1,0 +1,36 @@
+import pytest
+
+from robwit import maps
+
+
+def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
+                      seed: int = 0) -> maps.MapDescriptor:
+    """A valid descriptor of ``family``; U (where the family has one) is drawn in ``mode``.
+
+    ``size`` is K or N as in :class:`robwit.maps.MapDescriptor`, raised to the
+    family's minimum where it has one (Breuer-Hall needs K >= 2).
+    """
+    if family == "Reduction":
+        return maps.reduction_map(size)
+    if family == "MapI":
+        return maps.map_i(size)
+    if family == "MapII":
+        return maps.map_ii(size)
+    if family == "Robertson4":
+        return maps.robertson4()
+    if family == "Psi2K":
+        return maps.psi_2k(size)
+    if family == "BreuerHall":
+        return maps.breuer_hall(maps.random_antisymmetric_unitary(max(size, 2), seed, mode))
+    u = maps.random_antisymmetric_unitary(size, seed, mode)
+    if family == "PhiU4N":
+        return maps.phi_u(size, u)
+    if family == "ConjugatedPhiU":
+        d = 4 * size
+        return maps.conjugated_phi(size, u, maps.random_unitary(d, seed + 1), maps.random_unitary(d, seed + 2))
+    raise ValueError(f"unknown family {family!r}")
+
+
+@pytest.fixture(scope="session")
+def example_map():
+    return build_example_map

@@ -46,6 +46,19 @@ class TestPositivity:
         report = certify.verify_positivity(m, trials=200, seed=6)
         assert report.passed
 
+    def test_sampling_matches_loop_reference(self):
+        # reference: one projector per apply_map call, drawn from the same stream;
+        # 300 trials cross a POSITIVITY_BLOCK boundary
+        m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary"))
+        rng = np.random.default_rng(5)
+        worst = np.inf
+        for _ in range(300):
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            worst = min(worst, min_eigenvalue(maps.apply_map(m, np.outer(psi, psi.conj()))))
+        report = certify.verify_positivity(m, trials=300, seed=5, decompositions=2)
+        assert report.measured == pytest.approx(worst, abs=1e-13)
+
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_split_endpoints_give_half_identity_blocks(self, a):
         # oracle: the image of a projector concentrated in one half-space
@@ -96,7 +109,7 @@ class TestSpanningFamily:
     def test_counts(self, n, count):
         family = certify.spanning_family(n)
         assert len(family.generators) == count
-        assert len(family.vectors) == count
+        assert all(g.shape == (4 * n,) for g in family.generators)
 
     def test_first_pair_sum_vector(self):
         family = certify.spanning_family(1)
@@ -110,7 +123,8 @@ class TestSpanningFamily:
     def test_spans(self):
         from robwit.linalg import numerical_rank
 
-        assert numerical_rank(certify.spanning_family(2).vectors) == 64
+        gens = certify.spanning_family(2).generators
+        assert numerical_rank([np.kron(g, g.conj()) for g in gens]) == 64
 
 
 class TestOptimality:
@@ -160,6 +174,22 @@ class TestSelfDuality:
 
     def test_canonical(self):
         assert certify.verify_self_duality(maps.phi_u(1, maps.canonical_u0(1))).passed
+
+    def test_matches_loop_reference_and_fails_on_conjugated_map(self):
+        # reference: one Hermitian pair per trial, drawn from the same stream
+        m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1),
+                                maps.random_unitary(4, seed=2))
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(50):
+            x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+            x, y = (x + x.conj().T) / 2, (y + y.conj().T) / 2
+            lhs = np.trace(x @ maps.apply_map(m, y))
+            rhs = np.trace(maps.apply_map(m, x) @ y)
+            worst = max(worst, abs(lhs - rhs))
+        report = certify.verify_self_duality(m, trials=50, seed=3)
+        assert report.measured == pytest.approx(worst, abs=1e-13)
+        assert not report.passed  # independent V1, V2 break self-duality
 
     def test_breuer_hall_sanity(self):
         assert certify.verify_self_duality(maps.breuer_hall(maps.canonical_u0(2))).passed
@@ -260,31 +290,11 @@ class TestEbCertificate:
 
 
 class TestRealignment:
-    def test_shape_for_unequal_factors(self):
-        rng = np.random.default_rng(20)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert certify.realign(g, 2, 4).shape == (4, 16)
-
     def test_trace_norm_flags_entanglement(self):
         # oracle: ||R(P+)||_1 = d, ||R(I/d^2)||_1 = 1/d
         d = 4
         assert certify.realignment_trace_norm(witnesses.max_entangled(d), d, d) == pytest.approx(d)
         assert certify.realignment_trace_norm(np.eye(d * d) / d ** 2, d, d) == pytest.approx(1 / d)
-
-
-class TestSeesaw:
-    def test_witness_boundary(self, canonical_witness):
-        value = certify.block_positivity_seesaw(canonical_witness, restarts=25, seed=21)
-        assert -1e-8 <= value <= 1e-6
-
-    def test_positive_matrix(self):
-        value = certify.block_positivity_seesaw(np.eye(16) / 16, restarts=5, seed=22)
-        assert value >= 1 / 16 - 1e-12
-
-    def test_non_block_positive_matrix(self):
-        bad = witnesses.max_entangled(4) - 0.5 * np.eye(16)
-        value = certify.block_positivity_seesaw(bad, restarts=10, seed=23)
-        assert value < -0.1
 
 
 class TestFullSuite:

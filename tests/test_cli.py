@@ -25,6 +25,12 @@ class TestMatrixSerialization:
         with pytest.raises(ValueError, match="disagree"):
             cli.matrix_from_payload({"d": 3, "rows": [[[1.0, 0.0]]]})
 
+    @pytest.mark.parametrize("payload", [{"d": 2, "rows": 5}, {"d": 1, "rows": [[1.0]]},
+                                         {"rows": []}, [1, 2], {"d": "two", "rows": []}])
+    def test_rejects_malformed_payload(self, payload):
+        with pytest.raises(ValueError, match="malformed"):
+            cli.matrix_from_payload(payload)
+
 
 class TestBuild:
     def test_json_output(self, capsys):
@@ -53,8 +59,10 @@ class TestBuild:
         assert "unrecognized U spec" in err
 
     def test_rejects_csv_output(self, capsys):
-        code, _, err = run(capsys, "build", "--n", "1", "--output", "csv")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build", "--n", "1", "--output", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_out_path(self, capsys, tmp_path):
         target = tmp_path / "witness.json"
@@ -109,6 +117,13 @@ class TestCertify:
         assert code == 0
         assert "verdict: pass" in out
 
+    def test_rejects_malformed_u_file(self, capsys, tmp_path):
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"d": 2, "rows": 5}))
+        code, _, err = run(capsys, "certify", "--n", "1", "--u", f"file:{path}")
+        assert code == 2
+        assert "malformed matrix payload" in err
+
     def test_rejects_invalid_u_file(self, capsys, tmp_path):
         path = tmp_path / "u.json"
         path.write_text(json.dumps(cli.matrix_to_payload(np.eye(2))))
@@ -126,6 +141,12 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--n", "1", "--tol", "spa-threshold=1e-15")
         assert code == 1
         assert "verdict: fail" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_rejects_non_finite_or_negative_tolerance(self, capsys, value):
+        code, out, err = run(capsys, "certify", "--n", "1", "--tol", f"spectrum={value}")
+        assert code == 2
+        assert "finite non-negative" in err and out == ""
 
     def test_unknown_tolerance_name(self, capsys):
         code, _, err = run(capsys, "certify", "--n", "1", "--tol", "bogus=1")
@@ -156,6 +177,25 @@ class TestCurve:
                 assert float(row["closed_form"]) < 0
             elif lam > crossing + 1e-9:
                 assert float(row["closed_form"]) > 0
+
+    def test_rejects_zero_points(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--n", "1", "--points", "0"])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_rejects_independent_v1_v2(self, capsys):
+        # the closed_form column holds only for V1 = V2; here it is off by 0.067
+        code, out, err = run(capsys, "curve", "--n", "4", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:2")
+        assert code == 2 and out == ""
+        assert "V1 = V2" in err
+
+    def test_equal_v1_v2_matches_closed_form(self, capsys):
+        code, out, _ = run(capsys, "curve", "--n", "2", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 11
+        assert all(float(r["abs_difference"]) <= 1e-12 for r in rows)
 
 
 class TestSpectrum:

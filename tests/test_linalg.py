@@ -118,31 +118,54 @@ class TestHermitianEig:
             linalg.hermitian_eig(np.zeros((2, 3)))
 
 
-class TestBlocks:
-    def test_identity_blocks(self):
-        view = linalg.blocks(np.eye(4), 2)
-        np.testing.assert_array_equal(view.x11, np.eye(2))
-        np.testing.assert_array_equal(view.x22, np.eye(2))
-        np.testing.assert_array_equal(view.x12, np.zeros((2, 2)))
-        np.testing.assert_array_equal(view.x21, np.zeros((2, 2)))
-
-    def test_matrix_unit_placement(self):
-        view = linalg.blocks(linalg.matrix_unit(4, 0, 3), 2)
-        np.testing.assert_array_equal(view.x12, linalg.matrix_unit(2, 0, 1))
-        assert not view.x11.any() and not view.x21.any() and not view.x22.any()
-
-    def test_round_trip(self):
+class TestStacks:
+    def test_hermitian_eig_matches_member_by_member(self):
         rng = np.random.default_rng(5)
-        m = random_complex(rng, (6, 6))
-        np.testing.assert_array_equal(linalg.assemble(linalg.blocks(m, 3)), m)
+        g = random_complex(rng, (4, 6, 6))
+        stack = g + np.swapaxes(g, -1, -2).conj()
+        w, v = linalg.hermitian_eig(stack)
+        assert w.shape == (4, 6) and v.shape == (4, 6, 6)
+        for member, wm in zip(stack, w):
+            np.testing.assert_allclose(wm, linalg.hermitian_eig(member)[0], atol=1e-12)
 
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            linalg.blocks(np.eye(5))
+    def test_rejects_stack_with_one_non_hermitian_member(self):
+        stack = np.stack([np.eye(3, dtype=complex)] * 5)
+        stack[3, 0, 2] = 1e-6
+        assert linalg.hermiticity_defect(stack) == pytest.approx(1e-6)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_eig(stack)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.min_eigenvalue(stack)
 
-    def test_inconsistent_k_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            linalg.blocks(np.eye(4), 3)
+    def test_min_eigenvalue_is_minimum_over_members(self):
+        # oracle: diagonal members, whose eigenvalues are their diagonals
+        diagonals = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, -0.25], [1.0, 1.0, 1.0]])
+        stack = np.stack([np.diag(row) for row in diagonals]).astype(complex)
+        assert linalg.min_eigenvalue(stack) == pytest.approx(-0.25, abs=1e-15)
+        assert linalg.min_eigenvalue(stack[[0, 2]]) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRealign:
+    def test_shape_for_unequal_factors(self):
+        rng = np.random.default_rng(20)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        assert linalg.realign(g, 2, 4).shape == (4, 16)
+
+    def test_entry_convention(self):
+        # oracle: R(m)_{(i,j),(k,l)} = m_{(i,k),(j,l)}, entry by entry
+        rng = np.random.default_rng(21)
+        d_a, d_b = 2, 3
+        m = random_complex(rng, (d_a * d_b, d_a * d_b))
+        r = linalg.realign(m, d_a, d_b)
+        for i in range(d_a):
+            for j in range(d_a):
+                for k in range(d_b):
+                    for l in range(d_b):
+                        assert r[i * d_a + j, k * d_b + l] == m[i * d_b + k, j * d_b + l]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="expected"):
+            linalg.realign(np.eye(5), 2, 3)
 
 
 class TestNumericalRank:
@@ -157,8 +180,8 @@ class TestNumericalRank:
     def test_product_family_spans(self):
         from robwit.certify import spanning_family
 
-        family = spanning_family(1)
-        assert linalg.numerical_rank(family.vectors) == 16
+        gens = spanning_family(1).generators
+        assert linalg.numerical_rank([np.kron(g, g.conj()) for g in gens]) == 16
 
     def test_random_gaussian_vectors(self):
         rng = np.random.default_rng(6)

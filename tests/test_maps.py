@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robwit import maps
 from robwit.linalg import matrix_unit, min_eigenvalue
@@ -249,3 +251,35 @@ class TestApplyMap:
             1, maps.SIGMA_Y, maps.random_unitary(4, seed=19), maps.random_unitary(4, seed=20)
         )
         np.testing.assert_allclose(maps.apply_map(conj, np.eye(4)), np.eye(4), atol=1e-12)
+
+
+class TestStacks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(maps.FAMILIES),
+        size=st.integers(1, 2),
+        mode=st.sampled_from(["real-orthogonal", "complex-unitary"]),
+        seed=st.integers(0, 2 ** 16),
+        lead=st.sampled_from([(1,), (3,), (5,), (2, 3)]),
+    )
+    def test_stack_equals_member_by_member(self, example_map, family, size, mode, seed, lead):
+        m = example_map(family, size, mode, seed)
+        d = maps.input_dim(m)
+        x = random_complex(np.random.default_rng(seed), (*lead, d, d))
+        out = maps.apply_map(m, x)
+        assert out.shape == x.shape
+        expected = np.stack([maps.apply_map(m, x[i]) for i in np.ndindex(*lead)]).reshape(x.shape)
+        assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(maps.FAMILIES), size=st.integers(1, 2), seed=st.integers(0, 99))
+    def test_wrong_trailing_shape_rejected(self, example_map, family, size, seed):
+        m = example_map(family, size, seed=seed)
+        d = maps.input_dim(m)
+        for shape in [(3, d, d + 1), (3, d + 1, d + 1), (d + 1, d), (d * d,)]:
+            with pytest.raises(ValueError, match="acts on"):
+                maps.apply_map(m, np.zeros(shape, dtype=complex))
+
+    def test_empty_stack(self):
+        m = maps.phi_u(1, maps.SIGMA_Y)
+        assert maps.apply_map(m, np.zeros((0, 4, 4))).shape == (0, 4, 4)

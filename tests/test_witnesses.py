@@ -36,15 +36,23 @@ class TestMaxEntangled:
 
 
 class TestChoi:
-    def test_matches_bruteforce_construction(self, canonical_witness):
+    def test_matches_bruteforce_construction(self, canonical_witness, example_map):
         # oracle: assemble (1/d) sum_kl |k><l| (x) F(|k><l|) from scratch
-        m = maps.phi_u(1, maps.canonical_u0(1))
-        expected = np.zeros((16, 16), dtype=complex)
-        for k in range(4):
-            for l in range(4):
-                expected += kron(matrix_unit(4, k, l), maps.apply_map(m, matrix_unit(4, k, l)))
-        expected /= 4
+        def bruteforce(m):
+            d = maps.input_dim(m)
+            expected = np.zeros((d * d, d * d), dtype=complex)
+            for k in range(d):
+                for l in range(d):
+                    expected += kron(matrix_unit(d, k, l), maps.apply_map(m, matrix_unit(d, k, l)))
+            return expected / d
+
+        expected = bruteforce(maps.phi_u(1, maps.canonical_u0(1)))
         np.testing.assert_allclose(canonical_witness.matrix, expected, atol=1e-15)
+        for family in maps.FAMILIES:
+            for mode in ("real-orthogonal", "complex-unitary"):
+                m = example_map(family, 2, mode, seed=3)
+                np.testing.assert_allclose(witnesses.choi(m).matrix, bruteforce(m), atol=1e-15,
+                                           err_msg=f"{family} ({mode})")
 
     def test_known_entry(self, canonical_witness):
         # F(|1><1|) = diag(0, 0, 1, 1)/2, so W[(1,3), (1,3)] = 1/8 in 1-based labels
