@@ -20,7 +20,6 @@ from . import maps, states, witnesses
 from .linalg import (
     CONSTRUCTION_TOL,
     POSITIVITY_TOL,
-    basis_vector,
     kron,
     min_eigenvalue,
     numerical_rank,
@@ -179,11 +178,12 @@ def spanning_family(n: int) -> SpanningFamily:
     if n < 1:
         raise ValueError("N must be a positive integer")
     d = 4 * n
-    gens = [basis_vector(d, l) for l in range(d)]
+    e = np.eye(d, dtype=complex)
+    gens = list(e)
     for a in range(d):
         for b in range(a + 1, d):
-            gens.append(basis_vector(d, a) + basis_vector(d, b))
-            gens.append(basis_vector(d, a) + 1j * basis_vector(d, b))
+            gens.append(e[a] + e[b])
+            gens.append(e[a] + 1j * e[b])
     return SpanningFamily(n, gens)
 
 
@@ -301,12 +301,11 @@ def spa_threshold_bisect(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> f
     """Bisection for the smallest p with min eig of the approximation >= -tol."""
 
     def positive(p: float) -> bool:
-        return min_eigenvalue(spa_witness(w, p)) >= -tol
+        # I commutes with W, so min eig of (p/D) I + (1 - p) W is p/D + (1 - p) lambda_min(W)
+        return p / w.matrix.shape[0] + (1.0 - p) * w.spectrum[0] >= -tol
 
     if positive(0.0):
         raise ValueError("input is already positive at p=0; not an entanglement witness")
-    if not positive(1.0):
-        raise ValueError("white noise alone is not positive; invalid witness normalization")
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -22,13 +23,17 @@ from . import certify, maps, states, witnesses
 
 DEFAULT_SEED = 42
 
+# Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak at N = 2..4
+# is highest for `build --output json` (its nested lists and JSON text), 26.1 at N = 3 and 4.
+PEAK_W_ARRAYS = 27
+
 
 def matrix_to_payload(m: np.ndarray) -> dict:
     """JSON form of a dense complex matrix: {d, rows} with [re, im] entries."""
     m = np.asarray(m, dtype=complex)
     return {
         "d": int(m.shape[0]),
-        "rows": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        "rows": np.stack([m.real, m.imag], -1).tolist(),
     }
 
 
@@ -136,7 +141,7 @@ def cmd_build(args) -> int:
             f"n: {args.n}",
             f"system: C^{w.d} (x) C^{w.d}, Choi matrix {w.d ** 2} x {w.d ** 2}",
             f"trace: {np.trace(w.matrix).real:.12g}",
-            f"min eigenvalue: {np.linalg.eigvalsh(w.matrix)[0]:.12g}",
+            f"min eigenvalue: {w.spectrum[0]:.12g}",
         ]
         emit("\n".join(lines) + "\n", args.out_path)
     return 0
@@ -192,11 +197,10 @@ def cmd_curve(args) -> int:
 
 def cmd_spectrum(args) -> int:
     w = witnesses.choi(resolve_map(args))
-    computed = np.linalg.eigvalsh(w.matrix)
     expected = witnesses.expected_spectrum_sorted(args.n)
     rows = [
         [i, float(c), float(e), abs(float(c) - float(e))]
-        for i, (c, e) in enumerate(zip(computed, expected))
+        for i, (c, e) in enumerate(zip(w.spectrum, expected))
     ]
     if args.output == "csv":
         emit(csv_table(["index", "computed", "expected", "abs_difference"], rows), args.out_path)
@@ -213,6 +217,17 @@ def positive_int(raw: str) -> int:
     return value
 
 
+def bounded_n(raw: str) -> int:
+    """--n: a positive integer whose estimated peak memory fits in physical memory."""
+    n = positive_int(raw)
+    need = PEAK_W_ARRAYS * 16 * (4 * n) ** 4
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise argparse.ArgumentTypeError(
+            f"N={n} needs an estimated {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory")
+    return n
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robwit",
@@ -221,7 +236,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, outputs):
-        p.add_argument("--n", type=positive_int, required=True, help="family size parameter N (dimension 4N)")
+        p.add_argument("--n", type=bounded_n, required=True, help="family size parameter N (dimension 4N)")
         p.add_argument("--u", type=str, default="canonical",
                        help="U spec: canonical, seed:<int> or file:<path>")
         p.add_argument("--v1", type=str, default=None, help="optional V1 spec: seed:<int> or file:<path>")

@@ -1,10 +1,9 @@
 """Dense complex linear algebra backbone.
 
 All operators are plain ``numpy`` arrays of ``complex128`` in row-major
-layout.  The largest object anywhere in the package is 144 x 144, so
-everything is dense and every eigenproblem goes through LAPACK's Hermitian
-solver.  Composite-space indices follow the convention that ``|k> (x) |a>``
-sits at row ``k * d + a`` (0-based).
+layout, all dense; Hermitian inputs are diagonalized by one checked solver,
+``hermitian_eig``.  Composite-space indices follow the convention that
+``|k> (x) |a>`` sits at row ``k * d + a`` (0-based).
 """
 
 from __future__ import annotations
@@ -29,20 +28,10 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def basis_vector(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger| entrywise, over every member of a stack."""
     m = as_complex(m)
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,13 +60,11 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int, subsystem: str = "A") -
     return t.reshape(n, n)
 
 
-def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix or of a ``(..., n, n)`` stack.
+def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or of a ``(..., n, n)`` stack.
 
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
-    ascending and orthonormal eigenvector columns, so that
-    ``M @ V = V @ diag(w)`` up to ``tol * ||M||_max``, member by member.
-    Raises if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``.
+    Returns the real eigenvalues sorted ascending, member by member.  Raises
+    if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``.
     """
     m = as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -85,13 +72,12 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> tuple[np.ndarra
     defect = hermiticity_defect(m)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
-    w, v = np.linalg.eigh((m + np.swapaxes(m, -1, -2).conj()) / 2)
-    return w, v
+    return np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2).conj()) / 2)
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix, or the smallest over a stack."""
-    return float(np.min(hermitian_eig(m, tol)[0][..., 0]))
+    return float(np.min(hermitian_eig(m, tol)[..., 0]))
 
 
 def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -115,10 +101,8 @@ def numerical_rank(vectors, tol: float = EIGENVALUE_TOL) -> int:
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     if not vecs:
         raise ValueError("numerical_rank needs at least one vector")
-    dim = vecs[0].size
-    for v in vecs:
-        if v.size != dim:
-            raise ValueError("all vectors must have the same dimension")
+    if len({v.size for v in vecs}) > 1:
+        raise ValueError("all vectors must have the same dimension")
     a = np.array(vecs).T  # columns are the vectors
     gram = a.conj().T @ a
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)

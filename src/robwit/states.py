@@ -90,17 +90,15 @@ def ppt_entangled_state(n: int, w: witnesses.Witness) -> DensityOperator:
     return DensityOperator(rho, d, f"ppt-entangled-{d}x{d}")
 
 
-def isotropic_state(d: int, lam: float, allow_unphysical: bool = False) -> DensityOperator:
-    """Isotropic state (lam/d^2) I (x) I + (1 - lam) P+_d.
+def isotropic_state(d: int, lam: float) -> DensityOperator:
+    """Isotropic state (lam/d^2) I (x) I + (1 - lam) P+_d for lam in [0, 1].
 
-    lam must lie in [0, 1] unless ``allow_unphysical`` is set (used only for
-    plotting the detection curve past the state region).
+    A convex combination of two states, so it needs no eigensolve: its
+    spectrum is lam/d^2 (d^2 - 1 times) and lam/d^2 + 1 - lam.
     """
-    if not allow_unphysical and not 0.0 <= lam <= 1.0:
+    if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1]")
     rho = (lam / d ** 2) * np.eye(d * d, dtype=complex) + (1.0 - lam) * witnesses.max_entangled(d)
-    if not allow_unphysical:
-        _validate_density(rho, f"isotropic_state(d={d}, lambda={lam})")
     return DensityOperator(rho, d, f"isotropic-{lam}")
 
 

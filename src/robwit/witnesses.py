@@ -10,11 +10,12 @@ single negative eigenvalue -1/(4N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import maps
-from .linalg import CONSTRUCTION_TOL, as_complex, hermitian_eig, kron, partial_transpose, realign
+from .linalg import CONSTRUCTION_TOL, hermitian_eig, kron, partial_transpose, realign
 from .report import CertReport, rule_report
 
 
@@ -26,14 +27,20 @@ class Witness:
     d: int
     source: maps.MapDescriptor
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the matrix, computed on first use and kept (read-only)."""
+        values = hermitian_eig(self.matrix, tol=CONSTRUCTION_TOL)
+        values.flags.writeable = False  # one array is shared by every reader
+        return values
+
 
 def max_entangled(d: int) -> np.ndarray:
     """Maximally entangled state (1/d) sum_kl |k><l| (x) |k><l| on C^d (x) C^d."""
     if d < 2:
         raise ValueError("d must be at least 2")
     v = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        v[k * d + k] = 1.0
+    v[:: d + 1] = 1.0  # |kk> sits at k * d + k
     return np.outer(v, v.conj()) / d
 
 
@@ -68,10 +75,8 @@ def expected_spectrum(n: int) -> list[tuple[float, int]]:
 
 
 def expected_spectrum_sorted(n: int) -> np.ndarray:
-    values: list[float] = []
-    for value, mult in expected_spectrum(n):
-        values.extend([value] * mult)
-    return np.sort(np.array(values))
+    values, mults = zip(*expected_spectrum(n))
+    return np.sort(np.repeat(values, mults))
 
 
 def verify_spectrum(w: Witness, n: int, tol: float = 1e-9) -> CertReport:
@@ -83,8 +88,7 @@ def verify_spectrum(w: Witness, n: int, tol: float = 1e-9) -> CertReport:
     expected = expected_spectrum_sorted(n)
     if w.matrix.shape[0] != expected.size:
         raise ValueError(f"witness dimension {w.matrix.shape[0]} does not match N={n}")
-    computed, _ = hermitian_eig(w.matrix, tol=CONSTRUCTION_TOL)
-    deviation = float(np.max(np.abs(computed - expected)))
+    deviation = float(np.max(np.abs(w.spectrum - expected)))
     return rule_report(
         "spectrum",
         deviation,
@@ -103,8 +107,7 @@ def gamma_unitary(u: np.ndarray) -> np.ndarray:
     """
     if not maps.is_antisymmetric_unitary(u):
         raise ValueError("U must be an antisymmetric unitary matrix")
-    z = np.zeros_like(as_complex(u))
-    return np.block([[as_complex(u), z], [z, as_complex(u)]])
+    return kron(np.eye(2), u)
 
 
 def gamma_conjugation_defect(w: Witness) -> float:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from robwit import maps
+from robwit import maps, witnesses
 
 
 def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
@@ -34,3 +35,12 @@ def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
 @pytest.fixture(scope="session")
 def example_map():
     return build_example_map
+
+
+@pytest.fixture(scope="session")
+def perturbed_witness():
+    """W + 1e-3 H at N=1 for a seeded Hermitian H: Hermitian and not positive, but not a Phi_U witness."""
+    w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+    rng = np.random.default_rng(2024)
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    return witnesses.Witness(w.matrix + 1e-3 * (g + g.conj().T) / 2, w.d, w.source)

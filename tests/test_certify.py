@@ -10,6 +10,26 @@ def canonical_witness():
     return witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
 
 
+def reference_spa_bisect(w, tol=1e-10):
+    """The bisection on a direct eigensolve of (p/D) I + (1 - p) W at every step."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        if min_eigenvalue(certify.spa_witness(w, mid)) >= -tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def forbid_eigensolves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unexpected eigensolve")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
 class TestDetect:
     def test_ppt_state(self, canonical_witness):
         state = states.ppt_entangled_state(1, canonical_witness)
@@ -225,6 +245,27 @@ class TestSpa:
             0.8, abs=1e-9
         )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bisect_matches_direct_eigensolve_reference(self, n):
+        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        assert certify.spa_threshold_bisect(w) == pytest.approx(reference_spa_bisect(w), abs=1e-12)
+
+    def test_bisect_matches_reference_off_the_family(self, perturbed_witness):
+        measured = certify.spa_threshold_bisect(perturbed_witness)
+        assert measured == pytest.approx(reference_spa_bisect(perturbed_witness), abs=1e-12)
+        assert abs(measured - 0.8) > 1e-6
+
+    def test_bisect_runs_on_the_cached_spectrum(self, monkeypatch):
+        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+        w.spectrum
+        forbid_eigensolves(monkeypatch)
+        assert certify.spa_threshold_bisect(w) == pytest.approx(0.8, abs=1e-9)
+
+    def test_report_fails_off_the_family(self, perturbed_witness):
+        report = certify.spa_threshold_report(perturbed_witness, 1)
+        assert not report.passed
+        assert abs(report.measured - report.expected) > report.tolerance
+
     def test_bisect_rejects_positive_input(self, canonical_witness):
         fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, 4, canonical_witness.source)
         with pytest.raises(ValueError, match="already positive"):
@@ -270,6 +311,10 @@ class TestIsotropicDetection:
     def test_detection_root(self, canonical_witness):
         assert certify.detection_root(canonical_witness, 1) == pytest.approx(0.8, abs=1e-12)
 
+    def test_isotropic_state_needs_no_eigensolve(self, monkeypatch):
+        forbid_eigensolves(monkeypatch)
+        assert complex(np.trace(states.isotropic_state(8, 0.3).rho)).real == pytest.approx(1.0, abs=1e-12)
+
 
 class TestEbCertificate:
     def test_canonical(self):
@@ -302,6 +347,18 @@ class TestFullSuite:
         reports = certify.run_full_suite(1, maps.canonical_u0(1))
         assert tuple(r.name for r in reports) == certify.SUITE_CHECKS
         assert all(r.passed for r in reports)
+
+    def test_diagonalizes_the_witness_once(self, monkeypatch):
+        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))).matrix
+        solved = []
+        for name in ("eigh", "eigvalsh"):
+            def record(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+                solved.append(m)
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, record)
+        assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1)))
+        assert sum(m.shape == w.shape and np.allclose(m, w, rtol=0, atol=1e-15) for m in solved) == 1
 
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ValueError, match="unknown check"):

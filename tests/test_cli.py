@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from robwit import certify, cli, maps
+from robwit import certify, cli, maps, witnesses
 
 
 def run(capsys, *argv):
@@ -74,6 +75,32 @@ class TestBuild:
         code, out, _ = run(capsys, "build", "--n", "1", "--output", "text")
         assert code == 0
         assert "family: PhiU4N" in out and "min eigenvalue: -0.25" in out
+
+
+class TestSizeGuard:
+    @pytest.fixture(autouse=True)
+    def no_witness(self, monkeypatch):
+        # a tree without the guard fails here instead of allocating a huge W
+        def refuse(m):
+            raise AssertionError("witnesses.choi was reached")
+
+        monkeypatch.setattr(witnesses, "choi", refuse)
+
+    @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
+    def test_refuses_huge_n_before_allocating(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--n", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "N=100 needs an estimated" in err and "GB" in err
+
+    def test_bound_follows_physical_memory(self, monkeypatch):
+        # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
+        memory = {"SC_PHYS_PAGES": cli.PEAK_W_ARRAYS * 16 * 8 ** 4, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+        assert cli.bounded_n("2") == 2
+        with pytest.raises(argparse.ArgumentTypeError, match="N=3 needs an estimated"):
+            cli.bounded_n("3")
 
 
 class TestCertify:

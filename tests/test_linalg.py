@@ -77,7 +77,7 @@ class TestPartialTranspose:
         herm = (g + g.conj().T) / 2
         pt = linalg.partial_transpose(herm, 2, 3, "A")
         assert complex(np.trace(pt)) == pytest.approx(complex(np.trace(herm)))
-        assert linalg.is_hermitian(pt)
+        assert linalg.hermiticity_defect(pt) <= linalg.CONSTRUCTION_TOL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="expected"):
@@ -86,28 +86,27 @@ class TestPartialTranspose:
 
 class TestHermitianEig:
     def test_identity(self):
-        w, _ = linalg.hermitian_eig(np.eye(4))
+        w = linalg.hermitian_eig(np.eye(4))
         np.testing.assert_allclose(w, np.ones(4), atol=1e-14)
 
     def test_pauli_spectrum(self):
-        w, _ = linalg.hermitian_eig(SIGMA_Y)
+        w = linalg.hermitian_eig(SIGMA_Y)
         np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
 
     def test_canonical_witness_spectrum(self):
         w = choi(phi_u(1, canonical_u0(1)))
-        eigs, _ = linalg.hermitian_eig(w.matrix)
+        eigs = linalg.hermitian_eig(w.matrix)
         expected = np.array([-0.25] + [0.0] * 10 + [0.25] * 5)
         np.testing.assert_allclose(eigs, expected, atol=1e-9)
 
     @pytest.mark.parametrize("dim", [8, 48, 144])
     def test_reconstruction_residual(self, dim):
+        # oracle: M = Q diag(lam) Q^dagger with a random unitary Q has spectrum lam
         rng = np.random.default_rng(dim)
-        g = random_complex(rng, (dim, dim))
-        m = (g + g.conj().T) / 2
-        w, v = linalg.hermitian_eig(m)
-        scale = np.max(np.abs(m))
-        assert np.max(np.abs(m - (v * w) @ v.conj().T)) <= 1e-9 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-9
+        q, _ = np.linalg.qr(random_complex(rng, (dim, dim)))
+        lam = np.sort(rng.uniform(-1.0, 1.0, dim))
+        m = (q * lam) @ q.conj().T
+        np.testing.assert_allclose(linalg.hermitian_eig(m), lam, atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -123,10 +122,10 @@ class TestStacks:
         rng = np.random.default_rng(5)
         g = random_complex(rng, (4, 6, 6))
         stack = g + np.swapaxes(g, -1, -2).conj()
-        w, v = linalg.hermitian_eig(stack)
-        assert w.shape == (4, 6) and v.shape == (4, 6, 6)
+        w = linalg.hermitian_eig(stack)
+        assert w.shape == (4, 6)
         for member, wm in zip(stack, w):
-            np.testing.assert_allclose(wm, linalg.hermitian_eig(member)[0], atol=1e-12)
+            np.testing.assert_allclose(wm, linalg.hermitian_eig(member), atol=1e-12)
 
     def test_rejects_stack_with_one_non_hermitian_member(self):
         stack = np.stack([np.eye(3, dtype=complex)] * 5)
@@ -170,11 +169,11 @@ class TestRealign:
 
 class TestNumericalRank:
     def test_dependent_triple(self):
-        e1, e2 = linalg.basis_vector(2, 0), linalg.basis_vector(2, 1)
+        e1, e2 = np.eye(2)
         assert linalg.numerical_rank([e1, e2, e1 + e2]) == 2
 
     def test_parallel_pair(self):
-        e1 = linalg.basis_vector(2, 0)
+        e1 = np.eye(2)[0]
         assert linalg.numerical_rank([e1, 2 * e1]) == 1
 
     def test_product_family_spans(self):

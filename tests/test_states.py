@@ -66,19 +66,17 @@ class TestIsotropicState:
 
     def test_halfway_eigenvalues(self):
         # oracle: P+ is a rank-1 projector, so eigenvalues are lam/d^2 with one shifted
-        rho = states.isotropic_state(4, 0.5).rho
-        eigs = np.linalg.eigvalsh(rho)
-        expected = np.array([0.5 / 16] * 15 + [0.5 / 16 + 0.5])
-        np.testing.assert_allclose(eigs, expected, atol=1e-12)
+        # by 1 - lam; isotropic_state relies on this instead of an eigensolve
+        for d in (4, 12):
+            for lam in (0.0, 0.3, 0.5, 1.0):
+                eigs = np.linalg.eigvalsh(states.isotropic_state(d, lam).rho)
+                expected = np.sort([lam / d ** 2] * (d * d - 1) + [lam / d ** 2 + 1.0 - lam])
+                np.testing.assert_allclose(eigs, expected, atol=1e-12, err_msg=f"d={d}, lam={lam}")
 
     def test_rejects_out_of_range(self):
         for lam in (-0.1, 1.1):
             with pytest.raises(ValueError, match="outside"):
                 states.isotropic_state(4, lam)
-
-    def test_unphysical_bypass(self):
-        rho = states.isotropic_state(4, 1.2, allow_unphysical=True).rho
-        assert complex(np.trace(rho)).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEntanglementThreshold:

@@ -106,6 +106,32 @@ class TestVerifySpectrum:
         with pytest.raises(ValueError, match="does not match"):
             witnesses.verify_spectrum(canonical_witness, 2)
 
+    def test_fails_on_perturbed_witness(self, perturbed_witness):
+        report = witnesses.verify_spectrum(perturbed_witness, 1)
+        assert not report.passed and report.measured > 1e-4
+
+
+class TestCachedSpectrum:
+    def test_matches_eigvalsh(self, example_map):
+        for w in (witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))),
+                  witnesses.choi(example_map("ConjugatedPhiU", 1, "complex-unitary", seed=4))):
+            np.testing.assert_allclose(w.spectrum, np.linalg.eigvalsh(w.matrix), atol=1e-12)
+
+    def test_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(witnesses, "hermitian_eig", lambda m, tol: calls.append(m) or np.zeros(16))
+        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+        assert w.spectrum is w.spectrum
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            w.spectrum[0] = 1.0
+
+    def test_rejects_non_hermitian_matrix(self, canonical_witness):
+        skewed = canonical_witness.matrix.copy()
+        skewed[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            witnesses.Witness(skewed, 4, canonical_witness.source).spectrum
+
 
 class TestGammaUnitary:
     def test_matches_stated_form_for_sigma_y(self):
