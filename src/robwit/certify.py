@@ -43,12 +43,12 @@ def detect(w: witnesses.Witness, s: states.DensityOperator) -> float:
     return float(value.real)
 
 
-def _random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 # --- positivity -------------------------------------------------------------
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_k><y_k| for each row of two (k, dim) stacks of vectors."""
+    return x[:, :, None] * y[:, None, :].conj()
 
 
 def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
@@ -70,37 +70,42 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
     half = 2 * n
     rng = np.random.default_rng(seed)
 
-    g = rng.standard_normal((trials, 2, d))  # same stream as `trials` calls to _random_unit_vector
+    g = rng.standard_normal((trials, 2, d))  # per trial: real then imaginary part, as one draw at a time
     psi = g[:, 0] + 1j * g[:, 1]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     worst = np.inf
     for start in range(0, trials, POSITIVITY_BLOCK):
         p = psi[start : start + POSITIVITY_BLOCK]
-        worst = min(worst, min_eigenvalue(maps.apply_map(m, p[:, :, None] * p[:, None, :].conj())))
+        worst = min(worst, min_eigenvalue(maps.apply_map(m, _outer(p, p))))
 
+    # part two, all splittings at once; a = 0 and a = 1 come first
+    k = decompositions
+    a = np.concatenate([[0.0, 1.0], rng.uniform(size=max(k - 2, 0))])[:k, None]
+    g = rng.standard_normal((k, 2, 2, half))  # psi1 then psi2, each real then imaginary part
+    psi1, psi2 = np.moveaxis(g[:, :, 0] + 1j * g[:, :, 1], 1, 0)
+    psi1 /= np.linalg.norm(psi1, axis=-1, keepdims=True)
+    psi2 /= np.linalg.norm(psi2, axis=-1, keepdims=True)
+    psi = np.concatenate([np.sqrt(a) * psi1, np.sqrt(1.0 - a) * psi2], axis=-1)
+    images = maps.apply_map(base, _outer(psi, psi))
+    a = a[:, :, None]  # from here on a scales (k, half, half) blocks
+
+    def transpose_u(x):  # X -> U X^T U^dagger, so Q -> Q^U
+        return u @ np.swapaxes(x, -1, -2) @ u.conj().T
+
+    mfac = _outer(psi1, psi2) + transpose_u(_outer(psi2, psi1))
+    mfac_h = np.swapaxes(mfac, -1, -2).conj()
+    b = np.sqrt(a * (1.0 - a))
     eye = np.eye(half, dtype=complex)
-    identity_defect = 0.0
-    schur_defect = 0.0
-    for idx in range(decompositions):
-        a = 0.0 if idx == 0 else 1.0 if idx == 1 else float(rng.uniform())
-        psi1 = _random_unit_vector(rng, half)
-        psi2 = _random_unit_vector(rng, half)
-        psi = np.concatenate([np.sqrt(a) * psi1, np.sqrt(1.0 - a) * psi2])
-        image = maps.apply_map(base, np.outer(psi, psi.conj()))
-
-        mfac = np.outer(psi1, psi2.conj()) + u @ np.outer(psi2, psi1.conj()).T @ u.conj().T
-        b = np.sqrt(a * (1.0 - a))
-        block_form = np.block(
-            [[(1.0 - a) * eye, -b * mfac], [-b * mfac.conj().T, a * eye]]
-        ) / half
-        identity_defect = max(identity_defect, float(np.max(np.abs(image - block_form))))
-
-        q = np.outer(psi1, psi1.conj())
-        qu = u @ q.T @ u.conj().T
-        gram = mfac @ mfac.conj().T
-        identity_defect = max(identity_defect, float(np.max(np.abs(gram - q - qu))))
-        identity_defect = max(identity_defect, abs(complex(np.trace(q @ qu))))
-        schur_defect = max(schur_defect, max(0.0, -min_eigenvalue(eye - gram)))
+    block_form = np.block([[(1.0 - a) * eye, -b * mfac], [-b * mfac_h, a * eye]]) / half
+    q = _outer(psi1, psi1)
+    qu = transpose_u(q)
+    gram = mfac @ mfac_h
+    identity_defect = max(
+        float(np.max(np.abs(images - block_form), initial=0.0)),
+        float(np.max(np.abs(gram - q - qu), initial=0.0)),
+        float(np.max(np.abs(np.einsum("kij,kji->k", q, qu)), initial=0.0)),  # |Tr(Q Q^U)|
+    )
+    schur_defect = max(0.0, -min_eigenvalue(eye - gram)) if k else 0.0
 
     ok = worst >= -tol and identity_defect <= CONSTRUCTION_TOL and schur_defect <= CONSTRUCTION_TOL
     note = " (proof identity evaluated on the underlying map)" if m.family == "ConjugatedPhiU" else ""
@@ -120,17 +125,18 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
 
 def verify_nondecomposability(n: int, u: np.ndarray,
                               v1: np.ndarray | None = None, v2: np.ndarray | None = None,
-                              tol: float = 1e-12) -> CertReport:
+                              tol: float = 1e-12, *,
+                              w_base: witnesses.Witness | None = None) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
     For the conjugated family the same state is rotated by the local
     unitary that relates the two witnesses, which preserves positivity and
-    the PPT property.
+    the PPT property.  A caller that already holds the witness ``w_base`` of
+    the PhiU4N map passes it; otherwise it is built here.
     """
     if (v1 is None) != (v2 is None):
         raise ValueError("V1 and V2 must be supplied together")
-    base = maps.phi_u(n, u)
-    w = witnesses.choi(base)
+    w = w_base if w_base is not None else witnesses.choi(maps.phi_u(n, u))
     rho = states.ppt_entangled_state(n, w).rho
     if v1 is not None:
         w = witnesses.transform_witness(w, v1, v2)
@@ -164,14 +170,14 @@ def verify_nondecomposability(n: int, u: np.ndarray,
 
 @dataclass(frozen=True)
 class SpanningFamily:
-    """(4N)^2 product vectors psi (x) psi* annihilated by the witness."""
+    """(4N)^2 generators psi, one per row, whose product vectors psi (x) psi* the witness annihilates."""
 
     n: int
-    generators: list
+    generators: np.ndarray
 
 
 def spanning_family(n: int) -> SpanningFamily:
-    """Vectors e_l, e_m + e_n and e_m + i e_n (m < n), each mapped to psi (x) psi*.
+    """Vectors e_l, then e_m + e_n and e_m + i e_n for each m < n, each mapped to psi (x) psi*.
 
     The family has (4N)^2 members and spans C^{4N} (x) C^{4N}.
     """
@@ -179,51 +185,45 @@ def spanning_family(n: int) -> SpanningFamily:
         raise ValueError("N must be a positive integer")
     d = 4 * n
     e = np.eye(d, dtype=complex)
-    gens = list(e)
-    for a in range(d):
-        for b in range(a + 1, d):
-            gens.append(e[a] + e[b])
-            gens.append(e[a] + 1j * e[b])
-    return SpanningFamily(n, gens)
+    lo, hi = np.triu_indices(d, 1)  # every pair m < n, in row-major order
+    sums = np.stack([e[lo] + e[hi], e[lo] + 1j * e[hi]], axis=1).reshape(-1, d)
+    return SpanningFamily(n, np.concatenate([e, sums]))
 
 
-def zero_product_pairs(m: maps.MapDescriptor) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Product pairs (phi, chi) with <phi (x) chi| W |phi (x) chi> = 0.
+def zero_product_pairs(m: maps.MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """Product pairs (phi_k, chi_k), rows of two arrays, with <phi (x) chi| W |phi (x) chi> = 0.
 
     For the plain family these are (psi, psi*); for a conjugated witness the
-    pairs are rotated by the local unitary relating it to the plain one.
+    pairs are rotated by the local unitary relating it to the plain one,
+    (V2^T psi, V1^dagger psi*).
     """
     base = maps.base_descriptor(m)
-    family = spanning_family(base.size)
-    pairs = [(g, g.conj()) for g in family.generators]
+    gens = spanning_family(base.size).generators
     if m.family == "ConjugatedPhiU":
-        pairs = [(m.v2.T @ p, m.v1.conj().T @ c) for p, c in pairs]
-    return pairs
+        return gens @ m.v2, gens.conj() @ m.v1.conj()
+    return gens, gens.conj()
 
 
-def _product_family_check(matrix: np.ndarray, pairs, tol: float) -> tuple[float, int, bool]:
-    d = int(round(np.sqrt(matrix.shape[0])))
-    worst = 0.0
-    vectors = []
-    for phi, chi in pairs:
-        vec = np.kron(phi, chi)
-        vectors.append(vec)
-        worst = max(worst, abs(complex(vec.conj() @ matrix @ vec)))
+def _product_family_check(matrix: np.ndarray, phi: np.ndarray, chi: np.ndarray,
+                          tol: float) -> tuple[float, int, bool]:
+    d = phi.shape[-1]
+    vectors = (phi[:, :, None] * chi[:, None, :]).reshape(len(phi), d * d)  # row k is phi_k (x) chi_k
+    expectations = np.einsum("ki,ki->k", vectors.conj() @ matrix, vectors)
+    worst = float(np.max(np.abs(expectations)))
     rank = numerical_rank(vectors)
     return worst, rank, worst <= tol and rank == d * d
 
 
-def verify_optimality(w: witnesses.Witness, n: int, pairs=None, tol: float = 1e-10) -> CertReport:
+def verify_optimality(w: witnesses.Witness, n: int, tol: float = 1e-10) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space."""
-    if pairs is None:
-        pairs = zero_product_pairs(w.source)
-    worst, rank, ok = _product_family_check(w.matrix, pairs, tol)
+    phi, chi = zero_product_pairs(w.source)
+    worst, rank, ok = _product_family_check(w.matrix, phi, chi, tol)
     return rule_report(
         "optimality",
         worst,
         tol,
         ok,
-        f"max |<psi (x) phi|W|psi (x) phi>| over {len(pairs)} product vectors, pass iff <= tol "
+        f"max |<psi (x) phi|W|psi (x) phi>| over {len(phi)} product vectors, pass iff <= tol "
         f"and family rank {rank} equals {(4 * n) ** 2}",
     )
 
@@ -243,8 +243,8 @@ def verify_nd_optimality(w: witnesses.Witness, u: np.ndarray | None = None,
     conj_defect = witnesses.gamma_conjugation_defect(w)
     g = witnesses.gamma_conjugation_unitary(w.source)
     wg = partial_transpose(w.matrix, d, d, "A")
-    pairs = [(g @ phi, chi) for phi, chi in zero_product_pairs(w.source)]
-    worst, rank, family_ok = _product_family_check(wg, pairs, tol)
+    phi, chi = zero_product_pairs(w.source)
+    worst, rank, family_ok = _product_family_check(wg, phi @ g.T, chi, tol)
     ok = family_ok and conj_defect <= CONSTRUCTION_TOL
     return rule_report(
         "nd-optimality",
@@ -290,11 +290,9 @@ def spa_witness(w: witnesses.Witness, p: float) -> np.ndarray:
     return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
 
 
-def spa_threshold_closed_form(n: int) -> float:
-    """Smallest p making the approximated witness positive: 4N/(4N+1)."""
-    if n < 1:
-        raise ValueError("N must be a positive integer")
-    return 4.0 * n / (4.0 * n + 1.0)
+# Smallest p making the approximated witness positive, 4N/(4N+1): the same number
+# as the isotropic entanglement threshold, so both names share one definition.
+spa_threshold_closed_form = states.isotropic_entanglement_threshold
 
 
 def spa_threshold_bisect(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
@@ -374,7 +372,9 @@ def realignment_trace_norm(rho: np.ndarray, d_a: int, d_b: int) -> float:
     return float(np.sum(np.linalg.svd(realign(rho, d_a, d_b), compute_uv=False)))
 
 
-def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e-10) -> CertReport:
+def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e-10, *,
+                          w: witnesses.Witness | None = None,
+                          w_base: witnesses.Witness | None = None) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
     A positive unital map whose approximation threshold coincides with the
@@ -384,7 +384,9 @@ def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e
     map, agreement of the measured detection root with the threshold, the
     covariance identity for conjugated variants, and two independent
     necessary conditions on the approximated Choi matrix at the threshold
-    (positive partial transpose and the realignment bound).
+    (positive partial transpose and the realignment bound).  A caller that
+    already holds the witness ``w`` of ``m`` and the witness ``w_base`` of its
+    PhiU4N base passes them; otherwise they are built here.
     """
     base = maps.base_descriptor(m)
     n = base.size
@@ -395,17 +397,19 @@ def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e
     unital_defect = float(np.max(np.abs(maps.apply_map(m, np.eye(d, dtype=complex)) - np.eye(d))))
     self_dual = verify_self_duality(base, trials=200, seed=seed)
 
-    w_base = witnesses.choi(base)
-    w_m = w_base if m.family == "PhiU4N" else witnesses.choi(m)
+    if w_base is None:
+        w_base = witnesses.choi(base)
+    if w is None:
+        w = w_base if m.family == "PhiU4N" else witnesses.choi(m)
     covariance_defect = 0.0
     if m.family == "ConjugatedPhiU":
         expected_w = witnesses.transform_witness(w_base, m.v1, m.v2)
-        covariance_defect = float(np.max(np.abs(w_m.matrix - expected_w.matrix)))
+        covariance_defect = float(np.max(np.abs(w.matrix - expected_w.matrix)))
 
     threshold = states.isotropic_entanglement_threshold(n)
     root = detection_root(w_base, n)
 
-    approx = spa_witness(w_m, threshold)
+    approx = spa_witness(w, threshold)
     ppt_low = min_eigenvalue(partial_transpose(approx, d, d, "A"))
     realigned = realignment_trace_norm(approx, d, d)
 
@@ -474,15 +478,16 @@ def run_full_suite(n: int, u: np.ndarray, v1: np.ndarray | None = None,
         raise ValueError("V1 and V2 must be supplied together")
     m = maps.conjugated_phi(n, u, v1, v2) if conjugated else maps.phi_u(n, u)
     w = witnesses.choi(m)
+    w_base = witnesses.choi(maps.base_descriptor(m)) if conjugated else w
 
     return [
         verify_positivity(m, trials=1000, seed=seed, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, n, tol=tol["spectrum"]),
-        verify_nondecomposability(n, u, v1, v2, tol=tol["nondecomposability"]),
+        verify_nondecomposability(n, u, v1, v2, tol=tol["nondecomposability"], w_base=w_base),
         verify_optimality(w, n, tol=tol["optimality"]),
         verify_nd_optimality(w, tol=tol["nd-optimality"]),
         verify_self_duality(maps.base_descriptor(m), trials=200, seed=seed + 1,
                             tol=tol["self-duality"]),
         spa_threshold_report(w, n, tol=tol["spa-threshold"]),
-        verify_eb_certificate(m, seed=seed + 2, tol=tol["eb-certificate"]),
+        verify_eb_certificate(m, seed=seed + 2, tol=tol["eb-certificate"], w=w, w_base=w_base),
     ]

@@ -103,7 +103,11 @@ def isotropic_state(d: int, lam: float) -> DensityOperator:
 
 
 def isotropic_entanglement_threshold(n: int) -> float:
-    """The isotropic state on C^{4N} (x) C^{4N} is entangled iff lam < 4N/(4N+1)."""
+    """The isotropic state on C^{4N} (x) C^{4N} is entangled iff lam < 4N/(4N+1).
+
+    The same number is the noise threshold of the structural physical
+    approximation of the PhiU4N witness (``certify.spa_threshold_closed_form``).
+    """
     if n < 1:
         raise ValueError("N must be a positive integer")
     return 4.0 * n / (4.0 * n + 1.0)

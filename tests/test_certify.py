@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from robwit import certify, maps, states, witnesses
-from robwit.linalg import min_eigenvalue
+from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,27 @@ def reference_spa_bisect(w, tol=1e-10):
         else:
             lo = mid
     return hi
+
+
+def loop_product_family(matrix, n, v1=None, v2=None, g=None):
+    """(worst |<v|M|v>|, rank) one product vector at a time, from the generators' double loop.
+
+    ``v1``/``v2`` rotate the pairs as for a conjugated witness, ``g`` transports phi
+    as for the partially transposed one.
+    """
+    d = 4 * n
+    e = np.eye(d, dtype=complex)
+    gens = list(e)
+    for a in range(d):
+        for b in range(a + 1, d):
+            gens += [e[a] + e[b], e[a] + 1j * e[b]]
+    pairs = [(psi, psi.conj()) for psi in gens]
+    if v1 is not None:
+        pairs = [(v2.T @ phi, v1.conj().T @ chi) for phi, chi in pairs]
+    if g is not None:
+        pairs = [(g @ phi, chi) for phi, chi in pairs]
+    vectors = [np.kron(phi, chi) for phi, chi in pairs]
+    return max(abs(complex(v.conj() @ matrix @ v)) for v in vectors), numerical_rank(vectors)
 
 
 def forbid_eigensolves(monkeypatch):
@@ -78,6 +101,16 @@ class TestPositivity:
             worst = min(worst, min_eigenvalue(maps.apply_map(m, np.outer(psi, psi.conj()))))
         report = certify.verify_positivity(m, trials=300, seed=5, decompositions=2)
         assert report.measured == pytest.approx(worst, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_proof_identity_fails_for_a_contraction(self, n):
+        # Phi_U is still positive for U = U0 / 2, so the sampling passes, but
+        # M M^dagger = Q + Q^U needs a unitary U
+        report = certify.verify_positivity(maps.phi_u(n, 0.5 * maps.canonical_u0(n)))
+        defect = float(re.search(r"proof-identity defect (\S+),", report.details).group(1))
+        assert report.measured >= -report.tolerance
+        assert defect > 1e-2
+        assert not report.passed
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_split_endpoints_give_half_identity_blocks(self, a):
@@ -141,8 +174,6 @@ class TestSpanningFamily:
         np.testing.assert_allclose(np.kron(g, g.conj()), [1.0, -1.0j, 1.0j, 1.0], atol=1e-15)
 
     def test_spans(self):
-        from robwit.linalg import numerical_rank
-
         gens = certify.spanning_family(2).generators
         assert numerical_rank([np.kron(g, g.conj()) for g in gens]) == 64
 
@@ -161,6 +192,37 @@ class TestOptimality:
             canonical_witness, maps.random_unitary(4, seed=11), maps.random_unitary(4, seed=12)
         )
         assert certify.verify_optimality(out, 1).passed
+
+    def test_fails_off_the_family(self, perturbed_witness):
+        report = certify.verify_optimality(perturbed_witness, 1)
+        assert not report.passed
+        assert report.measured > report.tolerance
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_batched_family_matches_loop_reference(self, conjugated):
+        n = 2
+        u = maps.random_antisymmetric_unitary(n, seed=21, mode="complex-unitary")
+        v1 = v2 = None
+        if conjugated:
+            v1, v2 = maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23)
+        m = maps.conjugated_phi(n, u, v1, v2) if conjugated else maps.phi_u(n, u)
+        w = witnesses.choi(m)
+        wg = partial_transpose(w.matrix, 8, 8)
+        g = witnesses.gamma_conjugation_unitary(m)
+        phi, chi = certify.zero_product_pairs(m)
+        for matrix, phi_k, rotate in ((w.matrix, phi, None), (wg, phi @ g.T, g)):
+            worst, rank, _ = certify._product_family_check(matrix, phi_k, chi, 1e-10)
+            ref_worst, ref_rank = loop_product_family(matrix, n, v1, v2, rotate)
+            assert worst == pytest.approx(ref_worst, abs=1e-13)
+            assert rank == ref_rank == 64
+
+    def test_batched_family_matches_loop_reference_off_the_family(self, perturbed_witness):
+        phi, chi = certify.zero_product_pairs(perturbed_witness.source)
+        worst, rank, _ = certify._product_family_check(perturbed_witness.matrix, phi, chi, 1e-10)
+        ref_worst, ref_rank = loop_product_family(perturbed_witness.matrix, 1)
+        assert worst == pytest.approx(ref_worst, abs=1e-13)
+        assert worst > 1e-4
+        assert rank == ref_rank == 16
 
 
 class TestNdOptimality:
@@ -183,6 +245,11 @@ class TestNdOptimality:
             certify.verify_nd_optimality(
                 canonical_witness, maps.random_antisymmetric_unitary(1, seed=16)
             )
+
+    def test_fails_off_the_family(self, perturbed_witness):
+        report = certify.verify_nd_optimality(perturbed_witness)
+        assert not report.passed
+        assert report.measured > report.tolerance
 
 
 class TestSelfDuality:
@@ -237,8 +304,16 @@ class TestSpa:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_threshold_coincides_with_isotropic_boundary(self, n):
-        # the exact coincidence the entanglement-breaking argument relies on
-        assert certify.spa_threshold_closed_form(n) == states.isotropic_entanglement_threshold(n)
+        # the exact coincidence the entanglement-breaking argument relies on, measured:
+        # the isotropic state stops being PPT exactly at the SPA threshold
+        d = 4 * n
+        t = certify.spa_threshold_closed_form(n)
+
+        def pt_low(lam):
+            return min_eigenvalue(partial_transpose(states.isotropic_state(d, lam).rho, d, d))
+
+        assert abs(pt_low(t)) <= 1e-12
+        assert pt_low(t - 1e-6) < -1e-8
 
     def test_bisect_agrees(self, canonical_witness):
         assert certify.spa_threshold_bisect(canonical_witness, tol=1e-10) == pytest.approx(
@@ -359,6 +434,22 @@ class TestFullSuite:
             monkeypatch.setattr(np.linalg, name, record)
         assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1)))
         assert sum(m.shape == w.shape and np.allclose(m, w, rtol=0, atol=1e-15) for m in solved) == 1
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_builds_each_choi_matrix_once(self, monkeypatch, conjugated):
+        built = []
+        build = witnesses.choi
+
+        def record(m):
+            built.append(m.family)
+            return build(m)
+
+        monkeypatch.setattr(witnesses, "choi", record)
+        v1 = v2 = None
+        if conjugated:
+            v1, v2 = maps.random_unitary(4, seed=24), maps.random_unitary(4, seed=25)
+        assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1), v1, v2))
+        assert built == (["ConjugatedPhiU", "PhiU4N"] if conjugated else ["PhiU4N"])
 
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ValueError, match="unknown check"):
