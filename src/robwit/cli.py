@@ -23,9 +23,10 @@ from . import certify, maps, states, witnesses
 
 DEFAULT_SEED = 42
 
-# Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak at N = 2..4
-# is highest for `build --output json` (its nested lists and JSON text), 26.1 at N = 3 and 4.
-PEAK_W_ARRAYS = 27
+# Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
+# process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
+# `build --output json` (its nested lists and JSON text), 23.8 at N = 3 and 15.9 / 15.4 at N = 4 / 5.
+PEAK_W_ARRAYS = 24
 
 
 def matrix_to_payload(m: np.ndarray) -> dict:
@@ -97,6 +98,15 @@ def parse_tolerances(entries: list[str] | None) -> dict[str, float]:
     return overrides
 
 
+def to_json(payload: dict) -> str:
+    """Compact, key-sorted JSON, the one format of `build` and `certify --output json`.
+
+    Without an indent `json` runs its C encoder; floats keep their shortest
+    round-trip repr, so `matrix_from_payload` recovers a matrix bit for bit.
+    """
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
 def emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -134,7 +144,7 @@ def cmd_build(args) -> int:
             payload["v1"] = args.v1
             payload["v2"] = args.v2
         payload.update(matrix_to_payload(w.matrix))
-        emit(json.dumps(payload, indent=2, sort_keys=True), args.out_path)
+        emit(to_json(payload), args.out_path)
     else:
         lines = [
             f"family: {w.source.family}",
@@ -163,7 +173,7 @@ def cmd_certify(args) -> int:
             "checks": [r.to_dict() for r in reports],
             "verdict": verdict,
         }
-        emit(json.dumps(payload, indent=2, sort_keys=True), args.out_path)
+        emit(to_json(payload), args.out_path)
     else:
         lines = [str(r) for r in reports]
         passed = sum(r.passed for r in reports)

@@ -98,7 +98,8 @@ def isotropic_state(d: int, lam: float) -> DensityOperator:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    rho = (lam / d ** 2) * np.eye(d * d, dtype=complex) + (1.0 - lam) * witnesses.max_entangled(d)
+    rho = (1.0 - lam) * witnesses.max_entangled(d)
+    rho.flat[:: d * d + 1] += lam / d ** 2  # the diagonal
     return DensityOperator(rho, d, f"isotropic-{lam}")
 
 

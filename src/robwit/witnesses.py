@@ -39,9 +39,10 @@ def max_entangled(d: int) -> np.ndarray:
     """Maximally entangled state (1/d) sum_kl |k><l| (x) |k><l| on C^d (x) C^d."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0  # |kk> sits at k * d + k
-    return np.outer(v, v.conj()) / d
+    kk = np.arange(d) * (d + 1)  # |kk> sits at k * d + k
+    p = np.zeros((d * d, d * d), dtype=complex)
+    p[np.ix_(kk, kk)] = 1.0 / d
+    return p
 
 
 def choi(m: maps.MapDescriptor) -> Witness:

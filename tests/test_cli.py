@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,28 @@ class TestBuild:
         w = cli.matrix_from_payload(payload)
         assert np.max(np.abs(w - w.conj().T)) <= 1e-12
         assert complex(np.trace(w)).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("conjugation", [[], ["--v1", "seed:1", "--v2", "seed:2"]],
+                             ids=["plain", "conjugated"])
+    def test_json_is_compact_and_exact(self, capsys, conjugation):
+        code, out, _ = run(capsys, "build", "--n", "2", "--u", "seed:3", *conjugation, "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+        m = cli.resolve_map(cli.make_parser().parse_args(["build", "--n", "2", "--u", "seed:3", *conjugation]))
+        np.testing.assert_array_equal(cli.matrix_from_payload(payload), witnesses.choi(m).matrix)
+
+    def test_peak_memory_within_size_guard(self, capsys):
+        # the conjugated JSON export is the costliest command at small N
+        tracemalloc.start()
+        try:
+            code = cli.main(["build", "--n", "3", "--v1", "seed:1", "--v2", "seed:1", "--output", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= cli.PEAK_W_ARRAYS * 16 * 12 ** 4, f"peak {peak / (16 * 12 ** 4):.2f} W-sized arrays"
 
     def test_seeded_u_dimension(self, capsys):
         code, out, _ = run(capsys, "build", "--n", "2", "--u", "seed:7")
@@ -116,6 +139,7 @@ class TestCertify:
         assert code1 == code2 == 0
         assert out1 == out2
         payload = json.loads(out1)
+        assert out1 == json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
         assert payload["verdict"] == "pass"
         assert [c["name"] for c in payload["checks"]] == list(certify.SUITE_CHECKS)
         assert all(c["verdict"] == "pass" for c in payload["checks"])

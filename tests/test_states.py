@@ -64,6 +64,19 @@ class TestIsotropicState:
             states.isotropic_state(4, 0.0).rho, witnesses.max_entangled(4), atol=1e-15
         )
 
+    @pytest.mark.parametrize("d", [2, 4, 12])
+    def test_matches_dense_sum(self, d):
+        # oracle: the dense sum (lam/d^2) I + (1 - lam) P+ with P+ = |v><v| / d; same IEEE sums
+        v = np.zeros(d * d, dtype=complex)
+        v[:: d + 1] = 1.0
+        plus = np.outer(v, v.conj()) / d
+        for lam in (0.0, 0.3, 0.8, 1.0):
+            reference = (lam / d ** 2) * np.eye(d * d, dtype=complex) + (1.0 - lam) * plus
+            first, second = states.isotropic_state(d, lam).rho, states.isotropic_state(d, lam).rho
+            np.testing.assert_array_equal(first, reference, err_msg=f"lam={lam}")
+            first[0, 0] = 7.0  # each call hands out its own writable array
+            np.testing.assert_array_equal(second, reference, err_msg=f"lam={lam}")
+
     def test_halfway_eigenvalues(self):
         # oracle: P+ is a rank-1 projector, so eigenvalues are lam/d^2 with one shifted
         # by 1 - lam; isotropic_state relies on this instead of an eigensolve

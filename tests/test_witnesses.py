@@ -17,6 +17,17 @@ class TestMaxEntangled:
         )
         np.testing.assert_allclose(witnesses.max_entangled(2), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 4, 12])
+    def test_matches_dense_outer_product(self, d):
+        v = np.zeros(d * d, dtype=complex)
+        v[:: d + 1] = 1.0
+        reference = np.outer(v, v.conj()) / d
+        first, second = witnesses.max_entangled(d), witnesses.max_entangled(d)
+        np.testing.assert_array_equal(first, reference)
+        first[0, 0] = 7.0  # each call hands out its own writable array
+        np.testing.assert_array_equal(second, reference)
+        np.testing.assert_array_equal(witnesses.max_entangled(d), reference)
+
     def test_rank_one_projector(self):
         p = witnesses.max_entangled(4)
         assert complex(np.trace(p)).real == pytest.approx(1.0, abs=1e-12)
