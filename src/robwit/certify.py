@@ -20,11 +20,12 @@ from . import maps, states, witnesses
 from .linalg import (
     CONSTRUCTION_TOL,
     POSITIVITY_TOL,
-    kron,
+    local_conjugate,
     min_eigenvalue,
     numerical_rank,
     partial_transpose,
     realign,
+    trace_norm,
 )
 from .report import CertReport, rule_report, value_report
 
@@ -137,15 +138,15 @@ def verify_nondecomposability(n: int, u: np.ndarray,
     if (v1 is None) != (v2 is None):
         raise ValueError("V1 and V2 must be supplied together")
     w = w_base if w_base is not None else witnesses.choi(maps.phi_u(n, u))
-    rho = states.ppt_entangled_state(n, w).rho
+    state = states.ppt_entangled_state(n, w)
     if v1 is not None:
         w = witnesses.transform_witness(w, v1, v2)
-        s = kron(v2.conj(), v1)
-        rho = s.conj().T @ rho @ s
+        # S^dagger rho S for S = Vbar2 (x) V1, the rotation relating the two witnesses
+        state = states.DensityOperator(local_conjugate(state.rho, v2.T, v1.conj().T), state.d, "ppt-entangled")
+    rho = state.rho
     d = 4 * n
-    state = states.DensityOperator(rho, d, "ppt-entangled")
 
-    low = min_eigenvalue(rho)
+    low = float(state.spectrum[0])  # for the plain map, the spectrum ppt_entangled_state validated
     low_pt = min_eigenvalue(partial_transpose(rho, d, d, "A"))
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     measured = detect(w, state)
@@ -204,13 +205,33 @@ def zero_product_pairs(m: maps.MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     return gens, gens.conj()
 
 
+def _products(phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Row k is phi_k (x) chi_k."""
+    return (phi[:, :, None] * chi[:, None, :]).reshape(len(phi), -1)
+
+
+def product_family_rank(n: int) -> int:
+    """Rank of the plain product family psi (x) psi* of ``spanning_family(n)``.
+
+    Every family the optimality checks use is this one moved by a unitary
+    local rotation, (V2^T (x) V1^dagger) for a conjugated witness and
+    (G (x) 1) for the partial transpose, and a unitary local rotation
+    preserves rank.  Those unitaries are validated where they are built, so
+    the rank is a fact of N alone.  ``numerical_rank`` finds it by exact
+    elimination: the vectors e_l (x) e_l pin their coordinates, and the
+    rest splits into 2 x 2 blocks on (e_m (x) e_n, e_n (x) e_m).
+    """
+    gens = spanning_family(n).generators
+    return numerical_rank(_products(gens, gens.conj()))
+
+
 def _product_family_check(matrix: np.ndarray, phi: np.ndarray, chi: np.ndarray,
                           tol: float) -> tuple[float, int, bool]:
     d = phi.shape[-1]
-    vectors = (phi[:, :, None] * chi[:, None, :]).reshape(len(phi), d * d)  # row k is phi_k (x) chi_k
+    vectors = _products(phi, chi)
     expectations = np.einsum("ki,ki->k", vectors.conj() @ matrix, vectors)
     worst = float(np.max(np.abs(expectations)))
-    rank = numerical_rank(vectors)
+    rank = product_family_rank(d // 4)
     return worst, rank, worst <= tol and rank == d * d
 
 
@@ -369,7 +390,7 @@ def detection_root(w: witnesses.Witness, n: int) -> float:
 
 def realignment_trace_norm(rho: np.ndarray, d_a: int, d_b: int) -> float:
     """Trace norm of the realigned matrix; at most 1 for separable states."""
-    return float(np.sum(np.linalg.svd(realign(rho, d_a, d_b), compute_uv=False)))
+    return trace_norm(realign(rho, d_a, d_b))
 
 
 def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e-10, *,

@@ -8,11 +8,12 @@ states whose entanglement threshold the witness saturates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import maps, witnesses
-from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermiticity_defect, matrix_unit, min_eigenvalue
+from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermiticity_defect, hermitian_eig, matrix_unit
 
 
 @dataclass(frozen=True)
@@ -23,15 +24,22 @@ class DensityOperator:
     d: int
     label: str
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of rho, computed on first use and kept (read-only)."""
+        values = hermitian_eig(self.rho, tol=CONSTRUCTION_TOL)
+        values.flags.writeable = False  # one array is shared by every reader
+        return values
 
-def _validate_density(rho: np.ndarray, label: str) -> None:
-    defect = hermiticity_defect(rho)
+
+def _validate_density(state: DensityOperator, label: str) -> None:
+    defect = hermiticity_defect(state.rho)
     if defect > CONSTRUCTION_TOL:
         raise ValueError(f"{label}: not Hermitian, defect {defect:.3e}")
-    tr = complex(np.trace(rho))
+    tr = complex(np.trace(state.rho))
     if abs(tr - 1.0) > CONSTRUCTION_TOL:
         raise ValueError(f"{label}: trace {tr} is not 1")
-    low = min_eigenvalue(rho)
+    low = state.spectrum[0]
     if low < -POSITIVITY_TOL:
         raise ValueError(f"{label}: negative eigenvalue {low:.3e}")
 
@@ -86,8 +94,9 @@ def ppt_entangled_state(n: int, w: witnesses.Witness) -> DensityOperator:
             put(j, i, matrix_unit(d, j, i))
     rho *= scale
 
-    _validate_density(rho, f"ppt_entangled_state(N={n})")
-    return DensityOperator(rho, d, f"ppt-entangled-{d}x{d}")
+    state = DensityOperator(rho, d, f"ppt-entangled-{d}x{d}")
+    _validate_density(state, f"ppt_entangled_state(N={n})")
+    return state
 
 
 def isotropic_state(d: int, lam: float) -> DensityOperator:

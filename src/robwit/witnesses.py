@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps
-from .linalg import CONSTRUCTION_TOL, hermitian_eig, kron, partial_transpose, realign
+from .linalg import CONSTRUCTION_TOL, hermitian_eig, kron, local_conjugate, partial_transpose, realign
 from .report import CertReport, rule_report
 
 
@@ -120,8 +120,7 @@ def gamma_conjugation_defect(w: Witness) -> float:
     g = gamma_conjugation_unitary(w.source)
     d = w.d
     lhs = partial_transpose(w.matrix, d, d, "A")
-    big = kron(g, np.eye(d))
-    return float(np.max(np.abs(lhs - big @ w.matrix @ big.conj().T)))
+    return float(np.max(np.abs(lhs - local_conjugate(w.matrix, g, np.eye(d)))))
 
 
 def gamma_conjugation_unitary(m: maps.MapDescriptor) -> np.ndarray:
@@ -139,5 +138,4 @@ def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
     desc = maps.conjugated_phi(w.source.size, w.source.u, v1, v2)
-    s = kron(v2.conj(), v1)
-    return Witness(s.conj().T @ w.matrix @ s, w.d, desc)
+    return Witness(local_conjugate(w.matrix, v2.T, v1.conj().T), w.d, desc)

@@ -173,3 +173,20 @@ def test_criterion_9_family_coincidences():
     ok = worst <= 1e-12
     announce(9, "family coincidences", ok, f"max entrywise deviation {worst:.2e}")
     assert ok
+
+
+def test_criterion_10_full_suite_at_n6():
+    # every check at N=6 (576 x 576 witnesses), where the blocked solves matter;
+    # U, V1, V2 as the CLI resolves seed:106, seed:1, seed:2
+    n = 6
+    u = maps.random_antisymmetric_unitary(n, 106)
+    ok = True
+    details = []
+    for label, v1, v2 in (("plain", None, None),
+                          ("conjugated", maps.random_unitary(4 * n, 1), maps.random_unitary(4 * n, 2))):
+        reports = certify.run_full_suite(n, u, v1, v2)
+        passed = sum(r.passed for r in reports)
+        ok = ok and len(reports) == len(certify.SUITE_CHECKS) == passed
+        details.append(f"{label} {passed}/{len(reports)}")
+    announce(10, "full suite at N=6, plain and conjugated", ok, "; ".join(details))
+    assert ok

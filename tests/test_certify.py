@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from robwit import certify, maps, states, witnesses
+from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
 
@@ -43,6 +43,40 @@ def loop_product_family(matrix, n, v1=None, v2=None, g=None):
         pairs = [(g @ phi, chi) for phi, chi in pairs]
     vectors = [np.kron(phi, chi) for phi, chi in pairs]
     return max(abs(complex(v.conj() @ matrix @ v)) for v in vectors), numerical_rank(vectors)
+
+
+def dense_gram_rank(vectors, tol=1e-9):
+    """Rank from the eigenvalues of the whole Gram matrix, with numerical_rank's cutoff rule."""
+    a = np.asarray(vectors)
+    gram = a.conj() @ a.T
+    eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    return int(np.sum(eig > eig[-1] * max(tol * tol, 8 * len(a) * np.finfo(float).eps)))
+
+
+def drop_phase_vectors(monkeypatch):
+    """Make spanning_family leave out its e_m + i e_n generators."""
+    build = certify.spanning_family
+
+    def reduced(n):
+        d = 4 * n
+        keep = np.r_[np.arange(d), d + 2 * np.arange(d * (d - 1) // 2)]  # e_l, then e_m + e_n per pair
+        return certify.SpanningFamily(n, build(n).generators[keep])
+
+    monkeypatch.setattr(certify, "spanning_family", reduced)
+
+
+def record_hermitian_eig(monkeypatch):
+    """Record every matrix passed to hermitian_eig, under every name the package binds it to."""
+    solved = []
+    solve = linalg.hermitian_eig
+
+    def record(m, *args, **kwargs):
+        solved.append(np.asarray(m))
+        return solve(m, *args, **kwargs)
+
+    for module in (linalg, witnesses, states):
+        monkeypatch.setattr(module, "hermitian_eig", record)
+    return solved
 
 
 def forbid_eigensolves(monkeypatch):
@@ -156,6 +190,20 @@ class TestNondecomposability:
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
+        # the plain map reads min eig(rho) from the spectrum ppt_entangled_state
+        # validated; a conjugated map solves the rotated S^dagger rho S directly
+        n, u = 2, maps.canonical_u0(2)
+        v1 = v2 = None
+        if conjugated:
+            v1, v2 = maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27)
+        rho = states.ppt_entangled_state(n, witnesses.choi(maps.phi_u(n, u))).rho
+        solved = record_hermitian_eig(monkeypatch)
+        assert certify.verify_nondecomposability(n, u, v1, v2).passed
+        assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
+        assert len(solved) == (3 if conjugated else 2)  # with the partial transpose
+
 
 class TestSpanningFamily:
     @pytest.mark.parametrize("n,count", [(1, 16), (2, 64)])
@@ -223,6 +271,35 @@ class TestOptimality:
         assert worst == pytest.approx(ref_worst, abs=1e-13)
         assert worst > 1e-4
         assert rank == ref_rank == 16
+
+
+class TestFamilyRank:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_structural_rank_equals_dense_rank_of_every_family(self, n):
+        u = maps.random_antisymmetric_unitary(n, seed=40 + n, mode="complex-unitary")
+        d = 4 * n
+        conj = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=42), maps.random_unitary(d, seed=43))
+        families = []
+        for m in (maps.phi_u(n, u), conj):
+            phi, chi = certify.zero_product_pairs(m)
+            g = witnesses.gamma_conjugation_unitary(m)
+            families += [certify._products(phi, chi), certify._products(phi @ g.T, chi)]
+        rank = certify.product_family_rank(n)
+        assert rank == d * d
+        assert [dense_gram_rank(f) for f in families] == [rank] * 4
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rank_drops_without_phase_vectors(self, monkeypatch, n):
+        drop_phase_vectors(monkeypatch)
+        d = 4 * n
+        gens = certify.spanning_family(n).generators
+        dropped = d + d * (d - 1) // 2
+        assert certify.product_family_rank(n) == dense_gram_rank(certify._products(gens, gens.conj())) == dropped
+        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        for report in (certify.verify_optimality(w, n), certify.verify_nd_optimality(w)):
+            assert report.measured <= report.tolerance  # the expectations alone would pass
+            assert f"rank {dropped}" in report.details
+            assert not report.passed
 
 
 class TestNdOptimality:
@@ -341,6 +418,16 @@ class TestSpa:
         assert not report.passed
         assert abs(report.measured - report.expected) > report.tolerance
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_threshold_holds_for_a_contraction(self, n, c):
+        # lambda_min(W) = -1/(4N) for every U = c U0, so 4N/(4N+1) is still the
+        # true threshold: the report must pass, while the spectrum check fails
+        w = witnesses.choi(maps.phi_u(n, c * maps.canonical_u0(n)))
+        assert w.spectrum[0] == pytest.approx(-1 / (4 * n), abs=1e-14)
+        assert certify.spa_threshold_report(w, n).passed
+        assert not witnesses.verify_spectrum(w, n).passed
+
     def test_bisect_rejects_positive_input(self, canonical_witness):
         fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, 4, canonical_witness.source)
         with pytest.raises(ValueError, match="already positive"):
@@ -408,6 +495,19 @@ class TestEbCertificate:
         with pytest.raises(ValueError, match="unitary"):
             certify.verify_eb_certificate(maps.phi_u(1, np.zeros((2, 2))))
 
+    def test_fails_on_a_corrupted_conjugated_witness(self):
+        m = maps.conjugated_phi(
+            1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19)
+        )
+        w = witnesses.choi(m)
+        corrupted = w.matrix.copy()
+        corrupted[5, 5] += 1e-6  # one diagonal entry: still Hermitian
+        report = certify.verify_eb_certificate(m, w=witnesses.Witness(corrupted, w.d, m))
+        covariance = float(re.search(r"covariance defect (\S+),", report.details).group(1))
+        assert covariance == pytest.approx(1e-6, rel=1e-6)
+        assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
+
 
 class TestRealignment:
     def test_trace_norm_flags_entanglement(self):
@@ -415,6 +515,18 @@ class TestRealignment:
         d = 4
         assert certify.realignment_trace_norm(witnesses.max_entangled(d), d, d) == pytest.approx(d)
         assert certify.realignment_trace_norm(np.eye(d * d) / d ** 2, d, d) == pytest.approx(1 / d)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_blocked_matches_dense_svd_on_the_spa_witness(self, n, conjugated):
+        d = 4 * n
+        u = maps.random_antisymmetric_unitary(n, seed=50 + n)
+        m = maps.phi_u(n, u)
+        if conjugated:
+            m = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=51), maps.random_unitary(d, seed=52))
+        approx = certify.spa_witness(witnesses.choi(m), certify.spa_threshold_closed_form(n))
+        dense = np.sum(np.linalg.svd(linalg.realign(approx, d, d), compute_uv=False))
+        assert certify.realignment_trace_norm(approx, d, d) == pytest.approx(dense, rel=0, abs=1e-13)
 
 
 class TestFullSuite:
@@ -424,14 +536,9 @@ class TestFullSuite:
         assert all(r.passed for r in reports)
 
     def test_diagonalizes_the_witness_once(self, monkeypatch):
+        # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks
         w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))).matrix
-        solved = []
-        for name in ("eigh", "eigvalsh"):
-            def record(m, *args, _solve=getattr(np.linalg, name), **kwargs):
-                solved.append(m)
-                return _solve(m, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, record)
+        solved = record_hermitian_eig(monkeypatch)
         assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1)))
         assert sum(m.shape == w.shape and np.allclose(m, w, rtol=0, atol=1e-15) for m in solved) == 1
 

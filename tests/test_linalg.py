@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robwit import linalg
 from robwit.maps import SIGMA_Y, canonical_u0, phi_u
@@ -117,6 +119,105 @@ class TestHermitianEig:
             linalg.hermitian_eig(np.zeros((2, 3)))
 
 
+def record_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record the shape of every argument it is given."""
+    shapes = []
+    solve = np.linalg.eigvalsh
+
+    def record(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", record)
+    return shapes
+
+
+def permuted_block_diagonal(rng, sizes):
+    """Hermitian matrix with random blocks of the given sizes, under a random symmetric permutation."""
+    n = int(sum(sizes))
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        g = random_complex(rng, (size, size))
+        m[start : start + size, start : start + size] = g + g.conj().T
+        start += size
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)]
+
+
+class TestBlockedEig:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_permuted_block_diagonal_matches_dense(self, sizes, seed):
+        m = permuted_block_diagonal(np.random.default_rng(seed), sizes)
+        np.testing.assert_allclose(linalg.hermitian_eig(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-13)
+
+    def test_solves_blocks_of_one_size_as_one_stack(self, monkeypatch):
+        m = permuted_block_diagonal(np.random.default_rng(30), [3, 2, 3, 1, 3])
+        shapes = record_eigvalsh(monkeypatch)
+        linalg.hermitian_eig(m)
+        assert sorted(shapes) == [(1, 1, 1), (1, 2, 2), (3, 3, 3)]
+
+    def test_tiny_coupling_merges_blocks(self, monkeypatch):
+        m = np.zeros((5, 5), dtype=complex)
+        m[:2, :2] = [[1.0, 2.0], [2.0, 3.0]]
+        m[2:, 2:] = np.diag([4.0, 5.0, 6.0])
+        m[1, 3] = m[3, 1] = 1e-300  # couples the 2 x 2 block with index 3
+        shapes = record_eigvalsh(monkeypatch)
+        values = linalg.hermitian_eig(m)
+        assert sorted(shapes) == [(1, 3, 3), (2, 1, 1)]
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(m), rtol=0, atol=1e-14)
+
+    def test_dense_matrix_takes_the_plain_solve(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        g = random_complex(rng, (6, 6))
+        m = g + g.conj().T
+        shapes = record_eigvalsh(monkeypatch)
+        np.testing.assert_array_equal(linalg.hermitian_eig(m), np.linalg.eigvalsh((m + m.conj().T) / 2))
+        assert shapes[0] == (6, 6)
+
+    def test_skew_matrix_raises_before_labelling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("labelled before the Hermiticity check")
+
+        monkeypatch.setattr(linalg, "_components", refuse)
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_eig(skew)
+
+
+class TestTraceNorm:
+    def test_permuted_rectangular_blocks_match_dense(self):
+        rng = np.random.default_rng(32)
+        m = np.zeros((9, 11), dtype=complex)
+        m[:3, :2] = random_complex(rng, (3, 2))
+        m[3:5, 2:7] = random_complex(rng, (2, 5))
+        m[6:, 8:] = random_complex(rng, (3, 3))  # row 5 and column 7 stay empty
+        m = m[rng.permutation(9)][:, rng.permutation(11)]
+        dense = np.sum(np.linalg.svd(m, compute_uv=False))
+        assert linalg.trace_norm(m) == pytest.approx(dense, rel=0, abs=1e-13)
+
+    def test_zero_matrix(self):
+        assert linalg.trace_norm(np.zeros((3, 4))) == 0.0
+
+
+class TestLocalConjugate:
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (4, 3), (1, 5)])
+    def test_matches_kron_reference(self, d_a, d_b):
+        # unitary factors and a unit-scale M, as for the witnesses and states it rotates
+        rng = np.random.default_rng(10 * d_a + d_b)
+        a, _ = np.linalg.qr(random_complex(rng, (d_a, d_a)))
+        b, _ = np.linalg.qr(random_complex(rng, (d_b, d_b)))
+        m = random_complex(rng, (d_a * d_b, d_a * d_b)) / (d_a * d_b)
+        big = np.kron(a, b)
+        np.testing.assert_allclose(linalg.local_conjugate(m, a, b), big @ m @ big.conj().T, rtol=0, atol=1e-14)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="expected"):
+            linalg.local_conjugate(np.eye(6), np.eye(2), np.eye(2))
+
+
 class TestStacks:
     def test_hermitian_eig_matches_member_by_member(self):
         rng = np.random.default_rng(5)
@@ -181,6 +282,12 @@ class TestNumericalRank:
 
         gens = spanning_family(1).generators
         assert linalg.numerical_rank([np.kron(g, g.conj()) for g in gens]) == 16
+
+    def test_cutoff_applies_to_pinned_coordinates(self):
+        # a single-entry vector far below tol * sigma_max counts as zero, as in the dense Gram rule
+        e1, e2, e3 = np.eye(3)
+        assert linalg.numerical_rank([1e-12 * e1, e2 + e3, e2 - e3]) == 2
+        assert linalg.numerical_rank([1e-6 * e1, e2 + e3, e2 - e3]) == 3
 
     def test_random_gaussian_vectors(self):
         rng = np.random.default_rng(6)
