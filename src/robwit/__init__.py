@@ -11,10 +11,9 @@ from .certify import (
     SpanningFamily,
     detect,
     detection_root,
-    detection_sum,
     isotropic_detection_value,
     run_full_suite,
-    spa_threshold_bisect,
+    spa_threshold,
     spa_threshold_closed_form,
     spa_witness,
     spanning_family,

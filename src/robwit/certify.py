@@ -7,7 +7,12 @@ spanning zero-expectation product family, optimality of the partially
 transposed witness, self-duality, the noise threshold of the structural
 physical approximation, detection of all entangled isotropic states, and
 the resulting entanglement-breaking certificate for the approximated map.
-``run_full_suite`` executes all eight with one shared seed.
+
+Positivity and sampled self-duality take a map descriptor; every other
+check takes one :class:`Witness`, which carries its map and, as
+``Witness.base``, the PhiU4N witness a conjugated one is moved from.
+``run_full_suite`` builds the witness of one map and runs all eight with
+one shared seed.
 """
 
 from __future__ import annotations
@@ -124,26 +129,21 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
 # --- nondecomposability -----------------------------------------------------
 
 
-def verify_nondecomposability(n: int, u: np.ndarray,
-                              v1: np.ndarray | None = None, v2: np.ndarray | None = None,
-                              tol: float = 1e-12, *,
-                              w_base: witnesses.Witness | None = None) -> CertReport:
+def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
-    For the conjugated family the same state is rotated by the local
-    unitary that relates the two witnesses, which preserves positivity and
-    the PPT property.  A caller that already holds the witness ``w_base`` of
-    the PhiU4N map passes it; otherwise it is built here.
+    The state is built from the PhiU4N base witness.  For the conjugated
+    family it is rotated by the local unitary that relates the two witnesses,
+    which preserves positivity and the PPT property.
     """
-    if (v1 is None) != (v2 is None):
-        raise ValueError("V1 and V2 must be supplied together")
-    w = w_base if w_base is not None else witnesses.choi(maps.phi_u(n, u))
-    state = states.ppt_entangled_state(n, w)
-    if v1 is not None:
-        w = witnesses.transform_witness(w, v1, v2)
+    state = states.ppt_entangled_state(w.base)
+    m = w.source
+    if m.family == "ConjugatedPhiU":
         # S^dagger rho S for S = Vbar2 (x) V1, the rotation relating the two witnesses
-        state = states.DensityOperator(local_conjugate(state.rho, v2.T, v1.conj().T), state.d, "ppt-entangled")
+        rotated = local_conjugate(state.rho, m.v2.T, m.v1.conj().T)
+        state = states.DensityOperator(rotated, state.d, "ppt-entangled")
     rho = state.rho
+    n = m.size
     d = 4 * n
 
     low = float(state.spectrum[0])  # for the plain map, the spectrum ppt_entangled_state validated
@@ -235,7 +235,7 @@ def _product_family_check(matrix: np.ndarray, phi: np.ndarray, chi: np.ndarray,
     return worst, rank, worst <= tol and rank == d * d
 
 
-def verify_optimality(w: witnesses.Witness, n: int, tol: float = 1e-10) -> CertReport:
+def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space."""
     phi, chi = zero_product_pairs(w.source)
     worst, rank, ok = _product_family_check(w.matrix, phi, chi, tol)
@@ -245,12 +245,11 @@ def verify_optimality(w: witnesses.Witness, n: int, tol: float = 1e-10) -> CertR
         tol,
         ok,
         f"max |<psi (x) phi|W|psi (x) phi>| over {len(phi)} product vectors, pass iff <= tol "
-        f"and family rank {rank} equals {(4 * n) ** 2}",
+        f"and family rank {rank} equals {w.d ** 2}",
     )
 
 
-def verify_nd_optimality(w: witnesses.Witness, u: np.ndarray | None = None,
-                         tol: float = 1e-10) -> CertReport:
+def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Optimality of the partially transposed witness.
 
     Checks the conjugation identity (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger
@@ -258,8 +257,6 @@ def verify_nd_optimality(w: witnesses.Witness, u: np.ndarray | None = None,
     optimality check directly on (W)^Gamma with the transported family
     (G phi, chi).
     """
-    if u is not None and float(np.max(np.abs(u - w.source.u))) > CONSTRUCTION_TOL:
-        raise ValueError("witness was not built from the supplied U")
     d = w.d
     conj_defect = witnesses.gamma_conjugation_defect(w)
     g = witnesses.gamma_conjugation_unitary(w.source)
@@ -316,36 +313,30 @@ def spa_witness(w: witnesses.Witness, p: float) -> np.ndarray:
 spa_threshold_closed_form = states.isotropic_entanglement_threshold
 
 
-def spa_threshold_bisect(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
-    """Bisection for the smallest p with min eig of the approximation >= -tol."""
+def spa_threshold(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
+    """Smallest p with min eig of the approximation >= -tol.
 
-    def positive(p: float) -> bool:
-        # I commutes with W, so min eig of (p/D) I + (1 - p) W is p/D + (1 - p) lambda_min(W)
-        return p / w.matrix.shape[0] + (1.0 - p) * w.spectrum[0] >= -tol
-
-    if positive(0.0):
+    I commutes with W, so that min eig is p/D + (1 - p) lambda_min(W), affine
+    in p, and the threshold is its root.
+    """
+    low = w.spectrum[0]
+    if low >= -tol:
         raise ValueError("input is already positive at p=0; not an entanglement witness")
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float((-tol - low) / (1.0 / w.matrix.shape[0] - low))
 
 
-def spa_threshold_report(w: witnesses.Witness, n: int, tol: float = 1e-8) -> CertReport:
-    """Bisected threshold against the closed form, plus exact degeneracy at it."""
-    measured = spa_threshold_bisect(w)
-    expected = spa_threshold_closed_form(n)
+def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
+    """Threshold from the witness's smallest eigenvalue against the closed form, plus exact degeneracy at it."""
+    measured = spa_threshold(w)
+    expected = spa_threshold_closed_form(maps.base_descriptor(w.source).size)
     boundary = min_eigenvalue(spa_witness(w, expected))
     return value_report(
         "spa-threshold",
         measured,
         expected,
         tol,
-        details=f"bisected minimal noise weight; min eig at the closed-form threshold = {boundary:.2e} (|.| <= 1e-9)",
+        details=(f"root of the affine minimal eigenvalue in the noise weight; "
+                 f"min eig at the closed-form threshold = {boundary:.2e} (|.| <= 1e-9)"),
         extra_ok=abs(boundary) <= 1e-9,
     )
 
@@ -361,28 +352,14 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def detection_sum(m: maps.MapDescriptor) -> float:
-    """sum_kl <k| F(|k><l|) |l>, which equals d^2 Tr(W P+).
-
-    For the core family with unitary U the value is -4N, the anchor behind
-    the isotropic detection curve.
-    """
-    d = maps.input_dim(m)
-    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
-    total = complex(np.einsum("klkl->", maps.apply_map(m, units)))
-    if abs(total.imag) > CONSTRUCTION_TOL * max(1.0, abs(total.real)):
-        raise ValueError(f"detection sum has a non-negligible imaginary part: {total}")
-    return float(total.real)
-
-
-def detection_root(w: witnesses.Witness, n: int) -> float:
+def detection_root(w: witnesses.Witness) -> float:
     """Numeric root of lam -> Tr(W rho_lam), found from two evaluations.
 
     The curve is affine in lam, so the root is exact up to eigensolver
     noise; this is the measurement-side counterpart of the closed form.
     """
-    g0 = detect(w, states.isotropic_state(4 * n, 0.0))
-    g1 = detect(w, states.isotropic_state(4 * n, 1.0))
+    g0 = detect(w, states.isotropic_state(w.d, 0.0))
+    g1 = detect(w, states.isotropic_state(w.d, 1.0))
     if g0 >= 0 or g1 <= 0:
         raise ValueError("detection curve does not change sign on [0, 1]")
     return g0 / (g0 - g1)
@@ -393,42 +370,35 @@ def realignment_trace_norm(rho: np.ndarray, d_a: int, d_b: int) -> float:
     return trace_norm(realign(rho, d_a, d_b))
 
 
-def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e-10, *,
-                          w: witnesses.Witness | None = None,
-                          w_base: witnesses.Witness | None = None) -> CertReport:
+def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
     A positive unital map whose approximation threshold coincides with the
     isotropic entanglement threshold yields an entanglement breaking
     channel; self-duality reduces the detection condition to the witness.
-    The certificate aggregates: unitality, self-duality of the underlying
-    map, agreement of the measured detection root with the threshold, the
-    covariance identity for conjugated variants, and two independent
-    necessary conditions on the approximated Choi matrix at the threshold
-    (positive partial transpose and the realignment bound).  A caller that
-    already holds the witness ``w`` of ``m`` and the witness ``w_base`` of its
-    PhiU4N base passes them; otherwise they are built here.
+    The certificate aggregates: unitality, exact self-duality of the
+    underlying map (Hermiticity of its natural matrix, read off the base
+    witness), agreement of the base witness's measured detection root with
+    the threshold, the covariance identity for conjugated variants, and two
+    independent necessary conditions on the approximated Choi matrix at the
+    threshold (positive partial transpose and the realignment bound).
     """
-    base = maps.base_descriptor(m)
-    n = base.size
+    m = w.source
+    w_base = w.base
+    n = m.size
     d = 4 * n
-    if not maps.is_antisymmetric_unitary(base.u):
+    if not maps.is_antisymmetric_unitary(m.u):
         raise ValueError("the entanglement-breaking certificate requires a strictly unitary U")
 
     unital_defect = float(np.max(np.abs(maps.apply_map(m, np.eye(d, dtype=complex)) - np.eye(d))))
-    self_dual = verify_self_duality(base, trials=200, seed=seed)
-
-    if w_base is None:
-        w_base = witnesses.choi(base)
-    if w is None:
-        w = w_base if m.family == "PhiU4N" else witnesses.choi(m)
+    self_dual_defect = witnesses.self_duality_defect(w_base)
     covariance_defect = 0.0
     if m.family == "ConjugatedPhiU":
         expected_w = witnesses.transform_witness(w_base, m.v1, m.v2)
         covariance_defect = float(np.max(np.abs(w.matrix - expected_w.matrix)))
 
     threshold = states.isotropic_entanglement_threshold(n)
-    root = detection_root(w_base, n)
+    root = detection_root(w_base)
 
     approx = spa_witness(w, threshold)
     ppt_low = min_eigenvalue(partial_transpose(approx, d, d, "A"))
@@ -436,7 +406,7 @@ def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e
 
     ok = (
         unital_defect <= CONSTRUCTION_TOL
-        and self_dual.passed
+        and self_dual_defect <= CONSTRUCTION_TOL
         and abs(root - threshold) <= tol
         and covariance_defect <= CONSTRUCTION_TOL
         and ppt_low >= -POSITIVITY_TOL
@@ -449,7 +419,7 @@ def verify_eb_certificate(m: maps.MapDescriptor, seed: int = 13, tol: float = 1e
         tol,
         details=(
             f"detection root vs isotropic threshold; unitality defect {unital_defect:.2e}, "
-            f"self-duality {self_dual.verdict}, covariance defect {covariance_defect:.2e}, "
+            f"self-duality defect {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
             f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10, "
             f"realignment trace norm {realigned:.6f} <= 1 + 1e-8"
         ),
@@ -483,10 +453,9 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def run_full_suite(n: int, u: np.ndarray, v1: np.ndarray | None = None,
-                   v2: np.ndarray | None = None, seed: int = 42,
+def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
                    tolerances: dict[str, float] | None = None) -> list[CertReport]:
-    """Run all eight certification checks for one (N, U[, V1, V2]) family."""
+    """Run all eight certification checks for one plain or conjugated PhiU map."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
@@ -494,21 +463,15 @@ def run_full_suite(n: int, u: np.ndarray, v1: np.ndarray | None = None,
             raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
         tol.update(tolerances)
 
-    conjugated = v1 is not None or v2 is not None
-    if conjugated and (v1 is None or v2 is None):
-        raise ValueError("V1 and V2 must be supplied together")
-    m = maps.conjugated_phi(n, u, v1, v2) if conjugated else maps.phi_u(n, u)
     w = witnesses.choi(m)
-    w_base = witnesses.choi(maps.base_descriptor(m)) if conjugated else w
-
     return [
         verify_positivity(m, trials=1000, seed=seed, tol=tol["positivity"]),
-        witnesses.verify_spectrum(w, n, tol=tol["spectrum"]),
-        verify_nondecomposability(n, u, v1, v2, tol=tol["nondecomposability"], w_base=w_base),
-        verify_optimality(w, n, tol=tol["optimality"]),
+        witnesses.verify_spectrum(w, tol=tol["spectrum"]),
+        verify_nondecomposability(w, tol=tol["nondecomposability"]),
+        verify_optimality(w, tol=tol["optimality"]),
         verify_nd_optimality(w, tol=tol["nd-optimality"]),
         verify_self_duality(maps.base_descriptor(m), trials=200, seed=seed + 1,
                             tol=tol["self-duality"]),
-        spa_threshold_report(w, n, tol=tol["spa-threshold"]),
-        verify_eb_certificate(m, seed=seed + 2, tol=tol["eb-certificate"], w=w, w_base=w_base),
+        spa_threshold_report(w, tol=tol["spa-threshold"]),
+        verify_eb_certificate(w, tol=tol["eb-certificate"]),
     ]

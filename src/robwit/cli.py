@@ -159,8 +159,7 @@ def cmd_build(args) -> int:
 
 def cmd_certify(args) -> int:
     m = resolve_map(args)
-    reports = certify.run_full_suite(args.n, m.u, m.v1, m.v2, seed=args.seed,
-                                     tolerances=parse_tolerances(args.tol))
+    reports = certify.run_full_suite(m, seed=args.seed, tolerances=parse_tolerances(args.tol))
     all_pass = all(r.passed for r in reports)
     verdict = "pass" if all_pass else "fail"
 

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps, witnesses
-from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermiticity_defect, hermitian_eig, matrix_unit
+from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermiticity_defect, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def normalization_factor(n: int) -> float:
     return 1.0 / (8 * n * n * (1 + 4 * n))
 
 
-def ppt_entangled_state(n: int, w: witnesses.Witness) -> DensityOperator:
+def ppt_entangled_state(w: witnesses.Witness) -> DensityOperator:
     """PPT entangled state detected by the witness built from PhiU4N.
 
     Blocks on C^{4N} (x) C^{4N}, with scale NN = 1/(8N^2(1+4N)):
@@ -62,37 +62,32 @@ def ppt_entangled_state(n: int, w: witnesses.Witness) -> DensityOperator:
       transpose positive semidefinite;
     * rho_{ij} = |i><j| for i <= 2N < j, j != i + 2N;
     * everything else zero, lower blocks by Hermitian completion.
+
+    Each kind of block is one slice assignment on the (d, d, d, d) view of rho,
+    whose entry [i, a, j, b] is <a| rho_{ij} |b>.
     """
-    if w.source.family != "PhiU4N" or w.source.size != n:
-        raise ValueError(f"witness source {w.source.family} (size {w.source.size}) does not match N={n}")
+    if w.source.family != "PhiU4N":
+        raise ValueError(f"the PPT entangled state needs a PhiU4N witness, got {w.source.family}")
     if not maps.is_antisymmetric_unitary(w.source.u):
         raise ValueError("the PPT entangled state requires a strictly unitary U")
+    n = w.source.size
     d = 4 * n
     half = 2 * n
-    scale = normalization_factor(n)
-    w_coeff = n * (4 * n + 1)
-
-    upper = np.diag([4.0 * n] * half + [1.0] * half).astype(complex)
-    lower = np.diag([1.0] * half + [4.0 * n] * half).astype(complex)
+    first = np.arange(half)
+    second = first + half
 
     rho = np.zeros((d * d, d * d), dtype=complex)
-
-    def put(i: int, j: int, block: np.ndarray) -> None:
-        rho[i * d : (i + 1) * d, j * d : (j + 1) * d] = block
-
-    for i in range(d):
-        put(i, i, upper if i < half else lower)
-    for i in range(half):
-        block = -w_coeff * witnesses.witness_block(w, i, i + half)
-        put(i, i + half, block)
-        put(i + half, i, block.conj().T)
-    for i in range(half):
-        for j in range(half, d):
-            if j == i + half:
-                continue
-            put(i, j, matrix_unit(d, i, j))
-            put(j, i, matrix_unit(d, j, i))
-    rho *= scale
+    t = rho.reshape(d, d, d, d)
+    t[first, :, first, :] = np.diag([4.0 * n] * half + [1.0] * half)
+    t[second, :, second, :] = np.diag([1.0] * half + [4.0 * n] * half)
+    blocks = -n * (4 * n + 1) * w.matrix.reshape(d, d, d, d)[first, :, second, :]
+    t[first, :, second, :] = blocks
+    t[second, :, first, :] = np.swapaxes(blocks, -1, -2).conj()
+    i, j = np.nonzero(~np.eye(half, dtype=bool))  # every block (i, 2N + j) not holding a W block
+    j += half
+    t[i, i, j, j] = 1.0
+    t[j, j, i, i] = 1.0
+    rho *= normalization_factor(n)
 
     state = DensityOperator(rho, d, f"ppt-entangled-{d}x{d}")
     _validate_density(state, f"ppt_entangled_state(N={n})")

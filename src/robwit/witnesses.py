@@ -15,17 +15,33 @@ from functools import cached_property
 import numpy as np
 
 from . import maps
-from .linalg import CONSTRUCTION_TOL, hermitian_eig, kron, local_conjugate, partial_transpose, realign
+from .linalg import (
+    CONSTRUCTION_TOL,
+    hermiticity_defect,
+    hermitian_eig,
+    kron,
+    local_conjugate,
+    partial_transpose,
+    realign,
+)
 from .report import CertReport, rule_report
 
 
 @dataclass(frozen=True)
 class Witness:
-    """Choi matrix of a map plus its provenance."""
+    """Choi matrix of a map plus its provenance; it acts on C^d (x) C^d."""
 
     matrix: np.ndarray
-    d: int
     source: maps.MapDescriptor
+
+    def __post_init__(self):
+        if self.matrix.shape != (self.d ** 2, self.d ** 2):
+            raise ValueError(f"a witness of a map on {self.d}x{self.d} matrices is {self.d ** 2}x{self.d ** 2}, "
+                             f"got {self.matrix.shape}")
+
+    @property
+    def d(self) -> int:
+        return maps.input_dim(self.source)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -33,6 +49,20 @@ class Witness:
         values = hermitian_eig(self.matrix, tol=CONSTRUCTION_TOL)
         values.flags.writeable = False  # one array is shared by every reader
         return values
+
+    @property
+    def base(self) -> Witness:
+        """The PhiU4N witness underneath: this witness itself if it is plain.
+
+        A conjugated witness builds its base's Choi matrix on first use and
+        keeps it.  A plain witness is not cached as its own base, which would
+        make a reference cycle that only the cyclic garbage collector frees.
+        """
+        return self if self.source.family == "PhiU4N" else self._base
+
+    @cached_property
+    def _base(self) -> Witness:
+        return choi(maps.base_descriptor(self.source))  # raises for a family without a PhiU4N base
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -50,13 +80,7 @@ def choi(m: maps.MapDescriptor) -> Witness:
     d = maps.input_dim(m)
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
     images = maps.apply_map(m, units).reshape(d * d, d * d)  # row (k, l), column (i, j)
-    return Witness(realign(images, d, d) / d, d, m)
-
-
-def witness_block(w: Witness, i: int, j: int) -> np.ndarray:
-    """(i, j) block of W in the first tensor factor, 0-based: <i| (x) 1 W |j> (x) 1."""
-    d = w.d
-    return w.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
+    return Witness(realign(images, d, d) / d, m)
 
 
 def expected_spectrum(n: int) -> list[tuple[float, int]]:
@@ -80,15 +104,15 @@ def expected_spectrum_sorted(n: int) -> np.ndarray:
     return np.sort(np.repeat(values, mults))
 
 
-def verify_spectrum(w: Witness, n: int, tol: float = 1e-9) -> CertReport:
+def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
     """Match the computed Choi eigenvalues against the closed form.
 
     Sorted computed values are compared pairwise against the sorted expected
-    multiset; the report carries the largest deviation.
+    multiset; the report carries the largest deviation.  A conjugated
+    witness is unitarily equivalent to its base and shares the closed form.
     """
+    n = maps.base_descriptor(w.source).size
     expected = expected_spectrum_sorted(n)
-    if w.matrix.shape[0] != expected.size:
-        raise ValueError(f"witness dimension {w.matrix.shape[0]} does not match N={n}")
     deviation = float(np.max(np.abs(w.spectrum - expected)))
     return rule_report(
         "spectrum",
@@ -133,9 +157,19 @@ def gamma_conjugation_unitary(m: maps.MapDescriptor) -> np.ndarray:
     raise ValueError(f"no partial-transpose conjugation for family {m.family!r}")
 
 
+def self_duality_defect(w: Witness) -> float:
+    """max |R - R^dagger| for R = realign(W) = S^T / d, with S the natural matrix of the map.
+
+    For a Hermiticity-preserving map, Tr(X F(Y)) = Tr(F(X) Y) for all X, Y
+    exactly when S is Hermitian, so this is exact self-duality, read off the
+    witness without sampling.
+    """
+    return hermiticity_defect(realign(w.matrix, w.d, w.d))
+
+
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
     """Witness of the conjugated map: (Vbar2^dagger (x) V1^dagger) W (Vbar2 (x) V1)."""
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
     desc = maps.conjugated_phi(w.source.size, w.source.u, v1, v2)
-    return Witness(local_conjugate(w.matrix, v2.T, v1.conj().T), w.d, desc)
+    return Witness(local_conjugate(w.matrix, v2.T, v1.conj().T), desc)

@@ -43,4 +43,22 @@ def perturbed_witness():
     w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    return witnesses.Witness(w.matrix + 1e-3 * (g + g.conj().T) / 2, w.d, w.source)
+    return witnesses.Witness(w.matrix + 1e-3 * (g + g.conj().T) / 2, w.source)
+
+
+def reference_detection_sum(m: maps.MapDescriptor) -> float:
+    """sum_kl <k| F(|k><l|) |l>, which equals d^2 Tr(W P+).
+
+    For the core family with unitary U the value is -4N, the anchor behind
+    the isotropic detection curve.
+    """
+    d = maps.input_dim(m)
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
+    total = complex(np.einsum("klkl->", maps.apply_map(m, units)))
+    assert abs(total.imag) <= 1e-12 * max(1.0, abs(total.real)), total
+    return float(total.real)
+
+
+@pytest.fixture(scope="session")
+def detection_sum():
+    return reference_detection_sum

@@ -40,7 +40,7 @@ def test_criterion_2_nondecomposability():
     for n in (1, 2):
         for label, u in u_cases(n):
             w = witnesses.choi(maps.phi_u(n, u))
-            rho = states.ppt_entangled_state(n, w)
+            rho = states.ppt_entangled_state(w)
             d = 4 * n
             low = min_eigenvalue(rho.rho)
             low_pt = min_eigenvalue(partial_transpose(rho.rho, d, d, "B"))
@@ -63,12 +63,12 @@ def test_criterion_3_optimality():
     ok = True
     for n in (1, 2):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        ok = ok and certify.verify_optimality(w, n, tol=1e-10).passed
+        ok = ok and certify.verify_optimality(w, tol=1e-10).passed
         ok = ok and certify.verify_nd_optimality(w, tol=1e-10).passed
         transformed = witnesses.transform_witness(
             w, maps.random_unitary(4 * n, seed=200 + n), maps.random_unitary(4 * n, seed=300 + n)
         )
-        ok = ok and certify.verify_optimality(transformed, n, tol=1e-10).passed
+        ok = ok and certify.verify_optimality(transformed, tol=1e-10).passed
     announce(3, "optimality incl. partial transpose and transformed witness", ok)
     assert ok
 
@@ -91,7 +91,7 @@ def test_criterion_5_spa_threshold():
     details = []
     for n in (1, 2):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        bisected = certify.spa_threshold_bisect(w, tol=1e-10)
+        bisected = certify.spa_threshold(w, tol=1e-10)
         closed = certify.spa_threshold_closed_form(n)
         boundary = min_eigenvalue(certify.spa_witness(w, closed))
         case_ok = abs(bisected - closed) <= 1e-8 and abs(boundary) <= 1e-9
@@ -113,7 +113,7 @@ def test_criterion_6_self_duality():
     assert ok
 
 
-def test_criterion_7_isotropic_detection():
+def test_criterion_7_isotropic_detection(detection_sum):
     ok = True
     worst = 0.0
     for n in (1, 2):
@@ -123,9 +123,9 @@ def test_criterion_7_isotropic_detection():
             closed = certify.isotropic_detection_value(n, float(lam))
             worst = max(worst, abs(numeric - closed))
         ok = ok and worst <= 1e-12
-        root = certify.detection_root(w, n)
+        root = certify.detection_root(w)
         ok = ok and abs(root - 4 * n / (4 * n + 1)) <= 1e-12
-        total = certify.detection_sum(maps.phi_u(n, maps.canonical_u0(n)))
+        total = detection_sum(maps.phi_u(n, maps.canonical_u0(n)))
         ok = ok and abs(total + 4 * n) <= 1e-12
     announce(7, "isotropic detection curve and sum identity", ok, f"max curve deviation {worst:.2e}")
     assert ok
@@ -135,9 +135,8 @@ def test_criterion_8_entanglement_breaking():
     ok = True
     for n in (1, 2):
         for _, u in u_cases(n):
-            m = maps.phi_u(n, u)
-            ok = ok and certify.verify_eb_certificate(m, seed=600 + n).passed
-            w = witnesses.choi(m)
+            w = witnesses.choi(maps.phi_u(n, u))
+            ok = ok and certify.verify_eb_certificate(w).passed
             approx = certify.spa_witness(w, certify.spa_threshold_closed_form(n))
             d = 4 * n
             ok = ok and min_eigenvalue(partial_transpose(approx, d, d, "A")) >= -1e-10
@@ -145,7 +144,7 @@ def test_criterion_8_entanglement_breaking():
     conj = maps.conjugated_phi(
         1, maps.canonical_u0(1), maps.random_unitary(4, seed=601), maps.random_unitary(4, seed=602)
     )
-    ok = ok and certify.verify_eb_certificate(conj, seed=603).passed
+    ok = ok and certify.verify_eb_certificate(witnesses.choi(conj)).passed
     announce(8, "entanglement-breaking certificate incl. conjugated variant", ok)
     assert ok
 
@@ -182,9 +181,9 @@ def test_criterion_10_full_suite_at_n6():
     u = maps.random_antisymmetric_unitary(n, 106)
     ok = True
     details = []
-    for label, v1, v2 in (("plain", None, None),
-                          ("conjugated", maps.random_unitary(4 * n, 1), maps.random_unitary(4 * n, 2))):
-        reports = certify.run_full_suite(n, u, v1, v2)
+    conjugated = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, 1), maps.random_unitary(4 * n, 2))
+    for label, m in (("plain", maps.phi_u(n, u)), ("conjugated", conjugated)):
+        reports = certify.run_full_suite(m)
         passed = sum(r.passed for r in reports)
         ok = ok and len(reports) == len(certify.SUITE_CHECKS) == passed
         details.append(f"{label} {passed}/{len(reports)}")

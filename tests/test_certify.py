@@ -89,7 +89,7 @@ def forbid_eigensolves(monkeypatch):
 
 class TestDetect:
     def test_ppt_state(self, canonical_witness):
-        state = states.ppt_entangled_state(1, canonical_witness)
+        state = states.ppt_entangled_state(canonical_witness)
         assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_maximally_mixed(self, canonical_witness):
@@ -166,27 +166,25 @@ class TestPositivity:
 
 
 class TestNondecomposability:
-    def test_n1_canonical(self):
-        report = certify.verify_nondecomposability(1, maps.canonical_u0(1))
+    def test_n1_canonical(self, canonical_witness):
+        report = certify.verify_nondecomposability(canonical_witness)
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_n2_canonical(self):
-        report = certify.verify_nondecomposability(2, maps.canonical_u0(2))
+        report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 9216, abs=1e-12)
 
     def test_n1_random(self):
-        report = certify.verify_nondecomposability(1, maps.random_antisymmetric_unitary(1, seed=8))
+        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=8)))
+        report = certify.verify_nondecomposability(w)
         assert report.passed
 
     def test_conjugated(self):
-        report = certify.verify_nondecomposability(
-            1,
-            maps.canonical_u0(1),
-            maps.random_unitary(4, seed=9),
-            maps.random_unitary(4, seed=10),
-        )
+        m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=9),
+                                maps.random_unitary(4, seed=10))
+        report = certify.verify_nondecomposability(witnesses.choi(m))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
@@ -195,12 +193,13 @@ class TestNondecomposability:
         # the plain map reads min eig(rho) from the spectrum ppt_entangled_state
         # validated; a conjugated map solves the rotated S^dagger rho S directly
         n, u = 2, maps.canonical_u0(2)
-        v1 = v2 = None
+        desc = maps.phi_u(n, u)
         if conjugated:
-            v1, v2 = maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27)
-        rho = states.ppt_entangled_state(n, witnesses.choi(maps.phi_u(n, u))).rho
+            desc = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27))
+        rho = states.ppt_entangled_state(witnesses.choi(maps.phi_u(n, u))).rho
+        w = witnesses.choi(desc)
         solved = record_hermitian_eig(monkeypatch)
-        assert certify.verify_nondecomposability(n, u, v1, v2).passed
+        assert certify.verify_nondecomposability(w).passed
         assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
         assert len(solved) == (3 if conjugated else 2)  # with the partial transpose
 
@@ -228,21 +227,21 @@ class TestSpanningFamily:
 
 class TestOptimality:
     def test_canonical(self, canonical_witness):
-        report = certify.verify_optimality(canonical_witness, 1)
+        report = certify.verify_optimality(canonical_witness)
         assert report.passed and report.measured < 1e-12
 
     def test_n2(self):
         w = witnesses.choi(maps.phi_u(2, maps.canonical_u0(2)))
-        assert certify.verify_optimality(w, 2).passed
+        assert certify.verify_optimality(w).passed
 
     def test_transformed(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=11), maps.random_unitary(4, seed=12)
         )
-        assert certify.verify_optimality(out, 1).passed
+        assert certify.verify_optimality(out).passed
 
     def test_fails_off_the_family(self, perturbed_witness):
-        report = certify.verify_optimality(perturbed_witness, 1)
+        report = certify.verify_optimality(perturbed_witness)
         assert not report.passed
         assert report.measured > report.tolerance
 
@@ -296,7 +295,7 @@ class TestFamilyRank:
         dropped = d + d * (d - 1) // 2
         assert certify.product_family_rank(n) == dense_gram_rank(certify._products(gens, gens.conj())) == dropped
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        for report in (certify.verify_optimality(w, n), certify.verify_nd_optimality(w)):
+        for report in (certify.verify_optimality(w), certify.verify_nd_optimality(w)):
             assert report.measured <= report.tolerance  # the expectations alone would pass
             assert f"rank {dropped}" in report.details
             assert not report.passed
@@ -309,19 +308,13 @@ class TestNdOptimality:
     def test_random_u(self):
         u = maps.random_antisymmetric_unitary(1, seed=13, mode="complex-unitary")
         w = witnesses.choi(maps.phi_u(1, u))
-        assert certify.verify_nd_optimality(w, u).passed
+        assert certify.verify_nd_optimality(w).passed
 
     def test_conjugated(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=14), maps.random_unitary(4, seed=15)
         )
         assert certify.verify_nd_optimality(out).passed
-
-    def test_rejects_foreign_u(self, canonical_witness):
-        with pytest.raises(ValueError, match="not built"):
-            certify.verify_nd_optimality(
-                canonical_witness, maps.random_antisymmetric_unitary(1, seed=16)
-            )
 
     def test_fails_off_the_family(self, perturbed_witness):
         report = certify.verify_nd_optimality(perturbed_witness)
@@ -393,17 +386,17 @@ class TestSpa:
         assert pt_low(t - 1e-6) < -1e-8
 
     def test_bisect_agrees(self, canonical_witness):
-        assert certify.spa_threshold_bisect(canonical_witness, tol=1e-10) == pytest.approx(
+        assert certify.spa_threshold(canonical_witness, tol=1e-10) == pytest.approx(
             0.8, abs=1e-9
         )
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bisect_matches_direct_eigensolve_reference(self, n):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        assert certify.spa_threshold_bisect(w) == pytest.approx(reference_spa_bisect(w), abs=1e-12)
+        assert certify.spa_threshold(w) == pytest.approx(reference_spa_bisect(w), abs=1e-12)
 
     def test_bisect_matches_reference_off_the_family(self, perturbed_witness):
-        measured = certify.spa_threshold_bisect(perturbed_witness)
+        measured = certify.spa_threshold(perturbed_witness)
         assert measured == pytest.approx(reference_spa_bisect(perturbed_witness), abs=1e-12)
         assert abs(measured - 0.8) > 1e-6
 
@@ -411,10 +404,10 @@ class TestSpa:
         w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
         w.spectrum
         forbid_eigensolves(monkeypatch)
-        assert certify.spa_threshold_bisect(w) == pytest.approx(0.8, abs=1e-9)
+        assert certify.spa_threshold(w) == pytest.approx(0.8, abs=1e-9)
 
     def test_report_fails_off_the_family(self, perturbed_witness):
-        report = certify.spa_threshold_report(perturbed_witness, 1)
+        report = certify.spa_threshold_report(perturbed_witness)
         assert not report.passed
         assert abs(report.measured - report.expected) > report.tolerance
 
@@ -425,13 +418,13 @@ class TestSpa:
         # true threshold: the report must pass, while the spectrum check fails
         w = witnesses.choi(maps.phi_u(n, c * maps.canonical_u0(n)))
         assert w.spectrum[0] == pytest.approx(-1 / (4 * n), abs=1e-14)
-        assert certify.spa_threshold_report(w, n).passed
-        assert not witnesses.verify_spectrum(w, n).passed
+        assert certify.spa_threshold_report(w).passed
+        assert not witnesses.verify_spectrum(w).passed
 
     def test_bisect_rejects_positive_input(self, canonical_witness):
-        fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, 4, canonical_witness.source)
+        fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, canonical_witness.source)
         with pytest.raises(ValueError, match="already positive"):
-            certify.spa_threshold_bisect(fake)
+            certify.spa_threshold(fake)
 
     def test_min_eigenvalue_affine_in_noise(self, canonical_witness):
         # the smallest-eigenvalue branch is affine, so second differences vanish
@@ -458,20 +451,20 @@ class TestIsotropicDetection:
             assert numeric == pytest.approx(certify.isotropic_detection_value(n, lam), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_detection_sum(self, n):
+    def test_detection_sum(self, n, detection_sum):
         m = maps.phi_u(n, maps.canonical_u0(n))
-        assert certify.detection_sum(m) == pytest.approx(-4 * n, abs=1e-12)
+        assert detection_sum(m) == pytest.approx(-4 * n, abs=1e-12)
 
-    def test_detection_sum_equals_entangled_overlap(self):
+    def test_detection_sum_equals_entangled_overlap(self, detection_sum):
         # cross-check: sum_kl <k|F(|k><l|)|l> = d^2 Tr(W P+)
         u = maps.random_antisymmetric_unitary(1, seed=17)
         m = maps.phi_u(1, u)
         w = witnesses.choi(m)
         overlap = complex(np.einsum("ij,ji->", w.matrix, witnesses.max_entangled(4))).real
-        assert certify.detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
+        assert detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
 
     def test_detection_root(self, canonical_witness):
-        assert certify.detection_root(canonical_witness, 1) == pytest.approx(0.8, abs=1e-12)
+        assert certify.detection_root(canonical_witness) == pytest.approx(0.8, abs=1e-12)
 
     def test_isotropic_state_needs_no_eigensolve(self, monkeypatch):
         forbid_eigensolves(monkeypatch)
@@ -479,8 +472,8 @@ class TestIsotropicDetection:
 
 
 class TestEbCertificate:
-    def test_canonical(self):
-        assert certify.verify_eb_certificate(maps.phi_u(1, maps.canonical_u0(1))).passed
+    def test_canonical(self, canonical_witness):
+        assert certify.verify_eb_certificate(canonical_witness).passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
@@ -489,11 +482,11 @@ class TestEbCertificate:
             maps.random_unitary(4, seed=18),
             maps.random_unitary(4, seed=19),
         )
-        assert certify.verify_eb_certificate(m).passed
+        assert certify.verify_eb_certificate(witnesses.choi(m)).passed
 
     def test_rejects_contraction_u(self):
         with pytest.raises(ValueError, match="unitary"):
-            certify.verify_eb_certificate(maps.phi_u(1, np.zeros((2, 2))))
+            certify.verify_eb_certificate(witnesses.choi(maps.phi_u(1, np.zeros((2, 2)))))
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
         m = maps.conjugated_phi(
@@ -502,10 +495,16 @@ class TestEbCertificate:
         w = witnesses.choi(m)
         corrupted = w.matrix.copy()
         corrupted[5, 5] += 1e-6  # one diagonal entry: still Hermitian
-        report = certify.verify_eb_certificate(m, w=witnesses.Witness(corrupted, w.d, m))
+        report = certify.verify_eb_certificate(witnesses.Witness(corrupted, m))
         covariance = float(re.search(r"covariance defect (\S+),", report.details).group(1))
         assert covariance == pytest.approx(1e-6, rel=1e-6)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
+
+    def test_fails_on_the_perturbed_witness(self, perturbed_witness):
+        report = certify.verify_eb_certificate(perturbed_witness)
+        self_duality = float(re.search(r"self-duality defect (\S+) ", report.details).group(1))
+        assert self_duality > 1e-6
         assert not report.passed
 
 
@@ -531,7 +530,7 @@ class TestRealignment:
 
 class TestFullSuite:
     def test_names_and_verdicts(self):
-        reports = certify.run_full_suite(1, maps.canonical_u0(1))
+        reports = certify.run_full_suite(maps.phi_u(1, maps.canonical_u0(1)))
         assert tuple(r.name for r in reports) == certify.SUITE_CHECKS
         assert all(r.passed for r in reports)
 
@@ -539,7 +538,7 @@ class TestFullSuite:
         # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks
         w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))).matrix
         solved = record_hermitian_eig(monkeypatch)
-        assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1)))
+        assert all(r.passed for r in certify.run_full_suite(maps.phi_u(1, maps.canonical_u0(1))))
         assert sum(m.shape == w.shape and np.allclose(m, w, rtol=0, atol=1e-15) for m in solved) == 1
 
     @pytest.mark.parametrize("conjugated", [False, True])
@@ -552,16 +551,12 @@ class TestFullSuite:
             return build(m)
 
         monkeypatch.setattr(witnesses, "choi", record)
-        v1 = v2 = None
+        m = maps.phi_u(1, maps.canonical_u0(1))
         if conjugated:
-            v1, v2 = maps.random_unitary(4, seed=24), maps.random_unitary(4, seed=25)
-        assert all(r.passed for r in certify.run_full_suite(1, maps.canonical_u0(1), v1, v2))
+            m = maps.conjugated_phi(1, m.u, maps.random_unitary(4, seed=24), maps.random_unitary(4, seed=25))
+        assert all(r.passed for r in certify.run_full_suite(m))
         assert built == (["ConjugatedPhiU", "PhiU4N"] if conjugated else ["PhiU4N"])
 
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ValueError, match="unknown check"):
-            certify.run_full_suite(1, maps.canonical_u0(1), tolerances={"bogus": 1.0})
-
-    def test_rejects_lone_conjugation_unitary(self):
-        with pytest.raises(ValueError, match="together"):
-            certify.run_full_suite(1, maps.canonical_u0(1), v1=np.eye(4))
+            certify.run_full_suite(maps.phi_u(1, maps.canonical_u0(1)), tolerances={"bogus": 1.0})

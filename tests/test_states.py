@@ -16,7 +16,7 @@ class TestPptEntangledState:
         assert states.normalization_factor(2) == pytest.approx(1 / 288)
 
     def test_diagonal_blocks_at_n1(self, canonical_witness):
-        rho = states.ppt_entangled_state(1, canonical_witness).rho
+        rho = states.ppt_entangled_state(canonical_witness).rho
         upper = np.diag([4.0, 4.0, 1.0, 1.0]) / 40
         lower = np.diag([1.0, 1.0, 4.0, 4.0]) / 40
         for i in (0, 1):
@@ -27,7 +27,7 @@ class TestPptEntangledState:
     @pytest.mark.parametrize("n", [1, 2])
     def test_density_operator_invariants(self, n):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        state = states.ppt_entangled_state(n, w)
+        state = states.ppt_entangled_state(w)
         rho = state.rho
         d = 4 * n
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
@@ -36,23 +36,19 @@ class TestPptEntangledState:
         assert min_eigenvalue(partial_transpose(rho, d, d, "B")) >= -1e-10
 
     def test_detected_value_at_n1(self, canonical_witness):
-        state = states.ppt_entangled_state(1, canonical_witness)
+        state = states.ppt_entangled_state(canonical_witness)
         assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_random_u(self):
         u = maps.random_antisymmetric_unitary(1, seed=30)
         w = witnesses.choi(maps.phi_u(1, u))
-        state = states.ppt_entangled_state(1, w)
+        state = states.ppt_entangled_state(w)
         assert certify.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
-
-    def test_rejects_mismatched_witness(self, canonical_witness):
-        with pytest.raises(ValueError, match="does not match"):
-            states.ppt_entangled_state(2, canonical_witness)
 
     def test_rejects_contraction_u(self):
         w = witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
         with pytest.raises(ValueError, match="unitary"):
-            states.ppt_entangled_state(1, w)
+            states.ppt_entangled_state(w)
 
 
 class TestIsotropicState:

@@ -101,24 +101,20 @@ class TestExpectedSpectrum:
 
 class TestVerifySpectrum:
     def test_canonical(self, canonical_witness):
-        report = witnesses.verify_spectrum(canonical_witness, 1)
+        report = witnesses.verify_spectrum(canonical_witness)
         assert report.passed and report.measured < 1e-9
 
     def test_spectrum_is_u_independent(self):
         u = maps.random_antisymmetric_unitary(1, seed=21, mode="complex-unitary")
-        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(1, u)), 1)
+        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(1, u)))
         assert report.passed
 
     def test_n2(self):
-        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))), 2)
+        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
 
-    def test_dimension_mismatch(self, canonical_witness):
-        with pytest.raises(ValueError, match="does not match"):
-            witnesses.verify_spectrum(canonical_witness, 2)
-
     def test_fails_on_perturbed_witness(self, perturbed_witness):
-        report = witnesses.verify_spectrum(perturbed_witness, 1)
+        report = witnesses.verify_spectrum(perturbed_witness)
         assert not report.passed and report.measured > 1e-4
 
 
@@ -141,7 +137,40 @@ class TestCachedSpectrum:
         skewed = canonical_witness.matrix.copy()
         skewed[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            witnesses.Witness(skewed, 4, canonical_witness.source).spectrum
+            witnesses.Witness(skewed, canonical_witness.source).spectrum
+
+
+class TestWitness:
+    def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness):
+        with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
+            witnesses.Witness(np.eye(4, dtype=complex) / 4, canonical_witness.source)
+
+
+class TestBase:
+    def test_plain_witness_is_its_own_base_without_a_cycle(self, canonical_witness):
+        assert canonical_witness.base is canonical_witness
+        assert "_base" not in vars(canonical_witness)
+
+    def test_conjugated_base_is_built_once(self, example_map):
+        w = witnesses.choi(example_map("ConjugatedPhiU", 1, seed=5))
+        assert w.base is w.base
+        assert w.base.source.family == "PhiU4N"
+        np.testing.assert_array_equal(w.base.matrix, witnesses.choi(maps.base_descriptor(w.source)).matrix)
+
+    def test_rejects_a_family_without_a_base(self, example_map):
+        with pytest.raises(ValueError, match="no PhiU4N base"):
+            witnesses.choi(example_map("MapI", 1)).base
+
+
+class TestSelfDualityDefect:
+    @pytest.mark.parametrize("family", maps.FAMILIES)
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_exact_on_self_dual_families_only(self, example_map, family, size):
+        defect = witnesses.self_duality_defect(witnesses.choi(example_map(family, size)))
+        if family == "ConjugatedPhiU":  # independent V1 != V2 break self-duality
+            assert defect >= 1e-3
+        else:
+            assert defect <= 1e-12
 
 
 class TestGammaUnitary:
