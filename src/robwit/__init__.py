@@ -8,13 +8,11 @@ entanglement-breaking property of the structural physical approximation.
 """
 
 from .certify import (
-    SpanningFamily,
     detect,
     detection_root,
     isotropic_detection_value,
     run_full_suite,
     spa_threshold,
-    spa_threshold_closed_form,
     spa_witness,
     spanning_family,
     verify_eb_certificate,
@@ -24,7 +22,7 @@ from .certify import (
     verify_positivity,
     verify_self_duality,
 )
-from .linalg import hermitian_eig, kron, numerical_rank, partial_transpose, realign
+from .linalg import hermitian_eig, numerical_rank, partial_transpose, realign
 from .maps import (
     SIGMA_Y,
     MapDescriptor,

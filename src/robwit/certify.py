@@ -17,8 +17,6 @@ one shared seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import maps, states, witnesses
@@ -69,6 +67,8 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
     Q = |psi1><psi1| and Q^U = U Q^T U^dagger, and the resulting
     Schur condition I >= M M^dagger.
     """
+    if trials < 1 or decompositions < 1:
+        raise ValueError(f"positivity needs trials and decompositions >= 1, got {trials} and {decompositions}")
     base = maps.base_descriptor(m)
     n = base.size
     u = base.u
@@ -111,7 +111,7 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
         float(np.max(np.abs(gram - q - qu), initial=0.0)),
         float(np.max(np.abs(np.einsum("kij,kji->k", q, qu)), initial=0.0)),  # |Tr(Q Q^U)|
     )
-    schur_defect = max(0.0, -min_eigenvalue(eye - gram)) if k else 0.0
+    schur_defect = max(0.0, -min_eigenvalue(eye - gram))
 
     ok = worst >= -tol and identity_defect <= CONSTRUCTION_TOL and schur_defect <= CONSTRUCTION_TOL
     note = " (proof identity evaluated on the underlying map)" if m.family == "ConjugatedPhiU" else ""
@@ -139,9 +139,7 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
     state = states.ppt_entangled_state(w.base)
     m = w.source
     if m.family == "ConjugatedPhiU":
-        # S^dagger rho S for S = Vbar2 (x) V1, the rotation relating the two witnesses
-        rotated = local_conjugate(state.rho, m.v2.T, m.v1.conj().T)
-        state = states.DensityOperator(rotated, state.d, "ppt-entangled")
+        state = states.DensityOperator(local_conjugate(state.rho, *maps.local_rotation(m)))
     rho = state.rho
     n = m.size
     d = 4 * n
@@ -169,16 +167,8 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
 # --- optimality -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanningFamily:
-    """(4N)^2 generators psi, one per row, whose product vectors psi (x) psi* the witness annihilates."""
-
-    n: int
-    generators: np.ndarray
-
-
-def spanning_family(n: int) -> SpanningFamily:
-    """Vectors e_l, then e_m + e_n and e_m + i e_n for each m < n, each mapped to psi (x) psi*.
+def spanning_family(n: int) -> np.ndarray:
+    """Rows e_l, then e_m + e_n and e_m + i e_n for each m < n, each mapped to psi (x) psi*.
 
     The family has (4N)^2 members and spans C^{4N} (x) C^{4N}.
     """
@@ -188,20 +178,19 @@ def spanning_family(n: int) -> SpanningFamily:
     e = np.eye(d, dtype=complex)
     lo, hi = np.triu_indices(d, 1)  # every pair m < n, in row-major order
     sums = np.stack([e[lo] + e[hi], e[lo] + 1j * e[hi]], axis=1).reshape(-1, d)
-    return SpanningFamily(n, np.concatenate([e, sums]))
+    return np.concatenate([e, sums])
 
 
 def zero_product_pairs(m: maps.MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """Product pairs (phi_k, chi_k), rows of two arrays, with <phi (x) chi| W |phi (x) chi> = 0.
 
     For the plain family these are (psi, psi*); for a conjugated witness the
-    pairs are rotated by the local unitary relating it to the plain one,
-    (V2^T psi, V1^dagger psi*).
+    pairs are moved by its local rotation (A, B), to (A psi, B psi*).
     """
-    base = maps.base_descriptor(m)
-    gens = spanning_family(base.size).generators
+    gens = spanning_family(maps.base_descriptor(m).size)
     if m.family == "ConjugatedPhiU":
-        return gens @ m.v2, gens.conj() @ m.v1.conj()
+        a, b = maps.local_rotation(m)
+        return gens @ a.T, gens.conj() @ b.T
     return gens, gens.conj()
 
 
@@ -221,7 +210,7 @@ def product_family_rank(n: int) -> int:
     elimination: the vectors e_l (x) e_l pin their coordinates, and the
     rest splits into 2 x 2 blocks on (e_m (x) e_n, e_n (x) e_m).
     """
-    gens = spanning_family(n).generators
+    gens = spanning_family(n)
     return numerical_rank(_products(gens, gens.conj()))
 
 
@@ -258,9 +247,9 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
     (G phi, chi).
     """
     d = w.d
-    conj_defect = witnesses.gamma_conjugation_defect(w)
     g = witnesses.gamma_conjugation_unitary(w.source)
     wg = partial_transpose(w.matrix, d, d, "A")
+    conj_defect = float(np.max(np.abs(wg - local_conjugate(w.matrix, g, np.eye(d)))))
     phi, chi = zero_product_pairs(w.source)
     worst, rank, family_ok = _product_family_check(wg, phi @ g.T, chi, tol)
     ok = family_ok and conj_defect <= CONSTRUCTION_TOL
@@ -280,6 +269,8 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
 def verify_self_duality(m: maps.MapDescriptor, trials: int = 200, seed: int = 11,
                         tol: float = 1e-10) -> CertReport:
     """Tr(X F(Y)) = Tr(F(X) Y) over seeded random Hermitian pairs."""
+    if trials < 1:
+        raise ValueError(f"self-duality needs trials >= 1, got {trials}")
     d = maps.input_dim(m)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((trials, 2, 2, d, d))  # per trial: X then Y, each real then imaginary part
@@ -308,11 +299,6 @@ def spa_witness(w: witnesses.Witness, p: float) -> np.ndarray:
     return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
 
 
-# Smallest p making the approximated witness positive, 4N/(4N+1): the same number
-# as the isotropic entanglement threshold, so both names share one definition.
-spa_threshold_closed_form = states.isotropic_entanglement_threshold
-
-
 def spa_threshold(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
     """Smallest p with min eig of the approximation >= -tol.
 
@@ -328,7 +314,7 @@ def spa_threshold(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
 def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
     """Threshold from the witness's smallest eigenvalue against the closed form, plus exact degeneracy at it."""
     measured = spa_threshold(w)
-    expected = spa_threshold_closed_form(maps.base_descriptor(w.source).size)
+    expected = states.isotropic_entanglement_threshold(maps.base_descriptor(w.source).size)
     boundary = min_eigenvalue(spa_witness(w, expected))
     return value_report(
         "spa-threshold",
@@ -365,11 +351,6 @@ def detection_root(w: witnesses.Witness) -> float:
     return g0 / (g0 - g1)
 
 
-def realignment_trace_norm(rho: np.ndarray, d_a: int, d_b: int) -> float:
-    """Trace norm of the realigned matrix; at most 1 for separable states."""
-    return trace_norm(realign(rho, d_a, d_b))
-
-
 def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
@@ -402,7 +383,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
 
     approx = spa_witness(w, threshold)
     ppt_low = min_eigenvalue(partial_transpose(approx, d, d, "A"))
-    realigned = realignment_trace_norm(approx, d, d)
+    realigned = trace_norm(realign(approx, d, d))  # at most 1 for a separable state
 
     ok = (
         unital_defect <= CONSTRUCTION_TOL
@@ -430,17 +411,6 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
 # --- the full suite -----------------------------------------------------------
 
 
-SUITE_CHECKS = (
-    "positivity",
-    "spectrum",
-    "nondecomposability",
-    "optimality",
-    "nd-optimality",
-    "self-duality",
-    "spa-threshold",
-    "eb-certificate",
-)
-
 DEFAULT_TOLERANCES = {
     "positivity": POSITIVITY_TOL,
     "spectrum": 1e-9,
@@ -451,6 +421,8 @@ DEFAULT_TOLERANCES = {
     "spa-threshold": 1e-8,
     "eb-certificate": 1e-10,
 }
+
+SUITE_CHECKS = tuple(DEFAULT_TOLERANCES)  # the checks in the order run_full_suite reports them
 
 
 def run_full_suite(m: maps.MapDescriptor, seed: int = 42,

@@ -46,6 +46,8 @@ def matrix_from_payload(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix payload, expected {{d, rows: [[[re, im], ...], ...]}}: {exc}") from None
     if m.shape != (d, d):
         raise ValueError(f"matrix payload claims d={d} but rows disagree")
+    if not np.isfinite(m).all():
+        raise ValueError("malformed matrix payload: every entry must be finite")
     return m
 
 
@@ -77,7 +79,7 @@ def resolve_v(spec: str, d: int, name: str) -> np.ndarray:
         if v.shape != (d, d):
             raise ValueError(f"{name} from file has shape {v.shape}, expected {(d, d)}")
         defect = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-        if defect > 1e-12:
+        if not defect <= 1e-12:  # a NaN defect fails too
             raise ValueError(f"{name} from file is not unitary (defect {defect:.3e})")
         return v
     raise ValueError(f"unrecognized {name} spec {spec!r}; use seed:<int> or file:<path>")

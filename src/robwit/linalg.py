@@ -26,22 +26,10 @@ def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
-    """d x d matrix with a single 1 at (i, j), 0-based."""
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger| entrywise, over every member of a stack."""
     m = as_complex(m)
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_complex(a), as_complex(b))
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int, subsystem: str = "A") -> np.ndarray:

@@ -90,7 +90,7 @@ def _require_unitary(v: np.ndarray, name: str, tol: float = CONSTRUCTION_TOL) ->
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {v.shape}")
     defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{name} is not unitary: max|V^dagger V - I| = {defect:.3e}")
     return v
 
@@ -181,6 +181,13 @@ def base_descriptor(m: MapDescriptor) -> MapDescriptor:
     if m.family == "ConjugatedPhiU":
         return MapDescriptor("PhiU4N", m.size, u=m.u)
     raise ValueError(f"{m.family} has no PhiU4N base")
+
+
+def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = (V2^T, V1^dagger): a conjugated map's witness is (A (x) B) W_base (A (x) B)^dagger."""
+    if m.family != "ConjugatedPhiU":
+        raise ValueError(f"{m.family} is not a conjugated family and has no local rotation")
+    return m.v2.T, m.v1.conj().T
 
 
 # --- parameter generators ---------------------------------------------------

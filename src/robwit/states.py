@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps, witnesses
-from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermiticity_defect, hermitian_eig
+from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,6 @@ class DensityOperator:
     """Unit-trace positive operator on C^d (x) C^d."""
 
     rho: np.ndarray
-    d: int
-    label: str
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -33,13 +31,10 @@ class DensityOperator:
 
 
 def _validate_density(state: DensityOperator, label: str) -> None:
-    defect = hermiticity_defect(state.rho)
-    if defect > CONSTRUCTION_TOL:
-        raise ValueError(f"{label}: not Hermitian, defect {defect:.3e}")
     tr = complex(np.trace(state.rho))
     if abs(tr - 1.0) > CONSTRUCTION_TOL:
         raise ValueError(f"{label}: trace {tr} is not 1")
-    low = state.spectrum[0]
+    low = state.spectrum[0]  # raises unless rho is Hermitian within CONSTRUCTION_TOL
     if low < -POSITIVITY_TOL:
         raise ValueError(f"{label}: negative eigenvalue {low:.3e}")
 
@@ -89,7 +84,7 @@ def ppt_entangled_state(w: witnesses.Witness) -> DensityOperator:
     t[j, j, i, i] = 1.0
     rho *= normalization_factor(n)
 
-    state = DensityOperator(rho, d, f"ppt-entangled-{d}x{d}")
+    state = DensityOperator(rho)
     _validate_density(state, f"ppt_entangled_state(N={n})")
     return state
 
@@ -104,14 +99,14 @@ def isotropic_state(d: int, lam: float) -> DensityOperator:
         raise ValueError(f"lambda={lam} outside [0, 1]")
     rho = (1.0 - lam) * witnesses.max_entangled(d)
     rho.flat[:: d * d + 1] += lam / d ** 2  # the diagonal
-    return DensityOperator(rho, d, f"isotropic-{lam}")
+    return DensityOperator(rho)
 
 
 def isotropic_entanglement_threshold(n: int) -> float:
     """The isotropic state on C^{4N} (x) C^{4N} is entangled iff lam < 4N/(4N+1).
 
     The same number is the noise threshold of the structural physical
-    approximation of the PhiU4N witness (``certify.spa_threshold_closed_form``).
+    approximation of the PhiU4N witness (``certify.spa_threshold_report``).
     """
     if n < 1:
         raise ValueError("N must be a positive integer")

@@ -19,9 +19,7 @@ from .linalg import (
     CONSTRUCTION_TOL,
     hermiticity_defect,
     hermitian_eig,
-    kron,
     local_conjugate,
-    partial_transpose,
     realign,
 )
 from .report import CertReport, rule_report
@@ -132,28 +130,17 @@ def gamma_unitary(u: np.ndarray) -> np.ndarray:
     """
     if not maps.is_antisymmetric_unitary(u):
         raise ValueError("U must be an antisymmetric unitary matrix")
-    return kron(np.eye(2), u)
-
-
-def gamma_conjugation_defect(w: Witness) -> float:
-    """max |(W)^Gamma - (G (x) 1) W (G (x) 1)^dagger| for the witness's own G.
-
-    G is gamma_unitary(U) for the plain family and V2^dagger (U (+) U) Vbar2
-    for a conjugated witness.
-    """
-    g = gamma_conjugation_unitary(w.source)
-    d = w.d
-    lhs = partial_transpose(w.matrix, d, d, "A")
-    return float(np.max(np.abs(lhs - local_conjugate(w.matrix, g, np.eye(d)))))
+    return np.kron(np.eye(2, dtype=complex), u)
 
 
 def gamma_conjugation_unitary(m: maps.MapDescriptor) -> np.ndarray:
-    """Single-factor unitary implementing the partial transpose of the witness."""
+    """Unitary G with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger; Abar gamma_unitary(U) A^dagger when conjugated."""
     v = gamma_unitary(m.u)
     if m.family == "PhiU4N":
         return v
     if m.family == "ConjugatedPhiU":
-        return m.v2.conj().T @ v @ m.v2.conj()
+        a, _ = maps.local_rotation(m)
+        return a.conj() @ v @ a.conj().T
     raise ValueError(f"no partial-transpose conjugation for family {m.family!r}")
 
 
@@ -168,8 +155,8 @@ def self_duality_defect(w: Witness) -> float:
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
-    """Witness of the conjugated map: (Vbar2^dagger (x) V1^dagger) W (Vbar2 (x) V1)."""
+    """Witness of the conjugated map: (A (x) B) W (A (x) B)^dagger for ``maps.local_rotation``'s (A, B)."""
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
     desc = maps.conjugated_phi(w.source.size, w.source.u, v1, v2)
-    return Witness(local_conjugate(w.matrix, v2.T, v1.conj().T), desc)
+    return Witness(local_conjugate(w.matrix, *maps.local_rotation(desc)), desc)

@@ -4,6 +4,13 @@ import pytest
 from robwit import maps, witnesses
 
 
+def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
+    """d x d matrix with a single 1 at (i, j), 0-based."""
+    e = np.zeros((d, d), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
 def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
                       seed: int = 0) -> maps.MapDescriptor:
     """A valid descriptor of ``family``; U (where the family has one) is drawn in ``mode``.

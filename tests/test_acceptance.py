@@ -8,7 +8,7 @@ verdict per criterion either way.
 import numpy as np
 
 from robwit import certify, maps, states, witnesses
-from robwit.linalg import min_eigenvalue, partial_transpose
+from robwit.linalg import min_eigenvalue, partial_transpose, realign, trace_norm
 
 
 def announce(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -92,7 +92,7 @@ def test_criterion_5_spa_threshold():
     for n in (1, 2):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
         bisected = certify.spa_threshold(w, tol=1e-10)
-        closed = certify.spa_threshold_closed_form(n)
+        closed = states.isotropic_entanglement_threshold(n)
         boundary = min_eigenvalue(certify.spa_witness(w, closed))
         case_ok = abs(bisected - closed) <= 1e-8 and abs(boundary) <= 1e-9
         ok = ok and case_ok
@@ -137,10 +137,10 @@ def test_criterion_8_entanglement_breaking():
         for _, u in u_cases(n):
             w = witnesses.choi(maps.phi_u(n, u))
             ok = ok and certify.verify_eb_certificate(w).passed
-            approx = certify.spa_witness(w, certify.spa_threshold_closed_form(n))
+            approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
             d = 4 * n
             ok = ok and min_eigenvalue(partial_transpose(approx, d, d, "A")) >= -1e-10
-            ok = ok and certify.realignment_trace_norm(approx, d, d) <= 1.0 + 1e-8
+            ok = ok and trace_norm(realign(approx, d, d)) <= 1.0 + 1e-8
     conj = maps.conjugated_phi(
         1, maps.canonical_u0(1), maps.random_unitary(4, seed=601), maps.random_unitary(4, seed=602)
     )

@@ -60,7 +60,7 @@ def drop_phase_vectors(monkeypatch):
     def reduced(n):
         d = 4 * n
         keep = np.r_[np.arange(d), d + 2 * np.arange(d * (d - 1) // 2)]  # e_l, then e_m + e_n per pair
-        return certify.SpanningFamily(n, build(n).generators[keep])
+        return build(n)[keep]
 
     monkeypatch.setattr(certify, "spanning_family", reduced)
 
@@ -93,15 +93,15 @@ class TestDetect:
         assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_maximally_mixed(self, canonical_witness):
-        mixed = states.DensityOperator(np.eye(16, dtype=complex) / 16, 4, "mixed")
+        mixed = states.DensityOperator(np.eye(16, dtype=complex) / 16)
         assert certify.detect(canonical_witness, mixed) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_maximally_entangled(self, canonical_witness):
-        plus = states.DensityOperator(witnesses.max_entangled(4), 4, "p+")
+        plus = states.DensityOperator(witnesses.max_entangled(4))
         assert certify.detect(canonical_witness, plus) == pytest.approx(-1 / 4, abs=1e-12)
 
     def test_dimension_mismatch(self, canonical_witness):
-        small = states.DensityOperator(np.eye(4, dtype=complex) / 4, 2, "small")
+        small = states.DensityOperator(np.eye(4, dtype=complex) / 4)
         with pytest.raises(ValueError, match="mismatch"):
             certify.detect(canonical_witness, small)
 
@@ -135,6 +135,13 @@ class TestPositivity:
             worst = min(worst, min_eigenvalue(maps.apply_map(m, np.outer(psi, psi.conj()))))
         report = certify.verify_positivity(m, trials=300, seed=5, decompositions=2)
         assert report.measured == pytest.approx(worst, abs=1e-13)
+
+    @pytest.mark.parametrize("trials,decompositions", [(0, 200), (1000, 0)])
+    def test_rejects_a_run_without_samples(self, trials, decompositions):
+        # with no projector or no decomposition drawn, nothing would be checked
+        with pytest.raises(ValueError, match=">= 1"):
+            certify.verify_positivity(maps.phi_u(1, maps.canonical_u0(1)), trials=trials,
+                                      decompositions=decompositions)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
@@ -188,6 +195,15 @@ class TestNondecomposability:
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fails_on_a_positive_matrix_in_place_of_w(self, n):
+        # a PSD "witness" detects no state, so Tr(W rho) cannot reach the negative target
+        d = 4 * n
+        w = witnesses.Witness(np.eye(d * d, dtype=complex) / d ** 2, maps.phi_u(n, maps.canonical_u0(n)))
+        report = certify.verify_nondecomposability(w)
+        assert report.measured >= 0 > report.expected
+        assert not report.passed
+
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
         # the plain map reads min eig(rho) from the spectrum ppt_entangled_state
@@ -208,12 +224,11 @@ class TestSpanningFamily:
     @pytest.mark.parametrize("n,count", [(1, 16), (2, 64)])
     def test_counts(self, n, count):
         family = certify.spanning_family(n)
-        assert len(family.generators) == count
-        assert all(g.shape == (4 * n,) for g in family.generators)
+        assert family.shape == (count, 4 * n)
 
     def test_first_pair_sum_vector(self):
         family = certify.spanning_family(1)
-        np.testing.assert_array_equal(family.generators[4], np.array([1, 1, 0, 0], dtype=complex))
+        np.testing.assert_array_equal(family[4], np.array([1, 1, 0, 0], dtype=complex))
 
     def test_phase_vector_tensor_convention(self):
         # dim-2 analog of e_m + i e_n mapped to psi (x) psi*
@@ -221,7 +236,7 @@ class TestSpanningFamily:
         np.testing.assert_allclose(np.kron(g, g.conj()), [1.0, -1.0j, 1.0j, 1.0], atol=1e-15)
 
     def test_spans(self):
-        gens = certify.spanning_family(2).generators
+        gens = certify.spanning_family(2)
         assert numerical_rank([np.kron(g, g.conj()) for g in gens]) == 64
 
 
@@ -291,7 +306,7 @@ class TestFamilyRank:
     def test_rank_drops_without_phase_vectors(self, monkeypatch, n):
         drop_phase_vectors(monkeypatch)
         d = 4 * n
-        gens = certify.spanning_family(n).generators
+        gens = certify.spanning_family(n)
         dropped = d + d * (d - 1) // 2
         assert certify.product_family_rank(n) == dense_gram_rank(certify._products(gens, gens.conj())) == dropped
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
@@ -348,6 +363,10 @@ class TestSelfDuality:
         assert report.measured == pytest.approx(worst, abs=1e-13)
         assert not report.passed  # independent V1, V2 break self-duality
 
+    def test_rejects_a_run_without_trials(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            certify.verify_self_duality(maps.phi_u(1, maps.canonical_u0(1)), trials=0)
+
     def test_breuer_hall_sanity(self):
         assert certify.verify_self_duality(maps.breuer_hall(maps.canonical_u0(2))).passed
 
@@ -369,15 +388,15 @@ class TestSpa:
             certify.spa_witness(canonical_witness, 1.5)
 
     def test_closed_form(self):
-        assert certify.spa_threshold_closed_form(1) == pytest.approx(0.8)
-        assert certify.spa_threshold_closed_form(2) == pytest.approx(8 / 9)
+        assert states.isotropic_entanglement_threshold(1) == pytest.approx(0.8)
+        assert states.isotropic_entanglement_threshold(2) == pytest.approx(8 / 9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_threshold_coincides_with_isotropic_boundary(self, n):
         # the exact coincidence the entanglement-breaking argument relies on, measured:
         # the isotropic state stops being PPT exactly at the SPA threshold
         d = 4 * n
-        t = certify.spa_threshold_closed_form(n)
+        t = states.isotropic_entanglement_threshold(n)
 
         def pt_low(lam):
             return min_eigenvalue(partial_transpose(states.isotropic_state(d, lam).rho, d, d))
@@ -512,8 +531,8 @@ class TestRealignment:
     def test_trace_norm_flags_entanglement(self):
         # oracle: ||R(P+)||_1 = d, ||R(I/d^2)||_1 = 1/d
         d = 4
-        assert certify.realignment_trace_norm(witnesses.max_entangled(d), d, d) == pytest.approx(d)
-        assert certify.realignment_trace_norm(np.eye(d * d) / d ** 2, d, d) == pytest.approx(1 / d)
+        assert linalg.trace_norm(linalg.realign(witnesses.max_entangled(d), d, d)) == pytest.approx(d)
+        assert linalg.trace_norm(linalg.realign(np.eye(d * d) / d ** 2, d, d)) == pytest.approx(1 / d)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("conjugated", [False, True])
@@ -523,9 +542,9 @@ class TestRealignment:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=51), maps.random_unitary(d, seed=52))
-        approx = certify.spa_witness(witnesses.choi(m), certify.spa_threshold_closed_form(n))
+        approx = certify.spa_witness(witnesses.choi(m), states.isotropic_entanglement_threshold(n))
         dense = np.sum(np.linalg.svd(linalg.realign(approx, d, d), compute_uv=False))
-        assert certify.realignment_trace_norm(approx, d, d) == pytest.approx(dense, rel=0, abs=1e-13)
+        assert linalg.trace_norm(linalg.realign(approx, d, d)) == pytest.approx(dense, rel=0, abs=1e-13)
 
 
 class TestFullSuite:

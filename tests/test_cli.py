@@ -16,6 +16,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_v_with(tmp_path, value) -> str:
+    """file: spec of a 4x4 unitary with one entry replaced by ``value``, written as JSON (NaN, Infinity)."""
+    v = maps.random_unitary(4, seed=1)
+    v[0, 0] = value
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(cli.matrix_to_payload(v)))
+    return f"file:{path}"
+
+
 class TestMatrixSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -182,6 +191,13 @@ class TestCertify:
         assert code == 2
         assert "invariants" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_v_file(self, capsys, tmp_path, value):
+        spec = write_v_with(tmp_path, value)
+        code, out, err = run(capsys, "certify", "--n", "1", "--v1", spec, "--v2", "seed:2")
+        assert code == 2 and out == ""
+        assert "malformed matrix payload" in err
+
     def test_tolerance_override_loose(self, capsys):
         code, _, _ = run(capsys, "certify", "--n", "1", "--tol", "spectrum=1e-3")
         assert code == 0
@@ -240,6 +256,13 @@ class TestCurve:
         code, out, err = run(capsys, "curve", "--n", "4", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:2")
         assert code == 2 and out == ""
         assert "V1 = V2" in err
+
+    def test_rejects_non_finite_v_file(self, capsys, tmp_path):
+        # NaN compares false with everything; the curve once printed nan rows and exited 0
+        spec = write_v_with(tmp_path, np.nan)
+        code, out, err = run(capsys, "curve", "--n", "1", "--v1", spec, "--v2", spec)
+        assert code == 2 and out == ""
+        assert "malformed matrix payload" in err
 
     def test_equal_v1_v2_matches_closed_form(self, capsys):
         code, out, _ = run(capsys, "curve", "--n", "2", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:1")

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robwit import maps
-from robwit.linalg import matrix_unit, min_eigenvalue
+from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
+from robwit.witnesses import choi
+
+from conftest import matrix_unit
 
 
 def random_complex(rng, shape):
@@ -183,6 +186,10 @@ class TestDescriptorValidation:
     def test_conjugated_phi_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="V1 is not unitary"):
             maps.conjugated_phi(1, maps.SIGMA_Y, 2 * np.eye(4), np.eye(4))
+        nan_v = maps.random_unitary(4, seed=3)
+        nan_v[1, 2] = np.nan  # every comparison with NaN is false, so a "defect > tol" test lets it through
+        with pytest.raises(ValueError, match="V2 is not unitary"):
+            maps.conjugated_phi(1, maps.SIGMA_Y, np.eye(4), nan_v)
 
     def test_sizes(self):
         assert maps.input_dim(maps.reduction_map(3)) == 3
@@ -283,3 +290,55 @@ class TestStacks:
     def test_empty_stack(self):
         m = maps.phi_u(1, maps.SIGMA_Y)
         assert maps.apply_map(m, np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+
+# the families whose docstrings claim unitality (the module's, and Breuer-Hall's own)
+UNITAL = ("MapII", "Robertson4", "Psi2K", "PhiU4N", "BreuerHall", "ConjugatedPhiU")
+MODES = ("real-orthogonal", "complex-unitary")
+
+
+class TestAlgebraicProperties:
+    """The maps' identities over all eight families, both U modes and seeded parameters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(maps.FAMILIES), size=st.integers(1, 2), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2 ** 16))
+    def test_linear_and_hermiticity_preserving(self, example_map, family, size, mode, seed):
+        m = example_map(family, size, mode, seed)
+        d = maps.input_dim(m)
+        rng = np.random.default_rng(seed)
+        x, y = random_complex(rng, (2, d, d))
+        a, b = random_complex(rng, 2)
+        lhs = maps.apply_map(m, a * x + b * y)
+        np.testing.assert_allclose(lhs, a * maps.apply_map(m, x) + b * maps.apply_map(m, y), rtol=0, atol=1e-12)
+        out = maps.apply_map(m, (x + x.conj().T) / 2)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(UNITAL), size=st.integers(1, 2), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2 ** 16))
+    def test_unital_where_claimed(self, example_map, family, size, mode, seed):
+        m = example_map(family, size, mode, seed)
+        d = maps.input_dim(m)
+        np.testing.assert_allclose(maps.apply_map(m, np.eye(d)), np.eye(d), rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(maps.FAMILIES), size=st.integers(1, 2), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2 ** 16))
+    def test_choi_partial_transpose_is_an_involution(self, example_map, family, size, mode, seed):
+        w = choi(example_map(family, size, mode, seed))
+        for side in ("A", "B"):
+            twice = partial_transpose(partial_transpose(w.matrix, w.d, w.d, side), w.d, w.d, side)
+            np.testing.assert_array_equal(twice, w.matrix)
+
+    @settings(max_examples=20, deadline=None)
+    @given(size=st.integers(1, 2), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16))
+    def test_choi_covariance_under_the_local_rotation(self, example_map, size, mode, seed):
+        m = example_map("ConjugatedPhiU", size, mode, seed)
+        moved = local_conjugate(choi(maps.base_descriptor(m)).matrix, *maps.local_rotation(m))
+        np.testing.assert_allclose(choi(m).matrix, moved, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", [f for f in maps.FAMILIES if f != "ConjugatedPhiU"])
+    def test_only_the_conjugated_family_has_a_local_rotation(self, example_map, family):
+        with pytest.raises(ValueError, match="no local rotation"):
+            maps.local_rotation(example_map(family, 1))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from robwit import maps, witnesses
-from robwit.linalg import kron, matrix_unit, min_eigenvalue, partial_transpose
+from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
+
+from conftest import matrix_unit
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,7 @@ class TestMaxEntangled:
         p = witnesses.max_entangled(d)
         for seed in range(10):
             v = maps.random_unitary(d, seed=seed)
-            big = kron(v, v.conj())
+            big = np.kron(v, v.conj())
             np.testing.assert_allclose(big @ p @ big.conj().T, p, atol=1e-12)
 
     def test_rejects_dimension_one(self):
@@ -54,7 +56,7 @@ class TestChoi:
             expected = np.zeros((d * d, d * d), dtype=complex)
             for k in range(d):
                 for l in range(d):
-                    expected += kron(matrix_unit(d, k, l), maps.apply_map(m, matrix_unit(d, k, l)))
+                    expected += np.kron(matrix_unit(d, k, l), maps.apply_map(m, matrix_unit(d, k, l)))
             return expected / d
 
         expected = bruteforce(maps.phi_u(1, maps.canonical_u0(1)))
@@ -191,7 +193,9 @@ class TestGammaUnitary:
             n, seed=seed, mode="complex-unitary"
         )
         w = witnesses.choi(maps.phi_u(n, u))
-        assert witnesses.gamma_conjugation_defect(w) <= 1e-12
+        g = witnesses.gamma_conjugation_unitary(w.source)
+        residual = partial_transpose(w.matrix, w.d, w.d, "A") - local_conjugate(w.matrix, g, np.eye(w.d))
+        assert np.max(np.abs(residual)) <= 1e-12
 
     def test_partial_transpose_is_isospectral(self, canonical_witness):
         w = canonical_witness.matrix
