@@ -43,7 +43,6 @@ from .maps import (
 )
 from .report import CertReport
 from .states import (
-    DensityOperator,
     isotropic_entanglement_threshold,
     isotropic_state,
     normalization_factor,

@@ -8,11 +8,12 @@ transposed witness, self-duality, the noise threshold of the structural
 physical approximation, detection of all entangled isotropic states, and
 the resulting entanglement-breaking certificate for the approximated map.
 
-Positivity and sampled self-duality take a map descriptor; every other
+Positivity, the one sampled check, takes a map descriptor; every other
 check takes one :class:`Witness`, which carries its map and, as
 ``Witness.base``, the PhiU4N witness a conjugated one is moved from.
-``run_full_suite`` builds the witness of one map and runs all eight with
-one shared seed.
+Self-duality is exact: the Hermiticity of the natural matrix, read off the
+witness.  ``run_full_suite`` builds the witness of one map and runs all
+eight, seeding positivity.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .report import CertReport, rule_report, value_report
 POSITIVITY_BLOCK = 256
 
 
-def detect(w: witnesses.Witness, s: states.DensityOperator) -> float:
+def detect(w: witnesses.Witness, rho: np.ndarray) -> float:
     """Tr(W rho); strictly negative means the witness detects the state."""
-    if w.matrix.shape != s.rho.shape:
-        raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {s.rho.shape}")
-    value = complex(np.einsum("ij,ji->", w.matrix, s.rho))
+    if w.matrix.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {rho.shape}")
+    value = complex(np.einsum("ij,ji->", w.matrix, rho))
     if abs(value.imag) > CONSTRUCTION_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"Tr(W rho) has a non-negligible imaginary part: {value}")
     return float(value.real)
@@ -133,21 +134,21 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
     """Exhibit a PPT state on which the witness is strictly negative.
 
     The state is built from the PhiU4N base witness.  For the conjugated
-    family it is rotated by the local unitary that relates the two witnesses,
-    which preserves positivity and the PPT property.
+    family it is rotated by the local unitary that relates the two witnesses.
+    The check measures the state it uses: positivity of rho and of its
+    partial transpose, and unit trace.
     """
-    state = states.ppt_entangled_state(w.base)
+    rho = states.ppt_entangled_state(w.base)
     m = w.source
     if m.family == "ConjugatedPhiU":
-        state = states.DensityOperator(local_conjugate(state.rho, *maps.local_rotation(m)))
-    rho = state.rho
+        rho = local_conjugate(rho, *maps.local_rotation(m))
     n = m.size
     d = 4 * n
 
-    low = float(state.spectrum[0])  # for the plain map, the spectrum ppt_entangled_state validated
+    low = min_eigenvalue(rho, CONSTRUCTION_TOL)  # raises unless rho is Hermitian within 1e-12
     low_pt = min_eigenvalue(partial_transpose(rho, d, d, "A"))
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
-    measured = detect(w, state)
+    measured = detect(w, rho)
     expected = -states.normalization_factor(n) / (8 * n * n)
 
     ok = low >= -POSITIVITY_TOL and low_pt >= -POSITIVITY_TOL and trace_defect <= 1e-12
@@ -266,25 +267,15 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
 # --- self-duality -----------------------------------------------------------
 
 
-def verify_self_duality(m: maps.MapDescriptor, trials: int = 200, seed: int = 11,
-                        tol: float = 1e-10) -> CertReport:
-    """Tr(X F(Y)) = Tr(F(X) Y) over seeded random Hermitian pairs."""
-    if trials < 1:
-        raise ValueError(f"self-duality needs trials >= 1, got {trials}")
-    d = maps.input_dim(m)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((trials, 2, 2, d, d))  # per trial: X then Y, each real then imaginary part
-    g = g[:, :, 0] + 1j * g[:, :, 1]
-    xy = (g + np.swapaxes(g, -1, -2).conj()) / 2
-    # pairings[t] = [Tr(X F(Y)), Tr(Y F(X))], and Tr(Y F(X)) = Tr(F(X) Y)
-    pairings = np.einsum("tsij,tsji->ts", xy, maps.apply_map(m, xy)[:, ::-1])
-    worst = float(np.max(np.abs(pairings[:, 0] - pairings[:, 1]), initial=0.0))
+def verify_self_duality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
+    """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian."""
+    defect = witnesses.self_duality_defect(w)
     return rule_report(
         "self-duality",
-        worst,
+        defect,
         tol,
-        worst <= tol,
-        f"max |Tr(X F(Y)) - Tr(F(X) Y)| over {trials} Hermitian pairs at dimension {d}, pass iff <= tol",
+        defect <= tol,
+        f"max |R - R^dagger| for R = realign(W) = S^T / {w.d}, S the natural matrix of the map, pass iff <= tol",
     )
 
 
@@ -427,7 +418,7 @@ SUITE_CHECKS = tuple(DEFAULT_TOLERANCES)  # the checks in the order run_full_sui
 
 def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
                    tolerances: dict[str, float] | None = None) -> list[CertReport]:
-    """Run all eight certification checks for one plain or conjugated PhiU map."""
+    """Run all eight certification checks for one plain or conjugated PhiU map; ``seed`` seeds positivity."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
@@ -442,8 +433,7 @@ def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
         verify_nondecomposability(w, tol=tol["nondecomposability"]),
         verify_optimality(w, tol=tol["optimality"]),
         verify_nd_optimality(w, tol=tol["nd-optimality"]),
-        verify_self_duality(maps.base_descriptor(m), trials=200, seed=seed + 1,
-                            tol=tol["self-duality"]),
+        verify_self_duality(w.base, tol=tol["self-duality"]),
         spa_threshold_report(w, tol=tol["spa-threshold"]),
         verify_eb_certificate(w, tol=tol["eb-certificate"]),
     ]

@@ -2,41 +2,15 @@
 
 Two families: the PPT entangled state detected by the PhiU4N witness, and
 the isotropic line between the maximally entangled and maximally mixed
-states whose entanglement threshold the witness saturates.
+states whose entanglement threshold the witness saturates.  A state is its
+density matrix, a plain d^2 x d^2 array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from . import maps, witnesses
-from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL, hermitian_eig
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Unit-trace positive operator on C^d (x) C^d."""
-
-    rho: np.ndarray
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of rho, computed on first use and kept (read-only)."""
-        values = hermitian_eig(self.rho, tol=CONSTRUCTION_TOL)
-        values.flags.writeable = False  # one array is shared by every reader
-        return values
-
-
-def _validate_density(state: DensityOperator, label: str) -> None:
-    tr = complex(np.trace(state.rho))
-    if abs(tr - 1.0) > CONSTRUCTION_TOL:
-        raise ValueError(f"{label}: trace {tr} is not 1")
-    low = state.spectrum[0]  # raises unless rho is Hermitian within CONSTRUCTION_TOL
-    if low < -POSITIVITY_TOL:
-        raise ValueError(f"{label}: negative eigenvalue {low:.3e}")
 
 
 def normalization_factor(n: int) -> float:
@@ -44,7 +18,7 @@ def normalization_factor(n: int) -> float:
     return 1.0 / (8 * n * n * (1 + 4 * n))
 
 
-def ppt_entangled_state(w: witnesses.Witness) -> DensityOperator:
+def ppt_entangled_state(w: witnesses.Witness) -> np.ndarray:
     """PPT entangled state detected by the witness built from PhiU4N.
 
     Blocks on C^{4N} (x) C^{4N}, with scale NN = 1/(8N^2(1+4N)):
@@ -59,7 +33,8 @@ def ppt_entangled_state(w: witnesses.Witness) -> DensityOperator:
     * everything else zero, lower blocks by Hermitian completion.
 
     Each kind of block is one slice assignment on the (d, d, d, d) view of rho,
-    whose entry [i, a, j, b] is <a| rho_{ij} |b>.
+    whose entry [i, a, j, b] is <a| rho_{ij} |b>.  Nothing here checks that
+    rho is a PPT state: ``certify.verify_nondecomposability`` measures that.
     """
     if w.source.family != "PhiU4N":
         raise ValueError(f"the PPT entangled state needs a PhiU4N witness, got {w.source.family}")
@@ -83,13 +58,10 @@ def ppt_entangled_state(w: witnesses.Witness) -> DensityOperator:
     t[i, i, j, j] = 1.0
     t[j, j, i, i] = 1.0
     rho *= normalization_factor(n)
-
-    state = DensityOperator(rho)
-    _validate_density(state, f"ppt_entangled_state(N={n})")
-    return state
+    return rho
 
 
-def isotropic_state(d: int, lam: float) -> DensityOperator:
+def isotropic_state(d: int, lam: float) -> np.ndarray:
     """Isotropic state (lam/d^2) I (x) I + (1 - lam) P+_d for lam in [0, 1].
 
     A convex combination of two states, so it needs no eigensolve: its
@@ -99,7 +71,7 @@ def isotropic_state(d: int, lam: float) -> DensityOperator:
         raise ValueError(f"lambda={lam} outside [0, 1]")
     rho = (1.0 - lam) * witnesses.max_entangled(d)
     rho.flat[:: d * d + 1] += lam / d ** 2  # the diagonal
-    return DensityOperator(rho)
+    return rho
 
 
 def isotropic_entanglement_threshold(n: int) -> float:

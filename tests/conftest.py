@@ -44,13 +44,17 @@ def example_map():
     return build_example_map
 
 
-@pytest.fixture(scope="session")
-def perturbed_witness():
-    """W + 1e-3 H at N=1 for a seeded Hermitian H: Hermitian and not positive, but not a Phi_U witness."""
+def perturb_witness(scale: float) -> witnesses.Witness:
+    """W + scale H at N=1 for a seeded Hermitian H: Hermitian and not positive, but not a Phi_U witness."""
     w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    return witnesses.Witness(w.matrix + 1e-3 * (g + g.conj().T) / 2, w.source)
+    return witnesses.Witness(w.matrix + scale * (g + g.conj().T) / 2, w.source)
+
+
+@pytest.fixture(scope="session")
+def perturbed_witness():
+    return perturb_witness(1e-3)
 
 
 def reference_detection_sum(m: maps.MapDescriptor) -> float:

@@ -6,6 +6,8 @@ import pytest
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
+from conftest import perturb_witness
+
 
 @pytest.fixture(scope="module")
 def canonical_witness():
@@ -74,7 +76,7 @@ def record_hermitian_eig(monkeypatch):
         solved.append(np.asarray(m))
         return solve(m, *args, **kwargs)
 
-    for module in (linalg, witnesses, states):
+    for module in (linalg, witnesses):
         monkeypatch.setattr(module, "hermitian_eig", record)
     return solved
 
@@ -93,15 +95,15 @@ class TestDetect:
         assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_maximally_mixed(self, canonical_witness):
-        mixed = states.DensityOperator(np.eye(16, dtype=complex) / 16)
+        mixed = np.eye(16, dtype=complex) / 16
         assert certify.detect(canonical_witness, mixed) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_maximally_entangled(self, canonical_witness):
-        plus = states.DensityOperator(witnesses.max_entangled(4))
+        plus = witnesses.max_entangled(4)
         assert certify.detect(canonical_witness, plus) == pytest.approx(-1 / 4, abs=1e-12)
 
     def test_dimension_mismatch(self, canonical_witness):
-        small = states.DensityOperator(np.eye(4, dtype=complex) / 4)
+        small = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValueError, match="mismatch"):
             certify.detect(canonical_witness, small)
 
@@ -204,20 +206,27 @@ class TestNondecomposability:
         assert report.measured >= 0 > report.expected
         assert not report.passed
 
+    def test_fails_without_raising_on_a_wrong_witness(self):
+        # W + 0.1 H: the state built from it has a negative eigenvalue, which the check reports
+        report = certify.verify_nondecomposability(perturb_witness(0.1))
+        low = float(re.search(r"min eig\(rho\) = (\S+),", report.details).group(1))
+        assert low < -1e-3
+        assert not report.passed
+
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
-        # the plain map reads min eig(rho) from the spectrum ppt_entangled_state
-        # validated; a conjugated map solves the rotated S^dagger rho S directly
+        # rho and its partial transpose, one solve each: the plain map solves the base
+        # state, a conjugated map only the rotated S^dagger rho S it measures
         n, u = 2, maps.canonical_u0(2)
         desc = maps.phi_u(n, u)
         if conjugated:
             desc = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27))
-        rho = states.ppt_entangled_state(witnesses.choi(maps.phi_u(n, u))).rho
+        rho = states.ppt_entangled_state(witnesses.choi(maps.phi_u(n, u)))
         w = witnesses.choi(desc)
         solved = record_hermitian_eig(monkeypatch)
         assert certify.verify_nondecomposability(w).passed
-        assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
-        assert len(solved) == (3 if conjugated else 2)  # with the partial transpose
+        assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == (0 if conjugated else 1)
+        assert len(solved) == 2
 
 
 class TestSpanningFamily:
@@ -344,31 +353,25 @@ class TestSelfDuality:
         lhs = complex(np.trace(eye @ maps.apply_map(m, eye)))
         assert lhs.real == pytest.approx(8.0, abs=1e-12)
 
-    def test_canonical(self):
-        assert certify.verify_self_duality(maps.phi_u(1, maps.canonical_u0(1))).passed
-
-    def test_matches_loop_reference_and_fails_on_conjugated_map(self):
-        # reference: one Hermitian pair per trial, drawn from the same stream
-        m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1),
-                                maps.random_unitary(4, seed=2))
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(50):
-            x, y = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
-            x, y = (x + x.conj().T) / 2, (y + y.conj().T) / 2
-            lhs = np.trace(x @ maps.apply_map(m, y))
-            rhs = np.trace(maps.apply_map(m, x) @ y)
-            worst = max(worst, abs(lhs - rhs))
-        report = certify.verify_self_duality(m, trials=50, seed=3)
-        assert report.measured == pytest.approx(worst, abs=1e-13)
-        assert not report.passed  # independent V1, V2 break self-duality
-
-    def test_rejects_a_run_without_trials(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            certify.verify_self_duality(maps.phi_u(1, maps.canonical_u0(1)), trials=0)
+    def test_canonical(self, canonical_witness):
+        assert certify.verify_self_duality(canonical_witness).passed
 
     def test_breuer_hall_sanity(self):
-        assert certify.verify_self_duality(maps.breuer_hall(maps.canonical_u0(2))).passed
+        assert certify.verify_self_duality(witnesses.choi(maps.breuer_hall(maps.canonical_u0(2)))).passed
+
+    def test_fails_on_conjugated_map(self):
+        # independent V1, V2 break self-duality; the suite measures the base witness instead
+        w = witnesses.choi(maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1),
+                                               maps.random_unitary(4, seed=2)))
+        report = certify.verify_self_duality(w)
+        assert not report.passed
+        assert report.measured > 1e-2
+        assert certify.verify_self_duality(w.base).passed
+
+    def test_fails_on_the_perturbed_witness(self, perturbed_witness):
+        report = certify.verify_self_duality(perturbed_witness)
+        assert not report.passed
+        assert report.measured > 1e-3
 
 
 class TestSpa:
@@ -387,10 +390,6 @@ class TestSpa:
         with pytest.raises(ValueError, match="outside"):
             certify.spa_witness(canonical_witness, 1.5)
 
-    def test_closed_form(self):
-        assert states.isotropic_entanglement_threshold(1) == pytest.approx(0.8)
-        assert states.isotropic_entanglement_threshold(2) == pytest.approx(8 / 9)
-
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_threshold_coincides_with_isotropic_boundary(self, n):
         # the exact coincidence the entanglement-breaking argument relies on, measured:
@@ -399,7 +398,7 @@ class TestSpa:
         t = states.isotropic_entanglement_threshold(n)
 
         def pt_low(lam):
-            return min_eigenvalue(partial_transpose(states.isotropic_state(d, lam).rho, d, d))
+            return min_eigenvalue(partial_transpose(states.isotropic_state(d, lam), d, d))
 
         assert abs(pt_low(t)) <= 1e-12
         assert pt_low(t - 1e-6) < -1e-8
@@ -487,7 +486,7 @@ class TestIsotropicDetection:
 
     def test_isotropic_state_needs_no_eigensolve(self, monkeypatch):
         forbid_eigensolves(monkeypatch)
-        assert complex(np.trace(states.isotropic_state(8, 0.3).rho)).real == pytest.approx(1.0, abs=1e-12)
+        assert complex(np.trace(states.isotropic_state(8, 0.3))).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEbCertificate:

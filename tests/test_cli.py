@@ -16,13 +16,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_matrix(tmp_path, m, name="v.json") -> str:
+    """file: spec of ``m`` written as a JSON matrix payload (NaN and inf as NaN, Infinity)."""
+    path = tmp_path / name
+    path.write_text(json.dumps(cli.matrix_to_payload(m)))
+    return f"file:{path}"
+
+
 def write_v_with(tmp_path, value) -> str:
-    """file: spec of a 4x4 unitary with one entry replaced by ``value``, written as JSON (NaN, Infinity)."""
+    """file: spec of a 4x4 unitary with one entry replaced by ``value``."""
     v = maps.random_unitary(4, seed=1)
     v[0, 0] = value
-    path = tmp_path / "v.json"
-    path.write_text(json.dumps(cli.matrix_to_payload(v)))
-    return f"file:{path}"
+    return write_matrix(tmp_path, v)
 
 
 class TestMatrixSerialization:
@@ -189,7 +194,18 @@ class TestCertify:
         path.write_text(json.dumps(cli.matrix_to_payload(np.eye(2))))
         code, _, err = run(capsys, "certify", "--n", "1", "--u", f"file:{path}")
         assert code == 2
-        assert "invariants" in err
+        assert "antisymmetric" in err
+
+    @pytest.mark.parametrize("flags,matrix,message", [
+        (["--u"], maps.random_antisymmetric_unitary(2, 5), "U must be 2x2 for N=1"),
+        (["--v2", "seed:2", "--v1"], 2 * maps.random_unitary(4, seed=1), "V1 is not unitary"),
+        (["--v1", "seed:1", "--v2"], maps.random_unitary(8, seed=1), "V1 and V2 must be 4x4 for N=1"),
+    ], ids=["u-wrong-size", "v-not-unitary", "v-wrong-size"])
+    def test_rejects_invalid_matrix_file(self, capsys, tmp_path, flags, matrix, message):
+        # the map constructor validates a file matrix; the CLI reports its message
+        code, out, err = run(capsys, "certify", "--n", "1", *flags, write_matrix(tmp_path, matrix))
+        assert code == 2 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_v_file(self, capsys, tmp_path, value):

@@ -16,7 +16,7 @@ class TestPptEntangledState:
         assert states.normalization_factor(2) == pytest.approx(1 / 288)
 
     def test_diagonal_blocks_at_n1(self, canonical_witness):
-        rho = states.ppt_entangled_state(canonical_witness).rho
+        rho = states.ppt_entangled_state(canonical_witness)
         upper = np.diag([4.0, 4.0, 1.0, 1.0]) / 40
         lower = np.diag([1.0, 1.0, 4.0, 4.0]) / 40
         for i in (0, 1):
@@ -27,8 +27,7 @@ class TestPptEntangledState:
     @pytest.mark.parametrize("n", [1, 2])
     def test_density_operator_invariants(self, n):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        state = states.ppt_entangled_state(w)
-        rho = state.rho
+        rho = states.ppt_entangled_state(w)
         d = 4 * n
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert complex(np.trace(rho)).real == pytest.approx(1.0, abs=1e-12)
@@ -53,11 +52,11 @@ class TestPptEntangledState:
 
 class TestIsotropicState:
     def test_maximally_mixed_endpoint(self):
-        np.testing.assert_allclose(states.isotropic_state(4, 1.0).rho, np.eye(16) / 16, atol=1e-15)
+        np.testing.assert_allclose(states.isotropic_state(4, 1.0), np.eye(16) / 16, atol=1e-15)
 
     def test_maximally_entangled_endpoint(self):
         np.testing.assert_allclose(
-            states.isotropic_state(4, 0.0).rho, witnesses.max_entangled(4), atol=1e-15
+            states.isotropic_state(4, 0.0), witnesses.max_entangled(4), atol=1e-15
         )
 
     @pytest.mark.parametrize("d", [2, 4, 12])
@@ -68,7 +67,7 @@ class TestIsotropicState:
         plus = np.outer(v, v.conj()) / d
         for lam in (0.0, 0.3, 0.8, 1.0):
             reference = (lam / d ** 2) * np.eye(d * d, dtype=complex) + (1.0 - lam) * plus
-            first, second = states.isotropic_state(d, lam).rho, states.isotropic_state(d, lam).rho
+            first, second = states.isotropic_state(d, lam), states.isotropic_state(d, lam)
             np.testing.assert_array_equal(first, reference, err_msg=f"lam={lam}")
             first[0, 0] = 7.0  # each call hands out its own writable array
             np.testing.assert_array_equal(second, reference, err_msg=f"lam={lam}")
@@ -78,7 +77,7 @@ class TestIsotropicState:
         # by 1 - lam; isotropic_state relies on this instead of an eigensolve
         for d in (4, 12):
             for lam in (0.0, 0.3, 0.5, 1.0):
-                eigs = np.linalg.eigvalsh(states.isotropic_state(d, lam).rho)
+                eigs = np.linalg.eigvalsh(states.isotropic_state(d, lam))
                 expected = np.sort([lam / d ** 2] * (d * d - 1) + [lam / d ** 2 + 1.0 - lam])
                 np.testing.assert_allclose(eigs, expected, atol=1e-12, err_msg=f"d={d}, lam={lam}")
 
