@@ -10,10 +10,12 @@ the resulting entanglement-breaking certificate for the approximated map.
 
 Positivity, the one sampled check, takes a map descriptor; every other
 check takes one :class:`Witness`, which carries its map and, as
-``Witness.base``, the PhiU4N witness a conjugated one is moved from.
-Self-duality is exact: the Hermiticity of the natural matrix, read off the
-witness.  ``run_full_suite`` builds the witness of one map and runs all
-eight, seeding positivity.
+``Witness.base``, the PhiU4N witness it is moved from by the local rotation
+(A, B) of ``maps.local_rotation``.  A plain map's rotation is (I, I), so
+each check takes one path for plain and conjugated witnesses alike.
+Self-duality and unitality are exact, read off the witness.
+``run_full_suite`` builds the witness of one map and runs all eight,
+seeding positivity.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .linalg import (
 )
 from .report import CertReport, rule_report, value_report
 
-# Projectors mapped per batched call in the positivity sampling; bounds the
-# stack (and the peak memory) at 256 (4N)^2 matrices, whatever ``trials`` is.
+# Positivity's sample sizes; its projectors are mapped POSITIVITY_BLOCK per batched
+# call, which bounds the stack (and the peak memory) at 256 (4N)^2 matrices.
+POSITIVITY_TRIALS = 1000
+POSITIVITY_DECOMPOSITIONS = 200
 POSITIVITY_BLOCK = 256
 
 
@@ -56,20 +60,17 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, :, None] * y[:, None, :].conj()
 
 
-def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
-                      tol: float = POSITIVITY_TOL, decompositions: int = 200) -> CertReport:
+def verify_positivity(m: maps.MapDescriptor, seed: int = 7, tol: float = POSITIVITY_TOL) -> CertReport:
     """Positivity of the core map, sampled and via its proof identity.
 
-    Part one maps ``trials`` random rank-1 projectors and records the worst
-    output eigenvalue.  Part two draws ``decompositions`` splittings
+    Part one maps ``POSITIVITY_TRIALS`` random rank-1 projectors and records
+    the worst output eigenvalue.  Part two draws ``POSITIVITY_DECOMPOSITIONS`` splittings
     psi = sqrt(a) psi1 (+) sqrt(1-a) psi2 (the endpoints a = 0, 1 included)
     and checks the block form of the image, the identity
     M M^dagger = Q + Q^U with mutually orthogonal rank-1 projectors
     Q = |psi1><psi1| and Q^U = U Q^T U^dagger, and the resulting
     Schur condition I >= M M^dagger.
     """
-    if trials < 1 or decompositions < 1:
-        raise ValueError(f"positivity needs trials and decompositions >= 1, got {trials} and {decompositions}")
     base = maps.base_descriptor(m)
     n = base.size
     u = base.u
@@ -77,17 +78,17 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
     half = 2 * n
     rng = np.random.default_rng(seed)
 
-    g = rng.standard_normal((trials, 2, d))  # per trial: real then imaginary part, as one draw at a time
+    g = rng.standard_normal((POSITIVITY_TRIALS, 2, d))  # per trial: real then imaginary part, as one draw at a time
     psi = g[:, 0] + 1j * g[:, 1]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     worst = np.inf
-    for start in range(0, trials, POSITIVITY_BLOCK):
+    for start in range(0, POSITIVITY_TRIALS, POSITIVITY_BLOCK):
         p = psi[start : start + POSITIVITY_BLOCK]
         worst = min(worst, min_eigenvalue(maps.apply_map(m, _outer(p, p))))
 
     # part two, all splittings at once; a = 0 and a = 1 come first
-    k = decompositions
-    a = np.concatenate([[0.0, 1.0], rng.uniform(size=max(k - 2, 0))])[:k, None]
+    k = POSITIVITY_DECOMPOSITIONS
+    a = np.concatenate([[0.0, 1.0], rng.uniform(size=k - 2)])[:, None]
     g = rng.standard_normal((k, 2, 2, half))  # psi1 then psi2, each real then imaginary part
     psi1, psi2 = np.moveaxis(g[:, :, 0] + 1j * g[:, :, 1], 1, 0)
     psi1 /= np.linalg.norm(psi1, axis=-1, keepdims=True)
@@ -121,9 +122,9 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
         worst,
         tol,
         ok,
-        f"worst image eigenvalue over {trials} projectors, pass iff >= -tol; "
+        f"worst image eigenvalue over {POSITIVITY_TRIALS} projectors, pass iff >= -tol; "
         f"proof-identity defect {identity_defect:.2e}, Schur defect {schur_defect:.2e}, "
-        f"both <= 1e-12 over {decompositions} decompositions incl. a in {{0,1}}{note}",
+        f"both <= 1e-12 over {k} decompositions incl. a in {{0,1}}{note}",
     )
 
 
@@ -133,15 +134,13 @@ def verify_positivity(m: maps.MapDescriptor, trials: int = 1000, seed: int = 7,
 def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
-    The state is built from the PhiU4N base witness.  For the conjugated
-    family it is rotated by the local unitary that relates the two witnesses.
-    The check measures the state it uses: positivity of rho and of its
+    The state is built from the PhiU4N base witness and rotated by the
+    local unitary (A, B) that relates the two witnesses, (I, I) for a plain
+    one.  The check measures the state it uses: positivity of rho and of its
     partial transpose, and unit trace.
     """
-    rho = states.ppt_entangled_state(w.base)
     m = w.source
-    if m.family == "ConjugatedPhiU":
-        rho = local_conjugate(rho, *maps.local_rotation(m))
+    rho = local_conjugate(states.ppt_entangled_state(w.base), *maps.local_rotation(m))
     n = m.size
     d = 4 * n
 
@@ -185,14 +184,12 @@ def spanning_family(n: int) -> np.ndarray:
 def zero_product_pairs(m: maps.MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """Product pairs (phi_k, chi_k), rows of two arrays, with <phi (x) chi| W |phi (x) chi> = 0.
 
-    For the plain family these are (psi, psi*); for a conjugated witness the
-    pairs are moved by its local rotation (A, B), to (A psi, B psi*).
+    The plain pairs (psi, psi*) moved by the map's local rotation (A, B), to
+    (A psi, B psi*); (A, B) = (I, I) for the plain family.
     """
-    gens = spanning_family(maps.base_descriptor(m).size)
-    if m.family == "ConjugatedPhiU":
-        a, b = maps.local_rotation(m)
-        return gens @ a.T, gens.conj() @ b.T
-    return gens, gens.conj()
+    a, b = maps.local_rotation(m)
+    gens = spanning_family(m.size)
+    return gens @ a.T, gens.conj() @ b.T
 
 
 def _products(phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
@@ -248,7 +245,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
     (G phi, chi).
     """
     d = w.d
-    g = witnesses.gamma_conjugation_unitary(w.source)
+    g = witnesses.gamma_unitary(w.source)
     wg = partial_transpose(w.matrix, d, d, "A")
     conj_defect = float(np.max(np.abs(wg - local_conjugate(w.matrix, g, np.eye(d)))))
     phi, chi = zero_product_pairs(w.source)
@@ -290,16 +287,16 @@ def spa_witness(w: witnesses.Witness, p: float) -> np.ndarray:
     return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
 
 
-def spa_threshold(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> float:
-    """Smallest p with min eig of the approximation >= -tol.
+def spa_threshold(w: witnesses.Witness) -> float:
+    """Smallest p with min eig of the approximation >= -POSITIVITY_TOL.
 
     I commutes with W, so that min eig is p/D + (1 - p) lambda_min(W), affine
     in p, and the threshold is its root.
     """
     low = w.spectrum[0]
-    if low >= -tol:
+    if low >= -POSITIVITY_TOL:
         raise ValueError("input is already positive at p=0; not an entanglement witness")
-    return float((-tol - low) / (1.0 / w.matrix.shape[0] - low))
+    return float((-POSITIVITY_TOL - low) / (1.0 / w.matrix.shape[0] - low))
 
 
 def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
@@ -348,12 +345,13 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     A positive unital map whose approximation threshold coincides with the
     isotropic entanglement threshold yields an entanglement breaking
     channel; self-duality reduces the detection condition to the witness.
-    The certificate aggregates: unitality, exact self-duality of the
-    underlying map (Hermiticity of its natural matrix, read off the base
-    witness), agreement of the base witness's measured detection root with
-    the threshold, the covariance identity for conjugated variants, and two
-    independent necessary conditions on the approximated Choi matrix at the
-    threshold (positive partial transpose and the realignment bound).
+    The certificate aggregates: unitality read off the witness, F(I) = d Tr_A W;
+    exact self-duality of the underlying map (Hermiticity of its natural
+    matrix, read off the base witness); the base witness's detection root
+    against the threshold; the covariance W = (A (x) B) W_base (A (x) B)^dagger
+    under the local rotation, (I, I) for a plain map; and two independent
+    necessary conditions on the approximated Choi matrix at the threshold
+    (positive partial transpose and the realignment bound).
     """
     m = w.source
     w_base = w.base
@@ -362,12 +360,10 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     if not maps.is_antisymmetric_unitary(m.u):
         raise ValueError("the entanglement-breaking certificate requires a strictly unitary U")
 
-    unital_defect = float(np.max(np.abs(maps.apply_map(m, np.eye(d, dtype=complex)) - np.eye(d))))
+    unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
+    unital_defect = float(np.max(np.abs(unital - np.eye(d))))
     self_dual_defect = witnesses.self_duality_defect(w_base)
-    covariance_defect = 0.0
-    if m.family == "ConjugatedPhiU":
-        expected_w = witnesses.transform_witness(w_base, m.v1, m.v2)
-        covariance_defect = float(np.max(np.abs(w.matrix - expected_w.matrix)))
+    covariance_defect = float(np.max(np.abs(w.matrix - local_conjugate(w_base.matrix, *maps.local_rotation(m)))))
 
     threshold = states.isotropic_entanglement_threshold(n)
     root = detection_root(w_base)
@@ -428,7 +424,7 @@ def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
 
     w = witnesses.choi(m)
     return [
-        verify_positivity(m, trials=1000, seed=seed, tol=tol["positivity"]),
+        verify_positivity(m, seed=seed, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),
         verify_nondecomposability(w, tol=tol["nondecomposability"]),
         verify_optimality(w, tol=tol["optimality"]),

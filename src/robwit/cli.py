@@ -174,12 +174,12 @@ def cmd_certify(args) -> int:
 
 def cmd_curve(args) -> int:
     m = resolve_map(args)
-    if m.v1 is not None:
-        # Tr(W rho_lam) is the closed form only when V2-bar (x) V1 leaves the
-        # isotropic states invariant, i.e. for V1 = V2
-        gap = float(np.max(np.abs(m.v1 - m.v2)))
-        if gap > 1e-12:
-            raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
+    # Tr(W rho_lam) is the closed form only when the local rotation (A, B) leaves
+    # the isotropic states invariant, i.e. B = Abar; max|B - Abar| = max|V1 - V2|
+    a, b = maps.local_rotation(m)
+    gap = float(np.max(np.abs(b - a.conj())))
+    if gap > 1e-12:
+        raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
     w = witnesses.choi(m)
     grid = np.linspace(0.0, 1.0, args.points)
     rows = []

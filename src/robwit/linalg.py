@@ -127,7 +127,7 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
     m = as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    mh = np.swapaxes(m, -1, -2).conj()
+    mh = np.conj(np.swapaxes(m, -1, -2), order="C")  # contiguous, so M - M^dagger reads both in row order
     defect = float(np.max(np.abs(m - mh))) if m.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
@@ -184,7 +184,7 @@ def _gram_eigenvalues(vectors: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((gram + np.swapaxes(gram, -1, -2).conj()) / 2)
 
 
-def numerical_rank(vectors, tol: float = EIGENVALUE_TOL) -> int:
+def numerical_rank(vectors) -> int:
     """Rank of the span of a family of vectors.
 
     Exact elimination first: a vector with a single nonzero entry pins its
@@ -192,7 +192,7 @@ def numerical_rank(vectors, tol: float = EIGENVALUE_TOL) -> int:
     vector without arithmetic.  The remaining vectors split into blocks by
     their shared coordinates.  The squared norms of the pinned coordinates'
     vectors and the Gram eigenvalues of every block are the squared singular
-    values; those below ``tol`` times the largest singular value count as zero.
+    values; those below ``EIGENVALUE_TOL`` times the largest singular value count as zero.
     """
     vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
     if not vecs:
@@ -211,8 +211,8 @@ def numerical_rank(vectors, tol: float = EIGENVALUE_TOL) -> int:
     largest = float(np.max(eig, initial=0.0))
     if largest <= 0.0:
         return 0
-    # Squared cutoff (tol * sigma_max)^2, floored at the eigensolver's own
+    # Squared cutoff (EIGENVALUE_TOL * sigma_max)^2, floored at the eigensolver's own
     # resolution: Gram eigenvalues that should vanish come back at the scale
     # of machine epsilon times the largest one.
-    cutoff = largest * max(tol * tol, 8 * len(vecs) * np.finfo(float).eps)
+    cutoff = largest * max(EIGENVALUE_TOL * EIGENVALUE_TOL, 8 * len(vecs) * np.finfo(float).eps)
     return int(np.sum(eig > cutoff))

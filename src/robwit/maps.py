@@ -64,33 +64,33 @@ def antisymmetry_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u + u.T))) if u.size else 0.0
 
 
-def is_antisymmetric_contraction(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
-    """U^T = -U and largest eigenvalue of U U^dagger at most 1 (within tol)."""
+def is_antisymmetric_contraction(u: np.ndarray) -> bool:
+    """U^T = -U and largest eigenvalue of U U^dagger at most 1, within CONSTRUCTION_TOL."""
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    if antisymmetry_defect(u) > tol:
+    if antisymmetry_defect(u) > CONSTRUCTION_TOL:
         return False
     gram = u @ u.conj().T
     top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if u.size else 0.0
-    return top <= 1.0 + tol
+    return top <= 1.0 + CONSTRUCTION_TOL
 
 
-def is_antisymmetric_unitary(u: np.ndarray, tol: float = CONSTRUCTION_TOL) -> bool:
+def is_antisymmetric_unitary(u: np.ndarray) -> bool:
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2 != 0:
         return False
-    if antisymmetry_defect(u) > tol:
+    if antisymmetry_defect(u) > CONSTRUCTION_TOL:
         return False
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))) <= tol
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))) <= CONSTRUCTION_TOL
 
 
-def _require_unitary(v: np.ndarray, name: str, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
+def _require_unitary(v: np.ndarray, name: str) -> np.ndarray:
     v = as_complex(v)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {v.shape}")
     defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= CONSTRUCTION_TOL:  # a NaN defect fails too
         raise ValueError(f"{name} is not unitary: max|V^dagger V - I| = {defect:.3e}")
     return v
 
@@ -169,8 +169,9 @@ def conjugated_phi(n: int, u: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> Map
     v1 = _require_unitary(v1, "V1")
     v2 = _require_unitary(v2, "V2")
     d = 4 * n
-    if v1.shape != (d, d) or v2.shape != (d, d):
-        raise ValueError(f"V1 and V2 must be {d}x{d} for N={n}")
+    for name, v in (("V1", v1), ("V2", v2)):
+        if v.shape != (d, d):
+            raise ValueError(f"{name} must be {d}x{d} for N={n}, got {v.shape}")
     return MapDescriptor("ConjugatedPhiU", n, u=base.u, v1=v1, v2=v2)
 
 
@@ -184,10 +185,13 @@ def base_descriptor(m: MapDescriptor) -> MapDescriptor:
 
 
 def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) = (V2^T, V1^dagger): a conjugated map's witness is (A (x) B) W_base (A (x) B)^dagger."""
-    if m.family != "ConjugatedPhiU":
-        raise ValueError(f"{m.family} is not a conjugated family and has no local rotation")
-    return m.v2.T, m.v1.conj().T
+    """(A, B) with witness (A (x) B) W_base (A (x) B)^dagger: (V2^T, V1^dagger), or (I, I) for PhiU4N itself."""
+    if m.family == "PhiU4N":
+        eye = np.eye(4 * m.size, dtype=complex)
+        return eye, eye
+    if m.family == "ConjugatedPhiU":
+        return m.v2.T, m.v1.conj().T
+    raise ValueError(f"{m.family} has no PhiU4N base and no local rotation")
 
 
 # --- parameter generators ---------------------------------------------------

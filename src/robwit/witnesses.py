@@ -121,27 +121,17 @@ def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
     )
 
 
-def gamma_unitary(u: np.ndarray) -> np.ndarray:
-    """Block-diagonal unitary V with (W)^Gamma = (V (x) 1) W (V (x) 1)^dagger.
+def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
+    """Unitary G = Abar (U (+) U) A^dagger with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger.
 
-    Gamma is the partial transpose on the first factor and V = U (+) U.
-    For purely imaginary U (the real-orthogonal-generated case, where U is
-    Hermitian) V coincides with U^dagger (+) U.
+    Gamma is the partial transpose on the first factor and (A, B) the map's
+    local rotation, so G = U (+) U for a plain map; for purely imaginary
+    (Hermitian) U that coincides with U^dagger (+) U.
     """
-    if not maps.is_antisymmetric_unitary(u):
+    a, _ = maps.local_rotation(m)
+    if not maps.is_antisymmetric_unitary(m.u):
         raise ValueError("U must be an antisymmetric unitary matrix")
-    return np.kron(np.eye(2, dtype=complex), u)
-
-
-def gamma_conjugation_unitary(m: maps.MapDescriptor) -> np.ndarray:
-    """Unitary G with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger; Abar gamma_unitary(U) A^dagger when conjugated."""
-    v = gamma_unitary(m.u)
-    if m.family == "PhiU4N":
-        return v
-    if m.family == "ConjugatedPhiU":
-        a, _ = maps.local_rotation(m)
-        return a.conj() @ v @ a.conj().T
-    raise ValueError(f"no partial-transpose conjugation for family {m.family!r}")
+    return a.conj() @ np.kron(np.eye(2, dtype=complex), m.u) @ a.conj().T
 
 
 def self_duality_defect(w: Witness) -> float:

@@ -76,10 +76,9 @@ def test_criterion_3_optimality():
 def test_criterion_4_map_positivity():
     ok = True
     details = []
+    assert (certify.POSITIVITY_TRIALS, certify.POSITIVITY_DECOMPOSITIONS) == (1000, 200)
     for n in (1, 2):
-        report = certify.verify_positivity(
-            maps.phi_u(n, maps.canonical_u0(n)), trials=1000, seed=400 + n, decompositions=200
-        )
+        report = certify.verify_positivity(maps.phi_u(n, maps.canonical_u0(n)), seed=400 + n)
         ok = ok and report.passed
         details.append(f"N={n} worst eigenvalue {report.measured:.2e}")
     announce(4, "map positivity, 1000 projectors + 200 proof decompositions", ok, "; ".join(details))
@@ -91,7 +90,7 @@ def test_criterion_5_spa_threshold():
     details = []
     for n in (1, 2):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        bisected = certify.spa_threshold(w, tol=1e-10)
+        bisected = certify.spa_threshold(w)
         closed = states.isotropic_entanglement_threshold(n)
         boundary = min_eigenvalue(certify.spa_witness(w, closed))
         case_ok = abs(bisected - closed) <= 1e-8 and abs(boundary) <= 1e-9

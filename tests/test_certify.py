@@ -110,40 +110,33 @@ class TestDetect:
 
 class TestPositivity:
     def test_canonical(self):
-        report = certify.verify_positivity(maps.phi_u(1, maps.canonical_u0(1)), trials=300, seed=1)
+        report = certify.verify_positivity(maps.phi_u(1, maps.canonical_u0(1)), seed=1)
         assert report.passed
 
     def test_random_u_n2(self):
         u = maps.random_antisymmetric_unitary(2, seed=2, mode="complex-unitary")
-        report = certify.verify_positivity(maps.phi_u(2, u), trials=200, seed=3)
+        report = certify.verify_positivity(maps.phi_u(2, u), seed=3)
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
             1, maps.canonical_u0(1), maps.random_unitary(4, seed=4), maps.random_unitary(4, seed=5)
         )
-        report = certify.verify_positivity(m, trials=200, seed=6)
+        report = certify.verify_positivity(m, seed=6)
         assert report.passed
 
     def test_sampling_matches_loop_reference(self):
         # reference: one projector per apply_map call, drawn from the same stream;
-        # 300 trials cross a POSITIVITY_BLOCK boundary
+        # the trials cross several POSITIVITY_BLOCK boundaries
         m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary"))
         rng = np.random.default_rng(5)
         worst = np.inf
-        for _ in range(300):
+        for _ in range(certify.POSITIVITY_TRIALS):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
             worst = min(worst, min_eigenvalue(maps.apply_map(m, np.outer(psi, psi.conj()))))
-        report = certify.verify_positivity(m, trials=300, seed=5, decompositions=2)
+        report = certify.verify_positivity(m, seed=5)
         assert report.measured == pytest.approx(worst, abs=1e-13)
-
-    @pytest.mark.parametrize("trials,decompositions", [(0, 200), (1000, 0)])
-    def test_rejects_a_run_without_samples(self, trials, decompositions):
-        # with no projector or no decomposition drawn, nothing would be checked
-        with pytest.raises(ValueError, match=">= 1"):
-            certify.verify_positivity(maps.phi_u(1, maps.canonical_u0(1)), trials=trials,
-                                      decompositions=decompositions)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
@@ -279,7 +272,7 @@ class TestOptimality:
         m = maps.conjugated_phi(n, u, v1, v2) if conjugated else maps.phi_u(n, u)
         w = witnesses.choi(m)
         wg = partial_transpose(w.matrix, 8, 8)
-        g = witnesses.gamma_conjugation_unitary(m)
+        g = witnesses.gamma_unitary(m)
         phi, chi = certify.zero_product_pairs(m)
         for matrix, phi_k, rotate in ((w.matrix, phi, None), (wg, phi @ g.T, g)):
             worst, rank, _ = certify._product_family_check(matrix, phi_k, chi, 1e-10)
@@ -305,7 +298,7 @@ class TestFamilyRank:
         families = []
         for m in (maps.phi_u(n, u), conj):
             phi, chi = certify.zero_product_pairs(m)
-            g = witnesses.gamma_conjugation_unitary(m)
+            g = witnesses.gamma_unitary(m)
             families += [certify._products(phi, chi), certify._products(phi @ g.T, chi)]
         rank = certify.product_family_rank(n)
         assert rank == d * d
@@ -404,7 +397,7 @@ class TestSpa:
         assert pt_low(t - 1e-6) < -1e-8
 
     def test_bisect_agrees(self, canonical_witness):
-        assert certify.spa_threshold(canonical_witness, tol=1e-10) == pytest.approx(
+        assert certify.spa_threshold(canonical_witness) == pytest.approx(
             0.8, abs=1e-9
         )
 
@@ -516,6 +509,21 @@ class TestEbCertificate:
         report = certify.verify_eb_certificate(witnesses.Witness(corrupted, m))
         covariance = float(re.search(r"covariance defect (\S+),", report.details).group(1))
         assert covariance == pytest.approx(1e-6, rel=1e-6)
+        assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fails_on_a_witness_of_a_non_unital_map(self, n):
+        # d * 1e-3 (|0><0| - |1><1|) added to F(I) through Tr_A; Tr W, Tr(W P+),
+        # Hermiticity and self-duality are unchanged
+        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        d = w.d
+        bumped = w.matrix.copy()
+        bumped[0, 0] += 1e-3  # |00><00|
+        bumped[d + 1, d + 1] -= 1e-3  # |11><11|
+        report = certify.verify_eb_certificate(witnesses.Witness(bumped, w.source))
+        unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
+        assert unitality == pytest.approx(d * 1e-3, rel=1e-2)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
         assert not report.passed
 

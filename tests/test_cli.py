@@ -199,8 +199,9 @@ class TestCertify:
     @pytest.mark.parametrize("flags,matrix,message", [
         (["--u"], maps.random_antisymmetric_unitary(2, 5), "U must be 2x2 for N=1"),
         (["--v2", "seed:2", "--v1"], 2 * maps.random_unitary(4, seed=1), "V1 is not unitary"),
-        (["--v1", "seed:1", "--v2"], maps.random_unitary(8, seed=1), "V1 and V2 must be 4x4 for N=1"),
-    ], ids=["u-wrong-size", "v-not-unitary", "v-wrong-size"])
+        (["--v1", "seed:1", "--v2"], maps.random_unitary(8, seed=1), "V2 must be 4x4 for N=1, got (8, 8)"),
+        (["--v2", "seed:2", "--v1"], maps.random_unitary(8, seed=1), "V1 must be 4x4 for N=1, got (8, 8)"),
+    ], ids=["u-wrong-size", "v-not-unitary", "v-wrong-size", "v1-wrong-size"])
     def test_rejects_invalid_matrix_file(self, capsys, tmp_path, flags, matrix, message):
         # the map constructor validates a file matrix; the CLI reports its message
         code, out, err = run(capsys, "certify", "--n", "1", *flags, write_matrix(tmp_path, matrix))

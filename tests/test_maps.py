@@ -338,7 +338,14 @@ class TestAlgebraicProperties:
         moved = local_conjugate(choi(maps.base_descriptor(m)).matrix, *maps.local_rotation(m))
         np.testing.assert_allclose(choi(m).matrix, moved, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("family", [f for f in maps.FAMILIES if f != "ConjugatedPhiU"])
+    @pytest.mark.parametrize("family", [f for f in maps.FAMILIES if f not in ("PhiU4N", "ConjugatedPhiU")])
     def test_only_the_conjugated_family_has_a_local_rotation(self, example_map, family):
+        # outside the core family; PhiU4N's rotation is the identity (the test below)
         with pytest.raises(ValueError, match="no local rotation"):
             maps.local_rotation(example_map(family, 1))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_the_plain_local_rotation_is_the_identity(self, example_map, size):
+        a, b = maps.local_rotation(example_map("PhiU4N", size))
+        np.testing.assert_array_equal(a, np.eye(4 * size))
+        np.testing.assert_array_equal(b, np.eye(4 * size))

@@ -177,13 +177,13 @@ class TestSelfDualityDefect:
 
 class TestGammaUnitary:
     def test_matches_stated_form_for_sigma_y(self):
-        v = witnesses.gamma_unitary(maps.SIGMA_Y)
+        v = witnesses.gamma_unitary(maps.phi_u(1, maps.SIGMA_Y))
         sy = maps.SIGMA_Y
         expected = np.block([[sy.conj().T, np.zeros((2, 2))], [np.zeros((2, 2)), sy]])
         np.testing.assert_allclose(v, expected, atol=1e-15)
 
     def test_unitary(self):
-        v = witnesses.gamma_unitary(maps.canonical_u0(2))
+        v = witnesses.gamma_unitary(maps.phi_u(2, maps.canonical_u0(2)))
         np.testing.assert_allclose(v @ v.conj().T, np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -193,7 +193,7 @@ class TestGammaUnitary:
             n, seed=seed, mode="complex-unitary"
         )
         w = witnesses.choi(maps.phi_u(n, u))
-        g = witnesses.gamma_conjugation_unitary(w.source)
+        g = witnesses.gamma_unitary(w.source)
         residual = partial_transpose(w.matrix, w.d, w.d, "A") - local_conjugate(w.matrix, g, np.eye(w.d))
         assert np.max(np.abs(residual)) <= 1e-12
 
@@ -203,8 +203,13 @@ class TestGammaUnitary:
         np.testing.assert_allclose(np.linalg.eigvalsh(wg), np.linalg.eigvalsh(w), atol=1e-12)
 
     def test_rejects_invalid_u(self):
+        # Phi_U accepts a contraction, but (W)^Gamma is a unitary conjugate of W only for unitary U
         with pytest.raises(ValueError, match="antisymmetric"):
-            witnesses.gamma_unitary(np.eye(2))
+            witnesses.gamma_unitary(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
+
+    def test_rejects_a_family_without_a_phi_u_base(self):
+        with pytest.raises(ValueError, match="no local rotation"):
+            witnesses.gamma_unitary(maps.breuer_hall(maps.canonical_u0(2)))
 
 
 class TestTransformWitness:
