@@ -13,6 +13,16 @@ check takes one :class:`Witness`, which carries its map and, as
 ``Witness.base``, the PhiU4N witness it is moved from by the local rotation
 (A, B) of ``maps.local_rotation``.  A plain map's rotation is (I, I), so
 each check takes one path for plain and conjugated witnesses alike.
+
+Every spectral quantity is read off the base: the spectrum, the SPA
+threshold and its boundary, the PPT state and its partial transpose, and
+the partial transpose of the approximated witness.  The base's matrices are
+reducible and solve block by block, where a rotated one is dense.  Each such
+check widens its verdict by ``Witness.rotation_slack``, one measured bound
+on how far the eigenvalues of W lie from the base's (exactly 0 for a plain
+witness), and reports it.  Measured directly on W stay: the product-family
+expectations, Tr(W rho), unitality, the covariance residual, and the
+realignment trace norm, whose independence from the spectrum is its point.
 Self-duality and unitality are exact, read off the witness.
 ``run_full_suite`` builds the witness of one map and runs all eight,
 seeding positivity.
@@ -134,18 +144,26 @@ def verify_positivity(m: maps.MapDescriptor, seed: int = 7, tol: float = POSITIV
 def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
-    The state is built from the PhiU4N base witness and rotated by the
-    local unitary (A, B) that relates the two witnesses, (I, I) for a plain
-    one.  The check measures the state it uses: positivity of rho and of its
-    partial transpose, and unit trace.
+    The state rho_b is built from the PhiU4N base witness and rotated by the
+    local rotation S = A (x) B that relates the two witnesses, (I, I) for a
+    plain one: rho = S rho_b S^dagger.  Transposing the first factor maps S to
+    Abar (x) B, so rho^Gamma is the same congruence of rho_b^Gamma.  By
+    Ostrowski's theorem a congruence scales each eigenvalue by a factor within
+    ||S^dagger S - I||_2 of 1, so the minimal eigenvalues of rho and rho^Gamma
+    are read off the base state, less |lambda| times the measured unitarity
+    defect.  Tr(W rho) and the unit trace are measured on the rotated state.
     """
     m = w.source
-    rho = local_conjugate(states.ppt_entangled_state(w.base), *maps.local_rotation(m))
+    base_rho = states.ppt_entangled_state(w.base)
+    rho = local_conjugate(base_rho, *maps.local_rotation(m))
     n = m.size
     d = 4 * n
 
-    low = min_eigenvalue(rho, CONSTRUCTION_TOL)  # raises unless rho is Hermitian within 1e-12
-    low_pt = min_eigenvalue(partial_transpose(rho, d, d, "A"))
+    defect = w.unitarity_defect
+    low, low_pt = (x - defect * abs(x) for x in (
+        min_eigenvalue(base_rho, CONSTRUCTION_TOL),  # raises unless rho_b is Hermitian within 1e-12
+        min_eigenvalue(partial_transpose(base_rho, d, d, "A")),
+    ))
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     measured = detect(w, rho)
     expected = -states.normalization_factor(n) / (8 * n * n)
@@ -158,7 +176,8 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
         tol,
         details=(
             f"Tr(W rho) on the explicit PPT state; min eig(rho) = {low:.2e}, "
-            f"min eig(rho^Gamma) = {low_pt:.2e} (both >= -1e-10), trace defect {trace_defect:.2e}"
+            f"min eig(rho^Gamma) = {low_pt:.2e} (both >= -1e-10, from the base state with unitarity "
+            f"defect {defect:.2e}), trace defect {trace_defect:.2e}"
         ),
         extra_ok=ok,
     )
@@ -300,18 +319,32 @@ def spa_threshold(w: witnesses.Witness) -> float:
 
 
 def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
-    """Threshold from the witness's smallest eigenvalue against the closed form, plus exact degeneracy at it."""
-    measured = spa_threshold(w)
-    expected = states.isotropic_entanglement_threshold(maps.base_descriptor(w.source).size)
-    boundary = min_eigenvalue(spa_witness(w, expected))
+    """Threshold from the base's smallest eigenvalue against the closed form, plus exact degeneracy at it.
+
+    lambda_min(W) lies within the rotation slack s of the base's, and so each
+    eigenvalue of (p/D) I + (1 - p) W lies within (1 - p) s of the base
+    approximation's.  The root p = 1 - c / g, with c = 1/D + POSITIVITY_TOL
+    and g = 1/D - lambda_min, then moves by at most c s / (g (g - s)); both
+    verdicts are widened by these amounts.
+    """
+    base = w.base
+    slack = w.rotation_slack
+    measured = spa_threshold(base)
+    expected = states.isotropic_entanglement_threshold(base.source.size)
+    boundary = min_eigenvalue(spa_witness(base, expected))
+    dsq = base.matrix.shape[0]
+    c, gap = 1.0 / dsq + POSITIVITY_TOL, 1.0 / dsq - base.spectrum[0]
+    spread = float(c * slack / (gap * (gap - slack))) if slack < gap else np.inf
     return value_report(
         "spa-threshold",
         measured,
         expected,
         tol,
-        details=(f"root of the affine minimal eigenvalue in the noise weight; "
-                 f"min eig at the closed-form threshold = {boundary:.2e} (|.| <= 1e-9)"),
-        extra_ok=abs(boundary) <= 1e-9,
+        details=(f"root of the affine minimal eigenvalue in the noise weight, read off the base witness; "
+                 f"min eig at the closed-form threshold = {boundary:.2e} (|.| <= 1e-9); rotation slack "
+                 f"{slack:.2e} widens the root by {spread:.2e} and the min eig by (1 - p) times the slack"),
+        extra_ok=(abs(measured - expected) + spread <= tol
+                  and abs(boundary) + (1.0 - expected) * slack <= 1e-9),
     )
 
 
@@ -349,9 +382,13 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     exact self-duality of the underlying map (Hermiticity of its natural
     matrix, read off the base witness); the base witness's detection root
     against the threshold; the covariance W = (A (x) B) W_base (A (x) B)^dagger
-    under the local rotation, (I, I) for a plain map; and two independent
-    necessary conditions on the approximated Choi matrix at the threshold
-    (positive partial transpose and the realignment bound).
+    under the local rotation, (I, I) for a plain map, as the witness's
+    measured rotation residual; and two independent necessary conditions on
+    the approximated Choi matrix at the threshold.  Its positive partial
+    transpose is read off the base: a partial transpose only permutes
+    entries, so it keeps the residual's Frobenius norm and moves each
+    eigenvalue by at most (1 - p) times the rotation slack.  The realignment
+    bound is measured on W itself.
     """
     m = w.source
     w_base = w.base
@@ -363,14 +400,15 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
     unital_defect = float(np.max(np.abs(unital - np.eye(d))))
     self_dual_defect = witnesses.self_duality_defect(w_base)
-    covariance_defect = float(np.max(np.abs(w.matrix - local_conjugate(w_base.matrix, *maps.local_rotation(m)))))
+    covariance_defect = w.rotation_residual
+    slack = w.rotation_slack
 
     threshold = states.isotropic_entanglement_threshold(n)
     root = detection_root(w_base)
 
-    approx = spa_witness(w, threshold)
-    ppt_low = min_eigenvalue(partial_transpose(approx, d, d, "A"))
-    realigned = trace_norm(realign(approx, d, d))  # at most 1 for a separable state
+    base_low = min_eigenvalue(partial_transpose(spa_witness(w_base, threshold), d, d, "A"))
+    ppt_low = base_low - (1.0 - threshold) * slack
+    realigned = trace_norm(realign(spa_witness(w, threshold), d, d))  # at most 1 for a separable state
 
     ok = (
         unital_defect <= CONSTRUCTION_TOL
@@ -388,7 +426,8 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
         details=(
             f"detection root vs isotropic threshold; unitality defect {unital_defect:.2e}, "
             f"self-duality defect {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
-            f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10, "
+            f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10 "
+            f"(the base's less (1 - p) times the rotation slack {slack:.2e}), "
             f"realignment trace norm {realigned:.6f} <= 1 + 1e-8"
         ),
         extra_ok=ok,

@@ -52,6 +52,18 @@ def perturb_witness(scale: float) -> witnesses.Witness:
     return witnesses.Witness(w.matrix + scale * (g + g.conj().T) / 2, w.source)
 
 
+def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:
+    """A conjugated N=1 witness with 1e-6 added to entry [i, j]: still Hermitian only if i == j.
+
+    Its base, built from the source, stays exact, so the corruption shows only in
+    the witness's rotation residual.
+    """
+    m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19))
+    corrupted = witnesses.choi(m).matrix.copy()
+    corrupted[i, j] += 1e-6
+    return witnesses.Witness(corrupted, m)
+
+
 @pytest.fixture(scope="session")
 def perturbed_witness():
     return perturb_witness(1e-3)

@@ -6,7 +6,7 @@ import pytest
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import perturb_witness
+from conftest import corrupted_conjugated_witness, perturb_witness
 
 
 @pytest.fixture(scope="module")
@@ -208,18 +208,22 @@ class TestNondecomposability:
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
-        # rho and its partial transpose, one solve each: the plain map solves the base
-        # state, a conjugated map only the rotated S^dagger rho S it measures
+        # the base state and its partial transpose, one solve each, for a plain and a
+        # conjugated map alike; the rotated S rho S^dagger it measures Tr(W rho) on is never solved
         n, u = 2, maps.canonical_u0(2)
         desc = maps.phi_u(n, u)
         if conjugated:
             desc = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27))
         rho = states.ppt_entangled_state(witnesses.choi(maps.phi_u(n, u)))
+        rotated = linalg.local_conjugate(rho, *maps.local_rotation(desc))
         w = witnesses.choi(desc)
         solved = record_hermitian_eig(monkeypatch)
         assert certify.verify_nondecomposability(w).passed
-        assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == (0 if conjugated else 1)
+        assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
+        assert sum(m.shape == rho.shape and np.array_equal(m, partial_transpose(rho, 8, 8)) for m in solved) == 1
         assert len(solved) == 2
+        if conjugated:
+            assert not any(np.allclose(m, rotated, rtol=0, atol=1e-15) for m in solved)
 
 
 class TestSpanningFamily:
@@ -422,6 +426,13 @@ class TestSpa:
         assert not report.passed
         assert abs(report.measured - report.expected) > report.tolerance
 
+    def test_report_fails_on_a_corrupted_conjugated_witness(self):
+        # the base's threshold is within tolerance; only the 1e-6 rotation slack can fail the report
+        report = certify.spa_threshold_report(corrupted_conjugated_witness(5, 5))
+        assert abs(report.measured - report.expected) <= report.tolerance
+        assert re.search(r"rotation slack 1\.00e-06 ", report.details)
+        assert not report.passed
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("c", [0.0, 0.5])
     def test_threshold_holds_for_a_contraction(self, n, c):
@@ -500,16 +511,18 @@ class TestEbCertificate:
             certify.verify_eb_certificate(witnesses.choi(maps.phi_u(1, np.zeros((2, 2)))))
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
-        m = maps.conjugated_phi(
-            1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19)
-        )
-        w = witnesses.choi(m)
-        corrupted = w.matrix.copy()
-        corrupted[5, 5] += 1e-6  # one diagonal entry: still Hermitian
-        report = certify.verify_eb_certificate(witnesses.Witness(corrupted, m))
+        report = certify.verify_eb_certificate(corrupted_conjugated_witness(5, 5))
         covariance = float(re.search(r"covariance defect (\S+),", report.details).group(1))
         assert covariance == pytest.approx(1e-6, rel=1e-6)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
+
+    def test_partial_transpose_fails_through_the_slack(self):
+        # the base's partial transpose is PPT at the threshold; a 1e-6 residual leaves
+        # (1 - p) 1e-6 = 2e-7 of room below it, which the transported min eig must show
+        report = certify.verify_eb_certificate(corrupted_conjugated_witness(5, 5))
+        ppt_low = float(re.search(r"min eig of partial transpose (\S+) ", report.details).group(1))
+        assert ppt_low == pytest.approx(-2e-7, rel=1e-3)
         assert not report.passed
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -561,11 +574,25 @@ class TestFullSuite:
         assert all(r.passed for r in reports)
 
     def test_diagonalizes_the_witness_once(self, monkeypatch):
-        # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks
-        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))).matrix
-        solved = record_hermitian_eig(monkeypatch)
-        assert all(r.passed for r in certify.run_full_suite(maps.phi_u(1, maps.canonical_u0(1))))
-        assert sum(m.shape == w.shape and np.allclose(m, w, rtol=0, atol=1e-15) for m in solved) == 1
+        # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks.  A
+        # conjugated suite solves its base W once and none of the dense rotated matrices:
+        # W, the rotated PPT state, or the partial transposes of that state and of the
+        # approximated W.
+        n, d = 2, 8
+        plain = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=3))
+        conjugated = maps.conjugated_phi(n, plain.u, maps.random_unitary(d, seed=4), maps.random_unitary(d, seed=6))
+        base = witnesses.choi(plain).matrix
+        w = witnesses.choi(conjugated)
+        rho = linalg.local_conjugate(states.ppt_entangled_state(witnesses.choi(plain)), *maps.local_rotation(conjugated))
+        approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+        dense = [w.matrix, rho, partial_transpose(rho, d, d), partial_transpose(approx, d, d)]
+        for m, never in ((plain, []), (conjugated, dense)):
+            with monkeypatch.context() as patch:
+                solved = record_hermitian_eig(patch)
+                assert all(r.passed for r in certify.run_full_suite(m))
+            assert sum(x.shape == base.shape and np.allclose(x, base, rtol=0, atol=1e-15) for x in solved) == 1
+            for x in never:
+                assert not any(s.shape == x.shape and np.allclose(s, x, rtol=0, atol=1e-12) for s in solved)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_builds_each_choi_matrix_once(self, monkeypatch, conjugated):

@@ -339,8 +339,8 @@ class TestAlgebraicProperties:
         np.testing.assert_allclose(choi(m).matrix, moved, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", [f for f in maps.FAMILIES if f not in ("PhiU4N", "ConjugatedPhiU")])
-    def test_only_the_conjugated_family_has_a_local_rotation(self, example_map, family):
-        # outside the core family; PhiU4N's rotation is the identity (the test below)
+    def test_no_local_rotation_outside_the_core_family(self, example_map, family):
+        # PhiU4N's rotation is the identity (the test below), ConjugatedPhiU's is (V2^T, V1^dagger)
         with pytest.raises(ValueError, match="no local rotation"):
             maps.local_rotation(example_map(family, 1))
 

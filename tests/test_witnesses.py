@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from robwit import maps, witnesses
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
 
-from conftest import matrix_unit
+from conftest import corrupted_conjugated_witness, matrix_unit
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +120,18 @@ class TestVerifySpectrum:
     def test_fails_on_perturbed_witness(self, perturbed_witness):
         report = witnesses.verify_spectrum(perturbed_witness)
         assert not report.passed and report.measured > 1e-4
+
+    def test_fails_on_a_corrupted_conjugated_witness(self):
+        # the base spectrum matches the closed form; the 1e-6 rotation slack must fail it
+        report = witnesses.verify_spectrum(corrupted_conjugated_witness(5, 5))
+        assert report.measured <= 1e-14
+        assert re.search(r"rotation slack 1\.00e-06;", report.details)
+        assert not report.passed
+
+    def test_fails_without_raising_on_a_non_hermitian_conjugated_witness(self):
+        report = witnesses.verify_spectrum(corrupted_conjugated_witness(0, 5))
+        assert report.measured <= 1e-14
+        assert not report.passed
 
 
 class TestCachedSpectrum:
