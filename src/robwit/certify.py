@@ -385,10 +385,12 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     under the local rotation, (I, I) for a plain map, as the witness's
     measured rotation residual; and two independent necessary conditions on
     the approximated Choi matrix at the threshold.  Its positive partial
-    transpose is read off the base: a partial transpose only permutes
-    entries, so it keeps the residual's Frobenius norm and moves each
-    eigenvalue by at most (1 - p) times the rotation slack.  The realignment
-    bound is measured on W itself.
+    transpose is read off the base.  A partial transpose only permutes
+    entries, so it keeps the residual's Frobenius norm; it maps the rotation
+    A (x) B to Abar (x) B, with the same unitarity defect; and
+    W_base^Gamma = (G (x) 1) W_base (G (x) 1)^dagger has W_base's spectral
+    radius.  So each eigenvalue moves by at most (1 - p) times the rotation
+    slack.  The realignment bound is measured on W itself.
     """
     m = w.source
     w_base = w.base
