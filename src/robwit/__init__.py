@@ -27,19 +27,13 @@ from .maps import (
     SIGMA_Y,
     MapDescriptor,
     apply_map,
-    breuer_hall,
     canonical_u0,
     conjugate_u0,
     conjugated_phi,
     input_dim,
-    map_i,
-    map_ii,
     phi_u,
-    psi_2k,
     random_antisymmetric_unitary,
     random_unitary,
-    reduction_map,
-    robertson4,
 )
 from .report import CertReport
 from .states import (

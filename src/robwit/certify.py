@@ -325,11 +325,11 @@ def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
     eigenvalue of (p/D) I + (1 - p) W lies within (1 - p) s of the base
     approximation's.  The root p = 1 - c / g, with c = 1/D + POSITIVITY_TOL
     and g = 1/D - lambda_min, then moves by at most c s / (g (g - s)); both
-    verdicts are widened by these amounts.
+    verdicts are widened by these amounts.  A positive W measures p = 0 and fails.
     """
     base = w.base
     slack = w.rotation_slack
-    measured = spa_threshold(base)
+    measured = spa_threshold(base) if base.spectrum[0] < -POSITIVITY_TOL else 0.0
     expected = states.isotropic_entanglement_threshold(base.source.size)
     boundary = min_eigenvalue(spa_witness(base, expected))
     dsq = base.matrix.shape[0]
@@ -359,17 +359,28 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def detection_root(w: witnesses.Witness) -> float:
-    """Numeric root of lam -> Tr(W rho_lam), found from two evaluations.
+def _detection_boundary(w: witnesses.Witness) -> tuple[float, bool]:
+    """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
 
-    The curve is affine in lam, so the root is exact up to eigensolver
-    noise; this is the measurement-side counterpart of the closed form.
+    The curve is affine in lam, so two evaluations give its root, exact up
+    to eigensolver noise.  Without a sign change lam is 0 (no isotropic
+    state is detected) or 1 (every one is).
     """
     g0 = detect(w, states.isotropic_state(w.d, 0.0))
     g1 = detect(w, states.isotropic_state(w.d, 1.0))
-    if g0 >= 0 or g1 <= 0:
+    if g0 >= 0:
+        return 0.0, False
+    if g1 <= 0:
+        return 1.0, False
+    return g0 / (g0 - g1), True
+
+
+def detection_root(w: witnesses.Witness) -> float:
+    """Numeric root of lam -> Tr(W rho_lam): the measurement-side counterpart of the closed form."""
+    root, crosses = _detection_boundary(w)
+    if not crosses:
         raise ValueError("detection curve does not change sign on [0, 1]")
-    return g0 / (g0 - g1)
+    return root
 
 
 def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
@@ -381,7 +392,8 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     The certificate aggregates: unitality read off the witness, F(I) = d Tr_A W;
     exact self-duality of the underlying map (Hermiticity of its natural
     matrix, read off the base witness); the base witness's detection root
-    against the threshold; the covariance W = (A (x) B) W_base (A (x) B)^dagger
+    against the threshold (0 for a W that detects no isotropic state, which
+    fails); the covariance W = (A (x) B) W_base (A (x) B)^dagger
     under the local rotation, (I, I) for a plain map, as the witness's
     measured rotation residual; and two independent necessary conditions on
     the approximated Choi matrix at the threshold.  Its positive partial
@@ -406,7 +418,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     slack = w.rotation_slack
 
     threshold = states.isotropic_entanglement_threshold(n)
-    root = detection_root(w_base)
+    root, _ = _detection_boundary(w_base)
 
     base_low = min_eigenvalue(partial_transpose(spa_witness(w_base, threshold), d, d, "A"))
     ppt_low = base_low - (1.0 - threshold) * slack

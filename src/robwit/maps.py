@@ -1,23 +1,16 @@
-"""Positive-map families on matrix algebras.
+"""The generalized Robertson map Phi_U on 4N x 4N matrices and its conjugation.
 
 Every map here acts on square complex matrices and is described by an
 immutable :class:`MapDescriptor`; :func:`apply_map` is the single
-interpreter, for one matrix or a ``(..., d, d)`` stack alike.  The
+interpreter, for one matrix or a ``(..., d, d)`` stack alike.  The two
 families, with X split into half-size blocks ``[[X11, X12], [X21, X22]]``:
 
-* ``Reduction`` (dim K):      X -> I Tr X - X
-* ``MapI`` (dim 2K):          X -> (1/K) [[X22, -X12], [-X21, X11]]
-* ``MapII`` (dim 2K):         X -> (1/K) [[I Tr X22, -X12], [-X21, I Tr X11]]
-* ``Robertson4`` (dim 4):     MapII plus the reduction of the opposite
-                              off-diagonal block inside each off-diagonal term
-* ``Psi2K`` (dim 2K):         the same scheme in dimension 2K
-* ``PhiU4N`` (dim 4N):        off-diagonal terms X12 + U X21^T U^dagger with an
+* ``PhiU4N`` (dim 4N):        X -> (1/2N) [[I Tr X22, -(X12 + U X21^T U^dagger)],
+                              [-(X21 + U X12^T U^dagger), I Tr X11]] with an
                               antisymmetric 2N x 2N contraction U
-* ``BreuerHall`` (dim 2K):    (I Tr X - X - U X^T U^dagger) / (2K - 2)
 * ``ConjugatedPhiU`` (dim 4N): V1^dagger PhiU(V2 X V2^dagger) V1
 
-``MapII``, ``Robertson4``, ``Psi2K``, ``PhiU4N`` and the conjugated family
-are unital; ``PhiU4N`` is additionally trace preserving and self-dual.
+Both are unital; ``PhiU4N`` is additionally trace preserving and self-dual.
 Pauli convention: sigma_y = [[0, -i], [i, 0]].
 """
 
@@ -31,25 +24,13 @@ from .linalg import CONSTRUCTION_TOL, as_complex
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
-FAMILIES = (
-    "Reduction",
-    "MapI",
-    "MapII",
-    "Robertson4",
-    "Psi2K",
-    "PhiU4N",
-    "BreuerHall",
-    "ConjugatedPhiU",
-)
-
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """Tagged description of one positive-map family plus its parameters.
+    """Tagged description of a PhiU4N or ConjugatedPhiU map plus its parameters.
 
-    ``size`` is K for Reduction/MapI/MapII/Psi2K/BreuerHall and N for
-    PhiU4N/ConjugatedPhiU.  Parameter matrices are validated by the
-    constructor functions below and must not be mutated afterwards.
+    ``size`` is N.  Parameter matrices are validated by the constructor
+    functions below and must not be mutated afterwards.
     """
 
     family: str
@@ -98,39 +79,6 @@ def _require_unitary(v: np.ndarray, name: str) -> np.ndarray:
 # --- constructors -----------------------------------------------------------
 
 
-def reduction_map(k: int) -> MapDescriptor:
-    """Reduction map X -> I_K Tr X - X on K x K matrices."""
-    if k < 1:
-        raise ValueError("K must be a positive integer")
-    return MapDescriptor("Reduction", k)
-
-
-def map_i(k: int) -> MapDescriptor:
-    """First block generalization of the qubit reduction map (decomposable)."""
-    if k < 1:
-        raise ValueError("K must be a positive integer")
-    return MapDescriptor("MapI", k)
-
-
-def map_ii(k: int) -> MapDescriptor:
-    """Second block generalization (decomposable, unital)."""
-    if k < 1:
-        raise ValueError("K must be a positive integer")
-    return MapDescriptor("MapII", k)
-
-
-def robertson4() -> MapDescriptor:
-    """The original nondecomposable positive map on 4 x 4 matrices."""
-    return MapDescriptor("Robertson4", 2)
-
-
-def psi_2k(k: int) -> MapDescriptor:
-    """Robertson-style map on 2K x 2K matrices built from the reduction map R_K."""
-    if k < 1:
-        raise ValueError("K must be a positive integer")
-    return MapDescriptor("Psi2K", k)
-
-
 def phi_u(n: int, u: np.ndarray) -> MapDescriptor:
     """Generalized Robertson map on 4N x 4N matrices.
 
@@ -146,21 +94,6 @@ def phi_u(n: int, u: np.ndarray) -> MapDescriptor:
     if not is_antisymmetric_contraction(u):
         raise ValueError("U must be antisymmetric with U U^dagger <= I")
     return MapDescriptor("PhiU4N", n, u=u)
-
-
-def breuer_hall(u: np.ndarray) -> MapDescriptor:
-    """Breuer-Hall map X -> (I Tr X - X - U X^T U^dagger) / (2K - 2).
-
-    The 1/(2K-2) factor makes the map unital, which is the normalization
-    under which it coincides with the 4 x 4 Robertson map at U = sigma_y
-    (+) sigma_y.  Requires an antisymmetric unitary U of dimension 2K >= 4.
-    """
-    u = as_complex(u)
-    if not is_antisymmetric_unitary(u):
-        raise ValueError("U must be an antisymmetric unitary matrix of even dimension")
-    if u.shape[0] < 4:
-        raise ValueError("Breuer-Hall maps need dimension 2K >= 4")
-    return MapDescriptor("BreuerHall", u.shape[0] // 2, u=u)
 
 
 def conjugated_phi(n: int, u: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> MapDescriptor:
@@ -179,9 +112,7 @@ def base_descriptor(m: MapDescriptor) -> MapDescriptor:
     """Underlying PhiU4N descriptor of a (possibly conjugated) core-family map."""
     if m.family == "PhiU4N":
         return m
-    if m.family == "ConjugatedPhiU":
-        return MapDescriptor("PhiU4N", m.size, u=m.u)
-    raise ValueError(f"{m.family} has no PhiU4N base")
+    return MapDescriptor("PhiU4N", m.size, u=m.u)
 
 
 def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +120,7 @@ def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     if m.family == "PhiU4N":
         eye = np.eye(4 * m.size, dtype=complex)
         return eye, eye
-    if m.family == "ConjugatedPhiU":
-        return m.v2.T, m.v1.conj().T
-    raise ValueError(f"{m.family} has no PhiU4N base and no local rotation")
+    return m.v2.T, m.v1.conj().T
 
 
 # --- parameter generators ---------------------------------------------------
@@ -249,15 +178,7 @@ def random_antisymmetric_unitary(n: int, seed: int, mode: str = "real-orthogonal
 
 def input_dim(m: MapDescriptor) -> int:
     """Dimension of the matrices the descriptor acts on."""
-    if m.family == "Reduction":
-        return m.size
-    if m.family in ("MapI", "MapII", "Psi2K", "BreuerHall"):
-        return 2 * m.size
-    if m.family == "Robertson4":
-        return 4
-    if m.family in ("PhiU4N", "ConjugatedPhiU"):
-        return 4 * m.size
-    raise ValueError(f"unknown family {m.family!r}")
+    return 4 * m.size
 
 
 def _trace_eye(x: np.ndarray) -> np.ndarray:
@@ -265,31 +186,10 @@ def _trace_eye(x: np.ndarray) -> np.ndarray:
     return np.eye(x.shape[-1], dtype=complex) * np.trace(x, axis1=-2, axis2=-1)[..., None, None]
 
 
-def _reduction(x: np.ndarray) -> np.ndarray:
-    return _trace_eye(x) - x
-
-
-def _quarters(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Half-size blocks (X11, X12, X21, X22), sliced on the trailing two axes."""
-    k = x.shape[-1] // 2
-    return x[..., :k, :k], x[..., :k, k:], x[..., k:, :k], x[..., k:, k:]
-
-
-def _robertson_scheme(x: np.ndarray, off) -> np.ndarray:
-    """Shared block scheme: traces on the diagonal, -off(X12, X21) and -off(X21, X12) off it."""
-    x11, x12, x21, x22 = _quarters(x)
-    return np.block(
-        [
-            [_trace_eye(x22), -off(x12, x21)],
-            [-off(x21, x12), _trace_eye(x11)],
-        ]
-    ) / x11.shape[-1]
-
-
 def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
     """Apply the described map to a d x d matrix or to each member of a (..., d, d) stack.
 
-    Linear in X and Hermiticity preserving for every family.
+    Linear in X and Hermiticity preserving.
     """
     x = as_complex(x)
     d = input_dim(m)
@@ -298,29 +198,16 @@ def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
             f"{m.family} with size {m.size} acts on {d}x{d} matrices or (..., {d}, {d}) stacks, got {x.shape}"
         )
 
-    if m.family == "Reduction":
-        return _reduction(x)
-
-    if m.family == "MapI":
-        x11, x12, x21, x22 = _quarters(x)
-        return np.block([[x22, -x12], [-x21, x11]]) / x11.shape[-1]
-
-    if m.family == "MapII":
-        return _robertson_scheme(x, lambda a, b: a)
-
-    if m.family in ("Robertson4", "Psi2K"):
-        return _robertson_scheme(x, lambda a, b: a + _reduction(b))
-
-    if m.family == "PhiU4N":
-        u = m.u
-        return _robertson_scheme(x, lambda a, b: a + u @ np.swapaxes(b, -1, -2) @ u.conj().T)
-
-    if m.family == "BreuerHall":
-        dim = 2 * m.size
-        return (_reduction(x) - m.u @ np.swapaxes(x, -1, -2) @ m.u.conj().T) / (dim - 2)
-
     if m.family == "ConjugatedPhiU":
         inner = apply_map(base_descriptor(m), m.v2 @ x @ m.v2.conj().T)
         return m.v1.conj().T @ inner @ m.v1
 
-    raise ValueError(f"unknown family {m.family!r}")
+    u = m.u
+    k = d // 2
+    x11, x12, x21, x22 = x[..., :k, :k], x[..., :k, k:], x[..., k:, :k], x[..., k:, k:]
+    return np.block(
+        [
+            [_trace_eye(x22), -(x12 + u @ np.swapaxes(x21, -1, -2) @ u.conj().T)],
+            [-(x21 + u @ np.swapaxes(x12, -1, -2) @ u.conj().T), _trace_eye(x11)],
+        ]
+    ) / k

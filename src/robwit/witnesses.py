@@ -90,7 +90,7 @@ class Witness:
 
     @cached_property
     def _base(self) -> Witness:
-        return choi(maps.base_descriptor(self.source))  # raises for a family without a PhiU4N base
+        return choi(maps.base_descriptor(self.source))
 
 
 def max_entangled(d: int) -> np.ndarray:

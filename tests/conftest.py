@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+import reference_maps
 from robwit import maps, witnesses
+
+CORE_FAMILIES = ("PhiU4N", "ConjugatedPhiU")
+FAMILIES = CORE_FAMILIES + ("Reduction", "MapI", "MapII", "Robertson4", "Psi2K", "BreuerHall")  # references last
+# the families whose formulas make them unital (Breuer-Hall through its 1/(2K - 2) factor)
+UNITAL = ("PhiU4N", "ConjugatedPhiU", "MapII", "Robertson4", "Psi2K", "BreuerHall")
 
 
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
@@ -13,23 +19,7 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
 
 def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
                       seed: int = 0) -> maps.MapDescriptor:
-    """A valid descriptor of ``family``; U (where the family has one) is drawn in ``mode``.
-
-    ``size`` is K or N as in :class:`robwit.maps.MapDescriptor`, raised to the
-    family's minimum where it has one (Breuer-Hall needs K >= 2).
-    """
-    if family == "Reduction":
-        return maps.reduction_map(size)
-    if family == "MapI":
-        return maps.map_i(size)
-    if family == "MapII":
-        return maps.map_ii(size)
-    if family == "Robertson4":
-        return maps.robertson4()
-    if family == "Psi2K":
-        return maps.psi_2k(size)
-    if family == "BreuerHall":
-        return maps.breuer_hall(maps.random_antisymmetric_unitary(max(size, 2), seed, mode))
+    """A valid PhiU4N or ConjugatedPhiU descriptor of size N; U is drawn in ``mode``."""
     u = maps.random_antisymmetric_unitary(size, seed, mode)
     if family == "PhiU4N":
         return maps.phi_u(size, u)
@@ -39,9 +29,37 @@ def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
     raise ValueError(f"unknown family {family!r}")
 
 
+def build_example_action(family: str, size: int, mode: str = "real-orthogonal", seed: int = 0):
+    """(F, d): an example map of any of ``FAMILIES`` as a function on (..., d, d) stacks.
+
+    The core families go through ``maps.apply_map`` with size N.  The
+    references of ``reference_maps`` take size K: dimension K for Reduction,
+    2K for the block maps and Breuer-Hall (K raised to 2, with U drawn in
+    ``mode``), and 4 for Robertson4.
+    """
+    if family in CORE_FAMILIES:
+        m = build_example_map(family, size, mode, seed)
+        return (lambda x: maps.apply_map(m, x)), maps.input_dim(m)
+    if family == "Reduction":
+        return reference_maps.reduction, size
+    if family == "Robertson4":
+        return reference_maps.robertson4, 4
+    if family == "BreuerHall":
+        k = max(size, 2)
+        u = maps.random_antisymmetric_unitary(k, seed, mode)
+        return (lambda x: reference_maps.breuer_hall(x, u)), 2 * k
+    blocks = {"MapI": reference_maps.map_i, "MapII": reference_maps.map_ii, "Psi2K": reference_maps.psi_2k}
+    return blocks[family], 2 * size
+
+
 @pytest.fixture(scope="session")
 def example_map():
     return build_example_map
+
+
+@pytest.fixture(scope="session")
+def example_action():
+    return build_example_action
 
 
 def perturb_witness(scale: float) -> witnesses.Witness:

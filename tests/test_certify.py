@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
 from conftest import corrupted_conjugated_witness, perturb_witness
+from reference_maps import breuer_hall, reference_witness
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +356,8 @@ class TestSelfDuality:
         assert certify.verify_self_duality(canonical_witness).passed
 
     def test_breuer_hall_sanity(self):
-        assert certify.verify_self_duality(witnesses.choi(maps.breuer_hall(maps.canonical_u0(2)))).passed
+        u0 = maps.canonical_u0(2)
+        assert certify.verify_self_duality(reference_witness(lambda x: breuer_hall(x, u0), 4)).passed
 
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality; the suite measures the base witness instead
@@ -545,6 +548,31 @@ class TestEbCertificate:
         self_duality = float(re.search(r"self-duality defect (\S+) ", report.details).group(1))
         assert self_duality > 1e-6
         assert not report.passed
+
+
+WITNESS_CHECKS = (witnesses.verify_spectrum, certify.verify_nondecomposability, certify.verify_optimality,
+                  certify.verify_nd_optimality, certify.verify_self_duality, certify.spa_threshold_report,
+                  certify.verify_eb_certificate)
+
+
+class TestPositiveStandIn:
+    """I/16 in place of the N=1 witness: positive, so no entanglement witness at all."""
+
+    @pytest.fixture(scope="class")
+    def stand_in(self):
+        return witnesses.Witness(np.eye(16, dtype=complex) / 16, maps.phi_u(1, maps.canonical_u0(1)))
+
+    @pytest.mark.parametrize("check", WITNESS_CHECKS, ids=lambda check: check.__name__)
+    def test_every_check_reports_and_only_self_duality_passes(self, stand_in, check):
+        # realign(I) is Hermitian, so the map behind I/16 is self-dual
+        report = check(stand_in)
+        assert report.passed == (report.name == "self-duality")
+        json.dumps(report.to_dict(), allow_nan=False)  # a finite measured keeps certify's JSON strict
+
+    def test_detection_root_still_raises(self, stand_in):
+        # as spa_threshold does (TestSpa): only the reports turn "no root" into a failed verdict
+        with pytest.raises(ValueError, match="does not change sign"):
+            certify.detection_root(stand_in)
 
 
 class TestRealignment:

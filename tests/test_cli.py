@@ -196,6 +196,12 @@ class TestCertify:
         assert code == 2
         assert "antisymmetric" in err
 
+    def test_rejects_a_contraction_u_file(self, capsys, tmp_path):
+        # Phi_U accepts 0.5 sigma_y, but the PPT entangled state and the closed forms need a unitary U
+        code, out, err = run(capsys, "certify", "--n", "1", "--u", write_matrix(tmp_path, 0.5 * maps.SIGMA_Y))
+        assert code == 2 and out == ""
+        assert err == "error: the PPT entangled state requires a strictly unitary U\n"
+
     @pytest.mark.parametrize("flags,matrix,message", [
         (["--u"], maps.random_antisymmetric_unitary(2, 5), "U must be 2x2 for N=1"),
         (["--v2", "seed:2", "--v1"], 2 * maps.random_unitary(4, seed=1), "V1 is not unitary"),
@@ -297,6 +303,14 @@ class TestSpectrum:
         assert len(rows) == 16
         assert all(float(r["abs_difference"]) < 1e-9 for r in rows)
         assert float(rows[0]["expected"]) == pytest.approx(-0.25)
+
+    def test_contraction_u_file_is_tabulated(self, capsys, tmp_path):
+        # the spectrum table has no verdict: a contraction U shows as a large deviation, with exit 0
+        code, out, _ = run(capsys, "spectrum", "--n", "1", "--u", write_matrix(tmp_path, 0.5 * maps.SIGMA_Y))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 16
+        assert max(float(r["abs_difference"]) for r in rows) > 1e-2
 
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "1", "--output", "text")
