@@ -8,11 +8,12 @@ transposed witness, self-duality, the noise threshold of the structural
 physical approximation, detection of all entangled isotropic states, and
 the resulting entanglement-breaking certificate for the approximated map.
 
-Positivity, the one sampled check, takes a map descriptor; every other
-check takes one :class:`Witness`, which carries its map and, as
-``Witness.base``, the PhiU4N witness it is moved from by the local rotation
-(A, B) of ``maps.local_rotation``.  A plain map's rotation is (I, I), so
-each check takes one path for plain and conjugated witnesses alike.
+Positivity takes a map descriptor: it samples the map, and bounds the
+defects of its proof over every splitting by the premises U^T = -U and
+U^dagger U = I.  Every other check takes one :class:`Witness`, which carries
+its map and, as ``Witness.base``, the PhiU4N witness it is moved from by the
+local rotation (A, B) of ``maps.local_rotation``.  A plain map's rotation is
+(I, I), so each check takes one path for plain and conjugated witnesses alike.
 
 Every spectral quantity is read off the base: the spectrum, the SPA
 threshold and its boundary, the PPT state and its partial transpose, and
@@ -45,10 +46,9 @@ from .linalg import (
 )
 from .report import CertReport, rule_report, value_report
 
-# Positivity's sample sizes; its projectors are mapped POSITIVITY_BLOCK per batched
+# Positivity's sample size; its projectors are mapped POSITIVITY_BLOCK per batched
 # call, which bounds the stack (and the peak memory) at 256 (4N)^2 matrices.
 POSITIVITY_TRIALS = 1000
-POSITIVITY_DECOMPOSITIONS = 200
 POSITIVITY_BLOCK = 256
 
 
@@ -65,68 +65,50 @@ def detect(w: witnesses.Witness, rho: np.ndarray) -> float:
 # --- positivity -------------------------------------------------------------
 
 
-def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_k><y_k| for each row of two (k, dim) stacks of vectors."""
-    return x[:, :, None] * y[:, None, :].conj()
+def premise_defects(u: np.ndarray) -> tuple[float, float]:
+    """Bounds on the proof-identity and Schur defects over every splitting, from U alone.
+
+    With alpha = ||U + U^T||_2, beta = ||U^dagger U - I||_2, unit psi1, psi2,
+    Q = |psi1><psi1| and Q^U = U Q^T U^dagger = |v><v| for v = U conj psi1:
+    M M^dagger - Q - Q^U = z |psi1><v| + h.c. + (||U conj psi2||^2 - 1) Q^U,
+    where z = x^T U x for x = conj psi2, so |z| <= alpha/2, and
+    ||v||^2 <= 1 + beta.  The identity defect is then at most
+    alpha sqrt(1 + beta) + beta (1 + beta), which also bounds
+    |Tr(Q Q^U)| = |<psi1|v>|^2 <= alpha^2/4 as ||U||_2^2 <= 1 + beta.  As
+    lambda_max(Q + Q^U) <= max(1, ||v||^2) + |<psi1|v>| <= 1 + beta + alpha/2,
+    the Schur defect lambda_max(M M^dagger) - 1 is at most beta + alpha/2
+    plus the identity bound.  Both vanish iff U is an antisymmetric unitary.
+    """
+    alpha = float(np.linalg.norm(u + u.T, 2))
+    beta = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u)), 2))
+    identity = alpha * np.sqrt(1.0 + beta) + beta * (1.0 + beta)
+    return identity, beta + alpha / 2 + identity
 
 
 def verify_positivity(m: maps.MapDescriptor, seed: int = 7, tol: float = POSITIVITY_TOL) -> CertReport:
-    """Positivity of the core map, sampled and via its proof identity.
+    """Positivity of the map, sampled and from the premises of its proof.
 
-    Part one maps ``POSITIVITY_TRIALS`` random rank-1 projectors and records
-    the worst output eigenvalue.  Part two draws ``POSITIVITY_DECOMPOSITIONS`` splittings
-    psi = sqrt(a) psi1 (+) sqrt(1-a) psi2 (the endpoints a = 0, 1 included)
-    and checks the block form of the image, the identity
-    M M^dagger = Q + Q^U with mutually orthogonal rank-1 projectors
-    Q = |psi1><psi1| and Q^U = U Q^T U^dagger, and the resulting
-    Schur condition I >= M M^dagger.
+    The sample maps ``POSITIVITY_TRIALS`` random rank-1 projectors and records
+    the worst output eigenvalue.  The proof splits psi = sqrt(a) psi1 (+)
+    sqrt(1-a) psi2; the image is (1/2N) [[(1-a) I, -b M], [-b M^dagger, a I]]
+    with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger,
+    PSD iff M M^dagger <= I (Schur complement), which holds as M M^dagger = Q + Q^U,
+    two orthogonal projectors, when U^T = -U and U is unitary.  ``premise_defects``
+    bounds both defects over every splitting.  A conjugated map is positive iff
+    its base is: a congruence keeps a matrix PSD.
     """
-    base = maps.base_descriptor(m)
-    n = base.size
-    u = base.u
-    d = 4 * n
-    half = 2 * n
     rng = np.random.default_rng(seed)
-
-    g = rng.standard_normal((POSITIVITY_TRIALS, 2, d))  # per trial: real then imaginary part, as one draw at a time
+    g = rng.standard_normal((POSITIVITY_TRIALS, 2, 4 * m.size))  # per trial: real then imaginary part
     psi = g[:, 0] + 1j * g[:, 1]
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
     worst = np.inf
     for start in range(0, POSITIVITY_TRIALS, POSITIVITY_BLOCK):
         p = psi[start : start + POSITIVITY_BLOCK]
-        worst = min(worst, min_eigenvalue(maps.apply_map(m, _outer(p, p))))
+        worst = min(worst, min_eigenvalue(maps.apply_map(m, p[:, :, None] * p[:, None, :].conj())))
 
-    # part two, all splittings at once; a = 0 and a = 1 come first
-    k = POSITIVITY_DECOMPOSITIONS
-    a = np.concatenate([[0.0, 1.0], rng.uniform(size=k - 2)])[:, None]
-    g = rng.standard_normal((k, 2, 2, half))  # psi1 then psi2, each real then imaginary part
-    psi1, psi2 = np.moveaxis(g[:, :, 0] + 1j * g[:, :, 1], 1, 0)
-    psi1 /= np.linalg.norm(psi1, axis=-1, keepdims=True)
-    psi2 /= np.linalg.norm(psi2, axis=-1, keepdims=True)
-    psi = np.concatenate([np.sqrt(a) * psi1, np.sqrt(1.0 - a) * psi2], axis=-1)
-    images = maps.apply_map(base, _outer(psi, psi))
-    a = a[:, :, None]  # from here on a scales (k, half, half) blocks
-
-    def transpose_u(x):  # X -> U X^T U^dagger, so Q -> Q^U
-        return u @ np.swapaxes(x, -1, -2) @ u.conj().T
-
-    mfac = _outer(psi1, psi2) + transpose_u(_outer(psi2, psi1))
-    mfac_h = np.swapaxes(mfac, -1, -2).conj()
-    b = np.sqrt(a * (1.0 - a))
-    eye = np.eye(half, dtype=complex)
-    block_form = np.block([[(1.0 - a) * eye, -b * mfac], [-b * mfac_h, a * eye]]) / half
-    q = _outer(psi1, psi1)
-    qu = transpose_u(q)
-    gram = mfac @ mfac_h
-    identity_defect = max(
-        float(np.max(np.abs(images - block_form), initial=0.0)),
-        float(np.max(np.abs(gram - q - qu), initial=0.0)),
-        float(np.max(np.abs(np.einsum("kij,kji->k", q, qu)), initial=0.0)),  # |Tr(Q Q^U)|
-    )
-    schur_defect = max(0.0, -min_eigenvalue(eye - gram))
-
+    identity_defect, schur_defect = premise_defects(m.u)
     ok = worst >= -tol and identity_defect <= CONSTRUCTION_TOL and schur_defect <= CONSTRUCTION_TOL
-    note = " (proof identity evaluated on the underlying map)" if m.family == "ConjugatedPhiU" else ""
+    note = " (premises of the underlying map)" if m.family == "ConjugatedPhiU" else ""
     return rule_report(
         "positivity",
         worst,
@@ -134,7 +116,7 @@ def verify_positivity(m: maps.MapDescriptor, seed: int = 7, tol: float = POSITIV
         ok,
         f"worst image eigenvalue over {POSITIVITY_TRIALS} projectors, pass iff >= -tol; "
         f"proof-identity defect {identity_defect:.2e}, Schur defect {schur_defect:.2e}, "
-        f"both <= 1e-12 over {k} decompositions incl. a in {{0,1}}{note}",
+        f"both <= 1e-12, bounded over every splitting by ||U + U^T||_2 and ||U^dagger U - I||_2{note}",
     )
 
 
@@ -326,13 +308,14 @@ def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
     approximation's.  The root p = 1 - c / g, with c = 1/D + POSITIVITY_TOL
     and g = 1/D - lambda_min, then moves by at most c s / (g (g - s)); both
     verdicts are widened by these amounts.  A positive W measures p = 0 and fails.
+    The boundary min eig at the closed form is affine in lambda_min too: no eigensolve.
     """
     base = w.base
     slack = w.rotation_slack
     measured = spa_threshold(base) if base.spectrum[0] < -POSITIVITY_TOL else 0.0
     expected = states.isotropic_entanglement_threshold(base.source.size)
-    boundary = min_eigenvalue(spa_witness(base, expected))
     dsq = base.matrix.shape[0]
+    boundary = expected / dsq + (1.0 - expected) * base.spectrum[0]  # min eig of spa_witness(base, expected)
     c, gap = 1.0 / dsq + POSITIVITY_TOL, 1.0 / dsq - base.spectrum[0]
     spread = float(c * slack / (gap * (gap - slack))) if slack < gap else np.inf
     return value_report(

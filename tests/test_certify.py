@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
@@ -91,6 +93,47 @@ def forbid_eigensolves(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
 
 
+def count_eigensolves(monkeypatch):
+    """Record the arguments of every call to numpy's Hermitian eigensolvers and its SVD."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def record(*args, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(args)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    return calls
+
+
+def perturbed_u(n, kind, eps, seed=0, mode="real-orthogonal"):
+    """An antisymmetric unitary moved off a premise: U + eps S (S symmetric), (1 + eps) U, or 0.5 U0."""
+    if kind == "contraction":
+        return 0.5 * maps.canonical_u0(n)
+    u = maps.random_antisymmetric_unitary(n, seed, mode)
+    if kind == "scaled":
+        return (1.0 + eps) * u
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    return u + eps * (g + g.T) / np.linalg.norm(g + g.T, 2)
+
+
+def splitting_defects(u, psi1, psi2):
+    """(|Tr(Q Q^U)|, max|M M^dagger - Q - Q^U|, max(0, lambda_max(M M^dagger) - 1)) of one splitting.
+
+    The proof's algebra written out: Q = |psi1><psi1|, Q^U = U Q^T U^dagger and
+    M = |psi1><psi2| + U (|psi2><psi1|)^T U^dagger.
+    """
+    def transpose_u(x):
+        return u @ x.T @ u.conj().T
+
+    q = np.outer(psi1, psi1.conj())
+    qu = transpose_u(q)
+    mfac = np.outer(psi1, psi2.conj()) + transpose_u(np.outer(psi2, psi1.conj()))
+    gram = mfac @ mfac.conj().T
+    return (abs(np.trace(q @ qu)), float(np.max(np.abs(gram - q - qu))),
+            max(0.0, float(np.linalg.eigvalsh(gram)[-1]) - 1.0))
+
+
 class TestDetect:
     def test_ppt_state(self, canonical_witness):
         state = states.ppt_entangled_state(canonical_witness)
@@ -148,6 +191,38 @@ class TestPositivity:
         defect = float(re.search(r"proof-identity defect (\S+),", report.details).group(1))
         assert report.measured >= -report.tolerance
         assert defect > 1e-2
+        assert not report.passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2), mode=st.sampled_from(("real-orthogonal", "complex-unitary")),
+           kind=st.sampled_from(("symmetric", "scaled", "contraction")), log_eps=st.floats(-9.0, -0.5),
+           seed=st.integers(0, 2 ** 16))
+    def test_premise_bounds_hold_on_every_splitting(self, n, mode, kind, log_eps, seed):
+        # oracle: the old sampled algebra on random unit psi1, psi2; the report's bounds must cover it,
+        # up to the oracle's own rounding (the Schur bound is attained for (1 + eps) U)
+        u = perturbed_u(n, kind, 10.0 ** log_eps, seed, mode)
+        identity, schur = certify.premise_defects(u)
+        report = certify.verify_positivity(maps.MapDescriptor("PhiU4N", n, u=u), seed=seed)
+        assert f"proof-identity defect {identity:.2e}, Schur defect {schur:.2e}," in report.details
+        rng = np.random.default_rng(seed)
+        rounding = 64 * np.finfo(float).eps
+        for _ in range(20):
+            psi1, psi2 = rng.standard_normal((2, 2 * n, 2)) @ np.array([1.0, 1.0j])
+            psi1, psi2 = psi1 / np.linalg.norm(psi1), psi2 / np.linalg.norm(psi2)
+            tr, gram_defect, schur_defect = splitting_defects(u, psi1, psi2)
+            assert tr <= identity + rounding
+            assert gram_defect <= identity + rounding
+            assert schur_defect <= schur + rounding
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("kind", ["symmetric", "scaled"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-11])
+    def test_premises_fail_off_the_antisymmetric_unitaries(self, n, kind, eps):
+        # the descriptor is built around phi_u's validation, so only the report can reject U
+        u = perturbed_u(n, kind, eps)
+        report = certify.verify_positivity(maps.MapDescriptor("PhiU4N", n, u=u))
+        if eps < 1e-9:
+            assert report.measured >= -report.tolerance  # the sample alone does not notice
         assert not report.passed
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
@@ -423,6 +498,23 @@ class TestSpa:
         w.spectrum
         forbid_eigensolves(monkeypatch)
         assert certify.spa_threshold(w) == pytest.approx(0.8, abs=1e-9)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_report_runs_on_the_cached_spectrum(self, monkeypatch, conjugated):
+        u = maps.random_antisymmetric_unitary(2, seed=7)
+        m = maps.phi_u(2, u)
+        if conjugated:
+            m = maps.conjugated_phi(2, u, maps.random_unitary(8, 1), maps.random_unitary(8, 2))
+        w = witnesses.choi(m)
+        w.base.spectrum
+        calls = count_eigensolves(monkeypatch)
+        report = certify.spa_threshold_report(w)
+        assert (report.passed, len(calls)) == (True, 0)
+        monkeypatch.undo()
+        # the boundary it reports is the min eig of the approximated base witness, solved directly
+        boundary = float(re.search(r"closed-form threshold = (\S+) ", report.details).group(1))
+        direct = min_eigenvalue(certify.spa_witness(w.base, report.expected))
+        assert abs(boundary - direct) <= 1e-15
 
     def test_report_fails_off_the_family(self, perturbed_witness):
         report = certify.spa_threshold_report(perturbed_witness)
