@@ -2,11 +2,11 @@
 
 Each ``verify_*`` function turns one proved property into a numerical
 check returning a :class:`CertReport`: positivity of the map,
-nondecomposability via an explicit PPT entangled state, optimality via a
-spanning zero-expectation product family, optimality of the partially
-transposed witness, self-duality, the noise threshold of the structural
-physical approximation, detection of all entangled isotropic states, and
-the resulting entanglement-breaking certificate for the approximated map.
+nondecomposability via an explicit PPT entangled state, optimality of the
+witness and of its partial transpose via a spanning zero-expectation product
+family, self-duality, the noise threshold of the structural physical
+approximation, detection of all entangled isotropic states, and the
+resulting entanglement-breaking certificate for the approximated map.
 
 Positivity takes a map descriptor: it samples the map, and bounds the
 defects of its proof over every splitting by the premises U^T = -U and
@@ -22,7 +22,8 @@ reducible and solve block by block, where a rotated one is dense.  Each such
 check widens its verdict by ``Witness.rotation_slack``, one measured bound
 on how far the eigenvalues of W lie from the base's (exactly 0 for a plain
 witness), and reports it.  Measured directly on W stay: the product-family
-expectations, Tr(W rho), unitality, the covariance residual, and the
+expectations, read off <= 4 x 4 blocks of W pulled back once by the
+family's rotation, Tr(W rho), unitality, the covariance residual, and the
 realignment trace norm, whose independence from the spectrum is its point.
 Self-duality and unitality are exact, read off the witness.
 ``run_full_suite`` builds the witness of one map and runs all eight,
@@ -182,57 +183,44 @@ def spanning_family(n: int) -> np.ndarray:
     return np.concatenate([e, sums])
 
 
-def zero_product_pairs(m: maps.MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """Product pairs (phi_k, chi_k), rows of two arrays, with <phi (x) chi| W |phi (x) chi> = 0.
+def _product_family_check(matrix: np.ndarray, a: np.ndarray, b: np.ndarray,
+                          tol: float) -> tuple[float, int, int, bool]:
+    """(worst, rank, size, ok) of the family (A psi) (x) (B psi*), psi over ``spanning_family``.
 
-    The plain pairs (psi, psi*) moved by the map's local rotation (A, B), to
-    (A psi, B psi*); (A, B) = (I, I) for the plain family.
+    Each expectation is <psi (x) psi*| M' |psi (x) psi*> on the pull-back M' = (A (x) B)^dagger
+    M (A (x) B), formed once, and psi (x) psi* lives on the cells (i, j) with i, j among the
+    generator's <= 2 nonzero coordinates: it is read off one <= 4 x 4 block of M'.  The rotations
+    are unitary, validated where they are built, and keep rank, so the rank is the plain family's,
+    by ``numerical_rank``'s exact elimination.  ok iff worst <= tol and the family spans C^D.
     """
-    a, b = maps.local_rotation(m)
-    gens = spanning_family(m.size)
-    return gens @ a.T, gens.conj() @ b.T
-
-
-def _products(phi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Row k is phi_k (x) chi_k."""
-    return (phi[:, :, None] * chi[:, None, :]).reshape(len(phi), -1)
-
-
-def product_family_rank(n: int) -> int:
-    """Rank of the plain product family psi (x) psi* of ``spanning_family(n)``.
-
-    Every family the optimality checks use is this one moved by a unitary
-    local rotation, (V2^T (x) V1^dagger) for a conjugated witness and
-    (G (x) 1) for the partial transpose, and a unitary local rotation
-    preserves rank.  Those unitaries are validated where they are built, so
-    the rank is a fact of N alone.  ``numerical_rank`` finds it by exact
-    elimination: the vectors e_l (x) e_l pin their coordinates, and the
-    rest splits into 2 x 2 blocks on (e_m (x) e_n, e_n (x) e_m).
-    """
-    gens = spanning_family(n)
-    return numerical_rank(_products(gens, gens.conj()))
-
-
-def _product_family_check(matrix: np.ndarray, phi: np.ndarray, chi: np.ndarray,
-                          tol: float) -> tuple[float, int, bool]:
-    d = phi.shape[-1]
-    vectors = _products(phi, chi)
-    expectations = np.einsum("ki,ki->k", vectors.conj() @ matrix, vectors)
+    gens = spanning_family(len(a) // 4)
+    d = gens.shape[1]
+    if np.any(np.count_nonzero(gens, axis=1) > 2):
+        raise ValueError("every generator of the family has at most two nonzero coordinates")
+    support = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]  # nonzero coordinates first
+    c = np.take_along_axis(gens, support, axis=1)
+    local = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # psi (x) psi* at cells (i, j)
+    cells = (support[:, :, None] * d + support[:, None, :]).reshape(-1, 4)
+    pulled = local_conjugate(matrix, a.conj().T, b.conj().T)
+    expectations = np.einsum("ki,kij,kj->k", local.conj(), pulled[cells[:, :, None], cells[:, None, :]], local)
     worst = float(np.max(np.abs(expectations)))
-    rank = product_family_rank(d // 4)
-    return worst, rank, worst <= tol and rank == d * d
+    rank = numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
+    return worst, rank, len(gens), worst <= tol and rank == d * d
 
 
 def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
-    """Optimality: the zero-expectation product family spans the whole space."""
-    phi, chi = zero_product_pairs(w.source)
-    worst, rank, ok = _product_family_check(w.matrix, phi, chi, tol)
+    """Optimality: the zero-expectation product family spans the whole space.
+
+    The family is (A psi) (x) (B psi*) for the map's local rotation (A, B),
+    (I, I) for a plain map, evaluated on W itself.
+    """
+    worst, rank, size, ok = _product_family_check(w.matrix, *maps.local_rotation(w.source), tol)
     return rule_report(
         "optimality",
         worst,
         tol,
         ok,
-        f"max |<psi (x) phi|W|psi (x) phi>| over {len(phi)} product vectors, pass iff <= tol "
+        f"max |<psi (x) phi|W|psi (x) phi>| over {size} product vectors, pass iff <= tol "
         f"and family rank {rank} equals {w.d ** 2}",
     )
 
@@ -243,14 +231,14 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
     Checks the conjugation identity (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger
     for the witness's single-factor unitary G, then runs the product-family
     optimality check directly on (W)^Gamma with the transported family
-    (G phi, chi).
+    (G A psi) (x) (B psi*).
     """
     d = w.d
     g = witnesses.gamma_unitary(w.source)
     wg = partial_transpose(w.matrix, d, d, "A")
     conj_defect = float(np.max(np.abs(wg - local_conjugate(w.matrix, g, np.eye(d)))))
-    phi, chi = zero_product_pairs(w.source)
-    worst, rank, family_ok = _product_family_check(wg, phi @ g.T, chi, tol)
+    a, b = maps.local_rotation(w.source)
+    worst, rank, _, family_ok = _product_family_check(wg, g @ a, b, tol)
     ok = family_ok and conj_defect <= CONSTRUCTION_TOL
     return rule_report(
         "nd-optimality",
@@ -267,7 +255,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
 
 def verify_self_duality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian."""
-    defect = witnesses.self_duality_defect(w)
+    defect = w.self_duality_defect
     return rule_report(
         "self-duality",
         defect,
@@ -396,7 +384,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
 
     unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
     unital_defect = float(np.max(np.abs(unital - np.eye(d))))
-    self_dual_defect = witnesses.self_duality_defect(w_base)
+    self_dual_defect = w_base.self_duality_defect
     covariance_defect = w.rotation_residual
     slack = w.rotation_slack
 

@@ -49,6 +49,15 @@ class Witness:
         return values
 
     @cached_property
+    def self_duality_defect(self) -> float:
+        """max |R - R^dagger| for R = realign(W) = S^T / d, S the natural matrix of the map; measured once.
+
+        For a Hermiticity-preserving map, Tr(X F(Y)) = Tr(F(X) Y) for all X, Y exactly
+        when S is Hermitian: exact self-duality, read off the witness without sampling.
+        """
+        return hermiticity_defect(realign(self.matrix, self.d, self.d))
+
+    @cached_property
     def rotation_residual(self) -> float:
         """||W - (A (x) B) W_base (A (x) B)^dagger||_F for the map's local rotation (A, B), measured once.
 
@@ -166,16 +175,6 @@ def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
     if not maps.is_antisymmetric_unitary(m.u):
         raise ValueError("U must be an antisymmetric unitary matrix")
     return a.conj() @ np.kron(np.eye(2, dtype=complex), m.u) @ a.conj().T
-
-
-def self_duality_defect(w: Witness) -> float:
-    """max |R - R^dagger| for R = realign(W) = S^T / d, with S the natural matrix of the map.
-
-    For a Hermiticity-preserving map, Tr(X F(Y)) = Tr(F(X) Y) for all X, Y
-    exactly when S is Hermitian, so this is exact self-duality, read off the
-    witness without sampling.
-    """
-    return hermiticity_defect(realign(w.matrix, w.d, w.d))
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,14 @@ CORE_FAMILIES = ("PhiU4N", "ConjugatedPhiU")
 FAMILIES = CORE_FAMILIES + ("Reduction", "MapI", "MapII", "Robertson4", "Psi2K", "BreuerHall")  # references last
 # the families whose formulas make them unital (Breuer-Hall through its 1/(2K - 2) factor)
 UNITAL = ("PhiU4N", "ConjugatedPhiU", "MapII", "Robertson4", "Psi2K", "BreuerHall")
+
+# Hypothesis's pytest plugin imports this module lazily to report a failing example.  It
+# imports libcst, whose import warns that mypy_extensions.TypedDict is deprecated; under
+# -W error that warning would end the run in INTERNALERROR instead of the falsifying
+# example.  Importing it once here, with only that warning ignored, keeps the report.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):  # without libcst the plugin skips the patch
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
@@ -50,6 +61,16 @@ def build_example_action(family: str, size: int, mode: str = "real-orthogonal", 
         return (lambda x: reference_maps.breuer_hall(x, u)), 2 * k
     blocks = {"MapI": reference_maps.map_i, "MapII": reference_maps.map_ii, "Psi2K": reference_maps.psi_2k}
     return blocks[family], 2 * size
+
+
+def self_dual_reference(f, d: int):
+    """``reference_witness(f, d)`` carrying the self-duality defect that ``Witness``'s own property measures.
+
+    A reference map has no descriptor, so it is no ``Witness``; the property reads only matrix and d.
+    """
+    ref = reference_maps.reference_witness(f, d)
+    ref.self_duality_defect = witnesses.Witness.self_duality_defect.func(ref)
+    return ref
 
 
 @pytest.fixture(scope="session")

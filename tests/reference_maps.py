@@ -79,7 +79,7 @@ def breuer_hall(x, u):
 def reference_witness(f, d: int) -> SimpleNamespace:
     """W = (1/d) sum_kl |k><l| (x) f(|k><l|) for a map f on d x d matrices, with its d.
 
-    Those two fields are all a self-duality check reads off a witness.
+    Those two fields are all the self-duality defect of a witness is measured from.
     """
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
     images = f(units)  # images[k, l, i, j] = <i| f(|k><l|) |j>

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import corrupted_conjugated_witness, perturb_witness
-from reference_maps import breuer_hall, reference_witness
+from conftest import corrupted_conjugated_witness, perturb_witness, self_dual_reference
+from reference_maps import breuer_hall
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +49,11 @@ def loop_product_family(matrix, n, v1=None, v2=None, g=None):
         pairs = [(g @ phi, chi) for phi, chi in pairs]
     vectors = [np.kron(phi, chi) for phi, chi in pairs]
     return max(abs(complex(v.conj() @ matrix @ v)) for v in vectors), numerical_rank(vectors)
+
+
+def product_vectors(phi, chi):
+    """Row k is phi_k (x) chi_k."""
+    return np.einsum("ki,kj->kij", phi, chi).reshape(len(phi), -1)
 
 
 def dense_gram_rank(vectors, tol=1e-9):
@@ -354,20 +359,37 @@ class TestOptimality:
         w = witnesses.choi(m)
         wg = partial_transpose(w.matrix, 8, 8)
         g = witnesses.gamma_unitary(m)
-        phi, chi = certify.zero_product_pairs(m)
-        for matrix, phi_k, rotate in ((w.matrix, phi, None), (wg, phi @ g.T, g)):
-            worst, rank, _ = certify._product_family_check(matrix, phi_k, chi, 1e-10)
+        a, b = maps.local_rotation(m)
+        for matrix, a_k, rotate in ((w.matrix, a, None), (wg, g @ a, g)):
+            worst, rank, size, ok = certify._product_family_check(matrix, a_k, b, 1e-10)
             ref_worst, ref_rank = loop_product_family(matrix, n, v1, v2, rotate)
             assert worst == pytest.approx(ref_worst, abs=1e-13)
-            assert rank == ref_rank == 64
+            assert rank == ref_rank == size == 64
+            assert ok
 
     def test_batched_family_matches_loop_reference_off_the_family(self, perturbed_witness):
-        phi, chi = certify.zero_product_pairs(perturbed_witness.source)
-        worst, rank, _ = certify._product_family_check(perturbed_witness.matrix, phi, chi, 1e-10)
+        a, b = maps.local_rotation(perturbed_witness.source)
+        worst, rank, _, ok = certify._product_family_check(perturbed_witness.matrix, a, b, 1e-10)
         ref_worst, ref_rank = loop_product_family(perturbed_witness.matrix, 1)
         assert worst == pytest.approx(ref_worst, abs=1e-13)
         assert worst > 1e-4
         assert rank == ref_rank == 16
+        assert not ok
+
+    @pytest.mark.parametrize("entry", [(5, 5), (3, 7)])
+    def test_conjugated_witness_off_the_family_fails_both_checks(self, entry):
+        # the pull-back (A (x) B)^dagger W (A (x) B) must carry the corruption of a dense, rotated W
+        w = corrupted_conjugated_witness(*entry)
+        v1, v2 = w.source.v1, w.source.v2
+        g = witnesses.gamma_unitary(w.source)
+        for report, matrix, rotate in (
+            (certify.verify_optimality(w), w.matrix, None),
+            (certify.verify_nd_optimality(w), partial_transpose(w.matrix, 4, 4), g),
+        ):
+            ref_worst, _ = loop_product_family(matrix, 1, v1, v2, rotate)
+            assert report.measured == pytest.approx(ref_worst, abs=1e-13)
+            assert report.measured > report.tolerance
+            assert not report.passed
 
 
 class TestFamilyRank:
@@ -376,14 +398,17 @@ class TestFamilyRank:
         u = maps.random_antisymmetric_unitary(n, seed=40 + n, mode="complex-unitary")
         d = 4 * n
         conj = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=42), maps.random_unitary(d, seed=43))
-        families = []
+        gens = certify.spanning_family(n)
+        families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
-            phi, chi = certify.zero_product_pairs(m)
+            a, b = maps.local_rotation(m)
             g = witnesses.gamma_unitary(m)
-            families += [certify._products(phi, chi), certify._products(phi @ g.T, chi)]
-        rank = certify.product_family_rank(n)
-        assert rank == d * d
-        assert [dense_gram_rank(f) for f in families] == [rank] * 4
+            w = witnesses.choi(m)
+            for a_k, matrix in ((a, w.matrix), (g @ a, partial_transpose(w.matrix, d, d))):
+                families.append(product_vectors(gens @ a_k.T, gens.conj() @ b.T))
+                ranks.append(certify._product_family_check(matrix, a_k, b, 1e-10)[1])
+        assert ranks == [d * d] * 4
+        assert [dense_gram_rank(f) for f in families] == ranks
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rank_drops_without_phase_vectors(self, monkeypatch, n):
@@ -391,8 +416,11 @@ class TestFamilyRank:
         d = 4 * n
         gens = certify.spanning_family(n)
         dropped = d + d * (d - 1) // 2
-        assert certify.product_family_rank(n) == dense_gram_rank(certify._products(gens, gens.conj())) == dropped
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        eye = np.eye(d)
+        _, rank, size, ok = certify._product_family_check(w.matrix, eye, eye, 1e-10)
+        assert rank == dense_gram_rank(product_vectors(gens, gens.conj())) == size == dropped
+        assert not ok
         for report in (certify.verify_optimality(w), certify.verify_nd_optimality(w)):
             assert report.measured <= report.tolerance  # the expectations alone would pass
             assert f"rank {dropped}" in report.details
@@ -432,7 +460,7 @@ class TestSelfDuality:
 
     def test_breuer_hall_sanity(self):
         u0 = maps.canonical_u0(2)
-        assert certify.verify_self_duality(reference_witness(lambda x: breuer_hall(x, u0), 4)).passed
+        assert certify.verify_self_duality(self_dual_reference(lambda x: breuer_hall(x, u0), 4)).passed
 
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality; the suite measures the base witness instead

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from reference_maps import reference_witness
 from robwit import maps, witnesses
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
 
-from conftest import CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, matrix_unit
+from conftest import CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, matrix_unit, self_dual_reference
 
 
 @pytest.fixture(scope="module")
@@ -182,8 +181,8 @@ class TestSelfDualityDefect:
         if family in CORE_FAMILIES:
             w = witnesses.choi(example_map(family, size))
         else:
-            w = reference_witness(*example_action(family, size))
-        defect = witnesses.self_duality_defect(w)
+            w = self_dual_reference(*example_action(family, size))
+        defect = w.self_duality_defect
         if family == "ConjugatedPhiU":  # independent V1 != V2 break self-duality
             assert defect >= 1e-3
         else:
