@@ -12,25 +12,28 @@ Positivity takes a map descriptor: it samples the map, and bounds the
 defects of its proof over every splitting by the premises U^T = -U and
 U^dagger U = I.  Every other check takes one :class:`Witness`, which carries
 its map and, as ``Witness.base``, the PhiU4N witness it is moved from by the
-local rotation (A, B) of ``maps.local_rotation``.  A plain map's rotation is
-(I, I), so each check takes one path for plain and conjugated witnesses alike.
+local rotation (A, B) of ``maps.local_rotation``.  For an antisymmetric
+unitary U the base is W(U0) of the map's N, built once per N and shared
+(``witnesses.canonical_witness``), so each check takes one path for plain
+and conjugated witnesses alike.
 
 Every spectral quantity is read off the base: the spectrum, the SPA
-threshold and its boundary, the PPT state and its partial transpose, and
-the partial transpose of the approximated witness.  The base's matrices are
-reducible and solve block by block, where a rotated one is dense.  Each such
-check widens its verdict by ``Witness.rotation_slack``, one measured bound
-on how far the eigenvalues of W lie from the base's (exactly 0 for a plain
-witness), and reports it.  Measured directly on W stay: the product-family
-expectations, read off <= 4 x 4 blocks of W pulled back once by the
-family's rotation, Tr(W rho), unitality, the covariance residual, and the
-realignment trace norm, whose independence from the spectrum is its point.
-Self-duality and unitality are exact, read off the witness.
-``run_full_suite`` builds the witness of one map and runs all eight,
-seeding positivity.
+threshold and its boundary, the PPT state and its partial transpose, the
+partial transpose of the approximated witness and the detection root; so is
+self-duality.  The base's matrices are reducible and solve block by block,
+and what is measured on it is kept with it.  Each such check widens its
+verdict by one measured bound on how far W lies from the rotated base
+(``Witness.rotation_slack``, ``Witness.self_duality_bound``) and reports
+it.  Measured directly on W stay: the product-family expectations, read off
+<= 4 x 4 blocks of W pulled back once by the family's rotation, Tr(W rho),
+unitality, the covariance residual, and the realignment trace norm, whose
+independence from the spectrum is its point.  ``run_full_suite`` builds the
+witness of one map and runs all eight, seeding positivity.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,25 +131,19 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
     """Exhibit a PPT state on which the witness is strictly negative.
 
     The state rho_b is built from the PhiU4N base witness and rotated by the
-    local rotation S = A (x) B that relates the two witnesses, (I, I) for a
-    plain one: rho = S rho_b S^dagger.  Transposing the first factor maps S to
-    Abar (x) B, so rho^Gamma is the same congruence of rho_b^Gamma.  By
-    Ostrowski's theorem a congruence scales each eigenvalue by a factor within
-    ||S^dagger S - I||_2 of 1, so the minimal eigenvalues of rho and rho^Gamma
-    are read off the base state, less |lambda| times the measured unitarity
-    defect.  Tr(W rho) and the unit trace are measured on the rotated state.
+    local rotation S = A (x) B that relates the two witnesses: rho = S rho_b S^dagger.
+    Transposing the first factor maps S to Abar (x) B, so rho^Gamma is the same
+    congruence of rho_b^Gamma.  By Ostrowski's theorem a congruence scales each
+    eigenvalue by a factor within ||S^dagger S - I||_2 of 1, so the minimal
+    eigenvalues of rho and rho^Gamma are read off the base state (measured once
+    per base), less |lambda| times the measured unitarity defect.  Tr(W rho) and
+    the unit trace are measured on the rotated state.
     """
-    m = w.source
-    base_rho = states.ppt_entangled_state(w.base)
-    rho = local_conjugate(base_rho, *maps.local_rotation(m))
-    n = m.size
-    d = 4 * n
+    n = w.source.size
+    rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
 
     defect = w.unitarity_defect
-    low, low_pt = (x - defect * abs(x) for x in (
-        min_eigenvalue(base_rho, CONSTRUCTION_TOL),  # raises unless rho_b is Hermitian within 1e-12
-        min_eigenvalue(partial_transpose(base_rho, d, d, "A")),
-    ))
+    low, low_pt = (x - defect * abs(x) for x in w.base.ppt_min_eigenvalues)
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     measured = detect(w, rho)
     expected = -states.normalization_factor(n) / (8 * n * n)
@@ -204,17 +201,28 @@ def _product_family_check(matrix: np.ndarray, a: np.ndarray, b: np.ndarray,
     pulled = local_conjugate(matrix, a.conj().T, b.conj().T)
     expectations = np.einsum("ki,kij,kj->k", local.conj(), pulled[cells[:, :, None], cells[:, None, :]], local)
     worst = float(np.max(np.abs(expectations)))
-    rank = numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
+    rank = _family_rank(gens.shape, gens.tobytes())
     return worst, rank, len(gens), worst <= tol and rank == d * d
+
+
+@lru_cache(maxsize=1)
+def _family_rank(shape: tuple[int, int], generators: bytes) -> int:
+    """``numerical_rank`` of the products psi (x) psi* over a family's generators, kept for the last family.
+
+    Keyed on the generators themselves, not on N, so both optimality checks of
+    one suite share it and a changed family is ranked afresh.
+    """
+    gens = np.frombuffer(generators, dtype=complex).reshape(shape)
+    return numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
 
 
 def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space.
 
     The family is (A psi) (x) (B psi*) for the map's local rotation (A, B),
-    (I, I) for a plain map, evaluated on W itself.
+    evaluated on W itself.
     """
-    worst, rank, size, ok = _product_family_check(w.matrix, *maps.local_rotation(w.source), tol)
+    worst, rank, size, ok = _product_family_check(w.matrix, *w.rotation, tol)
     return rule_report(
         "optimality",
         worst,
@@ -237,7 +245,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
     g = witnesses.gamma_unitary(w.source)
     wg = partial_transpose(w.matrix, d, d, "A")
     conj_defect = float(np.max(np.abs(wg - local_conjugate(w.matrix, g, np.eye(d)))))
-    a, b = maps.local_rotation(w.source)
+    a, b = w.rotation
     worst, rank, _, family_ok = _product_family_check(wg, g @ a, b, tol)
     ok = family_ok and conj_defect <= CONSTRUCTION_TOL
     return rule_report(
@@ -254,14 +262,21 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
 
 
 def verify_self_duality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
-    """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian."""
-    defect = w.self_duality_defect
+    """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian.
+
+    Measured on the base witness and carried to the map underlying W by
+    ``Witness.self_duality_bound``: for a conjugated W, the PhiU4N map under its
+    conjugation.
+    """
+    defect = w.base.self_duality_defect
+    bound = w.self_duality_bound
     return rule_report(
         "self-duality",
         defect,
         tol,
-        defect <= tol,
-        f"max |R - R^dagger| for R = realign(W) = S^T / {w.d}, S the natural matrix of the map, pass iff <= tol",
+        bound <= tol,
+        f"max |R - R^dagger| for R = realign(W_base) = S^T / {w.d}, S the natural matrix of the base map; "
+        f"with the rotation residual it bounds the underlying map's defect by {bound:.2e}, pass iff <= tol",
     )
 
 
@@ -330,25 +345,9 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def _detection_boundary(w: witnesses.Witness) -> tuple[float, bool]:
-    """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
-
-    The curve is affine in lam, so two evaluations give its root, exact up
-    to eigensolver noise.  Without a sign change lam is 0 (no isotropic
-    state is detected) or 1 (every one is).
-    """
-    g0 = detect(w, states.isotropic_state(w.d, 0.0))
-    g1 = detect(w, states.isotropic_state(w.d, 1.0))
-    if g0 >= 0:
-        return 0.0, False
-    if g1 <= 0:
-        return 1.0, False
-    return g0 / (g0 - g1), True
-
-
 def detection_root(w: witnesses.Witness) -> float:
     """Numeric root of lam -> Tr(W rho_lam): the measurement-side counterpart of the closed form."""
-    root, crosses = _detection_boundary(w)
+    root, crosses = w.detection_boundary
     if not crosses:
         raise ValueError("detection curve does not change sign on [0, 1]")
     return root
@@ -362,18 +361,18 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     channel; self-duality reduces the detection condition to the witness.
     The certificate aggregates: unitality read off the witness, F(I) = d Tr_A W;
     exact self-duality of the underlying map (Hermiticity of its natural
-    matrix, read off the base witness); the base witness's detection root
+    matrix, read off the base witness and bounded through the residual by
+    ``Witness.self_duality_bound``); the base witness's detection root
     against the threshold (0 for a W that detects no isotropic state, which
     fails); the covariance W = (A (x) B) W_base (A (x) B)^dagger
-    under the local rotation, (I, I) for a plain map, as the witness's
-    measured rotation residual; and two independent necessary conditions on
-    the approximated Choi matrix at the threshold.  Its positive partial
-    transpose is read off the base.  A partial transpose only permutes
-    entries, so it keeps the residual's Frobenius norm; it maps the rotation
-    A (x) B to Abar (x) B, with the same unitarity defect; and
-    W_base^Gamma = (G (x) 1) W_base (G (x) 1)^dagger has W_base's spectral
-    radius.  So each eigenvalue moves by at most (1 - p) times the rotation
-    slack.  The realignment bound is measured on W itself.
+    under the local rotation, as the witness's measured rotation residual;
+    and two independent necessary conditions on the approximated Choi matrix
+    at the threshold.  Its positive partial transpose is read off the base.
+    A partial transpose only permutes entries, so it keeps the residual's
+    Frobenius norm; it maps the rotation A (x) B to Abar (x) B, with the same
+    unitarity defect; and W_base^Gamma = (G (x) 1) W_base (G (x) 1)^dagger has
+    W_base's spectral radius.  So each eigenvalue moves by at most (1 - p)
+    times the rotation slack.  The realignment bound is measured on W itself.
     """
     m = w.source
     w_base = w.base
@@ -384,15 +383,13 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
 
     unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
     unital_defect = float(np.max(np.abs(unital - np.eye(d))))
-    self_dual_defect = w_base.self_duality_defect
+    self_dual_defect = w.self_duality_bound
     covariance_defect = w.rotation_residual
     slack = w.rotation_slack
 
     threshold = states.isotropic_entanglement_threshold(n)
-    root, _ = _detection_boundary(w_base)
-
-    base_low = min_eigenvalue(partial_transpose(spa_witness(w_base, threshold), d, d, "A"))
-    ppt_low = base_low - (1.0 - threshold) * slack
+    root, _ = w_base.detection_boundary
+    ppt_low = w_base.spa_partial_transpose_min - (1.0 - threshold) * slack
     realigned = trace_norm(realign(spa_witness(w, threshold), d, d))  # at most 1 for a separable state
 
     ok = (
@@ -410,7 +407,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
         tol,
         details=(
             f"detection root vs isotropic threshold; unitality defect {unital_defect:.2e}, "
-            f"self-duality defect {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
+            f"self-duality defect bound {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
             f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10 "
             f"(the base's less (1 - p) times the rotation slack {slack:.2e}), "
             f"realignment trace norm {realigned:.6f} <= 1 + 1e-8"
@@ -453,7 +450,7 @@ def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
         verify_nondecomposability(w, tol=tol["nondecomposability"]),
         verify_optimality(w, tol=tol["optimality"]),
         verify_nd_optimality(w, tol=tol["nd-optimality"]),
-        verify_self_duality(w.base, tol=tol["self-duality"]),
+        verify_self_duality(w, tol=tol["self-duality"]),
         spa_threshold_report(w, tol=tol["spa-threshold"]),
         verify_eb_certificate(w, tol=tol["eb-certificate"]),
     ]

@@ -26,6 +26,8 @@ DEFAULT_SEED = 42
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
 # `build --output json` (its nested lists and JSON text), 23.8 at N = 3 and 15.9 / 15.4 at N = 4 / 5.
+# `certify`, which also holds the shared base W(U0) and one rotated copy of it, peaks at
+# 14.0 / 8.4 / 7.9 at N = 3 / 4 / 5.
 PEAK_W_ARRAYS = 24
 
 
@@ -174,10 +176,9 @@ def cmd_certify(args) -> int:
 
 def cmd_curve(args) -> int:
     m = resolve_map(args)
-    # Tr(W rho_lam) is the closed form only when the local rotation (A, B) leaves
-    # the isotropic states invariant, i.e. B = Abar; max|B - Abar| = max|V1 - V2|
-    a, b = maps.local_rotation(m)
-    gap = float(np.max(np.abs(b - a.conj())))
+    # Tr(W rho_lam) is the closed form only when the conjugation V1^dagger (.) V1 after
+    # V2 (.) V2^dagger leaves the isotropic states invariant, i.e. V1 = V2
+    gap = float(np.max(np.abs(m.v1 - m.v2))) if m.family == "ConjugatedPhiU" else 0.0
     if gap > 1e-12:
         raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
     w = witnesses.choi(m)

@@ -108,6 +108,29 @@ def conjugated_phi(n: int, u: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> Map
     return MapDescriptor("ConjugatedPhiU", n, u=base.u, v1=v1, v2=v2)
 
 
+def youla_factor(u: np.ndarray) -> np.ndarray:
+    """Unitary V with V U0 V^T = U for an antisymmetric unitary U: Youla's normal form.
+
+    J x = U xbar is antiunitary with J^2 = U Ubar = -U U^dagger = -1.  For a unit e,
+    f = -i J e is a unit vector orthogonal to e (e^dagger U ebar = 0 as U^T = -U),
+    span{e, f} is J-invariant and so is its orthogonal complement.  Symplectic
+    Gram-Schmidt picks e in the complement of the pairs found so far, pairs it with
+    f and repeats; the pairs are the columns (2j, 2j + 1) of V, and
+    V U0 V^T = sum_j i (f_j e_j^T - e_j f_j^T) = U.  U0 itself gives V = I exactly.
+    D. C. Youla, Canad. J. Math. 13 (1961) 694-704.
+    """
+    u = as_complex(u)
+    dim = len(u)
+    v = np.zeros((dim, 0), dtype=complex)
+    for _ in range(dim // 2):
+        rest = np.eye(dim) - v @ v.conj().T  # projector onto the complement of the pairs so far
+        e = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+        e = e - v @ (v.conj().T @ e)  # orthogonalized twice, for stability
+        e = e / np.linalg.norm(e)
+        v = np.column_stack([v, e, -1j * (u @ e.conj())])
+    return v
+
+
 def base_descriptor(m: MapDescriptor) -> MapDescriptor:
     """Underlying PhiU4N descriptor of a (possibly conjugated) core-family map."""
     if m.family == "PhiU4N":
@@ -116,11 +139,22 @@ def base_descriptor(m: MapDescriptor) -> MapDescriptor:
 
 
 def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with witness (A (x) B) W_base (A (x) B)^dagger: (V2^T, V1^dagger), or (I, I) for PhiU4N itself."""
+    """(A, B) with witness (A (x) B) W_base (A (x) B)^dagger.
+
+    W_base is the witness of Phi_{U0} of m's size for an antisymmetric unitary U,
+    so every such map of one N shares it.  With U = V U0 V^T (``youla_factor``),
+    Phi_U is Phi_{U0} conjugated by V1 = V2 = I_2 (x) V^dagger, so a plain map has
+    (I_2 (x) Vbar, I_2 (x) V) and a conjugated one (V2^T (I_2 (x) Vbar),
+    V1^dagger (I_2 (x) V)).  A strict contraction U is its own base, the witness of
+    Phi_U, with (I, I) and (V2^T, V1^dagger).
+    """
+    a = b = np.eye(4 * m.size, dtype=complex)
+    if is_antisymmetric_unitary(m.u):
+        v = youla_factor(m.u)
+        a, b = np.kron(np.eye(2), v.conj()), np.kron(np.eye(2), v)
     if m.family == "PhiU4N":
-        eye = np.eye(4 * m.size, dtype=complex)
-        return eye, eye
-    return m.v2.T, m.v1.conj().T
+        return a, b
+    return m.v2.T @ a, m.v1.conj().T @ b
 
 
 # --- parameter generators ---------------------------------------------------

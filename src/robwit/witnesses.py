@@ -10,7 +10,7 @@ single negative eigenvalue -1/(4N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .linalg import (
     hermiticity_defect,
     hermitian_eig,
     local_conjugate,
+    min_eigenvalue,
+    partial_transpose,
     realign,
 )
 from .report import CertReport, rule_report
@@ -58,21 +60,20 @@ class Witness:
         return hermiticity_defect(realign(self.matrix, self.d, self.d))
 
     @cached_property
-    def rotation_residual(self) -> float:
-        """||W - (A (x) B) W_base (A (x) B)^dagger||_F for the map's local rotation (A, B), measured once.
+    def rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """The map's local rotation (A, B) from ``maps.local_rotation``, computed once."""
+        return maps.local_rotation(self.source)
 
-        Exactly 0 for a plain witness, whose rotation is (I, I).
-        """
-        moved = local_conjugate(self.base.matrix, *maps.local_rotation(self.source))
+    @cached_property
+    def rotation_residual(self) -> float:
+        """||W - (A (x) B) W_base (A (x) B)^dagger||_F for the map's local rotation (A, B), measured once."""
+        moved = local_conjugate(self.base.matrix, *self.rotation)
         return float(np.linalg.norm(self.matrix - moved))
 
     @property
     def unitarity_defect(self) -> float:
-        """a + b + ab >= ||S^dagger S - I||_2 for S = A (x) B, with a = ||A^dagger A - I||_F and b likewise.
-
-        Exactly 0 for the rotation (I, I).
-        """
-        a, b = (float(np.linalg.norm(x.conj().T @ x - np.eye(len(x)))) for x in maps.local_rotation(self.source))
+        """a + b + ab >= ||S^dagger S - I||_2 for S = A (x) B, with a = ||A^dagger A - I||_F and b likewise."""
+        a, b = (float(np.linalg.norm(x.conj().T @ x - np.eye(len(x)))) for x in self.rotation)
         return a + b + a * b
 
     @cached_property
@@ -83,23 +84,89 @@ class Witness:
         moves each eigenvalue by at most ||E||_2 <= ||E||_F, and by Ostrowski's
         theorem the congruence by S scales eigenvalue k of W_base by a factor
         within ||S^dagger S - I||_2 of 1 (Horn & Johnson, *Matrix Analysis*).
-        Exactly 0 for a plain witness.
         """
         return self.rotation_residual + self.unitarity_defect * float(np.max(np.abs(self.base.spectrum)))
 
+    @cached_property
+    def self_duality_bound(self) -> float:
+        """Bound on the self-duality defect of the map underlying W, read off the base: (1 + u) D delta_b + 2 ||E||_F.
+
+        For the rotation (A, Abar) of a plain map, realign(S W_base S^dagger) =
+        T realign(W_base) T^dagger with T = A (x) Abar, so the defect of W is at most
+        ||T||_2^2 ||R_b - R_b^dagger||_2 <= (1 + u) D delta_b, plus 2 max|E| for the
+        residual E.  A conjugated W is the underlying plain witness moved by the
+        unitary V2^T (x) V1^dagger, which keeps ||E||_F; its bound is that map's.
+        """
+        base = self.base
+        return ((1.0 + self.unitarity_defect) * base.matrix.shape[0] * base.self_duality_defect
+                + 2.0 * self.rotation_residual)
+
     @property
     def base(self) -> Witness:
-        """The PhiU4N witness underneath: this witness itself if it is plain.
+        """The PhiU4N witness that ``rotation`` moves to this one.
 
-        A conjugated witness builds its base's Choi matrix on first use and
-        keeps it.  A plain witness is not cached as its own base, which would
-        make a reference cycle that only the cyclic garbage collector frees.
+        For an antisymmetric unitary U it is ``canonical_witness`` of the map's N,
+        shared by every witness of that N.  A strict contraction U is its own
+        base: the witness of Phi_U, built on first use and kept.
         """
-        return self if self.source.family == "PhiU4N" else self._base
+        if maps.is_antisymmetric_unitary(self.source.u):
+            return canonical_witness(self.source.size)
+        return self._contraction_base
 
     @cached_property
-    def _base(self) -> Witness:
+    def _contraction_base(self) -> Witness:
         return choi(maps.base_descriptor(self.source))
+
+    # Facts the checks read off a base, kept with it so that one base serves every
+    # request at its N.  They use states and certify, which build on this module,
+    # so those are imported where they are used.
+
+    @cached_property
+    def ppt_min_eigenvalues(self) -> tuple[float, float]:
+        """Smallest eigenvalues of the PPT entangled state built from this witness and of its partial transpose."""
+        from . import states
+
+        rho = states.ppt_entangled_state(self)
+        return (min_eigenvalue(rho, CONSTRUCTION_TOL),  # raises unless rho is Hermitian within 1e-12
+                min_eigenvalue(partial_transpose(rho, self.d, self.d, "A")))
+
+    @cached_property
+    def spa_partial_transpose_min(self) -> float:
+        """Smallest eigenvalue of the partial transpose of the approximated witness at the threshold 4N/(4N+1)."""
+        from . import certify, states
+
+        approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
+        return min_eigenvalue(partial_transpose(approx, self.d, self.d, "A"))
+
+    @cached_property
+    def detection_boundary(self) -> tuple[float, bool]:
+        """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
+
+        The curve is affine in lam, so two evaluations give its root, exact up
+        to rounding.  Without a sign change lam is 0 (no isotropic state is
+        detected) or 1 (every one is).
+        """
+        from . import certify, states
+
+        g0, g1 = (certify.detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+        if g0 >= 0:
+            return 0.0, False
+        if g1 <= 0:
+            return 1.0, False
+        return g0 / (g0 - g1), True
+
+
+@lru_cache(maxsize=1)
+def canonical_witness(n: int) -> Witness:
+    """W(U0) for U0 = (+)_N sigma_y, the base of every core witness of size N.
+
+    Kept for the last N asked for, with its cached spectrum and facts, so a
+    process certifying many maps of one N builds and diagonalizes it once.
+    Its matrix is read-only: every witness of that N shares it.
+    """
+    w = choi(maps.phi_u(n, maps.canonical_u0(n)))
+    w.matrix.flags.writeable = False
+    return w
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -147,10 +214,9 @@ def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
     The base's sorted eigenvalues (its cached blocked spectrum) are compared
     pairwise against the sorted expected multiset; the report carries the
     largest deviation.  Each eigenvalue of W lies within ``w.rotation_slack``
-    of the base's, so the check passes iff deviation + slack <= tol.  A plain
-    witness is its own base, with slack exactly 0.
+    of the base's, so the check passes iff deviation + slack <= tol.
     """
-    n = maps.base_descriptor(w.source).size
+    n = w.source.size
     expected = expected_spectrum_sorted(n)
     deviation = float(np.max(np.abs(w.base.spectrum - expected)))
     slack = w.rotation_slack
@@ -165,21 +231,21 @@ def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
 
 
 def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
-    """Unitary G = Abar (U (+) U) A^dagger with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger.
+    """Unitary G = Abar (I_2 (x) U0) A^dagger with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger.
 
     Gamma is the partial transpose on the first factor and (A, B) the map's
-    local rotation, so G = U (+) U for a plain map; for purely imaginary
-    (Hermitian) U that coincides with U^dagger (+) U.
+    local rotation from W(U0), so G = U (+) U for a plain map; for purely
+    imaginary (Hermitian) U that coincides with U^dagger (+) U.
     """
-    a, _ = maps.local_rotation(m)
     if not maps.is_antisymmetric_unitary(m.u):
         raise ValueError("U must be an antisymmetric unitary matrix")
-    return a.conj() @ np.kron(np.eye(2, dtype=complex), m.u) @ a.conj().T
+    a, _ = maps.local_rotation(m)
+    return a.conj() @ np.kron(np.eye(2, dtype=complex), maps.canonical_u0(m.size)) @ a.conj().T
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
-    """Witness of the conjugated map: (A (x) B) W (A (x) B)^dagger for ``maps.local_rotation``'s (A, B)."""
+    """Witness of the conjugated map: (V2^T (x) V1^dagger) W (V2^T (x) V1^dagger)^dagger."""
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
     desc = maps.conjugated_phi(w.source.size, w.source.u, v1, v2)
-    return Witness(local_conjugate(w.matrix, *maps.local_rotation(desc)), desc)
+    return Witness(local_conjugate(w.matrix, desc.v2.T, desc.v1.conj().T), desc)

@@ -91,16 +91,26 @@ def perturb_witness(scale: float) -> witnesses.Witness:
     return witnesses.Witness(w.matrix + scale * (g + g.conj().T) / 2, w.source)
 
 
-def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:
-    """A conjugated N=1 witness with 1e-6 added to entry [i, j]: still Hermitian only if i == j.
+def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witness:
+    """The witness of m with 1e-6 added to entry [i, j]: still Hermitian only if i == j.
 
-    Its base, built from the source, stays exact, so the corruption shows only in
-    the witness's rotation residual.
+    Its base, W(U0), stays exact, so the corruption shows only in the witness's
+    rotation residual.
     """
-    m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19))
     corrupted = witnesses.choi(m).matrix.copy()
     corrupted[i, j] += 1e-6
     return witnesses.Witness(corrupted, m)
+
+
+def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:
+    """``corrupted_witness`` of a conjugated N=1 map with U = U0."""
+    m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19))
+    return corrupted_witness(m, i, j)
+
+
+def corrupted_plain_witness(i: int, j: int) -> witnesses.Witness:
+    """``corrupted_witness`` of the plain N=1 map of a seeded U, whose rotation is a Youla factor."""
+    return corrupted_witness(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=3, mode="complex-unitary")), i, j)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import corrupted_conjugated_witness, perturb_witness, self_dual_reference
-from reference_maps import breuer_hall
+from conftest import corrupted_conjugated_witness, corrupted_plain_witness, perturb_witness
+from reference_maps import breuer_hall, reference_witness
 
 
 @pytest.fixture(scope="module")
@@ -282,30 +282,33 @@ class TestNondecomposability:
         assert not report.passed
 
     def test_fails_without_raising_on_a_wrong_witness(self):
-        # W + 0.1 H: the state built from it has a negative eigenvalue, which the check reports
+        # W + 0.1 H: the PPT state comes from the exact base, so it stays PPT; W misses its target on it
         report = certify.verify_nondecomposability(perturb_witness(0.1))
         low = float(re.search(r"min eig\(rho\) = (\S+),", report.details).group(1))
-        assert low < -1e-3
+        assert low >= 0
+        assert abs(report.measured - report.expected) > 1e-3
         assert not report.passed
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
-        # the base state and its partial transpose, one solve each, for a plain and a
+        # the base state and its partial transpose, one solve each per N, for a plain and a
         # conjugated map alike; the rotated S rho S^dagger it measures Tr(W rho) on is never solved
-        n, u = 2, maps.canonical_u0(2)
+        n, u = 2, maps.random_antisymmetric_unitary(2, seed=25)
         desc = maps.phi_u(n, u)
         if conjugated:
             desc = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=26), maps.random_unitary(8, seed=27))
-        rho = states.ppt_entangled_state(witnesses.choi(maps.phi_u(n, u)))
+        witnesses.canonical_witness.cache_clear()
+        rho = states.ppt_entangled_state(witnesses.canonical_witness(n))
         rotated = linalg.local_conjugate(rho, *maps.local_rotation(desc))
-        w = witnesses.choi(desc)
+        w, again = witnesses.choi(desc), witnesses.choi(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=28)))
         solved = record_hermitian_eig(monkeypatch)
         assert certify.verify_nondecomposability(w).passed
         assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
         assert sum(m.shape == rho.shape and np.array_equal(m, partial_transpose(rho, 8, 8)) for m in solved) == 1
         assert len(solved) == 2
-        if conjugated:
-            assert not any(np.allclose(m, rotated, rtol=0, atol=1e-15) for m in solved)
+        assert not any(np.allclose(m, rotated, rtol=0, atol=1e-15) for m in solved)
+        assert certify.verify_nondecomposability(again).passed  # a second map of the same N solves nothing
+        assert len(solved) == 2
 
 
 class TestSpanningFamily:
@@ -410,6 +413,16 @@ class TestFamilyRank:
         assert ranks == [d * d] * 4
         assert [dense_gram_rank(f) for f in families] == ranks
 
+    def test_ranked_once_for_both_checks(self, monkeypatch):
+        # both optimality checks of every suite share one rank of the plain family
+        ranked = []
+        monkeypatch.setattr(certify, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
+        certify._family_rank.cache_clear()
+        for seed in (1, 2):
+            w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
+            assert certify.verify_optimality(w).passed and certify.verify_nd_optimality(w).passed
+        assert ranked == [64]
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_rank_drops_without_phase_vectors(self, monkeypatch, n):
         drop_phase_vectors(monkeypatch)
@@ -459,22 +472,27 @@ class TestSelfDuality:
         assert certify.verify_self_duality(canonical_witness).passed
 
     def test_breuer_hall_sanity(self):
+        # the Breuer-Hall witness at U0, built by the reference formula, is the witness of Phi_{sigma_y}
         u0 = maps.canonical_u0(2)
-        assert certify.verify_self_duality(self_dual_reference(lambda x: breuer_hall(x, u0), 4)).passed
+        bh = reference_witness(lambda x: breuer_hall(x, u0), 4)
+        assert certify.verify_self_duality(witnesses.Witness(bh.matrix, maps.phi_u(1, maps.SIGMA_Y))).passed
 
     def test_fails_on_conjugated_map(self):
-        # independent V1, V2 break self-duality; the suite measures the base witness instead
+        # independent V1, V2 break self-duality of W; the check certifies the PhiU4N map under the
+        # conjugation, and the conjugated W passed off as that plain map's witness fails it
         w = witnesses.choi(maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1),
                                                maps.random_unitary(4, seed=2)))
-        report = certify.verify_self_duality(w)
+        assert w.self_duality_defect > 1e-2
+        assert certify.verify_self_duality(w).passed
+        report = certify.verify_self_duality(witnesses.Witness(w.matrix, maps.phi_u(1, maps.canonical_u0(1))))
         assert not report.passed
-        assert report.measured > 1e-2
-        assert certify.verify_self_duality(w.base).passed
 
     def test_fails_on_the_perturbed_witness(self, perturbed_witness):
+        # the base is exactly self-dual; the perturbation enters through the rotation residual
         report = certify.verify_self_duality(perturbed_witness)
+        bound = float(re.search(r"defect by (\S+),", report.details).group(1))
+        assert report.measured == 0.0 and bound > 1e-3
         assert not report.passed
-        assert report.measured > 1e-3
 
 
 class TestSpa:
@@ -545,9 +563,11 @@ class TestSpa:
         assert abs(boundary - direct) <= 1e-15
 
     def test_report_fails_off_the_family(self, perturbed_witness):
+        # the threshold read off the exact base is right; the perturbation fails it through the slack
         report = certify.spa_threshold_report(perturbed_witness)
+        spread = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
+        assert abs(report.measured - report.expected) <= report.tolerance < spread
         assert not report.passed
-        assert abs(report.measured - report.expected) > report.tolerance
 
     def test_report_fails_on_a_corrupted_conjugated_witness(self):
         # the base's threshold is within tolerance; only the 1e-6 rotation slack can fail the report
@@ -665,7 +685,7 @@ class TestEbCertificate:
 
     def test_fails_on_the_perturbed_witness(self, perturbed_witness):
         report = certify.verify_eb_certificate(perturbed_witness)
-        self_duality = float(re.search(r"self-duality defect (\S+) ", report.details).group(1))
+        self_duality = float(re.search(r"self-duality defect bound (\S+) ", report.details).group(1))
         assert self_duality > 1e-6
         assert not report.passed
 
@@ -683,10 +703,11 @@ class TestPositiveStandIn:
         return witnesses.Witness(np.eye(16, dtype=complex) / 16, maps.phi_u(1, maps.canonical_u0(1)))
 
     @pytest.mark.parametrize("check", WITNESS_CHECKS, ids=lambda check: check.__name__)
-    def test_every_check_reports_and_only_self_duality_passes(self, stand_in, check):
-        # realign(I) is Hermitian, so the map behind I/16 is self-dual
+    def test_every_check_reports_and_fails(self, stand_in, check):
+        # realign(I) is Hermitian, but I/16 is far from the rotated W(U0) its source names,
+        # so even self-duality, read off the base, fails through the residual
         report = check(stand_in)
-        assert report.passed == (report.name == "self-duality")
+        assert not report.passed
         json.dumps(report.to_dict(), allow_nan=False)  # a finite measured keeps certify's JSON strict
 
     def test_detection_root_still_raises(self, stand_in):
@@ -722,28 +743,31 @@ class TestFullSuite:
         assert all(r.passed for r in reports)
 
     def test_diagonalizes_the_witness_once(self, monkeypatch):
-        # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks.  A
-        # conjugated suite solves its base W once and none of the dense rotated matrices:
-        # W, the rotated PPT state, or the partial transposes of that state and of the
-        # approximated W.
+        # counted at hermitian_eig: a blocked solve hands LAPACK only W's blocks.  Every suite of
+        # one N reads its spectrum off W(U0), solved once for all of them, and solves none of the
+        # rotated matrices: W, the rotated PPT state, or the partial transposes of that state and
+        # of the approximated W.
         n, d = 2, 8
         plain = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=3))
         conjugated = maps.conjugated_phi(n, plain.u, maps.random_unitary(d, seed=4), maps.random_unitary(d, seed=6))
-        base = witnesses.choi(plain).matrix
-        w = witnesses.choi(conjugated)
-        rho = linalg.local_conjugate(states.ppt_entangled_state(witnesses.choi(plain)), *maps.local_rotation(conjugated))
-        approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
-        dense = [w.matrix, rho, partial_transpose(rho, d, d), partial_transpose(approx, d, d)]
-        for m, never in ((plain, []), (conjugated, dense)):
-            with monkeypatch.context() as patch:
-                solved = record_hermitian_eig(patch)
-                assert all(r.passed for r in certify.run_full_suite(m))
-            assert sum(x.shape == base.shape and np.allclose(x, base, rtol=0, atol=1e-15) for x in solved) == 1
-            for x in never:
-                assert not any(s.shape == x.shape and np.allclose(s, x, rtol=0, atol=1e-12) for s in solved)
+        witnesses.canonical_witness.cache_clear()
+        base = witnesses.canonical_witness(n)
+        never = []
+        for m in (plain, conjugated):
+            w = witnesses.choi(m)
+            rho = linalg.local_conjugate(states.ppt_entangled_state(base), *maps.local_rotation(m))
+            approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+            never += [w.matrix, rho, partial_transpose(rho, d, d), partial_transpose(approx, d, d)]
+        solved = record_hermitian_eig(monkeypatch)
+        for m in (plain, conjugated, plain):
+            assert all(r.passed for r in certify.run_full_suite(m))
+        assert sum(x.shape == base.matrix.shape and np.array_equal(x, base.matrix) for x in solved) == 1
+        for x in never:
+            assert not any(s.shape == x.shape and np.allclose(s, x, rtol=0, atol=1e-12) for s in solved)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_builds_each_choi_matrix_once(self, monkeypatch, conjugated):
+        # each suite builds its W; W(U0) is built once for every suite of its N
         built = []
         build = witnesses.choi
 
@@ -752,11 +776,41 @@ class TestFullSuite:
             return build(m)
 
         monkeypatch.setattr(witnesses, "choi", record)
-        m = maps.phi_u(1, maps.canonical_u0(1))
+        witnesses.canonical_witness.cache_clear()
+        m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=5))
         if conjugated:
             m = maps.conjugated_phi(1, m.u, maps.random_unitary(4, seed=24), maps.random_unitary(4, seed=25))
-        assert all(r.passed for r in certify.run_full_suite(m))
-        assert built == (["ConjugatedPhiU", "PhiU4N"] if conjugated else ["PhiU4N"])
+        for _ in range(2):
+            assert all(r.passed for r in certify.run_full_suite(m))
+        assert built == [m.family, "PhiU4N", m.family]
+
+    def test_suites_of_alternating_n_each_read_their_own_base(self):
+        # the memo holds one N at a time; a suite after another N's gets its own N's base back
+        witnesses.canonical_witness.cache_clear()
+        for n in (2, 3, 2):
+            m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=10 + n))
+            assert all(r.passed for r in certify.run_full_suite(m))
+            w = witnesses.choi(m)
+            assert w.base.source.size == n and w.rotation_slack <= 1e-14
+
+
+class TestCorruptedPlainWitness:
+    """A plain seed-U witness with 1e-6 on one entry; its base W(U0) stays exact."""
+
+    @pytest.mark.parametrize("entry", [(5, 5), (0, 5)], ids=["hermitian", "non-hermitian"])
+    @pytest.mark.parametrize("check", (witnesses.verify_spectrum, certify.spa_threshold_report,
+                                       certify.verify_self_duality, certify.verify_eb_certificate),
+                             ids=lambda check: check.__name__)
+    def test_fails_through_the_slack(self, entry, check):
+        w = corrupted_plain_witness(*entry)
+        assert w.rotation_residual == pytest.approx(1e-6, rel=1e-6)
+        report = check(w)
+        # what is read off the base alone would pass; only the slack can fail the report
+        if report.expected is None:
+            assert abs(report.measured) <= report.tolerance
+        else:
+            assert abs(report.measured - report.expected) <= report.tolerance
+        assert not report.passed
 
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ValueError, match="unknown check"):

@@ -279,6 +279,8 @@ class TestCurve:
         code, out, err = run(capsys, "curve", "--n", "4", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:2")
         assert code == 2 and out == ""
         assert "V1 = V2" in err
+        gap = np.max(np.abs(maps.random_unitary(16, seed=1) - maps.random_unitary(16, seed=2)))
+        assert err.endswith(f"max|V1 - V2| = {gap:.3e}\n")  # of the inputs, not of a composed rotation
 
     def test_rejects_non_finite_v_file(self, capsys, tmp_path):
         # NaN compares false with everything; the curve once printed nan rows and exited 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import reference_maps as ref
 from robwit import maps
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
-from robwit.witnesses import choi
+from robwit.witnesses import canonical_witness, choi
 
 from conftest import CORE_FAMILIES, FAMILIES, UNITAL, matrix_unit
 
@@ -304,14 +304,40 @@ class TestAlgebraicProperties:
             np.testing.assert_array_equal(twice, w.matrix)
 
     @settings(max_examples=20, deadline=None)
-    @given(size=st.integers(1, 2), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16))
-    def test_choi_covariance_under_the_local_rotation(self, example_map, size, mode, seed):
-        m = example_map("ConjugatedPhiU", size, mode, seed)
-        moved = local_conjugate(choi(maps.base_descriptor(m)).matrix, *maps.local_rotation(m))
+    @given(family=st.sampled_from(CORE_FAMILIES), size=st.integers(1, 2), mode=st.sampled_from(MODES),
+           seed=st.integers(0, 2 ** 16))
+    def test_choi_covariance_under_the_local_rotation(self, example_map, family, size, mode, seed):
+        # every core witness is the canonical W(U0) of its N moved by the map's local rotation
+        m = example_map(family, size, mode, seed)
+        moved = local_conjugate(canonical_witness(size).matrix, *maps.local_rotation(m))
         np.testing.assert_allclose(choi(m).matrix, moved, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("size", [1, 2])
-    def test_the_plain_local_rotation_is_the_identity(self, example_map, size):
-        a, b = maps.local_rotation(example_map("PhiU4N", size))
+    def test_the_plain_local_rotation_is_the_youla_factor(self, example_map, size):
+        m = example_map("PhiU4N", size, "complex-unitary")
+        v = maps.youla_factor(m.u)
+        a, b = maps.local_rotation(m)
+        np.testing.assert_array_equal(a, np.kron(np.eye(2), v.conj()))
+        np.testing.assert_array_equal(b, np.kron(np.eye(2), v))
+        a, b = maps.local_rotation(maps.phi_u(size, maps.canonical_u0(size)))  # U0 is its own normal form
         np.testing.assert_array_equal(a, np.eye(4 * size))
         np.testing.assert_array_equal(b, np.eye(4 * size))
+
+
+class TestYoulaFactor:
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(1, 4), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16))
+    def test_unitary_factor_onto_the_canonical_form(self, size, mode, seed):
+        u = maps.random_antisymmetric_unitary(size, seed, mode)
+        v = maps.youla_factor(u)
+        assert np.max(np.abs(v @ maps.canonical_u0(size) @ v.T - u)) <= 1e-14
+        assert np.max(np.abs(v.conj().T @ v - np.eye(2 * size))) <= 1e-14
+
+    def test_a_contraction_has_no_factor_and_is_its_own_base(self):
+        # (1/2) U0 = V U0 V^T would need V^dagger V = I / 2; local_rotation does not try
+        u = 0.5 * maps.canonical_u0(2)
+        v = maps.youla_factor(u)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) > 0.1
+        a, b = maps.local_rotation(maps.phi_u(2, u))
+        np.testing.assert_array_equal(a, np.eye(8))
+        np.testing.assert_array_equal(b, np.eye(8))

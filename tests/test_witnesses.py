@@ -118,8 +118,11 @@ class TestVerifySpectrum:
         assert report.passed
 
     def test_fails_on_perturbed_witness(self, perturbed_witness):
+        # the base W(U0) matches the closed form; the perturbation shows in the rotation slack
         report = witnesses.verify_spectrum(perturbed_witness)
-        assert not report.passed and report.measured > 1e-4
+        slack = float(re.search(r"rotation slack (\S+);", report.details).group(1))
+        assert report.measured <= 1e-14 and slack > 1e-4
+        assert not report.passed
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
         # the base spectrum matches the closed form; the 1e-6 rotation slack must fail it
@@ -163,15 +166,40 @@ class TestWitness:
 
 
 class TestBase:
-    def test_plain_witness_is_its_own_base_without_a_cycle(self, canonical_witness):
-        assert canonical_witness.base is canonical_witness
-        assert "_base" not in vars(canonical_witness)
+    @pytest.mark.parametrize("family", CORE_FAMILIES)
+    def test_every_witness_of_one_n_shares_the_canonical_base(self, example_map, family):
+        w = witnesses.choi(example_map(family, 2, "complex-unitary", seed=5))
+        base = witnesses.canonical_witness(2)
+        assert w.base is base and w.base is witnesses.choi(example_map(family, 2, seed=8)).base
+        assert "base" not in vars(w) and "base" not in vars(base)  # nothing holds the memo's witness but the memo
+        assert maps.is_antisymmetric_unitary(base.source.u)
+        np.testing.assert_array_equal(base.source.u, maps.canonical_u0(2))
+        np.testing.assert_array_equal(base.matrix, witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))).matrix)
 
-    def test_conjugated_base_is_built_once(self, example_map):
-        w = witnesses.choi(example_map("ConjugatedPhiU", 1, seed=5))
+    def test_the_base_matrix_is_read_only(self):
+        base = witnesses.canonical_witness(1)
+        with pytest.raises(ValueError, match="read-only"):
+            base.matrix[0, 0] = 1.0
+        np.testing.assert_array_equal(base.matrix, witnesses.choi(maps.phi_u(1, maps.SIGMA_Y)).matrix)
+
+    def test_one_entry_memo_follows_n(self):
+        witnesses.canonical_witness.cache_clear()
+        sizes = [witnesses.choi(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=n))).base.source.size
+                 for n in (2, 3, 2)]
+        assert sizes == [2, 3, 2]
+        assert witnesses.canonical_witness.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_a_contraction_is_its_own_base(self, conjugated):
+        # a strict contraction has no Youla factor onto U0: its base is the witness of Phi_U, built once
+        m = maps.phi_u(1, 0.5 * maps.SIGMA_Y)
+        if conjugated:
+            m = maps.conjugated_phi(1, m.u, maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2))
+        w = witnesses.choi(m)
         assert w.base is w.base
-        assert w.base.source.family == "PhiU4N"
-        np.testing.assert_array_equal(w.base.matrix, witnesses.choi(maps.base_descriptor(w.source)).matrix)
+        np.testing.assert_array_equal(w.base.source.u, m.u)
+        np.testing.assert_array_equal(w.base.matrix, witnesses.choi(maps.phi_u(1, m.u)).matrix)
+        assert w.rotation_residual <= 1e-15
 
 
 class TestSelfDualityDefect:
