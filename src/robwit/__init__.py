@@ -9,7 +9,6 @@ entanglement-breaking property of the structural physical approximation.
 
 from .certify import (
     detect,
-    detection_root,
     isotropic_detection_value,
     run_full_suite,
     spa_threshold,

@@ -8,14 +8,14 @@ family, self-duality, the noise threshold of the structural physical
 approximation, detection of all entangled isotropic states, and the
 resulting entanglement-breaking certificate for the approximated map.
 
-Positivity takes a map descriptor: it samples the map, and bounds the
-defects of its proof over every splitting by the premises U^T = -U and
-U^dagger U = I.  Every other check takes one :class:`Witness`, which carries
-its map and, as ``Witness.base``, the PhiU4N witness it is moved from by the
-local rotation (A, B) of ``maps.local_rotation``.  For an antisymmetric
-unitary U the base is W(U0) of the map's N, built once per N and shared
+Every check takes one :class:`Witness`, which carries its map and, as
+``Witness.base``, the PhiU4N witness it is moved from by the local rotation
+(A, B) of ``maps.local_rotation``.  For an antisymmetric unitary U the base
+is W(U0) of the map's N, built once per N and shared
 (``witnesses.canonical_witness``), so each check takes one path for plain
-and conjugated witnesses alike.
+and conjugated witnesses alike.  Positivity's ``measured`` is the base
+map's worst image eigenvalue over a projector sample kept with the base per
+seed; worst (1 + u) - d ||E||_F carries its verdict to W's map.
 
 Every spectral quantity is read off the base: the spectrum, the SPA
 threshold and its boundary, the PPT state and its partial transpose, the
@@ -89,38 +89,43 @@ def premise_defects(u: np.ndarray) -> tuple[float, float]:
     return identity, beta + alpha / 2 + identity
 
 
-def verify_positivity(m: maps.MapDescriptor, seed: int = 7, tol: float = POSITIVITY_TOL) -> CertReport:
-    """Positivity of the map, sampled and from the premises of its proof.
+def verify_positivity(w: witnesses.Witness, seed: int = 7, tol: float = POSITIVITY_TOL) -> CertReport:
+    """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
-    The sample maps ``POSITIVITY_TRIALS`` random rank-1 projectors and records
-    the worst output eigenvalue.  The proof splits psi = sqrt(a) psi1 (+)
-    sqrt(1-a) psi2; the image is (1/2N) [[(1-a) I, -b M], [-b M^dagger, a I]]
-    with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger,
-    PSD iff M M^dagger <= I (Schur complement), which holds as M M^dagger = Q + Q^U,
-    two orthogonal projectors, when U^T = -U and U is unitary.  ``premise_defects``
-    bounds both defects over every splitting.  A conjugated map is positive iff
-    its base is: a congruence keeps a matrix PSD.
+    ``measured`` is the worst image eigenvalue of ``POSITIVITY_TRIALS`` random rank-1 projectors
+    under the base's map (Phi_{U0}; a strict contraction is its own base), drawn once per (N, seed)
+    and kept with the base; a complex Gaussian sample is unitarily invariant, so it is distributed
+    exactly as a sample of W's own map.  W = S W_b S^dagger + E with S = A (x) B gives
+    Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X), Delta the map with Choi matrix E, and
+    ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both congruences keep a matrix PSD and
+    scale its eigenvalues within the unitarity defect u of 1 (Ostrowski), so the sample's verdict
+    holds for W's map iff worst (1 + u) - d ||E||_F >= -tol (worst - u |worst| for either sign).
+    The proof maps psi = sqrt(a) psi1 (+) sqrt(1-a) psi2 to (1/2N) [[(1-a) I, -b M], [-b M^dagger,
+    a I]] with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger, PSD iff
+    M M^dagger = Q + Q^U <= I (Schur complement): two orthogonal projectors when U^T = -U and U is
+    unitary.  ``premise_defects`` of W's U bounds both defects over every splitting.
     """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((POSITIVITY_TRIALS, 2, 4 * m.size))  # per trial: real then imaginary part
-    psi = g[:, 0] + 1j * g[:, 1]
-    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    worst = np.inf
-    for start in range(0, POSITIVITY_TRIALS, POSITIVITY_BLOCK):
-        p = psi[start : start + POSITIVITY_BLOCK]
-        worst = min(worst, min_eigenvalue(maps.apply_map(m, p[:, :, None] * p[:, None, :].conj())))
+    samples = w.base.positivity_samples
+    if seed not in samples:
+        g = np.random.default_rng(seed).standard_normal((POSITIVITY_TRIALS, 2, w.d))  # real, imaginary part
+        psi = g[:, 0] + 1j * g[:, 1]
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        blocks = (psi[i : i + POSITIVITY_BLOCK] for i in range(0, POSITIVITY_TRIALS, POSITIVITY_BLOCK))
+        samples[seed] = min(min_eigenvalue(maps.apply_map(w.base.source, p[:, :, None] * p[:, None, :].conj()))
+                            for p in blocks)
+    worst = samples[seed]
+    carried = worst - w.unitarity_defect * abs(worst) - w.d * w.rotation_residual
 
-    identity_defect, schur_defect = premise_defects(m.u)
-    ok = worst >= -tol and identity_defect <= CONSTRUCTION_TOL and schur_defect <= CONSTRUCTION_TOL
-    note = " (premises of the underlying map)" if m.family == "ConjugatedPhiU" else ""
+    identity_defect, schur_defect = premise_defects(w.source.u)
+    ok = carried >= -tol and identity_defect <= CONSTRUCTION_TOL and schur_defect <= CONSTRUCTION_TOL
     return rule_report(
         "positivity",
         worst,
         tol,
         ok,
-        f"worst image eigenvalue over {POSITIVITY_TRIALS} projectors, pass iff >= -tol; "
-        f"proof-identity defect {identity_defect:.2e}, Schur defect {schur_defect:.2e}, "
-        f"both <= 1e-12, bounded over every splitting by ||U + U^T||_2 and ||U^dagger U - I||_2{note}",
+        f"worst image eigenvalue of the base map over {POSITIVITY_TRIALS} projectors, carried to this map as "
+        f"worst (1 + u) - d ||E||_F = {carried:.2e}, pass iff >= -tol; proof-identity defect {identity_defect:.2e}, "
+        f"Schur defect {schur_defect:.2e}, both <= 1e-12, bounded over every splitting from the map's own U",
     )
 
 
@@ -345,14 +350,6 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def detection_root(w: witnesses.Witness) -> float:
-    """Numeric root of lam -> Tr(W rho_lam): the measurement-side counterpart of the closed form."""
-    root, crosses = w.detection_boundary
-    if not crosses:
-        raise ValueError("detection curve does not change sign on [0, 1]")
-    return root
-
-
 def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
@@ -445,7 +442,7 @@ def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
 
     w = witnesses.choi(m)
     return [
-        verify_positivity(m, seed=seed, tol=tol["positivity"]),
+        verify_positivity(w, seed=seed, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),
         verify_nondecomposability(w, tol=tol["nondecomposability"]),
         verify_optimality(w, tol=tol["optimality"]),

@@ -9,7 +9,7 @@ single negative eigenvalue -1/(4N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,6 +33,8 @@ class Witness:
 
     matrix: np.ndarray
     source: maps.MapDescriptor
+    # worst image eigenvalue of the map over positivity's projector sample, by seed: kept on a base
+    positivity_samples: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.d ** 2, self.d ** 2):
@@ -70,7 +72,7 @@ class Witness:
         moved = local_conjugate(self.base.matrix, *self.rotation)
         return float(np.linalg.norm(self.matrix - moved))
 
-    @property
+    @cached_property
     def unitarity_defect(self) -> float:
         """a + b + ab >= ||S^dagger S - I||_2 for S = A (x) B, with a = ||A^dagger A - I||_F and b likewise."""
         a, b = (float(np.linalg.norm(x.conj().T @ x - np.eye(len(x)))) for x in self.rotation)

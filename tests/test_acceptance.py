@@ -81,7 +81,7 @@ def test_criterion_4_map_positivity():
     details = []
     assert certify.POSITIVITY_TRIALS == 1000
     for n in (1, 2):
-        report = certify.verify_positivity(maps.phi_u(n, maps.canonical_u0(n)), seed=400 + n)
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(n, maps.canonical_u0(n))), seed=400 + n)
         premises = re.search(r"proof-identity defect (\S+), Schur defect (\S+),", report.details)
         assert premises is not None, report.details
         defects = [float(x) for x in premises.groups()]
@@ -128,8 +128,8 @@ def test_criterion_7_isotropic_detection(detection_sum):
             closed = certify.isotropic_detection_value(n, float(lam))
             worst = max(worst, abs(numeric - closed))
         ok = ok and worst <= 1e-12
-        root = certify.detection_root(w)
-        ok = ok and abs(root - 4 * n / (4 * n + 1)) <= 1e-12
+        root, crosses = w.detection_boundary
+        ok = ok and crosses and abs(root - 4 * n / (4 * n + 1)) <= 1e-12
         total = detection_sum(maps.phi_u(n, maps.canonical_u0(n)))
         ok = ok and abs(total + 4 * n) <= 1e-12
     announce(7, "isotropic detection curve and sum identity", ok, f"max curve deviation {worst:.2e}")

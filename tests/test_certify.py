@@ -158,41 +158,133 @@ class TestDetect:
             certify.detect(canonical_witness, small)
 
 
+def corrupt_apply_map(monkeypatch, off_u0_only):
+    """Make maps.apply_map subtract 1e-6 Tr(X) I from every image, or only from maps with U != U0.
+
+    The corrupted map is not positive: each projector's image has an eigenvalue near -1e-6.
+    """
+    apply = maps.apply_map
+
+    def corrupted(m, x):
+        out = apply(m, x)
+        if off_u0_only and np.array_equal(m.u, maps.canonical_u0(m.size)):
+            return out
+        return out - 1e-6 * np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(x.shape[-1])
+
+    monkeypatch.setattr(maps, "apply_map", corrupted)
+
+
+def record_apply_map(monkeypatch):
+    """Record the (descriptor, input) of every maps.apply_map call."""
+    calls = []
+    apply = maps.apply_map
+
+    def record(m, x):
+        calls.append((m, x))
+        return apply(m, x)
+
+    monkeypatch.setattr(maps, "apply_map", record)
+    return calls
+
+
+@pytest.fixture
+def fresh_base():
+    """An empty canonical_witness memo before and after the test, so no sample outlives it."""
+    witnesses.canonical_witness.cache_clear()
+    yield
+    witnesses.canonical_witness.cache_clear()
+
+
 class TestPositivity:
     def test_canonical(self):
-        report = certify.verify_positivity(maps.phi_u(1, maps.canonical_u0(1)), seed=1)
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))), seed=1)
         assert report.passed
 
     def test_random_u_n2(self):
         u = maps.random_antisymmetric_unitary(2, seed=2, mode="complex-unitary")
-        report = certify.verify_positivity(maps.phi_u(2, u), seed=3)
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(2, u)), seed=3)
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
             1, maps.canonical_u0(1), maps.random_unitary(4, seed=4), maps.random_unitary(4, seed=5)
         )
-        report = certify.verify_positivity(m, seed=6)
+        report = certify.verify_positivity(witnesses.choi(m), seed=6)
         assert report.passed
 
-    def test_sampling_matches_loop_reference(self):
-        # reference: one projector per apply_map call, drawn from the same stream;
-        # the trials cross several POSITIVITY_BLOCK boundaries
-        m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary"))
+    def test_sampling_matches_loop_reference(self, monkeypatch, fresh_base):
+        # reference: one projector per apply_map call on Phi_{U0}, drawn from the same stream;
+        # the trials cross several POSITIVITY_BLOCK boundaries.  The request's U is not U0.
+        base = maps.phi_u(1, maps.canonical_u0(1))
+        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary")))
+        w.rotation_residual  # builds the base before apply_map is recorded
         rng = np.random.default_rng(5)
-        worst = np.inf
+        worst, projectors = np.inf, []
         for _ in range(certify.POSITIVITY_TRIALS):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
-            worst = min(worst, min_eigenvalue(maps.apply_map(m, np.outer(psi, psi.conj()))))
-        report = certify.verify_positivity(m, seed=5)
+            projectors.append(np.outer(psi, psi.conj()))
+            worst = min(worst, min_eigenvalue(maps.apply_map(base, projectors[-1])))
+        mapped = record_apply_map(monkeypatch)
+        report = certify.verify_positivity(w, seed=5)
+        assert [len(x) for _, x in mapped] == [256, 256, 256, 232]
+        assert all(np.array_equal(m.u, base.u) for m, _ in mapped)
+        np.testing.assert_allclose(np.concatenate([x for _, x in mapped]), projectors, rtol=0, atol=1e-15)
         assert report.measured == pytest.approx(worst, abs=1e-13)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_a_map_corrupted_off_u0_fails_through_the_residual(self, monkeypatch, fresh_base, conjugated):
+        # the base Phi_{U0} stays exact and its sample passes; only d ||E||_F can fail the report
+        corrupt_apply_map(monkeypatch, off_u0_only=True)
+        u = maps.random_antisymmetric_unitary(2, seed=8, mode="complex-unitary")
+        m = maps.phi_u(2, u)
+        if conjugated:
+            m = maps.conjugated_phi(2, u, maps.random_unitary(8, seed=9), maps.random_unitary(8, seed=10))
+        w = witnesses.choi(m)
+        report = certify.verify_positivity(w, seed=3)
+        assert report.measured >= -report.tolerance
+        assert w.rotation_residual >= 1e-6
+        assert not report.passed
+
+    def test_a_corrupted_base_map_fails_the_sample(self, monkeypatch, fresh_base):
+        # W and W(U0) are built on the exact map, so the residual is rounding; the sample fails
+        w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
+        assert w.rotation_residual <= 1e-14
+        corrupt_apply_map(monkeypatch, off_u0_only=False)
+        report = certify.verify_positivity(w, seed=3)
+        assert report.measured < -report.tolerance
+        assert not report.passed
+
+    def test_samples_once_per_n_and_seed(self, monkeypatch, fresh_base):
+        def request(n, seed, conjugated=False):
+            u = maps.random_antisymmetric_unitary(n, seed)
+            m = maps.phi_u(n, u)
+            if conjugated:
+                m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed), maps.random_unitary(4 * n, seed + 1))
+            w = witnesses.choi(m)
+            w.rotation_residual  # builds the base and measures the residual before any counting
+            return w
+
+        plain, conjugated = request(2, 3), request(2, 4, conjugated=True)
+        calls = record_apply_map(monkeypatch)
+        first = certify.verify_positivity(plain, seed=11)
+        assert len(calls) > 0 and all(np.array_equal(m.u, maps.canonical_u0(2)) for m, _ in calls)
+        calls.clear()
+        second = certify.verify_positivity(conjugated, seed=11)
+        assert calls == [] and second.measured == first.measured and second.passed
+        assert certify.verify_positivity(conjugated, seed=12).passed and len(calls) > 0  # a new seed re-samples
+        other_n = request(3, 5)
+        calls.clear()
+        assert certify.verify_positivity(other_n, seed=11).passed and len(calls) > 0  # a new N re-samples
+        back = request(2, 3)  # the one-entry memo dropped N = 2 and its samples with it
+        calls.clear()
+        assert certify.verify_positivity(back, seed=11).measured == first.measured and len(calls) > 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
         # Phi_U is still positive for U = U0 / 2, so the sampling passes, but
         # M M^dagger = Q + Q^U needs a unitary U
-        report = certify.verify_positivity(maps.phi_u(n, 0.5 * maps.canonical_u0(n)))
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(n, 0.5 * maps.canonical_u0(n))))
         defect = float(re.search(r"proof-identity defect (\S+),", report.details).group(1))
         assert report.measured >= -report.tolerance
         assert defect > 1e-2
@@ -207,7 +299,7 @@ class TestPositivity:
         # up to the oracle's own rounding (the Schur bound is attained for (1 + eps) U)
         u = perturbed_u(n, kind, 10.0 ** log_eps, seed, mode)
         identity, schur = certify.premise_defects(u)
-        report = certify.verify_positivity(maps.MapDescriptor("PhiU4N", n, u=u), seed=seed)
+        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)), seed=seed)
         assert f"proof-identity defect {identity:.2e}, Schur defect {schur:.2e}," in report.details
         rng = np.random.default_rng(seed)
         rounding = 64 * np.finfo(float).eps
@@ -225,7 +317,7 @@ class TestPositivity:
     def test_premises_fail_off_the_antisymmetric_unitaries(self, n, kind, eps):
         # the descriptor is built around phi_u's validation, so only the report can reject U
         u = perturbed_u(n, kind, eps)
-        report = certify.verify_positivity(maps.MapDescriptor("PhiU4N", n, u=u))
+        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)))
         if eps < 1e-9:
             assert report.measured >= -report.tolerance  # the sample alone does not notice
         assert not report.passed
@@ -629,7 +721,9 @@ class TestIsotropicDetection:
         assert detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
 
     def test_detection_root(self, canonical_witness):
-        assert certify.detection_root(canonical_witness) == pytest.approx(0.8, abs=1e-12)
+        root, crosses = canonical_witness.detection_boundary
+        assert crosses is True
+        assert root == pytest.approx(0.8, abs=1e-12)
 
     def test_isotropic_state_needs_no_eigensolve(self, monkeypatch):
         forbid_eigensolves(monkeypatch)
@@ -710,10 +804,11 @@ class TestPositiveStandIn:
         assert not report.passed
         json.dumps(report.to_dict(), allow_nan=False)  # a finite measured keeps certify's JSON strict
 
-    def test_detection_root_still_raises(self, stand_in):
-        # as spa_threshold does (TestSpa): only the reports turn "no root" into a failed verdict
-        with pytest.raises(ValueError, match="does not change sign"):
-            certify.detection_root(stand_in)
+    def test_detection_boundary_does_not_cross(self, stand_in):
+        # Tr(W rho_lam) >= 0 on all of [0, 1]: no isotropic state is detected, so no root
+        root, crosses = stand_in.detection_boundary
+        assert crosses is False
+        assert root == 0.0
 
 
 class TestRealignment:
