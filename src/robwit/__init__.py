@@ -45,7 +45,6 @@ from .witnesses import (
     Witness,
     choi,
     expected_spectrum,
-    gamma_unitary,
     max_entangled,
     transform_witness,
     verify_spectrum,

@@ -19,16 +19,22 @@ seed; worst (1 + u) - d ||E||_F carries its verdict to W's map.
 
 Every spectral quantity is read off the base: the spectrum, the SPA
 threshold and its boundary, the PPT state and its partial transpose, the
-partial transpose of the approximated witness and the detection root; so is
-self-duality.  The base's matrices are reducible and solve block by block,
-and what is measured on it is kept with it.  Each such check widens its
-verdict by one measured bound on how far W lies from the rotated base
-(``Witness.rotation_slack``, ``Witness.self_duality_bound``) and reports
-it.  Measured directly on W stay: the product-family expectations, read off
-<= 4 x 4 blocks of W pulled back once by the family's rotation, Tr(W rho),
-unitality, the covariance residual, and the realignment trace norm, whose
-independence from the spectrum is its point.  ``run_full_suite`` builds the
-witness of one map and runs all eight, seeding positivity.
+partial transpose and the realignment trace norm of the approximated witness,
+the detection root, and the Gamma-conjugation defect; so is self-duality.
+The base's matrices are reducible and solve block by block, and what is
+measured on it is kept with it.  Each such check widens its verdict by one
+bound on how far W lies from the rotated base (``Witness.rotation_slack``,
+``Witness.self_duality_bound``, ``Witness.gamma_conjugation_bound``,
+``Witness.spa_realignment_bound``) and reports it.  What a request measures
+on its own W is read off one pull-back, W' = S^dagger W S for S = A (x) B
+(``Witness.pulled_back``, the request's one W-sized contraction): the
+rotation residual ||E||_F that every bound carries, Tr(W rho) = Tr(W' rho_b),
+and the product-family expectations of W and W^Gamma, each a <= 4 x 4 block
+of W' or of its partial transpose.  Unitality is read off W itself.  The
+realignment criterion stays the independent corroboration of the PPT test:
+two necessary conditions for separability, both read off one base.
+``run_full_suite`` builds the witness of one map and runs all eight,
+seeding positivity.
 """
 
 from __future__ import annotations
@@ -41,12 +47,8 @@ from . import maps, states, witnesses
 from .linalg import (
     CONSTRUCTION_TOL,
     POSITIVITY_TOL,
-    local_conjugate,
     min_eigenvalue,
     numerical_rank,
-    partial_transpose,
-    realign,
-    trace_norm,
 )
 from .report import CertReport, rule_report, value_report
 
@@ -60,7 +62,11 @@ def detect(w: witnesses.Witness, rho: np.ndarray) -> float:
     """Tr(W rho); strictly negative means the witness detects the state."""
     if w.matrix.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {rho.shape}")
-    value = complex(np.einsum("ij,ji->", w.matrix, rho))
+    return _real_trace(complex(np.einsum("ij,ji->", w.matrix, rho)))
+
+
+def _real_trace(value: complex) -> float:
+    """Tr(W rho) as a real number; raises if its imaginary part is not negligible."""
     if abs(value.imag) > CONSTRUCTION_TOL * max(1.0, abs(value.real)):
         raise ValueError(f"Tr(W rho) has a non-negligible imaginary part: {value}")
     return float(value.real)
@@ -135,22 +141,28 @@ def verify_positivity(w: witnesses.Witness, seed: int = 7, tol: float = POSITIVI
 def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
-    The state rho_b is built from the PhiU4N base witness and rotated by the
-    local rotation S = A (x) B that relates the two witnesses: rho = S rho_b S^dagger.
-    Transposing the first factor maps S to Abar (x) B, so rho^Gamma is the same
-    congruence of rho_b^Gamma.  By Ostrowski's theorem a congruence scales each
-    eigenvalue by a factor within ||S^dagger S - I||_2 of 1, so the minimal
-    eigenvalues of rho and rho^Gamma are read off the base state (measured once
-    per base), less |lambda| times the measured unitarity defect.  Tr(W rho) and
-    the unit trace are measured on the rotated state.
+    The state is rho = S rho_b S^dagger, with rho_b built from the PhiU4N base
+    witness and S = A (x) B the local rotation that relates the two witnesses;
+    it is never formed.  Transposing the first factor maps S to Abar (x) B, so
+    rho^Gamma is the same congruence of rho_b^Gamma.  By Ostrowski's theorem a
+    congruence scales each eigenvalue by a factor within u >= ||S^dagger S - I||_2
+    of 1, so the minimal eigenvalues of rho and rho^Gamma are read off the base
+    state (measured once per base), less |lambda| u.  By cyclicity of the trace
+    Tr(W rho) = Tr(W' rho_b) exactly, for the pull-back W' = S^dagger W S, summed
+    over rho_b's kept nonzeros.  Tr rho = Tr(S^dagger S rho_b) lies within
+    u Tr rho_b of Tr rho_b, rho_b being PSD, so the trace defect is at most
+    |Tr rho_b - 1| + u Tr rho_b.
     """
     n = w.source.size
-    rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
+    dsq = w.matrix.shape[0]
+    index, values = w.base.ppt_state_entries
+    rows, cols = np.divmod(index, dsq)
 
     defect = w.unitarity_defect
     low, low_pt = (x - defect * abs(x) for x in w.base.ppt_min_eigenvalues)
-    trace_defect = abs(complex(np.trace(rho)) - 1.0)
-    measured = detect(w, rho)
+    trace = float(np.sum(values[rows == cols].real))
+    trace_defect = abs(trace - 1.0) + defect * trace
+    measured = _real_trace(complex(np.sum(w.pulled_back[cols, rows] * values)))
     expected = -states.normalization_factor(n) / (8 * n * n)
 
     ok = low >= -POSITIVITY_TOL and low_pt >= -POSITIVITY_TOL and trace_defect <= 1e-12
@@ -160,7 +172,7 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
         expected,
         tol,
         details=(
-            f"Tr(W rho) on the explicit PPT state; min eig(rho) = {low:.2e}, "
+            f"Tr(W rho) = Tr(W' rho_b) on the explicit PPT state; min eig(rho) = {low:.2e}, "
             f"min eig(rho^Gamma) = {low_pt:.2e} (both >= -1e-10, from the base state with unitarity "
             f"defect {defect:.2e}), trace defect {trace_defect:.2e}"
         ),
@@ -185,29 +197,35 @@ def spanning_family(n: int) -> np.ndarray:
     return np.concatenate([e, sums])
 
 
-def _product_family_check(matrix: np.ndarray, a: np.ndarray, b: np.ndarray,
-                          tol: float) -> tuple[float, int, int, bool]:
-    """(worst, rank, size, ok) of the family (A psi) (x) (B psi*), psi over ``spanning_family``.
+def _product_family_check(view: np.ndarray, g: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
+    """(worst, rank, size, ok) of the family (G psi) (x) psi*, psi over ``spanning_family``, on a pulled-back M'.
 
-    Each expectation is <psi (x) psi*| M' |psi (x) psi*> on the pull-back M' = (A (x) B)^dagger
-    M (A (x) B), formed once, and psi (x) psi* lives on the cells (i, j) with i, j among the
-    generator's <= 2 nonzero coordinates: it is read off one <= 4 x 4 block of M'.  The rotations
-    are unitary, validated where they are built, and keep rank, so the rank is the plain family's,
-    by ``numerical_rank``'s exact elimination.  ok iff worst <= tol and the family spans C^D.
+    ``view`` is M' as a (d, d, d, d) array, entry [i, a, j, b] = <i a|M'|j b>, and G a
+    phase permutation (I, or ``witnesses.canonical_gamma``).  G psi and psi* each keep
+    the generator's <= 2 nonzero coordinates, permuted, so every expectation is read
+    off one <= 4 x 4 block of M'.  G (x) 1 is unitary and keeps rank, so the rank is
+    the plain family psi (x) psi*'s, by ``numerical_rank``'s exact elimination, and so
+    is that of the family moved on by a local rotation.  ok iff worst <= tol and the
+    family spans C^D.
     """
-    gens = spanning_family(len(a) // 4)
-    d = gens.shape[1]
+    d = len(g)
+    gens = spanning_family(d // 4)
     if np.any(np.count_nonzero(gens, axis=1) > 2):
         raise ValueError("every generator of the family has at most two nonzero coordinates")
-    support = np.argsort(gens == 0, axis=1, kind="stable")[:, :2]  # nonzero coordinates first
-    c = np.take_along_axis(gens, support, axis=1)
-    local = (c[:, :, None] * c.conj()[:, None, :]).reshape(-1, 4)  # psi (x) psi* at cells (i, j)
-    cells = (support[:, :, None] * d + support[:, None, :]).reshape(-1, 4)
-    pulled = local_conjugate(matrix, a.conj().T, b.conj().T)
-    expectations = np.einsum("ki,kij,kj->k", local.conj(), pulled[cells[:, :, None], cells[:, None, :]], local)
+    (first, x), (second, y) = (_support(v) for v in (gens @ g.T, gens.conj()))
+    local = (x[:, :, None] * y[:, None, :]).reshape(-1, 4)  # (G psi) (x) psi* at the cells (i, a) below
+    i, a = np.repeat(first, 2, axis=1), np.tile(second, 2)
+    blocks = view[i[:, :, None], a[:, :, None], i[:, None, :], a[:, None, :]]
+    expectations = np.einsum("ki,kij,kj->k", local.conj(), blocks, local)
     worst = float(np.max(np.abs(expectations)))
     rank = _family_rank(gens.shape, gens.tobytes())
     return worst, rank, len(gens), worst <= tol and rank == d * d
+
+
+def _support(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coordinates, values) of the first two nonzero coordinates of each row, nonzero ones first."""
+    support = np.argsort(vectors == 0, axis=1, kind="stable")[:, :2]
+    return support, np.take_along_axis(vectors, support, axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -224,10 +242,12 @@ def _family_rank(shape: tuple[int, int], generators: bytes) -> int:
 def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space.
 
-    The family is (A psi) (x) (B psi*) for the map's local rotation (A, B),
-    evaluated on W itself.
+    The family is (A psi) (x) (B psi*) for the map's local rotation (A, B);
+    <(A psi) (x) (B psi*)|W|(A psi) (x) (B psi*)> = <psi (x) psi*|W'|psi (x) psi*>
+    on the pull-back W' = (A (x) B)^dagger W (A (x) B), so it is read off W'.
     """
-    worst, rank, size, ok = _product_family_check(w.matrix, *w.rotation, tol)
+    d = w.d
+    worst, rank, size, ok = _product_family_check(w.pulled_back.reshape(d, d, d, d), np.eye(d), tol)
     return rule_report(
         "optimality",
         worst,
@@ -241,25 +261,30 @@ def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
 def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """Optimality of the partially transposed witness.
 
-    Checks the conjugation identity (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger
-    for the witness's single-factor unitary G, then runs the product-family
-    optimality check directly on (W)^Gamma with the transported family
-    (G A psi) (x) (B psi*).
+    Transposing the first factor of W' = (A^dagger (x) B^dagger) W (A (x) B) gives
+    Gamma(W') = (A^T (x) B^dagger) W^Gamma (Abar (x) B) exactly, for any A and B.  So the
+    family (Abar G0 psi) (x) (B psi*), G0 = ``witnesses.canonical_gamma``, has on W^Gamma
+    the expectations of (G0 psi) (x) psi* on Gamma(W'), read off W' with its first
+    factor's indices swapped.  It is the family (G A psi) (x) (B psi*) transported by
+    G = Abar G0 A^dagger, up to A's unitarity defect.  The conjugation identity
+    W^Gamma = (G (x) 1) W (G (x) 1)^dagger is measured on the base, where G0 permutes,
+    and carried to W by ``Witness.gamma_conjugation_bound``.
     """
+    if not maps.is_antisymmetric_unitary(w.source.u):
+        raise ValueError("U must be an antisymmetric unitary matrix")
     d = w.d
-    g = witnesses.gamma_unitary(w.source)
-    wg = partial_transpose(w.matrix, d, d, "A")
-    conj_defect = float(np.max(np.abs(wg - local_conjugate(w.matrix, g, np.eye(d)))))
-    a, b = w.rotation
-    worst, rank, _, family_ok = _product_family_check(wg, g @ a, b, tol)
-    ok = family_ok and conj_defect <= CONSTRUCTION_TOL
+    gamma = w.pulled_back.reshape(d, d, d, d).transpose(2, 1, 0, 3)  # Gamma(W'), a view
+    worst, rank, _, family_ok = _product_family_check(gamma, witnesses.canonical_gamma(w.source.size), tol)
+    bound = w.gamma_conjugation_bound
+    ok = family_ok and bound <= CONSTRUCTION_TOL
     return rule_report(
         "nd-optimality",
         worst,
         tol,
         ok,
         f"max product expectation of (W)^Gamma, pass iff <= tol with family rank {rank} = {d * d} "
-        f"and conjugation residual {conj_defect:.2e} <= 1e-12",
+        f"and conjugation residual bound {bound:.2e} <= 1e-12 (base defect "
+        f"{w.base.gamma_conjugation_defect:.2e})",
     )
 
 
@@ -369,7 +394,9 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     Frobenius norm; it maps the rotation A (x) B to Abar (x) B, with the same
     unitarity defect; and W_base^Gamma = (G (x) 1) W_base (G (x) 1)^dagger has
     W_base's spectral radius.  So each eigenvalue moves by at most (1 - p)
-    times the rotation slack.  The realignment bound is measured on W itself.
+    times the rotation slack.  The realignment criterion, a separability test
+    independent of PPT, is read off the same base and carried to W by
+    ``Witness.spa_realignment_bound``, whose error term is d (1 - p) ||E||_F.
     """
     m = w.source
     w_base = w.base
@@ -387,7 +414,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     threshold = states.isotropic_entanglement_threshold(n)
     root, _ = w_base.detection_boundary
     ppt_low = w_base.spa_partial_transpose_min - (1.0 - threshold) * slack
-    realigned = trace_norm(realign(spa_witness(w, threshold), d, d))  # at most 1 for a separable state
+    realigned = w.spa_realignment_bound  # ||realign(W_spa)||_1 is at most 1 for a separable state
 
     ok = (
         unital_defect <= CONSTRUCTION_TOL
@@ -407,7 +434,8 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
             f"self-duality defect bound {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
             f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10 "
             f"(the base's less (1 - p) times the rotation slack {slack:.2e}), "
-            f"realignment trace norm {realigned:.6f} <= 1 + 1e-8"
+            f"realignment trace norm at most {realigned:.6f} <= 1 + 1e-8 (the base's "
+            f"{w_base.spa_realignment_norm:.6f}, carried to W)"
         ),
         extra_ok=ok,
     )

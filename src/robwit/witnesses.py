@@ -23,6 +23,7 @@ from .linalg import (
     min_eigenvalue,
     partial_transpose,
     realign,
+    trace_norm,
 )
 from .report import CertReport, rule_report
 
@@ -67,10 +68,29 @@ class Witness:
         return maps.local_rotation(self.source)
 
     @cached_property
+    def pulled_back(self) -> np.ndarray:
+        """W' = S^dagger W S for S = A (x) B of ``rotation``: the one W-sized contraction of a witness.
+
+        Every per-request quantity is read off W' or off facts kept with the base.
+        It equals W_base up to the rotation residual, which is read off it too.
+        """
+        a, b = self.rotation
+        return local_conjugate(self.matrix, a.conj().T, b.conj().T)
+
+    @cached_property
     def rotation_residual(self) -> float:
-        """||W - (A (x) B) W_base (A (x) B)^dagger||_F for the map's local rotation (A, B), measured once."""
-        moved = local_conjugate(self.base.matrix, *self.rotation)
-        return float(np.linalg.norm(self.matrix - moved))
+        """Bound on ||E||_F for E = W - S W_base S^dagger, read off the pull-back W' = S^dagger W S.
+
+        S^dagger E S = W' - P W_base P with P = S^dagger S = I + Delta, ||Delta||_2 <= u (the
+        unitarity defect), and P W_base P - W_base = Delta W_base + W_base Delta + Delta W_base Delta.
+        As ||S^dagger E S||_F >= sigma_min(S)^2 ||E||_F >= (1 - u) ||E||_F,
+        ||E||_F <= (||W' - W_base||_F + (2u + u^2) ||W_base||_F) / (1 - u), with
+        ||W_base||_F the 2-norm of the base's cached spectrum.
+        """
+        u = self.unitarity_defect
+        base = self.base
+        moved = float(np.linalg.norm(self.pulled_back - base.matrix))
+        return (moved + (2.0 * u + u * u) * float(np.linalg.norm(base.spectrum))) / (1.0 - u)
 
     @cached_property
     def unitarity_defect(self) -> float:
@@ -103,6 +123,40 @@ class Witness:
         return ((1.0 + self.unitarity_defect) * base.matrix.shape[0] * base.self_duality_defect
                 + 2.0 * self.rotation_residual)
 
+    @cached_property
+    def gamma_conjugation_bound(self) -> float:
+        """Bound on ||W^Gamma - (G (x) 1) W (G (x) 1)^dagger||_F for G = Abar G0 A^dagger, read off the base.
+
+        W = S W_base S^dagger + E with S = A (x) B.  Transposing the first factor maps
+        S W_base S^dagger to T' W_base^Gamma T'^dagger with T' = Abar (x) B, and keeps ||E||_F.
+        With T = T' (G0 (x) 1) and K = (A^dagger A - I) (x) I, (G (x) 1) S = T (I + K), so the
+        defect is T' Delta_b T'^dagger - T (K W_base + W_base K^dagger + K W_base K^dagger) T^dagger
+        + Gamma(E) - (G (x) 1) E (G (x) 1)^dagger, Delta_b the base's defect
+        (``gamma_conjugation_defect``).  As ||T'||_2^2 = ||T||_2^2 = ||S||_2^2 <= 1 + u,
+        ||K||_2 <= u and ||G||_2^2 <= ||A||_2^4 <= (1 + u)^2, it is at most
+        (1 + u) (delta_b + (2u + u^2) ||W_base||_F) + (1 + (1 + u)^2) ||E||_F.
+        """
+        u = self.unitarity_defect
+        base = self.base
+        moved = base.gamma_conjugation_defect + (2.0 * u + u * u) * float(np.linalg.norm(base.spectrum))
+        return (1.0 + u) * moved + (1.0 + (1.0 + u) ** 2) * self.rotation_residual
+
+    @cached_property
+    def spa_realignment_bound(self) -> float:
+        """Bound on ||realign(W_spa)||_1 at p = 4N/(4N+1), read off the base: (1 + u) r_b + p u + d (1 - p) ||E||_F.
+
+        realign(S M S^dagger) = (A (x) Abar) realign(M) (B (x) Bbar)^T for S = A (x) B, and
+        W_spa = (p/D) I + (1 - p) W = S W_base,spa S^dagger + (p/D)(I - S S^dagger) + (1 - p) E.
+        ||A (x) Abar||_2 ||B (x) Bbar||_2 = ||S||_2^2 <= 1 + u scales the base's norm r_b
+        (``spa_realignment_norm``), and ||realign(X)||_1 <= sqrt(D) ||X||_F = d ||X||_F for
+        the rest, with ||I - S S^dagger||_F <= d u.  Chen & Wu, Quantum Inf. Comput. 3 (2003) 193.
+        """
+        from . import states
+
+        u = self.unitarity_defect
+        p = states.isotropic_entanglement_threshold(self.source.size)
+        return (1.0 + u) * self.base.spa_realignment_norm + p * u + self.d * (1.0 - p) * self.rotation_residual
+
     @property
     def base(self) -> Witness:
         """The PhiU4N witness that ``rotation`` moves to this one.
@@ -124,13 +178,42 @@ class Witness:
     # so those are imported where they are used.
 
     @cached_property
-    def ppt_min_eigenvalues(self) -> tuple[float, float]:
-        """Smallest eigenvalues of the PPT entangled state built from this witness and of its partial transpose."""
+    def ppt_state_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The PPT entangled state rho_b built from this witness, kept as (flat indices, values) of its nonzeros.
+
+        rho_b is sparse, 400 nonzeros at N = 4 and 3504 at N = 12, so a base keeps
+        those and no dense state.
+        """
         from . import states
 
         rho = states.ppt_entangled_state(self)
+        index = np.flatnonzero(rho)
+        return index, rho.ravel()[index]
+
+    @cached_property
+    def ppt_min_eigenvalues(self) -> tuple[float, float]:
+        """Smallest eigenvalues of the PPT entangled state built from this witness and of its partial transpose."""
+        index, values = self.ppt_state_entries
+        rho = np.zeros((self.d ** 2, self.d ** 2), dtype=complex)
+        rho.flat[index] = values
         return (min_eigenvalue(rho, CONSTRUCTION_TOL),  # raises unless rho is Hermitian within 1e-12
                 min_eigenvalue(partial_transpose(rho, self.d, self.d, "A")))
+
+    @cached_property
+    def gamma_conjugation_defect(self) -> float:
+        """||W^Gamma - (G0 (x) 1) W (G0 (x) 1)^dagger||_F for G0 = ``canonical_gamma`` of the map's N.
+
+        G0 holds one phase per row, so the conjugation only permutes the first factor's
+        indices and multiplies entries by phases.  On W(U0), whose entries are
+        (1/8N^2) {0, +-1, +-i}, that is exact, and the defect is exactly 0.
+        """
+        d = self.d
+        g0 = canonical_gamma(self.source.size)
+        rows, cols = np.nonzero(g0)  # one nonzero per row, rows in order
+        phase = g0[rows, cols]
+        t = self.matrix.reshape(d, d, d, d)
+        moved = phase[:, None, None, None] * t[cols][:, :, cols] * phase.conj()[None, None, :, None]
+        return float(np.linalg.norm(t.transpose(2, 1, 0, 3) - moved))
 
     @cached_property
     def spa_partial_transpose_min(self) -> float:
@@ -139,6 +222,17 @@ class Witness:
 
         approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
         return min_eigenvalue(partial_transpose(approx, self.d, self.d, "A"))
+
+    @cached_property
+    def spa_realignment_norm(self) -> float:
+        """||realign(W_spa)||_1 of the approximated witness at the threshold 4N/(4N+1), block by block.
+
+        1/(2N) for W(U0) at N = 1, 2, 4, 8.
+        """
+        from . import certify, states
+
+        approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
+        return trace_norm(realign(approx, self.d, self.d))
 
     @cached_property
     def detection_boundary(self) -> tuple[float, bool]:
@@ -169,6 +263,15 @@ def canonical_witness(n: int) -> Witness:
     w = choi(maps.phi_u(n, maps.canonical_u0(n)))
     w.matrix.flags.writeable = False
     return w
+
+
+def canonical_gamma(n: int) -> np.ndarray:
+    """G0 = I_2 (x) U0, with W(U0)^Gamma = (G0 (x) 1) W(U0) (G0 (x) 1)^dagger; a phase permutation.
+
+    Gamma is the partial transpose on the first factor.  A witness moved from
+    W(U0) by (A, B) has W^Gamma = (G (x) 1) W (G (x) 1)^dagger for G = Abar G0 A^dagger.
+    """
+    return np.kron(np.eye(2, dtype=complex), maps.canonical_u0(n))
 
 
 def max_entangled(d: int) -> np.ndarray:
@@ -230,19 +333,6 @@ def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
         f"max per-eigenvalue deviation of the base witness from the closed-form multiset at N={n}, "
         f"rotation slack {slack:.2e}; pass iff deviation + slack <= tol",
     )
-
-
-def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
-    """Unitary G = Abar (I_2 (x) U0) A^dagger with (W)^Gamma = (G (x) 1) W (G (x) 1)^dagger.
-
-    Gamma is the partial transpose on the first factor and (A, B) the map's
-    local rotation from W(U0), so G = U (+) U for a plain map; for purely
-    imaginary (Hermitian) U that coincides with U^dagger (+) U.
-    """
-    if not maps.is_antisymmetric_unitary(m.u):
-        raise ValueError("U must be an antisymmetric unitary matrix")
-    a, _ = maps.local_rotation(m)
-    return a.conj() @ np.kron(np.eye(2, dtype=complex), maps.canonical_u0(m.size)) @ a.conj().T
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:

@@ -73,6 +73,15 @@ def self_dual_reference(f, d: int):
     return ref
 
 
+def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
+    """G = Abar (I_2 (x) U0) A^dagger, (A, B) the map's local rotation: W^Gamma = (G (x) 1) W (G (x) 1)^dagger.
+
+    Gamma is the partial transpose on the first factor; for a plain map G = U (+) U.
+    """
+    a, _ = maps.local_rotation(m)
+    return a.conj() @ np.kron(np.eye(2), maps.canonical_u0(m.size)) @ a.conj().T
+
+
 @pytest.fixture(scope="session")
 def example_map():
     return build_example_map

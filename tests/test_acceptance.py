@@ -183,18 +183,18 @@ def test_criterion_9_family_coincidences():
     assert ok
 
 
-def test_criterion_10_full_suite_at_n6():
-    # every check at N=6 (576 x 576 witnesses), where the blocked solves matter;
-    # U, V1, V2 as the CLI resolves seed:106, seed:1, seed:2
-    n = 6
-    u = maps.random_antisymmetric_unitary(n, 106)
+def test_criterion_10_full_suite_at_n6_and_conjugated_n8():
+    # every check at N=6 (576 x 576 witnesses), where the blocked solves matter, and on a conjugated
+    # map at N=8 (1024 x 1024, dense); U, V1, V2 as the CLI resolves seed:100+N, seed:1, seed:2
     ok = True
     details = []
-    conjugated = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, 1), maps.random_unitary(4 * n, 2))
-    for label, m in (("plain", maps.phi_u(n, u)), ("conjugated", conjugated)):
+    for n, conjugated in ((6, False), (6, True), (8, True)):
+        m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, 100 + n))
+        if conjugated:
+            m = maps.conjugated_phi(n, m.u, maps.random_unitary(4 * n, 1), maps.random_unitary(4 * n, 2))
         reports = certify.run_full_suite(m)
         passed = sum(r.passed for r in reports)
         ok = ok and len(reports) == len(certify.SUITE_CHECKS) == passed
-        details.append(f"{label} {passed}/{len(reports)}")
-    announce(10, "full suite at N=6, plain and conjugated", ok, "; ".join(details))
+        details.append(f"N={n} {'conjugated' if conjugated else 'plain'} {passed}/{len(reports)}")
+    announce(10, "full suite at N=6, plain and conjugated, and at N=8, conjugated", ok, "; ".join(details))
     assert ok

@@ -30,25 +30,35 @@ def reference_spa_bisect(w, tol=1e-10):
     return hi
 
 
-def loop_product_family(matrix, n, v1=None, v2=None, g=None):
+def loop_product_family(matrix, n, left=None, right=None):
     """(worst |<v|M|v>|, rank) one product vector at a time, from the generators' double loop.
 
-    ``v1``/``v2`` rotate the pairs as for a conjugated witness, ``g`` transports phi
-    as for the partially transposed one.
+    Each generator psi gives v = (L psi) (x) (R psi*); ``left`` and ``right`` default to I.
     """
     d = 4 * n
     e = np.eye(d, dtype=complex)
+    left = e if left is None else left
+    right = e if right is None else right
     gens = list(e)
     for a in range(d):
         for b in range(a + 1, d):
             gens += [e[a] + e[b], e[a] + 1j * e[b]]
-    pairs = [(psi, psi.conj()) for psi in gens]
-    if v1 is not None:
-        pairs = [(v2.T @ phi, v1.conj().T @ chi) for phi, chi in pairs]
-    if g is not None:
-        pairs = [(g @ phi, chi) for phi, chi in pairs]
-    vectors = [np.kron(phi, chi) for phi, chi in pairs]
+    vectors = [np.kron(left @ psi, right @ psi.conj()) for psi in gens]
     return max(abs(complex(v.conj() @ matrix @ v)) for v in vectors), numerical_rank(vectors)
+
+
+def checked_families(w):
+    """Per optimality check: (the matrix it certifies, its family's factors (L, R), its route (view, G)).
+
+    Optimality certifies W on (A psi) (x) (B psi*), read off W' = S^dagger W S with G = I;
+    nd-optimality certifies W^Gamma on (Abar G0 psi) (x) (B psi*), read off Gamma(W') with G = G0.
+    """
+    d = w.d
+    a, b = maps.local_rotation(w.source)
+    g0 = np.kron(np.eye(2), maps.canonical_u0(w.source.size))
+    pulled = w.pulled_back.reshape(d, d, d, d)
+    return [(w.matrix, a, b, pulled, np.eye(d)),
+            (partial_transpose(w.matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3), g0)]
 
 
 def product_vectors(phi, chi):
@@ -384,7 +394,7 @@ class TestNondecomposability:
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_solves_the_ppt_state_once(self, monkeypatch, conjugated):
         # the base state and its partial transpose, one solve each per N, for a plain and a
-        # conjugated map alike; the rotated S rho S^dagger it measures Tr(W rho) on is never solved
+        # conjugated map alike; the rotated S rho S^dagger is never solved (Tr(W rho) = Tr(W' rho_b))
         n, u = 2, maps.random_antisymmetric_unitary(2, seed=25)
         desc = maps.phi_u(n, u)
         if conjugated:
@@ -447,41 +457,34 @@ class TestOptimality:
     def test_batched_family_matches_loop_reference(self, conjugated):
         n = 2
         u = maps.random_antisymmetric_unitary(n, seed=21, mode="complex-unitary")
-        v1 = v2 = None
+        m = maps.phi_u(n, u)
         if conjugated:
-            v1, v2 = maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23)
-        m = maps.conjugated_phi(n, u, v1, v2) if conjugated else maps.phi_u(n, u)
+            m = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23))
         w = witnesses.choi(m)
-        wg = partial_transpose(w.matrix, 8, 8)
-        g = witnesses.gamma_unitary(m)
-        a, b = maps.local_rotation(m)
-        for matrix, a_k, rotate in ((w.matrix, a, None), (wg, g @ a, g)):
-            worst, rank, size, ok = certify._product_family_check(matrix, a_k, b, 1e-10)
-            ref_worst, ref_rank = loop_product_family(matrix, n, v1, v2, rotate)
+        for matrix, left, right, view, g in checked_families(w):
+            worst, rank, size, ok = certify._product_family_check(view, g, 1e-10)
+            ref_worst, ref_rank = loop_product_family(matrix, n, left, right)
             assert worst == pytest.approx(ref_worst, abs=1e-13)
             assert rank == ref_rank == size == 64
             assert ok
 
     def test_batched_family_matches_loop_reference_off_the_family(self, perturbed_witness):
-        a, b = maps.local_rotation(perturbed_witness.source)
-        worst, rank, _, ok = certify._product_family_check(perturbed_witness.matrix, a, b, 1e-10)
-        ref_worst, ref_rank = loop_product_family(perturbed_witness.matrix, 1)
-        assert worst == pytest.approx(ref_worst, abs=1e-13)
-        assert worst > 1e-4
-        assert rank == ref_rank == 16
-        assert not ok
+        # W + 1e-3 H: every expectation the loop takes on W and W^Gamma must come off the pull-back
+        for matrix, left, right, view, g in checked_families(perturbed_witness):
+            worst, rank, _, ok = certify._product_family_check(view, g, 1e-10)
+            ref_worst, ref_rank = loop_product_family(matrix, 1, left, right)
+            assert worst == pytest.approx(ref_worst, abs=1e-13)
+            assert worst > 1e-4
+            assert rank == ref_rank == 16
+            assert not ok
 
     @pytest.mark.parametrize("entry", [(5, 5), (3, 7)])
     def test_conjugated_witness_off_the_family_fails_both_checks(self, entry):
-        # the pull-back (A (x) B)^dagger W (A (x) B) must carry the corruption of a dense, rotated W
+        # the pull-back W' = (A (x) B)^dagger W (A (x) B) must carry the corruption of a dense, rotated W
         w = corrupted_conjugated_witness(*entry)
-        v1, v2 = w.source.v1, w.source.v2
-        g = witnesses.gamma_unitary(w.source)
-        for report, matrix, rotate in (
-            (certify.verify_optimality(w), w.matrix, None),
-            (certify.verify_nd_optimality(w), partial_transpose(w.matrix, 4, 4), g),
-        ):
-            ref_worst, _ = loop_product_family(matrix, 1, v1, v2, rotate)
+        reports = (certify.verify_optimality(w), certify.verify_nd_optimality(w))
+        for report, (matrix, left, right, _, _) in zip(reports, checked_families(w)):
+            ref_worst, _ = loop_product_family(matrix, 1, left, right)
             assert report.measured == pytest.approx(ref_worst, abs=1e-13)
             assert report.measured > report.tolerance
             assert not report.passed
@@ -496,12 +499,9 @@ class TestFamilyRank:
         gens = certify.spanning_family(n)
         families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
-            a, b = maps.local_rotation(m)
-            g = witnesses.gamma_unitary(m)
-            w = witnesses.choi(m)
-            for a_k, matrix in ((a, w.matrix), (g @ a, partial_transpose(w.matrix, d, d))):
-                families.append(product_vectors(gens @ a_k.T, gens.conj() @ b.T))
-                ranks.append(certify._product_family_check(matrix, a_k, b, 1e-10)[1])
+            for _, left, right, view, g in checked_families(witnesses.choi(m)):
+                families.append(product_vectors(gens @ left.T, gens.conj() @ right.T))
+                ranks.append(certify._product_family_check(view, g, 1e-10)[1])
         assert ranks == [d * d] * 4
         assert [dense_gram_rank(f) for f in families] == ranks
 
@@ -522,10 +522,10 @@ class TestFamilyRank:
         gens = certify.spanning_family(n)
         dropped = d + d * (d - 1) // 2
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
-        eye = np.eye(d)
-        _, rank, size, ok = certify._product_family_check(w.matrix, eye, eye, 1e-10)
-        assert rank == dense_gram_rank(product_vectors(gens, gens.conj())) == size == dropped
-        assert not ok
+        for _, _, _, view, g in checked_families(w):
+            _, rank, size, ok = certify._product_family_check(view, g, 1e-10)
+            assert rank == dense_gram_rank(product_vectors(gens, gens.conj())) == size == dropped
+            assert not ok
         for report in (certify.verify_optimality(w), certify.verify_nd_optimality(w)):
             assert report.measured <= report.tolerance  # the expectations alone would pass
             assert f"rank {dropped}" in report.details
@@ -811,6 +811,52 @@ class TestPositiveStandIn:
         assert root == 0.0
 
 
+class TestStandInBase:
+    """W(U0) at N=1 replaced in the memo by a stand-in whose one kept fact is wrong; that fact fails its check."""
+
+    def test_a_base_with_realignment_norm_above_one_fails_eb(self, monkeypatch):
+        # 3 (P+ - I/D) added to the base: unit trace, unital and self-dual still, and W is the stand-in
+        # itself, so ||E||_F = u = 0; with the true base's other facts only the realignment bound can fail
+        true = witnesses.canonical_witness(1)
+        mixed = true.matrix + 3.0 * (witnesses.max_entangled(4) - np.eye(16) / 16)
+        stand_in = witnesses.Witness(mixed, true.source)
+        for fact in ("detection_boundary", "spa_partial_transpose_min", "self_duality_defect"):
+            vars(stand_in)[fact] = getattr(true, fact)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        w = witnesses.Witness(mixed, true.source)
+        assert w.base is stand_in and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
+        report = certify.verify_eb_certificate(w)
+        realigned = float(re.search(r"realignment trace norm at most (\S+) ", report.details).group(1))
+        assert realigned == pytest.approx(stand_in.spa_realignment_norm) and realigned > 1 + 1e-8
+        assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
+
+    def test_a_base_with_a_gamma_conjugation_defect_fails_nd_optimality(self, monkeypatch):
+        true = witnesses.canonical_witness(1)
+        stand_in = witnesses.Witness(true.matrix, true.source)
+        vars(stand_in)["gamma_conjugation_defect"] = 1e-9
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=3, mode="complex-unitary")))
+        assert w.base is stand_in
+        report = certify.verify_nd_optimality(w)
+        assert report.measured <= report.tolerance  # the family alone would pass
+        assert "base defect 1.00e-09" in report.details
+        assert not report.passed
+
+
+    def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
+        true = witnesses.canonical_witness(1)
+        stand_in = witnesses.Witness(true.matrix, true.source)
+        index, values = true.ppt_state_entries
+        vars(stand_in).update(ppt_state_entries=(index, values * (1 + 1e-9)),
+                              ppt_min_eigenvalues=true.ppt_min_eigenvalues)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
+        trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
+        assert trace_defect == pytest.approx(1e-9, rel=1e-3)
+        assert not report.passed
+
+
 class TestRealignment:
     def test_trace_norm_flags_entanglement(self):
         # oracle: ||R(P+)||_1 = d, ||R(I/d^2)||_1 = 1/d
@@ -906,6 +952,25 @@ class TestCorruptedPlainWitness:
         else:
             assert abs(report.measured - report.expected) <= report.tolerance
         assert not report.passed
+
+    @pytest.mark.parametrize("entry", [(5, 5), (0, 15)], ids=["hermitian", "non-hermitian"])
+    def test_fails_through_the_pull_back(self, entry):
+        # what a request measures on its own W is read off W' = S^dagger W S, and each bound
+        # carried from the base grows with ||E||_F: all four checks see the 1e-6
+        w = corrupted_plain_witness(*entry)
+        reports = [check(w) for check in (certify.verify_nondecomposability, certify.verify_optimality,
+                                          certify.verify_nd_optimality, certify.verify_eb_certificate)]
+        nondecomposability, optimality, nd_optimality, eb = reports
+        rho = linalg.local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
+        assert nondecomposability.measured == pytest.approx(certify.detect(w, rho), rel=1e-12)
+        assert abs(nondecomposability.measured - nondecomposability.expected) > 1e-9
+        assert optimality.measured > 1e-7
+        bound = float(re.search(r"conjugation residual bound (\S+) ", nd_optimality.details).group(1))
+        assert bound == pytest.approx(2e-6, rel=1e-2)  # (1 + (1 + u)^2) ||E||_F
+        growth = w.spa_realignment_bound - w.base.spa_realignment_norm
+        assert growth == pytest.approx(w.d * (1 - states.isotropic_entanglement_threshold(1)) * 1e-6, rel=1e-6)
+        assert eb.measured == pytest.approx(eb.expected, abs=eb.tolerance)
+        assert not any(r.passed for r in reports)
 
     def test_rejects_unknown_tolerance(self):
         with pytest.raises(ValueError, match="unknown check"):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robwit import certify, cli, maps, witnesses
+from robwit import certify, cli, linalg, maps, states, witnesses
 
 
 def run(capsys, *argv):
@@ -169,6 +169,25 @@ class TestCertify:
         )
         assert code == 0
         assert "verdict: pass" in out
+
+    def test_one_contraction_per_warm_request(self, capsys, monkeypatch):
+        # once W(U0) of the N is warm, a request contracts W once, into W' = S^dagger W S, and
+        # takes no SVD of a (4N)^2-sized matrix: the realignment norm is the base's
+        n, dsq = 2, 64
+        witnesses.canonical_witness.cache_clear()
+        assert run(capsys, "certify", "--n", str(n), "--u", "seed:3")[0] == 0
+        contractions, svds = [], []
+        contract, svd = linalg.local_conjugate, np.linalg.svd
+        for module in (linalg, maps, witnesses, states, certify):  # under every name the package binds
+            if hasattr(module, "local_conjugate"):
+                monkeypatch.setattr(module, "local_conjugate", lambda *a: contractions.append(a[0].shape) or contract(*a))
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svds.append(np.shape(m)) or svd(m, *a, **k))
+        for conjugation in ([], ["--v1", "seed:4", "--v2", "seed:6"]):
+            for u in ("canonical", "seed:5"):
+                contractions.clear()
+                assert run(capsys, "certify", "--n", str(n), "--u", u, *conjugation)[0] == 0
+                assert contractions == [(dsq, dsq)]
+                assert not any(dsq in shape for shape in svds)
 
     def test_lone_v1_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "--n", "1", "--v1", "seed:1")

@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robwit import maps, witnesses
-from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
+from robwit import certify, maps, states, witnesses
+from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose, realign, trace_norm
 
-from conftest import CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, matrix_unit, self_dual_reference
+from conftest import (CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, gamma_unitary, matrix_unit,
+                      self_dual_reference)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +202,127 @@ class TestBase:
         assert w.base is w.base
         np.testing.assert_array_equal(w.base.source.u, m.u)
         np.testing.assert_array_equal(w.base.matrix, witnesses.choi(maps.phi_u(1, m.u)).matrix)
-        assert w.rotation_residual <= 1e-15
+        # the residual read off W' bounds the one measured on W; W(U0) in place of the base gives 0.27
+        direct = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
+        assert direct <= w.rotation_residual <= 1e-14
+
+
+MODES = ("real-orthogonal", "complex-unitary")
+
+
+def random_factor(rng, d):
+    """A complex Gaussian d x d matrix: no unitarity, for identities that hold for any A and B."""
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def max_relative(x, y):
+    """max |x - y| over the scale of y, at least 1."""
+    return float(np.max(np.abs(x - y)) / max(1.0, np.max(np.abs(y))))
+
+
+class TestPullBack:
+    """W' = S^dagger W S, S = A (x) B the map's rotation, and what reads W's certificates off it and off W(U0)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16))
+    def test_partial_transpose_of_the_pull_back(self, example_map, n, mode, family, seed):
+        # Gamma(S^dagger W S) = (A^T (x) B^dagger) W^Gamma (Abar (x) B), for the rotation and for any A, B
+        w = witnesses.choi(example_map(family, n, mode, seed))
+        d = w.d
+        a, b = w.rotation
+        np.testing.assert_array_equal(w.pulled_back, local_conjugate(w.matrix, a.conj().T, b.conj().T))
+        rng = np.random.default_rng(seed)
+        wg = partial_transpose(w.matrix, d, d)
+        for x, y in ((a, b), (random_factor(rng, d), random_factor(rng, d))):
+            pulled = local_conjugate(w.matrix, x.conj().T, y.conj().T)
+            assert max_relative(partial_transpose(pulled, d, d), local_conjugate(wg, x.T, y.conj().T)) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16))
+    def test_realignment_covariance(self, example_map, n, mode, family, seed):
+        # realign(S M S^dagger) = (A (x) Abar) realign(M) (B (x) Bbar)^T, for the rotation and for any A, B
+        w = witnesses.choi(example_map(family, n, mode, seed))
+        d = w.d
+        rng = np.random.default_rng(seed)
+        for m in (w.base.matrix, w.matrix):
+            for x, y in (w.rotation, (random_factor(rng, d), random_factor(rng, d))):
+                moved = realign(local_conjugate(m, x, y), d, d)
+                covariant = np.kron(x, x.conj()) @ realign(m, d, d) @ np.kron(y, y.conj()).T
+                assert max_relative(moved, covariant) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16))
+    def test_trace_through_the_pull_back(self, example_map, n, mode, family, seed):
+        # Tr(W rho) on the rotated state rho = S rho_b S^dagger is the report's Tr(W' rho_b)
+        w = witnesses.choi(example_map(family, n, mode, seed))
+        rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
+        measured = certify.verify_nondecomposability(w).measured
+        assert measured == pytest.approx(certify.detect(w, rho), rel=1e-12, abs=1e-17)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16))
+    def test_nd_optimality_reads_the_direct_pull_back(self, example_map, n, mode, family, seed):
+        # the family (G0 psi) (x) psi* on Gamma(W') is psi (x) psi* on (G0 (x) 1)^dagger Gamma(W') (G0 (x) 1);
+        # that is W^Gamma pulled back by (G A, B), G = Abar G0 A^dagger, up to A's unitarity defect
+        m = example_map(family, n, mode, seed)
+        w = witnesses.choi(m)
+        d = w.d
+        a, b = w.rotation
+        g0 = np.kron(np.eye(2), maps.canonical_u0(n))
+        new = local_conjugate(partial_transpose(w.pulled_back, d, d), g0.conj().T, np.eye(d))
+        old = local_conjugate(partial_transpose(w.matrix, d, d), (gamma_unitary(m) @ a).conj().T, b.conj().T)
+        assert np.max(np.abs(new - old)) <= 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16), eps=st.sampled_from([0.0, 1e-9, 1e-6]))
+    def test_carried_bounds_cover_what_they_bound(self, example_map, n, mode, family, seed, eps):
+        # each bound read off W' and the base covers the quantity measured directly on W, up to
+        # that measurement's own rounding, for W and for W + eps H
+        m = example_map(family, n, mode, seed)
+        matrix = witnesses.choi(m).matrix
+        rng = np.random.default_rng(seed)
+        h = random_factor(rng, len(matrix))
+        w = witnesses.Witness(matrix + eps * (h + h.conj().T) / 2, m)
+        d = w.d
+        rounding = 1e-15
+        residual = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
+        assert residual <= w.rotation_residual + rounding
+        assert w.rotation_residual <= residual + 1e-14  # and tracks it
+        g = gamma_unitary(m)
+        gamma = np.linalg.norm(partial_transpose(w.matrix, d, d) - local_conjugate(w.matrix, g, np.eye(d)))
+        assert gamma <= w.gamma_conjugation_bound + rounding
+        approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+        assert trace_norm(realign(approx, d, d)) <= w.spa_realignment_bound + rounding
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_base_facts(self, n):
+        # the Gamma conjugation is an exact signed permutation identity on W(U0), and the
+        # approximated base's realignment norm is 1/(2N), equal to the dense SVD's
+        base = witnesses.canonical_witness(n)
+        d = base.d
+        assert base.gamma_conjugation_defect == 0.0
+        g0 = np.kron(np.eye(2), maps.canonical_u0(n))
+        np.testing.assert_array_equal(partial_transpose(base.matrix, d, d), local_conjugate(base.matrix, g0, np.eye(d)))
+        assert base.spa_realignment_norm == pytest.approx(1 / (2 * n), rel=1e-13)
+        approx = certify.spa_witness(base, states.isotropic_entanglement_threshold(n))
+        dense = np.sum(np.linalg.svd(realign(approx, d, d), compute_uv=False))
+        assert base.spa_realignment_norm == pytest.approx(dense, rel=1e-12)
+
+    def test_the_base_keeps_only_the_ppt_states_nonzeros(self):
+        base = witnesses.canonical_witness(4)
+        index, values = base.ppt_state_entries
+        rho = states.ppt_entangled_state(base)
+        assert len(index) == np.count_nonzero(rho) == 400
+        np.testing.assert_array_equal(rho.ravel()[index], values)
+        base.ppt_min_eigenvalues
+        kept = [np.asarray(x) for key, value in vars(base).items() if key != "matrix"
+                for x in (value if isinstance(value, tuple) else (value,))]
+        assert max(x.size for x in kept) == len(index)  # the nonzeros, then the spectrum; no W-sized array
 
 
 class TestSelfDualityDefect:
@@ -219,13 +342,13 @@ class TestSelfDualityDefect:
 
 class TestGammaUnitary:
     def test_matches_stated_form_for_sigma_y(self):
-        v = witnesses.gamma_unitary(maps.phi_u(1, maps.SIGMA_Y))
+        v = gamma_unitary(maps.phi_u(1, maps.SIGMA_Y))
         sy = maps.SIGMA_Y
         expected = np.block([[sy.conj().T, np.zeros((2, 2))], [np.zeros((2, 2)), sy]])
         np.testing.assert_allclose(v, expected, atol=1e-15)
 
     def test_unitary(self):
-        v = witnesses.gamma_unitary(maps.phi_u(2, maps.canonical_u0(2)))
+        v = gamma_unitary(maps.phi_u(2, maps.canonical_u0(2)))
         np.testing.assert_allclose(v @ v.conj().T, np.eye(8), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -235,7 +358,7 @@ class TestGammaUnitary:
             n, seed=seed, mode="complex-unitary"
         )
         w = witnesses.choi(maps.phi_u(n, u))
-        g = witnesses.gamma_unitary(w.source)
+        g = gamma_unitary(w.source)
         residual = partial_transpose(w.matrix, w.d, w.d, "A") - local_conjugate(w.matrix, g, np.eye(w.d))
         assert np.max(np.abs(residual)) <= 1e-12
 
@@ -247,7 +370,7 @@ class TestGammaUnitary:
     def test_rejects_invalid_u(self):
         # Phi_U accepts a contraction, but (W)^Gamma is a unitary conjugate of W only for unitary U
         with pytest.raises(ValueError, match="antisymmetric"):
-            witnesses.gamma_unitary(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
+            certify.verify_nd_optimality(witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y)))
 
 
 class TestTransformWitness:
