@@ -14,8 +14,10 @@ Every check takes one :class:`Witness`, which carries its map and, as
 is W(U0) of the map's N, built once per N and shared
 (``witnesses.canonical_witness``), so each check takes one path for plain
 and conjugated witnesses alike.  Positivity's ``measured`` is the base
-map's worst image eigenvalue over a projector sample kept with the base per
-seed; worst (1 + u) - d ||E||_F carries its verdict to W's map.
+map's worst image eigenvalue over a fixed projector sample (seed
+``POSITIVITY_SEED``), kept with the base; worst (1 + u) - d ||E||_F carries
+its verdict to W's map.  The sample corroborates the Schur-complement proof,
+whose premises ``premise_defects`` checks, so its seed is not a parameter.
 
 Every spectral quantity is read off the base: the spectrum, the SPA
 threshold and its boundary, the PPT state and its partial transpose, the
@@ -33,28 +35,22 @@ and the product-family expectations of W and W^Gamma, each a <= 4 x 4 block
 of W' or of its partial transpose.  Unitality is read off W itself.  The
 realignment criterion stays the independent corroboration of the PPT test:
 two necessary conditions for separability, both read off one base.
-``run_full_suite`` builds the witness of one map and runs all eight,
-seeding positivity.
+``run_full_suite`` builds the witness of one map and runs all eight.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import maps, states, witnesses
-from .linalg import (
-    CONSTRUCTION_TOL,
-    POSITIVITY_TOL,
-    min_eigenvalue,
-    numerical_rank,
-)
+from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL
 from .report import CertReport, rule_report, value_report
 
-# Positivity's sample size; its projectors are mapped POSITIVITY_BLOCK per batched
-# call, which bounds the stack (and the peak memory) at 256 (4N)^2 matrices.
+# Positivity's sample: its size and the seed of its one fixed stream.  Its projectors are
+# mapped POSITIVITY_BLOCK per batched call, which bounds the stack (and the peak memory)
+# at 256 (4N)^2 matrices.
 POSITIVITY_TRIALS = 1000
+POSITIVITY_SEED = 42
 POSITIVITY_BLOCK = 256
 
 
@@ -95,31 +91,24 @@ def premise_defects(u: np.ndarray) -> tuple[float, float]:
     return identity, beta + alpha / 2 + identity
 
 
-def verify_positivity(w: witnesses.Witness, seed: int = 7, tol: float = POSITIVITY_TOL) -> CertReport:
+def verify_positivity(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> CertReport:
     """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
     ``measured`` is the worst image eigenvalue of ``POSITIVITY_TRIALS`` random rank-1 projectors
-    under the base's map (Phi_{U0}; a strict contraction is its own base), drawn once per (N, seed)
-    and kept with the base; a complex Gaussian sample is unitarily invariant, so it is distributed
-    exactly as a sample of W's own map.  W = S W_b S^dagger + E with S = A (x) B gives
-    Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X), Delta the map with Choi matrix E, and
-    ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both congruences keep a matrix PSD and
-    scale its eigenvalues within the unitarity defect u of 1 (Ostrowski), so the sample's verdict
-    holds for W's map iff worst (1 + u) - d ||E||_F >= -tol (worst - u |worst| for either sign).
+    under the base's map (Phi_{U0}; a strict contraction is its own base), drawn once per N and
+    kept with the base (``Witness.positivity_worst``); a complex Gaussian sample is unitarily
+    invariant, so it is distributed exactly as a sample of W's own map.  W = S W_b S^dagger + E
+    with S = A (x) B gives Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X), Delta the map with
+    Choi matrix E, and ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both congruences keep
+    a matrix PSD and scale its eigenvalues within the unitarity defect u of 1 (Ostrowski), so the
+    sample's verdict holds for W's map iff worst (1 + u) - d ||E||_F >= -tol (worst - u |worst|
+    for either sign).
     The proof maps psi = sqrt(a) psi1 (+) sqrt(1-a) psi2 to (1/2N) [[(1-a) I, -b M], [-b M^dagger,
     a I]] with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger, PSD iff
     M M^dagger = Q + Q^U <= I (Schur complement): two orthogonal projectors when U^T = -U and U is
     unitary.  ``premise_defects`` of W's U bounds both defects over every splitting.
     """
-    samples = w.base.positivity_samples
-    if seed not in samples:
-        g = np.random.default_rng(seed).standard_normal((POSITIVITY_TRIALS, 2, w.d))  # real, imaginary part
-        psi = g[:, 0] + 1j * g[:, 1]
-        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        blocks = (psi[i : i + POSITIVITY_BLOCK] for i in range(0, POSITIVITY_TRIALS, POSITIVITY_BLOCK))
-        samples[seed] = min(min_eigenvalue(maps.apply_map(w.base.source, p[:, :, None] * p[:, None, :].conj()))
-                            for p in blocks)
-    worst = samples[seed]
+    worst = w.base.positivity_worst
     carried = worst - w.unitarity_defect * abs(worst) - w.d * w.rotation_residual
 
     identity_defect, schur_defect = premise_defects(w.source.u)
@@ -197,15 +186,15 @@ def spanning_family(n: int) -> np.ndarray:
     return np.concatenate([e, sums])
 
 
-def _product_family_check(view: np.ndarray, g: np.ndarray, tol: float) -> tuple[float, int, int, bool]:
-    """(worst, rank, size, ok) of the family (G psi) (x) psi*, psi over ``spanning_family``, on a pulled-back M'.
+def _product_family_check(view: np.ndarray, g: np.ndarray, rank: int, tol: float) -> tuple[float, int, bool]:
+    """(worst, size, ok) of the family (G psi) (x) psi*, psi over ``spanning_family``, on a pulled-back M'.
 
     ``view`` is M' as a (d, d, d, d) array, entry [i, a, j, b] = <i a|M'|j b>, and G a
     phase permutation (I, or ``witnesses.canonical_gamma``).  G psi and psi* each keep
     the generator's <= 2 nonzero coordinates, permuted, so every expectation is read
-    off one <= 4 x 4 block of M'.  G (x) 1 is unitary and keeps rank, so the rank is
-    the plain family psi (x) psi*'s, by ``numerical_rank``'s exact elimination, and so
-    is that of the family moved on by a local rotation.  ok iff worst <= tol and the
+    off one <= 4 x 4 block of M'.  G (x) 1 is unitary and keeps rank, so ``rank`` is
+    the plain family psi (x) psi*'s (``Witness.family_rank`` of the base), and so is
+    that of the family moved on by a local rotation.  ok iff worst <= tol and the
     family spans C^D.
     """
     d = len(g)
@@ -218,25 +207,13 @@ def _product_family_check(view: np.ndarray, g: np.ndarray, tol: float) -> tuple[
     blocks = view[i[:, :, None], a[:, :, None], i[:, None, :], a[:, None, :]]
     expectations = np.einsum("ki,kij,kj->k", local.conj(), blocks, local)
     worst = float(np.max(np.abs(expectations)))
-    rank = _family_rank(gens.shape, gens.tobytes())
-    return worst, rank, len(gens), worst <= tol and rank == d * d
+    return worst, len(gens), worst <= tol and rank == d * d
 
 
 def _support(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coordinates, values) of the first two nonzero coordinates of each row, nonzero ones first."""
     support = np.argsort(vectors == 0, axis=1, kind="stable")[:, :2]
     return support, np.take_along_axis(vectors, support, axis=1)
-
-
-@lru_cache(maxsize=1)
-def _family_rank(shape: tuple[int, int], generators: bytes) -> int:
-    """``numerical_rank`` of the products psi (x) psi* over a family's generators, kept for the last family.
-
-    Keyed on the generators themselves, not on N, so both optimality checks of
-    one suite share it and a changed family is ranked afresh.
-    """
-    gens = np.frombuffer(generators, dtype=complex).reshape(shape)
-    return numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
 
 
 def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
@@ -247,7 +224,8 @@ def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     on the pull-back W' = (A (x) B)^dagger W (A (x) B), so it is read off W'.
     """
     d = w.d
-    worst, rank, size, ok = _product_family_check(w.pulled_back.reshape(d, d, d, d), np.eye(d), tol)
+    rank = w.base.family_rank
+    worst, size, ok = _product_family_check(w.pulled_back.reshape(d, d, d, d), np.eye(d), rank, tol)
     return rule_report(
         "optimality",
         worst,
@@ -274,7 +252,8 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
         raise ValueError("U must be an antisymmetric unitary matrix")
     d = w.d
     gamma = w.pulled_back.reshape(d, d, d, d).transpose(2, 1, 0, 3)  # Gamma(W'), a view
-    worst, rank, _, family_ok = _product_family_check(gamma, witnesses.canonical_gamma(w.source.size), tol)
+    rank = w.base.family_rank
+    worst, _, family_ok = _product_family_check(gamma, witnesses.canonical_gamma(w.source.size), rank, tol)
     bound = w.gamma_conjugation_bound
     ok = family_ok and bound <= CONSTRUCTION_TOL
     return rule_report(
@@ -458,9 +437,8 @@ DEFAULT_TOLERANCES = {
 SUITE_CHECKS = tuple(DEFAULT_TOLERANCES)  # the checks in the order run_full_suite reports them
 
 
-def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
-                   tolerances: dict[str, float] | None = None) -> list[CertReport]:
-    """Run all eight certification checks for one plain or conjugated PhiU map; ``seed`` seeds positivity."""
+def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:
+    """Run all eight certification checks for one plain or conjugated PhiU map."""
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
@@ -470,7 +448,7 @@ def run_full_suite(m: maps.MapDescriptor, seed: int = 42,
 
     w = witnesses.choi(m)
     return [
-        verify_positivity(w, seed=seed, tol=tol["positivity"]),
+        verify_positivity(w, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),
         verify_nondecomposability(w, tol=tol["nondecomposability"]),
         verify_optimality(w, tol=tol["optimality"]),

@@ -19,9 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, maps, states, witnesses
-
-DEFAULT_SEED = 42
+from . import certify, maps, witnesses
 
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
@@ -152,7 +150,7 @@ def cmd_build(args) -> int:
 
 def cmd_certify(args) -> int:
     m = resolve_map(args)
-    reports = certify.run_full_suite(m, seed=args.seed, tolerances=parse_tolerances(args.tol))
+    reports = certify.run_full_suite(m, tolerances=parse_tolerances(args.tol))
     all_pass = all(r.passed for r in reports)
     verdict = "pass" if all_pass else "fail"
 
@@ -161,7 +159,6 @@ def cmd_certify(args) -> int:
             "family": m.family,
             "n": args.n,
             "d": 4 * args.n,
-            "seed": args.seed,
             "checks": [r.to_dict() for r in reports],
             "verdict": verdict,
         }
@@ -181,13 +178,12 @@ def cmd_curve(args) -> int:
     gap = float(np.max(np.abs(m.v1 - m.v2))) if m.family == "ConjugatedPhiU" else 0.0
     if gap > 1e-12:
         raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
-    w = witnesses.choi(m)
-    grid = np.linspace(0.0, 1.0, args.points)
+    g0, g1 = witnesses.choi(m).detection_line
     rows = []
-    for lam in grid:
-        closed = certify.isotropic_detection_value(args.n, float(lam))
-        numeric = certify.detect(w, states.isotropic_state(4 * args.n, float(lam)))
-        rows.append([float(lam), closed, numeric, abs(closed - numeric)])
+    for lam in np.linspace(0.0, 1.0, args.points).tolist():
+        closed = certify.isotropic_detection_value(args.n, lam)
+        numeric = (1.0 - lam) * g0 + lam * g1
+        rows.append([lam, closed, numeric, abs(closed - numeric)])
     if args.output == "csv":
         emit(csv_table(["lambda", "closed_form", "numeric", "abs_difference"], rows), args.out_path)
     else:
@@ -242,7 +238,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="U spec: canonical, seed:<int> or file:<path>")
         p.add_argument("--v1", type=str, default=None, help="optional V1 spec: seed:<int> or file:<path>")
         p.add_argument("--v2", type=str, default=None, help="optional V2 spec: seed:<int> or file:<path>")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the positivity sampling")
         p.add_argument("--output", choices=outputs, default=outputs[0],
                        help=f"output format (default {outputs[0]})")
         p.add_argument("--out-path", type=str, default=None, help="write output to this file instead of stdout")

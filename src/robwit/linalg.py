@@ -32,25 +32,18 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
 
 
-def partial_transpose(m: np.ndarray, d_a: int, d_b: int, subsystem: str = "A") -> np.ndarray:
-    """Transpose one tensor factor of an operator on C^dA (x) C^dB.
+def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Transpose the first tensor factor of an operator on C^dA (x) C^dB.
 
     The operation is involutive, trace preserving and maps Hermitian
-    operators to Hermitian operators.  ``subsystem`` selects which factor
-    is transposed ("A" = first, "B" = second).
+    operators to Hermitian operators.  The second factor's transpose is
+    this one's full transpose: PT_B(M) = PT_A(M)^T.
     """
     m = as_complex(m)
     n = d_a * d_b
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for dims ({d_a},{d_b}), got {m.shape}")
-    t = m.reshape(d_a, d_b, d_a, d_b)
-    if subsystem == "A":
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == "B":
-        t = t.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return t.reshape(n, n)
+    return m.reshape(d_a, d_b, d_a, d_b).transpose(2, 1, 0, 3).reshape(n, n)
 
 
 def _components(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -185,7 +178,7 @@ def _gram_eigenvalues(vectors: np.ndarray) -> np.ndarray:
 
 
 def numerical_rank(vectors) -> int:
-    """Rank of the span of a family of vectors.
+    """Rank of the span of the rows of a (k, dim) array.
 
     Exact elimination first: a vector with a single nonzero entry pins its
     coordinate, and subtracting it zeroes that coordinate in every other
@@ -194,12 +187,9 @@ def numerical_rank(vectors) -> int:
     vectors and the Gram eigenvalues of every block are the squared singular
     values; those below ``EIGENVALUE_TOL`` times the largest singular value count as zero.
     """
-    vecs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    if not vecs:
+    a = as_complex(vectors)  # row k is vector k
+    if not len(a):
         raise ValueError("numerical_rank needs at least one vector")
-    if len({v.size for v in vecs}) > 1:
-        raise ValueError("all vectors must have the same dimension")
-    a = np.array(vecs)  # row k is vector k
     nonzero = a != 0
     unit = np.count_nonzero(nonzero, axis=1) == 1
     pinned = np.argmax(nonzero[unit], axis=1)
@@ -214,5 +204,5 @@ def numerical_rank(vectors) -> int:
     # Squared cutoff (EIGENVALUE_TOL * sigma_max)^2, floored at the eigensolver's own
     # resolution: Gram eigenvalues that should vanish come back at the scale
     # of machine epsilon times the largest one.
-    cutoff = largest * max(EIGENVALUE_TOL * EIGENVALUE_TOL, 8 * len(vecs) * np.finfo(float).eps)
+    cutoff = largest * max(EIGENVALUE_TOL * EIGENVALUE_TOL, 8 * len(a) * np.finfo(float).eps)
     return int(np.sum(eig > cutoff))

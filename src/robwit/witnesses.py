@@ -9,7 +9,7 @@ single negative eigenvalue -1/(4N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -21,6 +21,7 @@ from .linalg import (
     hermitian_eig,
     local_conjugate,
     min_eigenvalue,
+    numerical_rank,
     partial_transpose,
     realign,
     trace_norm,
@@ -34,8 +35,6 @@ class Witness:
 
     matrix: np.ndarray
     source: maps.MapDescriptor
-    # worst image eigenvalue of the map over positivity's projector sample, by seed: kept on a base
-    positivity_samples: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.d ** 2, self.d ** 2):
@@ -178,6 +177,30 @@ class Witness:
     # so those are imported where they are used.
 
     @cached_property
+    def positivity_worst(self) -> float:
+        """Worst image eigenvalue of this witness's map over positivity's fixed projector sample.
+
+        ``certify.POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
+        ``certify.POSITIVITY_SEED`` and mapped ``certify.POSITIVITY_BLOCK`` projectors per call.
+        """
+        from . import certify
+
+        rng = np.random.default_rng(certify.POSITIVITY_SEED)
+        g = rng.standard_normal((certify.POSITIVITY_TRIALS, 2, self.d))  # real, imaginary part
+        psi = g[:, 0] + 1j * g[:, 1]
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        blocks = (psi[i : i + certify.POSITIVITY_BLOCK] for i in range(0, len(psi), certify.POSITIVITY_BLOCK))
+        return min(min_eigenvalue(maps.apply_map(self.source, p[:, :, None] * p[:, None, :].conj())) for p in blocks)
+
+    @cached_property
+    def family_rank(self) -> int:
+        """``numerical_rank`` of the plain product family psi (x) psi*, psi over ``certify.spanning_family``."""
+        from . import certify
+
+        gens = certify.spanning_family(self.source.size)
+        return numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
+
+    @cached_property
     def ppt_state_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The PPT entangled state rho_b built from this witness, kept as (flat indices, values) of its nonzeros.
 
@@ -197,7 +220,7 @@ class Witness:
         rho = np.zeros((self.d ** 2, self.d ** 2), dtype=complex)
         rho.flat[index] = values
         return (min_eigenvalue(rho, CONSTRUCTION_TOL),  # raises unless rho is Hermitian within 1e-12
-                min_eigenvalue(partial_transpose(rho, self.d, self.d, "A")))
+                min_eigenvalue(partial_transpose(rho, self.d, self.d)))
 
     @cached_property
     def gamma_conjugation_defect(self) -> float:
@@ -221,7 +244,7 @@ class Witness:
         from . import certify, states
 
         approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
-        return min_eigenvalue(partial_transpose(approx, self.d, self.d, "A"))
+        return min_eigenvalue(partial_transpose(approx, self.d, self.d))
 
     @cached_property
     def spa_realignment_norm(self) -> float:
@@ -235,16 +258,23 @@ class Witness:
         return trace_norm(realign(approx, self.d, self.d))
 
     @cached_property
-    def detection_boundary(self) -> tuple[float, bool]:
-        """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
+    def detection_line(self) -> tuple[float, float]:
+        """(g0, g1) = Tr(W rho_lam) at lam = 0 and lam = 1.
 
-        The curve is affine in lam, so two evaluations give its root, exact up
-        to rounding.  Without a sign change lam is 0 (no isotropic state is
-        detected) or 1 (every one is).
+        rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
         """
         from . import certify, states
 
-        g0, g1 = (certify.detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+        return tuple(certify.detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+
+    @cached_property
+    def detection_boundary(self) -> tuple[float, bool]:
+        """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
+
+        Its root is read off ``detection_line``, exact up to rounding.  Without a
+        sign change lam is 0 (no isotropic state is detected) or 1 (every one is).
+        """
+        g0, g1 = self.detection_line
         if g0 >= 0:
             return 0.0, False
         if g1 <= 0:

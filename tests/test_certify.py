@@ -207,19 +207,19 @@ def fresh_base():
 
 class TestPositivity:
     def test_canonical(self):
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))), seed=1)
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
         assert report.passed
 
     def test_random_u_n2(self):
         u = maps.random_antisymmetric_unitary(2, seed=2, mode="complex-unitary")
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(2, u)), seed=3)
+        report = certify.verify_positivity(witnesses.choi(maps.phi_u(2, u)))
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
             1, maps.canonical_u0(1), maps.random_unitary(4, seed=4), maps.random_unitary(4, seed=5)
         )
-        report = certify.verify_positivity(witnesses.choi(m), seed=6)
+        report = certify.verify_positivity(witnesses.choi(m))
         assert report.passed
 
     def test_sampling_matches_loop_reference(self, monkeypatch, fresh_base):
@@ -228,7 +228,7 @@ class TestPositivity:
         base = maps.phi_u(1, maps.canonical_u0(1))
         w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary")))
         w.rotation_residual  # builds the base before apply_map is recorded
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(certify.POSITIVITY_SEED)
         worst, projectors = np.inf, []
         for _ in range(certify.POSITIVITY_TRIALS):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -236,7 +236,7 @@ class TestPositivity:
             projectors.append(np.outer(psi, psi.conj()))
             worst = min(worst, min_eigenvalue(maps.apply_map(base, projectors[-1])))
         mapped = record_apply_map(monkeypatch)
-        report = certify.verify_positivity(w, seed=5)
+        report = certify.verify_positivity(w)
         assert [len(x) for _, x in mapped] == [256, 256, 256, 232]
         assert all(np.array_equal(m.u, base.u) for m, _ in mapped)
         np.testing.assert_allclose(np.concatenate([x for _, x in mapped]), projectors, rtol=0, atol=1e-15)
@@ -251,7 +251,7 @@ class TestPositivity:
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, seed=9), maps.random_unitary(8, seed=10))
         w = witnesses.choi(m)
-        report = certify.verify_positivity(w, seed=3)
+        report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
         assert w.rotation_residual >= 1e-6
         assert not report.passed
@@ -261,11 +261,11 @@ class TestPositivity:
         w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
         assert w.rotation_residual <= 1e-14
         corrupt_apply_map(monkeypatch, off_u0_only=False)
-        report = certify.verify_positivity(w, seed=3)
+        report = certify.verify_positivity(w)
         assert report.measured < -report.tolerance
         assert not report.passed
 
-    def test_samples_once_per_n_and_seed(self, monkeypatch, fresh_base):
+    def test_samples_once_per_n(self, monkeypatch, fresh_base):
         def request(n, seed, conjugated=False):
             u = maps.random_antisymmetric_unitary(n, seed)
             m = maps.phi_u(n, u)
@@ -277,18 +277,17 @@ class TestPositivity:
 
         plain, conjugated = request(2, 3), request(2, 4, conjugated=True)
         calls = record_apply_map(monkeypatch)
-        first = certify.verify_positivity(plain, seed=11)
+        first = certify.verify_positivity(plain)
         assert len(calls) > 0 and all(np.array_equal(m.u, maps.canonical_u0(2)) for m, _ in calls)
         calls.clear()
-        second = certify.verify_positivity(conjugated, seed=11)
+        second = certify.verify_positivity(conjugated)
         assert calls == [] and second.measured == first.measured and second.passed
-        assert certify.verify_positivity(conjugated, seed=12).passed and len(calls) > 0  # a new seed re-samples
         other_n = request(3, 5)
         calls.clear()
-        assert certify.verify_positivity(other_n, seed=11).passed and len(calls) > 0  # a new N re-samples
-        back = request(2, 3)  # the one-entry memo dropped N = 2 and its samples with it
+        assert certify.verify_positivity(other_n).passed and len(calls) > 0  # a new N re-samples
+        back = request(2, 3)  # the one-entry memo dropped N = 2 and its sample with it
         calls.clear()
-        assert certify.verify_positivity(back, seed=11).measured == first.measured and len(calls) > 0
+        assert certify.verify_positivity(back).measured == first.measured and len(calls) > 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
@@ -309,7 +308,7 @@ class TestPositivity:
         # up to the oracle's own rounding (the Schur bound is attained for (1 + eps) U)
         u = perturbed_u(n, kind, 10.0 ** log_eps, seed, mode)
         identity, schur = certify.premise_defects(u)
-        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)), seed=seed)
+        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)))
         assert f"proof-identity defect {identity:.2e}, Schur defect {schur:.2e}," in report.details
         rng = np.random.default_rng(seed)
         rounding = 64 * np.finfo(float).eps
@@ -462,16 +461,17 @@ class TestOptimality:
             m = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23))
         w = witnesses.choi(m)
         for matrix, left, right, view, g in checked_families(w):
-            worst, rank, size, ok = certify._product_family_check(view, g, 1e-10)
+            worst, size, ok = certify._product_family_check(view, g, w.base.family_rank, 1e-10)
             ref_worst, ref_rank = loop_product_family(matrix, n, left, right)
             assert worst == pytest.approx(ref_worst, abs=1e-13)
-            assert rank == ref_rank == size == 64
+            assert w.base.family_rank == ref_rank == size == 64
             assert ok
 
     def test_batched_family_matches_loop_reference_off_the_family(self, perturbed_witness):
         # W + 1e-3 H: every expectation the loop takes on W and W^Gamma must come off the pull-back
+        rank = perturbed_witness.base.family_rank
         for matrix, left, right, view, g in checked_families(perturbed_witness):
-            worst, rank, _, ok = certify._product_family_check(view, g, 1e-10)
+            worst, _, ok = certify._product_family_check(view, g, rank, 1e-10)
             ref_worst, ref_rank = loop_product_family(matrix, 1, left, right)
             assert worst == pytest.approx(ref_worst, abs=1e-13)
             assert worst > 1e-4
@@ -499,31 +499,32 @@ class TestFamilyRank:
         gens = certify.spanning_family(n)
         families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
-            for _, left, right, view, g in checked_families(witnesses.choi(m)):
+            w = witnesses.choi(m)
+            for _, left, right, _, _ in checked_families(w):
                 families.append(product_vectors(gens @ left.T, gens.conj() @ right.T))
-                ranks.append(certify._product_family_check(view, g, 1e-10)[1])
+                ranks.append(w.base.family_rank)
         assert ranks == [d * d] * 4
         assert [dense_gram_rank(f) for f in families] == ranks
 
-    def test_ranked_once_for_both_checks(self, monkeypatch):
-        # both optimality checks of every suite share one rank of the plain family
+    def test_ranked_once_for_both_checks(self, monkeypatch, fresh_base):
+        # both optimality checks of every suite of one N share one rank of the plain family, kept on W(U0)
         ranked = []
-        monkeypatch.setattr(certify, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
-        certify._family_rank.cache_clear()
+        monkeypatch.setattr(witnesses, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
         for seed in (1, 2):
             w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
             assert certify.verify_optimality(w).passed and certify.verify_nd_optimality(w).passed
         assert ranked == [64]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_rank_drops_without_phase_vectors(self, monkeypatch, n):
+    def test_rank_drops_without_phase_vectors(self, monkeypatch, fresh_base, n):
         drop_phase_vectors(monkeypatch)
         d = 4 * n
         gens = certify.spanning_family(n)
         dropped = d + d * (d - 1) // 2
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        rank = w.base.family_rank
         for _, _, _, view, g in checked_families(w):
-            _, rank, size, ok = certify._product_family_check(view, g, 1e-10)
+            _, size, ok = certify._product_family_check(view, g, rank, 1e-10)
             assert rank == dense_gram_rank(product_vectors(gens, gens.conj())) == size == dropped
             assert not ok
         for report in (certify.verify_optimality(w), certify.verify_nd_optimality(w)):
@@ -924,6 +925,26 @@ class TestFullSuite:
         for _ in range(2):
             assert all(r.passed for r in certify.run_full_suite(m))
         assert built == [m.family, "PhiU4N", m.family]
+
+    def test_one_cache_clear_samples_and_ranks_again(self, monkeypatch, fresh_base):
+        # every per-N fact lives in the one memo of W(U0): after one cache_clear() the next suite of
+        # that N maps positivity's projector stacks on Phi_{U0} and ranks the family, once each
+        n = 2
+        warm = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=3))
+        assert all(r.passed for r in certify.run_full_suite(warm))
+        witnesses.canonical_witness.cache_clear()
+        mapped = record_apply_map(monkeypatch)
+        ranked = []
+        monkeypatch.setattr(witnesses, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
+        for seed, stacks, ranks in ((4, [256, 256, 256, 232], [64]), (5, [], [])):
+            mapped.clear()
+            ranked.clear()
+            m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=seed))
+            assert all(r.passed for r in certify.run_full_suite(m))
+            projectors = [(desc, x) for desc, x in mapped if x.ndim == 3]  # choi maps a (d, d, d, d) stack
+            assert [len(x) for _, x in projectors] == stacks
+            assert all(np.array_equal(desc.u, maps.canonical_u0(n)) for desc, _ in projectors)
+            assert ranked == ranks
 
     def test_suites_of_alternating_n_each_read_their_own_base(self):
         # the memo holds one N at a time; a suite after another N's gets its own N's base back

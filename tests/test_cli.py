@@ -140,6 +140,16 @@ class TestSizeGuard:
             cli.bounded_n("3")
 
 
+@pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
+def test_seed_is_not_an_option(capsys, command):
+    # positivity's sample has one fixed stream, certify.POSITIVITY_SEED: its seed is no parameter of a claim
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "1", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+
 class TestCertify:
     def test_text_all_pass(self, capsys):
         code, out, _ = run(capsys, "certify", "--n", "1", "--u", "canonical")
@@ -154,6 +164,7 @@ class TestCertify:
         assert out1 == out2
         payload = json.loads(out1)
         assert out1 == json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+        assert sorted(payload) == ["checks", "d", "family", "n", "verdict"]
         assert payload["verdict"] == "pass"
         assert [c["name"] for c in payload["checks"]] == list(certify.SUITE_CHECKS)
         assert all(c["verdict"] == "pass" for c in payload["checks"])
@@ -314,6 +325,23 @@ class TestCurve:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 11
         assert all(float(r["abs_difference"]) <= 1e-12 for r in rows)
+
+    def test_numeric_reads_the_affine_line(self, capsys, monkeypatch):
+        # Tr(W rho_lam) = (1 - lam) g0 + lam g1 off two isotropic states, not one state per point;
+        # it agrees with the per-point trace up to rounding
+        made = []
+        build = states.isotropic_state
+        monkeypatch.setattr(states, "isotropic_state", lambda d, lam: made.append(lam) or build(d, lam))
+        code, out, _ = run(capsys, "curve", "--n", "2", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:1",
+                           "--points", "21")
+        assert code == 0 and made == [0.0, 1.0]
+        v = maps.random_unitary(8, 1)
+        w = witnesses.choi(maps.conjugated_phi(2, maps.random_antisymmetric_unitary(2, 5), v, v))
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 21
+        for row in rows:
+            per_point = certify.detect(w, build(8, float(row["lambda"])))
+            assert float(row["numeric"]) == pytest.approx(per_point, rel=0, abs=1e-15)
 
 
 class TestSpectrum:

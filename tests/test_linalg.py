@@ -15,15 +15,22 @@ def random_complex(rng, shape):
 class TestPartialTranspose:
     def test_identity_fixed_point(self):
         eye = np.eye(6, dtype=complex)
-        for sub in ("A", "B"):
-            np.testing.assert_array_equal(linalg.partial_transpose(eye, 2, 3, sub), eye)
+        np.testing.assert_array_equal(linalg.partial_transpose(eye, 2, 3), eye)
 
     def test_involution(self):
         rng = np.random.default_rng(3)
         m = random_complex(rng, (12, 12))
-        for sub in ("A", "B"):
-            back = linalg.partial_transpose(linalg.partial_transpose(m, 3, 4, sub), 3, 4, sub)
-            np.testing.assert_array_equal(back, m)
+        np.testing.assert_array_equal(linalg.partial_transpose(linalg.partial_transpose(m, 3, 4), 3, 4), m)
+
+    def test_transposes_the_first_factor_and_its_transpose_the_second(self):
+        # oracle: the index rules <i a|PT_A(M)|j b> = <j a|M|i b> and <i a|PT_B(M)|j b> = <i b|M|j a>
+        rng = np.random.default_rng(5)
+        d_a, d_b = 2, 3
+        m = random_complex(rng, (6, 6))
+        pt = linalg.partial_transpose(m, d_a, d_b)
+        for i, a, j, b in np.ndindex(d_a, d_b, d_a, d_b):
+            assert pt[i * d_b + a, j * d_b + b] == m[j * d_b + a, i * d_b + b]
+            assert pt.T[i * d_b + a, j * d_b + b] == m[i * d_b + b, j * d_b + a]
 
     def test_bell_state_gives_half_swap(self):
         # oracle: the 4x4 result written out by hand (the swap operator / 2)
@@ -35,7 +42,7 @@ class TestPartialTranspose:
         for i in range(2):
             for j in range(2):
                 swap[i * 2 + j, j * 2 + i] = 1.0
-        pt = linalg.partial_transpose(bell, 2, 2, "B")
+        pt = linalg.partial_transpose(bell, 2, 2)
         np.testing.assert_allclose(pt, swap / 2, atol=1e-15)
         assert abs(linalg.min_eigenvalue(pt) + 0.5) < 1e-12
 
@@ -43,7 +50,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(4)
         g = random_complex(rng, (6, 6))
         herm = (g + g.conj().T) / 2
-        pt = linalg.partial_transpose(herm, 2, 3, "A")
+        pt = linalg.partial_transpose(herm, 2, 3)
         assert complex(np.trace(pt)) == pytest.approx(complex(np.trace(herm)))
         assert linalg.hermiticity_defect(pt) <= linalg.CONSTRUCTION_TOL
 

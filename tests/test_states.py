@@ -32,7 +32,7 @@ class TestPptEntangledState:
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
         assert complex(np.trace(rho)).real == pytest.approx(1.0, abs=1e-12)
         assert min_eigenvalue(rho) >= -1e-10
-        assert min_eigenvalue(partial_transpose(rho, d, d, "B")) >= -1e-10
+        assert min_eigenvalue(partial_transpose(rho, d, d).T) >= -1e-10
 
     def test_detected_value_at_n1(self, canonical_witness):
         state = states.ppt_entangled_state(canonical_witness)

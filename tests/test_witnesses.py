@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestChoi:
         # matrix has a positive partial transpose, which exhibits it as CP o transpose
         w = witnesses.choi(maps.phi_u(1, np.zeros((2, 2))))
         assert min_eigenvalue(w.matrix) < -1e-2
-        assert min_eigenvalue(partial_transpose(w.matrix, 4, 4, "A")) >= -1e-10
+        assert min_eigenvalue(partial_transpose(w.matrix, 4, 4)) >= -1e-10
 
 
 class TestExpectedSpectrum:
@@ -166,6 +167,10 @@ class TestWitness:
     def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness):
         with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
             witnesses.Witness(np.eye(4, dtype=complex) / 4, canonical_witness.source)
+
+    def test_has_only_its_matrix_and_source_as_fields(self):
+        # what a witness measures is a cached property kept with it, not a field
+        assert [f.name for f in dataclasses.fields(witnesses.Witness)] == ["matrix", "source"]
 
 
 class TestBase:
@@ -359,12 +364,12 @@ class TestGammaUnitary:
         )
         w = witnesses.choi(maps.phi_u(n, u))
         g = gamma_unitary(w.source)
-        residual = partial_transpose(w.matrix, w.d, w.d, "A") - local_conjugate(w.matrix, g, np.eye(w.d))
+        residual = partial_transpose(w.matrix, w.d, w.d) - local_conjugate(w.matrix, g, np.eye(w.d))
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_partial_transpose_is_isospectral(self, canonical_witness):
         w = canonical_witness.matrix
-        wg = partial_transpose(w, 4, 4, "A")
+        wg = partial_transpose(w, 4, 4)
         np.testing.assert_allclose(np.linalg.eigvalsh(wg), np.linalg.eigvalsh(w), atol=1e-12)
 
     def test_rejects_invalid_u(self):
