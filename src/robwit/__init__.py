@@ -8,12 +8,9 @@ entanglement-breaking property of the structural physical approximation.
 """
 
 from .certify import (
-    detect,
     isotropic_detection_value,
     run_full_suite,
     spa_threshold,
-    spa_witness,
-    spanning_family,
     verify_eb_certificate,
     verify_nd_optimality,
     verify_nondecomposability,
@@ -38,14 +35,17 @@ from .report import CertReport
 from .states import (
     isotropic_entanglement_threshold,
     isotropic_state,
+    max_entangled,
     normalization_factor,
     ppt_entangled_state,
 )
 from .witnesses import (
     Witness,
     choi,
+    detect,
     expected_spectrum,
-    max_entangled,
+    spa_witness,
+    spanning_family,
     transform_witness,
     verify_spectrum,
 )

@@ -10,32 +10,21 @@ resulting entanglement-breaking certificate for the approximated map.
 
 Every check takes one :class:`Witness`, which carries its map and, as
 ``Witness.base``, the PhiU4N witness it is moved from by the local rotation
-(A, B) of ``maps.local_rotation``.  For an antisymmetric unitary U the base
-is W(U0) of the map's N, built once per N and shared
-(``witnesses.canonical_witness``), so each check takes one path for plain
-and conjugated witnesses alike.  Positivity's ``measured`` is the base
-map's worst image eigenvalue over a fixed projector sample (seed
-``POSITIVITY_SEED``), kept with the base; worst (1 + u) - d ||E||_F carries
-its verdict to W's map.  The sample corroborates the Schur-complement proof,
-whose premises ``premise_defects`` checks, so its seed is not a parameter.
-
-Every spectral quantity is read off the base: the spectrum, the SPA
-threshold and its boundary, the PPT state and its partial transpose, the
-partial transpose and the realignment trace norm of the approximated witness,
-the detection root, and the Gamma-conjugation defect; so is self-duality.
-The base's matrices are reducible and solve block by block, and what is
-measured on it is kept with it.  Each such check widens its verdict by one
-bound on how far W lies from the rotated base (``Witness.rotation_slack``,
-``Witness.self_duality_bound``, ``Witness.gamma_conjugation_bound``,
-``Witness.spa_realignment_bound``) and reports it.  What a request measures
-on its own W is read off one pull-back, W' = S^dagger W S for S = A (x) B
-(``Witness.pulled_back``, the request's one W-sized contraction): the
-rotation residual ||E||_F that every bound carries, Tr(W rho) = Tr(W' rho_b),
-and the product-family expectations of W and W^Gamma, each a <= 4 x 4 block
-of W' or of its partial transpose.  Unitality is read off W itself.  The
-realignment criterion stays the independent corroboration of the PPT test:
-two necessary conditions for separability, both read off one base.
-``run_full_suite`` builds the witness of one map and runs all eight.
+(A, B) of ``maps.local_rotation``: for an antisymmetric unitary U, W(U0) of
+the map's N, built once per N and shared (``witnesses.canonical_witness``).
+The facts read off the base are kept with it in ``witnesses``, beside what
+they are built from: positivity's fixed projector sample, the product family
+(``spanning_family``, index cells), G0 (``canonical_gamma``, a phase
+permutation), ``spa_witness`` and ``detect``.  This module builds on
+``witnesses`` and ``states``, never the other way.  Each base-read check
+widens its verdict by one reported bound on how far W lies from the rotated
+base (``Witness.rotation_slack`` and its kin).  What a request measures on
+its own W is read off one pull-back, W' = S^dagger W S for S = A (x) B
+(``Witness.pulled_back``): the rotation residual ||E||_F that every bound
+carries, Tr(W rho) = Tr(W' rho_b), and the product-family expectations of W
+and W^Gamma, each a <= 4 x 4 block of W' or of its partial transpose.
+Positivity's sample corroborates the Schur-complement proof, whose premises
+``premise_defects`` checks.  ``run_full_suite`` runs all eight checks.
 """
 
 from __future__ import annotations
@@ -43,29 +32,30 @@ from __future__ import annotations
 import numpy as np
 
 from . import maps, states, witnesses
-from .linalg import CONSTRUCTION_TOL, POSITIVITY_TOL
+from .linalg import CONSTRUCTION_TOL, EIGENVALUE_TOL, POSITIVITY_TOL
 from .report import CertReport, rule_report, value_report
+from .witnesses import Witness
 
-# Positivity's sample: its size and the seed of its one fixed stream.  Its projectors are
-# mapped POSITIVITY_BLOCK per batched call, which bounds the stack (and the peak memory)
-# at 256 (4N)^2 matrices.
-POSITIVITY_TRIALS = 1000
-POSITIVITY_SEED = 42
-POSITIVITY_BLOCK = 256
+DEFAULT_TOLERANCES = {
+    "positivity": POSITIVITY_TOL,
+    "spectrum": EIGENVALUE_TOL,
+    "nondecomposability": 1e-12,
+    "optimality": 1e-10,
+    "nd-optimality": 1e-10,
+    "self-duality": 1e-10,
+    "spa-threshold": 1e-8,
+    "eb-certificate": 1e-10,
+}
+
+SUITE_CHECKS = tuple(DEFAULT_TOLERANCES)  # the checks in the order run_full_suite reports them
+
+# How far above 1 the realignment trace norm of a separable state may be measured.
+REALIGNMENT_SLACK = 1e-8
 
 
-def detect(w: witnesses.Witness, rho: np.ndarray) -> float:
-    """Tr(W rho); strictly negative means the witness detects the state."""
-    if w.matrix.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {rho.shape}")
-    return _real_trace(complex(np.einsum("ij,ji->", w.matrix, rho)))
-
-
-def _real_trace(value: complex) -> float:
-    """Tr(W rho) as a real number; raises if its imaginary part is not negligible."""
-    if abs(value.imag) > CONSTRUCTION_TOL * max(1.0, abs(value.real)):
-        raise ValueError(f"Tr(W rho) has a non-negligible imaginary part: {value}")
-    return float(value.real)
+def _text(threshold: float) -> str:
+    """A threshold as the details state it: 1e-9, where the e format writes 1e-09."""
+    return f"{threshold:.0e}".replace("e-0", "e-")
 
 
 # --- positivity -------------------------------------------------------------
@@ -91,10 +81,10 @@ def premise_defects(u: np.ndarray) -> tuple[float, float]:
     return identity, beta + alpha / 2 + identity
 
 
-def verify_positivity(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> CertReport:
+def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"]) -> CertReport:
     """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
-    ``measured`` is the worst image eigenvalue of ``POSITIVITY_TRIALS`` random rank-1 projectors
+    ``measured`` is the worst image eigenvalue of ``witnesses.POSITIVITY_TRIALS`` random rank-1 projectors
     under the base's map (Phi_{U0}; a strict contraction is its own base), drawn once per N and
     kept with the base (``Witness.positivity_worst``); a complex Gaussian sample is unitarily
     invariant, so it is distributed exactly as a sample of W's own map.  W = S W_b S^dagger + E
@@ -118,16 +108,17 @@ def verify_positivity(w: witnesses.Witness, tol: float = POSITIVITY_TOL) -> Cert
         worst,
         tol,
         ok,
-        f"worst image eigenvalue of the base map over {POSITIVITY_TRIALS} projectors, carried to this map as "
+        f"worst image eigenvalue of the base map over {witnesses.POSITIVITY_TRIALS} projectors, carried to this map as "
         f"worst (1 + u) - d ||E||_F = {carried:.2e}, pass iff >= -tol; proof-identity defect {identity_defect:.2e}, "
-        f"Schur defect {schur_defect:.2e}, both <= 1e-12, bounded over every splitting from the map's own U",
+        f"Schur defect {schur_defect:.2e}, both <= {_text(CONSTRUCTION_TOL)}, "
+        f"bounded over every splitting from the map's own U",
     )
 
 
 # --- nondecomposability -----------------------------------------------------
 
 
-def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertReport:
+def verify_nondecomposability(w: Witness, tol: float = DEFAULT_TOLERANCES["nondecomposability"]) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
     The state is rho = S rho_b S^dagger, with rho_b built from the PhiU4N base
@@ -151,10 +142,10 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
     low, low_pt = (x - defect * abs(x) for x in w.base.ppt_min_eigenvalues)
     trace = float(np.sum(values[rows == cols].real))
     trace_defect = abs(trace - 1.0) + defect * trace
-    measured = _real_trace(complex(np.sum(w.pulled_back[cols, rows] * values)))
+    measured = witnesses.real_trace(complex(np.sum(w.pulled_back[cols, rows] * values)))
     expected = -states.normalization_factor(n) / (8 * n * n)
 
-    ok = low >= -POSITIVITY_TOL and low_pt >= -POSITIVITY_TOL and trace_defect <= 1e-12
+    ok = low >= -POSITIVITY_TOL and low_pt >= -POSITIVITY_TOL and trace_defect <= CONSTRUCTION_TOL
     return value_report(
         "nondecomposability",
         measured,
@@ -162,7 +153,7 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
         tol,
         details=(
             f"Tr(W rho) = Tr(W' rho_b) on the explicit PPT state; min eig(rho) = {low:.2e}, "
-            f"min eig(rho^Gamma) = {low_pt:.2e} (both >= -1e-10, from the base state with unitarity "
+            f"min eig(rho^Gamma) = {low_pt:.2e} (both >= -{_text(POSITIVITY_TOL)}, from the base state with unitarity "
             f"defect {defect:.2e}), trace defect {trace_defect:.2e}"
         ),
         extra_ok=ok,
@@ -172,51 +163,30 @@ def verify_nondecomposability(w: witnesses.Witness, tol: float = 1e-12) -> CertR
 # --- optimality -------------------------------------------------------------
 
 
-def spanning_family(n: int) -> np.ndarray:
-    """Rows e_l, then e_m + e_n and e_m + i e_n for each m < n, each mapped to psi (x) psi*.
+def _product_family_check(view: np.ndarray, gamma: tuple[np.ndarray, np.ndarray], rank: int,
+                          tol: float) -> tuple[float, int, bool]:
+    """(worst, size, ok) of the family (G psi) (x) psi*, psi over ``witnesses.spanning_family``, on a pulled-back M'.
 
-    The family has (4N)^2 members and spans C^{4N} (x) C^{4N}.
+    ``view`` is M' as a (d, d, d, d) array, entry [i, a, j, b] = <i a|M'|j b>, and G a phase
+    permutation (cols, phase), phase[r] in column cols[r] of row r: I, or ``witnesses.canonical_gamma``.
+    G moves each generator's two cells, so every expectation is read off one <= 4 x 4 block of M'.
+    G (x) 1 is unitary and keeps rank, so ``rank`` is the plain family psi (x) psi*'s
+    (``Witness.family_rank`` of the base), as is that of the family moved by a local rotation.
+    ok iff worst <= tol and the family spans C^D.
     """
-    if n < 1:
-        raise ValueError("N must be a positive integer")
-    d = 4 * n
-    e = np.eye(d, dtype=complex)
-    lo, hi = np.triu_indices(d, 1)  # every pair m < n, in row-major order
-    sums = np.stack([e[lo] + e[hi], e[lo] + 1j * e[hi]], axis=1).reshape(-1, d)
-    return np.concatenate([e, sums])
-
-
-def _product_family_check(view: np.ndarray, g: np.ndarray, rank: int, tol: float) -> tuple[float, int, bool]:
-    """(worst, size, ok) of the family (G psi) (x) psi*, psi over ``spanning_family``, on a pulled-back M'.
-
-    ``view`` is M' as a (d, d, d, d) array, entry [i, a, j, b] = <i a|M'|j b>, and G a
-    phase permutation (I, or ``witnesses.canonical_gamma``).  G psi and psi* each keep
-    the generator's <= 2 nonzero coordinates, permuted, so every expectation is read
-    off one <= 4 x 4 block of M'.  G (x) 1 is unitary and keeps rank, so ``rank`` is
-    the plain family psi (x) psi*'s (``Witness.family_rank`` of the base), and so is
-    that of the family moved on by a local rotation.  ok iff worst <= tol and the
-    family spans C^D.
-    """
-    d = len(g)
-    gens = spanning_family(d // 4)
-    if np.any(np.count_nonzero(gens, axis=1) > 2):
-        raise ValueError("every generator of the family has at most two nonzero coordinates")
-    (first, x), (second, y) = (_support(v) for v in (gens @ g.T, gens.conj()))
-    local = (x[:, :, None] * y[:, None, :]).reshape(-1, 4)  # (G psi) (x) psi* at the cells (i, a) below
-    i, a = np.repeat(first, 2, axis=1), np.tile(second, 2)
+    cols, phase = gamma
+    d = len(cols)
+    cells, values = witnesses.spanning_family(d // 4)
+    first = np.argsort(cols)[cells]  # G e_c = phase[r] e_r for the row r with cols[r] = c
+    local = ((phase[first] * values)[:, :, None] * values.conj()[:, None, :]).reshape(-1, 4)
+    i, a = np.repeat(first, 2, axis=1), np.tile(cells, 2)  # (G psi) (x) psi* at the cells (i, a)
     blocks = view[i[:, :, None], a[:, :, None], i[:, None, :], a[:, None, :]]
     expectations = np.einsum("ki,kij,kj->k", local.conj(), blocks, local)
     worst = float(np.max(np.abs(expectations)))
-    return worst, len(gens), worst <= tol and rank == d * d
+    return worst, len(cells), worst <= tol and rank == d * d
 
 
-def _support(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coordinates, values) of the first two nonzero coordinates of each row, nonzero ones first."""
-    support = np.argsort(vectors == 0, axis=1, kind="stable")[:, :2]
-    return support, np.take_along_axis(vectors, support, axis=1)
-
-
-def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
+def verify_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["optimality"]) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space.
 
     The family is (A psi) (x) (B psi*) for the map's local rotation (A, B);
@@ -225,7 +195,8 @@ def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     """
     d = w.d
     rank = w.base.family_rank
-    worst, size, ok = _product_family_check(w.pulled_back.reshape(d, d, d, d), np.eye(d), rank, tol)
+    identity = np.arange(d), np.ones(d)
+    worst, size, ok = _product_family_check(w.pulled_back.reshape(d, d, d, d), identity, rank, tol)
     return rule_report(
         "optimality",
         worst,
@@ -236,7 +207,7 @@ def verify_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
     )
 
 
-def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
+def verify_nd_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["nd-optimality"]) -> CertReport:
     """Optimality of the partially transposed witness.
 
     Transposing the first factor of W' = (A^dagger (x) B^dagger) W (A (x) B) gives
@@ -248,7 +219,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
     W^Gamma = (G (x) 1) W (G (x) 1)^dagger is measured on the base, where G0 permutes,
     and carried to W by ``Witness.gamma_conjugation_bound``.
     """
-    if not maps.is_antisymmetric_unitary(w.source.u):
+    if not w.unitary_u:
         raise ValueError("U must be an antisymmetric unitary matrix")
     d = w.d
     gamma = w.pulled_back.reshape(d, d, d, d).transpose(2, 1, 0, 3)  # Gamma(W'), a view
@@ -262,7 +233,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
         tol,
         ok,
         f"max product expectation of (W)^Gamma, pass iff <= tol with family rank {rank} = {d * d} "
-        f"and conjugation residual bound {bound:.2e} <= 1e-12 (base defect "
+        f"and conjugation residual bound {bound:.2e} <= {_text(CONSTRUCTION_TOL)} (base defect "
         f"{w.base.gamma_conjugation_defect:.2e})",
     )
 
@@ -270,7 +241,7 @@ def verify_nd_optimality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport
 # --- self-duality -----------------------------------------------------------
 
 
-def verify_self_duality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
+def verify_self_duality(w: Witness, tol: float = DEFAULT_TOLERANCES["self-duality"]) -> CertReport:
     """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian.
 
     Measured on the base witness and carried to the map underlying W by
@@ -292,15 +263,7 @@ def verify_self_duality(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
 # --- structural physical approximation --------------------------------------
 
 
-def spa_witness(w: witnesses.Witness, p: float) -> np.ndarray:
-    """White-noise admixture (p/d^2) I (x) I + (1 - p) W; trace stays 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing parameter p={p} outside [0, 1]")
-    dsq = w.matrix.shape[0]
-    return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
-
-
-def spa_threshold(w: witnesses.Witness) -> float:
+def spa_threshold(w: Witness) -> float:
     """Smallest p with min eig of the approximation >= -POSITIVITY_TOL.
 
     I commutes with W, so that min eig is p/D + (1 - p) lambda_min(W), affine
@@ -312,7 +275,7 @@ def spa_threshold(w: witnesses.Witness) -> float:
     return float((-POSITIVITY_TOL - low) / (1.0 / w.matrix.shape[0] - low))
 
 
-def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
+def spa_threshold_report(w: Witness, tol: float = DEFAULT_TOLERANCES["spa-threshold"]) -> CertReport:
     """Threshold from the base's smallest eigenvalue against the closed form, plus exact degeneracy at it.
 
     lambda_min(W) lies within the rotation slack s of the base's, and so each
@@ -336,10 +299,11 @@ def spa_threshold_report(w: witnesses.Witness, tol: float = 1e-8) -> CertReport:
         expected,
         tol,
         details=(f"root of the affine minimal eigenvalue in the noise weight, read off the base witness; "
-                 f"min eig at the closed-form threshold = {boundary:.2e} (|.| <= 1e-9); rotation slack "
-                 f"{slack:.2e} widens the root by {spread:.2e} and the min eig by (1 - p) times the slack"),
+                 f"min eig at the closed-form threshold = {boundary:.2e} (|.| <= {_text(EIGENVALUE_TOL)}); "
+                 f"rotation slack {slack:.2e} widens the root by {spread:.2e} "
+                 f"and the min eig by (1 - p) times the slack"),
         extra_ok=(abs(measured - expected) + spread <= tol
-                  and abs(boundary) + (1.0 - expected) * slack <= 1e-9),
+                  and abs(boundary) + (1.0 - expected) * slack <= EIGENVALUE_TOL),
     )
 
 
@@ -354,7 +318,7 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertReport:
+def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certificate"]) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
     A positive unital map whose approximation threshold coincides with the
@@ -377,11 +341,10 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
     independent of PPT, is read off the same base and carried to W by
     ``Witness.spa_realignment_bound``, whose error term is d (1 - p) ||E||_F.
     """
-    m = w.source
     w_base = w.base
-    n = m.size
+    n = w.source.size
     d = 4 * n
-    if not maps.is_antisymmetric_unitary(m.u):
+    if not w.unitary_u:
         raise ValueError("the entanglement-breaking certificate requires a strictly unitary U")
 
     unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
@@ -401,7 +364,7 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
         and abs(root - threshold) <= tol
         and covariance_defect <= CONSTRUCTION_TOL
         and ppt_low >= -POSITIVITY_TOL
-        and realigned <= 1.0 + 1e-8
+        and realigned <= 1.0 + REALIGNMENT_SLACK
     )
     return value_report(
         "eb-certificate",
@@ -410,10 +373,11 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
         tol,
         details=(
             f"detection root vs isotropic threshold; unitality defect {unital_defect:.2e}, "
-            f"self-duality defect bound {self_dual_defect:.2e} <= 1e-12, covariance defect {covariance_defect:.2e}, "
-            f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -1e-10 "
+            f"self-duality defect bound {self_dual_defect:.2e} <= {_text(CONSTRUCTION_TOL)}, "
+            f"covariance defect {covariance_defect:.2e}, "
+            f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -{_text(POSITIVITY_TOL)} "
             f"(the base's less (1 - p) times the rotation slack {slack:.2e}), "
-            f"realignment trace norm at most {realigned:.6f} <= 1 + 1e-8 (the base's "
+            f"realignment trace norm at most {realigned:.6f} <= 1 + {_text(REALIGNMENT_SLACK)} (the base's "
             f"{w_base.spa_realignment_norm:.6f}, carried to W)"
         ),
         extra_ok=ok,
@@ -421,20 +385,6 @@ def verify_eb_certificate(w: witnesses.Witness, tol: float = 1e-10) -> CertRepor
 
 
 # --- the full suite -----------------------------------------------------------
-
-
-DEFAULT_TOLERANCES = {
-    "positivity": POSITIVITY_TOL,
-    "spectrum": 1e-9,
-    "nondecomposability": 1e-12,
-    "optimality": 1e-10,
-    "nd-optimality": 1e-10,
-    "self-duality": 1e-10,
-    "spa-threshold": 1e-8,
-    "eb-certificate": 1e-10,
-}
-
-SUITE_CHECKS = tuple(DEFAULT_TOLERANCES)  # the checks in the order run_full_suite reports them
 
 
 def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:

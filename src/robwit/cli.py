@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, maps, witnesses
+from .linalg import CONSTRUCTION_TOL
 
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
@@ -40,7 +41,9 @@ def matrix_to_payload(m: np.ndarray) -> dict:
 
 def matrix_from_payload(obj: dict) -> np.ndarray:
     try:
-        d = int(obj["d"])
+        d = obj["d"]
+        if type(d) is not int:  # a float such as 2.5 or 1e400 is no dimension, nor is a bool
+            raise TypeError(f"d must be an integer, got {d!r}")
         m = np.array([[complex(re, im) for re, im in row] for row in obj["rows"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload, expected {{d, rows: [[[re, im], ...], ...]}}: {exc}") from None
@@ -176,7 +179,7 @@ def cmd_curve(args) -> int:
     # Tr(W rho_lam) is the closed form only when the conjugation V1^dagger (.) V1 after
     # V2 (.) V2^dagger leaves the isotropic states invariant, i.e. V1 = V2
     gap = float(np.max(np.abs(m.v1 - m.v2))) if m.family == "ConjugatedPhiU" else 0.0
-    if gap > 1e-12:
+    if gap > CONSTRUCTION_TOL:
         raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
     g0, g1 = witnesses.choi(m).detection_line
     rows = []

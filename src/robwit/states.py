@@ -1,16 +1,22 @@
 """Explicit states used by the certification suite.
 
-Two families: the PPT entangled state detected by the PhiU4N witness, and
-the isotropic line between the maximally entangled and maximally mixed
-states whose entanglement threshold the witness saturates.  A state is its
-density matrix, a plain d^2 x d^2 array.
+The maximally entangled state and two families: the PPT entangled state
+detected by the PhiU4N witness, and the isotropic line between the
+maximally entangled and maximally mixed states whose entanglement threshold
+the witness saturates.  A state is its density matrix, a plain d^2 x d^2
+array.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from . import maps, witnesses
+from . import maps
+
+if TYPE_CHECKING:  # witnesses builds on this module
+    from .witnesses import Witness
 
 
 def normalization_factor(n: int) -> float:
@@ -18,7 +24,7 @@ def normalization_factor(n: int) -> float:
     return 1.0 / (8 * n * n * (1 + 4 * n))
 
 
-def ppt_entangled_state(w: witnesses.Witness) -> np.ndarray:
+def ppt_entangled_state(w: Witness) -> np.ndarray:
     """PPT entangled state detected by the witness built from PhiU4N.
 
     Blocks on C^{4N} (x) C^{4N}, with scale NN = 1/(8N^2(1+4N)):
@@ -61,6 +67,16 @@ def ppt_entangled_state(w: witnesses.Witness) -> np.ndarray:
     return rho
 
 
+def max_entangled(d: int) -> np.ndarray:
+    """Maximally entangled state (1/d) sum_kl |k><l| (x) |k><l| on C^d (x) C^d."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    kk = np.arange(d) * (d + 1)  # |kk> sits at k * d + k
+    p = np.zeros((d * d, d * d), dtype=complex)
+    p[np.ix_(kk, kk)] = 1.0 / d
+    return p
+
+
 def isotropic_state(d: int, lam: float) -> np.ndarray:
     """Isotropic state (lam/d^2) I (x) I + (1 - lam) P+_d for lam in [0, 1].
 
@@ -69,7 +85,7 @@ def isotropic_state(d: int, lam: float) -> np.ndarray:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda={lam} outside [0, 1]")
-    rho = (1.0 - lam) * witnesses.max_entangled(d)
+    rho = (1.0 - lam) * max_entangled(d)
     rho.flat[:: d * d + 1] += lam / d ** 2  # the diagonal
     return rho
 

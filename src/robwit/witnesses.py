@@ -14,9 +14,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import maps
+from . import maps, states
 from .linalg import (
     CONSTRUCTION_TOL,
+    EIGENVALUE_TOL,
     hermiticity_defect,
     hermitian_eig,
     local_conjugate,
@@ -27,6 +28,12 @@ from .linalg import (
     trace_norm,
 )
 from .report import CertReport, rule_report
+
+# Positivity's sample: its size and the seed of its one fixed stream.  Its projectors are mapped
+# POSITIVITY_BLOCK per batched call, which bounds the stack (and the peak memory) at 256 (4N)^2 matrices.
+POSITIVITY_TRIALS = 1000
+POSITIVITY_SEED = 42
+POSITIVITY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -150,11 +157,14 @@ class Witness:
         (``spa_realignment_norm``), and ||realign(X)||_1 <= sqrt(D) ||X||_F = d ||X||_F for
         the rest, with ||I - S S^dagger||_F <= d u.  Chen & Wu, Quantum Inf. Comput. 3 (2003) 193.
         """
-        from . import states
-
         u = self.unitarity_defect
         p = states.isotropic_entanglement_threshold(self.source.size)
         return (1.0 + u) * self.base.spa_realignment_norm + p * u + self.d * (1.0 - p) * self.rotation_residual
+
+    @cached_property
+    def unitary_u(self) -> bool:
+        """Whether the map's U is an antisymmetric unitary (``maps.is_antisymmetric_unitary``), decided once."""
+        return maps.is_antisymmetric_unitary(self.source.u)
 
     @property
     def base(self) -> Witness:
@@ -164,7 +174,7 @@ class Witness:
         shared by every witness of that N.  A strict contraction U is its own
         base: the witness of Phi_U, built on first use and kept.
         """
-        if maps.is_antisymmetric_unitary(self.source.u):
+        if self.unitary_u:
             return canonical_witness(self.source.size)
         return self._contraction_base
 
@@ -172,32 +182,28 @@ class Witness:
     def _contraction_base(self) -> Witness:
         return choi(maps.base_descriptor(self.source))
 
-    # Facts the checks read off a base, kept with it so that one base serves every
-    # request at its N.  They use states and certify, which build on this module,
-    # so those are imported where they are used.
+    # Facts the checks read off a base, kept with it so that one base serves every request at its N.
 
     @cached_property
     def positivity_worst(self) -> float:
         """Worst image eigenvalue of this witness's map over positivity's fixed projector sample.
 
-        ``certify.POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
-        ``certify.POSITIVITY_SEED`` and mapped ``certify.POSITIVITY_BLOCK`` projectors per call.
+        ``POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
+        ``POSITIVITY_SEED`` and mapped ``POSITIVITY_BLOCK`` projectors per call.
         """
-        from . import certify
-
-        rng = np.random.default_rng(certify.POSITIVITY_SEED)
-        g = rng.standard_normal((certify.POSITIVITY_TRIALS, 2, self.d))  # real, imaginary part
+        rng = np.random.default_rng(POSITIVITY_SEED)
+        g = rng.standard_normal((POSITIVITY_TRIALS, 2, self.d))  # real, imaginary part
         psi = g[:, 0] + 1j * g[:, 1]
         psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-        blocks = (psi[i : i + certify.POSITIVITY_BLOCK] for i in range(0, len(psi), certify.POSITIVITY_BLOCK))
+        blocks = (psi[i : i + POSITIVITY_BLOCK] for i in range(0, len(psi), POSITIVITY_BLOCK))
         return min(min_eigenvalue(maps.apply_map(self.source, p[:, :, None] * p[:, None, :].conj())) for p in blocks)
 
     @cached_property
     def family_rank(self) -> int:
-        """``numerical_rank`` of the plain product family psi (x) psi*, psi over ``certify.spanning_family``."""
-        from . import certify
-
-        gens = certify.spanning_family(self.source.size)
+        """``numerical_rank`` of the plain product family psi (x) psi*, psi over ``spanning_family``."""
+        cells, values = spanning_family(self.source.size)
+        gens = np.zeros((len(cells), self.d), dtype=complex)
+        np.add.at(gens, (np.arange(len(cells))[:, None], cells), values)  # e_l's second cell repeats, with weight 0
         return numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
 
     @cached_property
@@ -207,8 +213,6 @@ class Witness:
         rho_b is sparse, 400 nonzeros at N = 4 and 3504 at N = 12, so a base keeps
         those and no dense state.
         """
-        from . import states
-
         rho = states.ppt_entangled_state(self)
         index = np.flatnonzero(rho)
         return index, rho.ravel()[index]
@@ -231,9 +235,7 @@ class Witness:
         (1/8N^2) {0, +-1, +-i}, that is exact, and the defect is exactly 0.
         """
         d = self.d
-        g0 = canonical_gamma(self.source.size)
-        rows, cols = np.nonzero(g0)  # one nonzero per row, rows in order
-        phase = g0[rows, cols]
+        cols, phase = canonical_gamma(self.source.size)
         t = self.matrix.reshape(d, d, d, d)
         moved = phase[:, None, None, None] * t[cols][:, :, cols] * phase.conj()[None, None, :, None]
         return float(np.linalg.norm(t.transpose(2, 1, 0, 3) - moved))
@@ -241,9 +243,7 @@ class Witness:
     @cached_property
     def spa_partial_transpose_min(self) -> float:
         """Smallest eigenvalue of the partial transpose of the approximated witness at the threshold 4N/(4N+1)."""
-        from . import certify, states
-
-        approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
+        approx = spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
         return min_eigenvalue(partial_transpose(approx, self.d, self.d))
 
     @cached_property
@@ -252,9 +252,7 @@ class Witness:
 
         1/(2N) for W(U0) at N = 1, 2, 4, 8.
         """
-        from . import certify, states
-
-        approx = certify.spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
+        approx = spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
         return trace_norm(realign(approx, self.d, self.d))
 
     @cached_property
@@ -263,9 +261,7 @@ class Witness:
 
         rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
         """
-        from . import certify, states
-
-        return tuple(certify.detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+        return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
 
     @cached_property
     def detection_boundary(self) -> tuple[float, bool]:
@@ -295,23 +291,52 @@ def canonical_witness(n: int) -> Witness:
     return w
 
 
-def canonical_gamma(n: int) -> np.ndarray:
-    """G0 = I_2 (x) U0, with W(U0)^Gamma = (G0 (x) 1) W(U0) (G0 (x) 1)^dagger; a phase permutation.
+def canonical_gamma(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """G0 = I_2 (x) U0, with W(U0)^Gamma = (G0 (x) 1) W(U0) (G0 (x) 1)^dagger, as a phase permutation (cols, phase).
 
-    Gamma is the partial transpose on the first factor.  A witness moved from
-    W(U0) by (A, B) has W^Gamma = (G (x) 1) W (G (x) 1)^dagger for G = Abar G0 A^dagger.
+    Row r holds phase[r] in column cols[r] = r ^ 1: -i for even r, +i for odd r.  Gamma is the
+    partial transpose on the first factor.  A witness moved from W(U0) by (A, B) has
+    W^Gamma = (G (x) 1) W (G (x) 1)^dagger for G = Abar G0 A^dagger.
     """
-    return np.kron(np.eye(2, dtype=complex), maps.canonical_u0(n))
+    r = np.arange(4 * n)
+    return r ^ 1, np.where(r % 2 == 1, 1j, -1j)
 
 
-def max_entangled(d: int) -> np.ndarray:
-    """Maximally entangled state (1/d) sum_kl |k><l| (x) |k><l| on C^d (x) C^d."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    kk = np.arange(d) * (d + 1)  # |kk> sits at k * d + k
-    p = np.zeros((d * d, d * d), dtype=complex)
-    p[np.ix_(kk, kk)] = 1.0 / d
-    return p
+def spanning_family(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generators e_l, then e_m + e_n and e_m + i e_n for each m < n, as (cells, values), each (D, 2).
+
+    Generator k is values[k, 0] e_{cells[k, 0]} + values[k, 1] e_{cells[k, 1]}, e_l with cells (l, l)
+    and values (1, 0).  Mapped to psi (x) psi*, the (4N)^2 generators span C^{4N} (x) C^{4N}.
+    """
+    if n < 1:
+        raise ValueError("N must be a positive integer")
+    d = 4 * n
+    lo, hi = np.triu_indices(d, 1)  # every pair m < n, in row-major order
+    cells = np.concatenate([np.arange(d)[:, None].repeat(2, axis=1), np.stack([lo, hi], axis=1).repeat(2, axis=0)])
+    values = np.concatenate([np.tile([1.0, 0.0], (d, 1)), np.tile([[1.0, 1.0], [1.0, 1j]], (len(lo), 1))])
+    return cells, values
+
+
+def spa_witness(w: Witness, p: float) -> np.ndarray:
+    """White-noise admixture (p/d^2) I (x) I + (1 - p) W; trace stays 1."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing parameter p={p} outside [0, 1]")
+    dsq = w.matrix.shape[0]
+    return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
+
+
+def detect(w: Witness, rho: np.ndarray) -> float:
+    """Tr(W rho); strictly negative means the witness detects the state."""
+    if w.matrix.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {rho.shape}")
+    return real_trace(complex(np.einsum("ij,ji->", w.matrix, rho)))
+
+
+def real_trace(value: complex) -> float:
+    """Tr(W rho) as a real number; raises if its imaginary part is not negligible."""
+    if abs(value.imag) > CONSTRUCTION_TOL * max(1.0, abs(value.real)):
+        raise ValueError(f"Tr(W rho) has a non-negligible imaginary part: {value}")
+    return float(value.real)
 
 
 def choi(m: maps.MapDescriptor) -> Witness:
@@ -343,7 +368,7 @@ def expected_spectrum_sorted(n: int) -> np.ndarray:
     return np.sort(np.repeat(values, mults))
 
 
-def verify_spectrum(w: Witness, tol: float = 1e-9) -> CertReport:
+def verify_spectrum(w: Witness, tol: float = EIGENVALUE_TOL) -> CertReport:
     """Match the Choi eigenvalues, read off the base witness, against the closed form.
 
     The base's sorted eigenvalues (its cached blocked spectrum) are compared

@@ -73,6 +73,24 @@ def self_dual_reference(f, d: int):
     return ref
 
 
+def dense_generators(n: int) -> np.ndarray:
+    """Rows e_l, then e_m + e_n and e_m + i e_n for each m < n, from the double loop: the spanning family, densely."""
+    d = 4 * n
+    e = np.eye(d, dtype=complex)
+    rows = list(e)
+    for m in range(d):
+        for k in range(m + 1, d):
+            rows += [e[m] + e[k], e[m] + 1j * e[k]]
+    return np.array(rows)
+
+
+def densify(cells: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """Row k is values[k, 0] e_{cells[k, 0]} + values[k, 1] e_{cells[k, 1]} in C^d."""
+    rows = np.zeros((len(cells), d), dtype=complex)
+    np.add.at(rows, (np.arange(len(cells))[:, None], cells), values)
+    return rows
+
+
 def gamma_unitary(m: maps.MapDescriptor) -> np.ndarray:
     """G = Abar (I_2 (x) U0) A^dagger, (A, B) the map's local rotation: W^Gamma = (G (x) 1) W (G (x) 1)^dagger.
 

@@ -48,7 +48,7 @@ def test_criterion_2_nondecomposability():
             low = min_eigenvalue(rho)
             low_pt = min_eigenvalue(partial_transpose(rho, d, d).T)  # the second factor transposed
             trace_defect = abs(complex(np.trace(rho)) - 1.0)
-            value = certify.detect(w, rho)
+            value = witnesses.detect(w, rho)
             target = -states.normalization_factor(n) / (8 * n * n)
             case_ok = (
                 low >= -1e-10
@@ -79,7 +79,7 @@ def test_criterion_3_optimality():
 def test_criterion_4_map_positivity():
     ok = True
     details = []
-    assert certify.POSITIVITY_TRIALS == 1000
+    assert witnesses.POSITIVITY_TRIALS == 1000
     for n in (1, 2):
         report = certify.verify_positivity(witnesses.choi(maps.phi_u(n, maps.canonical_u0(n))))
         premises = re.search(r"proof-identity defect (\S+), Schur defect (\S+),", report.details)
@@ -98,7 +98,7 @@ def test_criterion_5_spa_threshold():
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
         bisected = certify.spa_threshold(w)
         closed = states.isotropic_entanglement_threshold(n)
-        boundary = min_eigenvalue(certify.spa_witness(w, closed))
+        boundary = min_eigenvalue(witnesses.spa_witness(w, closed))
         case_ok = abs(bisected - closed) <= 1e-8 and abs(boundary) <= 1e-9
         ok = ok and case_ok
         details.append(f"N={n}: bisected {bisected:.10f} vs {closed:.10f}")
@@ -124,7 +124,7 @@ def test_criterion_7_isotropic_detection(detection_sum):
     for n in (1, 2):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
         for lam in np.linspace(0.0, 1.0, 11):
-            numeric = certify.detect(w, states.isotropic_state(4 * n, float(lam)))
+            numeric = witnesses.detect(w, states.isotropic_state(4 * n, float(lam)))
             closed = certify.isotropic_detection_value(n, float(lam))
             worst = max(worst, abs(numeric - closed))
         ok = ok and worst <= 1e-12
@@ -142,7 +142,7 @@ def test_criterion_8_entanglement_breaking():
         for _, u in u_cases(n):
             w = witnesses.choi(maps.phi_u(n, u))
             ok = ok and certify.verify_eb_certificate(w).passed
-            approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+            approx = witnesses.spa_witness(w, states.isotropic_entanglement_threshold(n))
             d = 4 * n
             ok = ok and min_eigenvalue(partial_transpose(approx, d, d)) >= -1e-10
             ok = ok and trace_norm(realign(approx, d, d)) <= 1.0 + 1e-8

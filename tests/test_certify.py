@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import corrupted_conjugated_witness, corrupted_plain_witness, perturb_witness
+from conftest import (corrupted_conjugated_witness, corrupted_plain_witness, dense_generators, densify,
+                      perturb_witness)
 from reference_maps import breuer_hall, reference_witness
 
 
@@ -23,7 +24,7 @@ def reference_spa_bisect(w, tol=1e-10):
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
-        if min_eigenvalue(certify.spa_witness(w, mid)) >= -tol:
+        if min_eigenvalue(witnesses.spa_witness(w, mid)) >= -tol:
             hi = mid
         else:
             lo = mid
@@ -35,15 +36,10 @@ def loop_product_family(matrix, n, left=None, right=None):
 
     Each generator psi gives v = (L psi) (x) (R psi*); ``left`` and ``right`` default to I.
     """
-    d = 4 * n
-    e = np.eye(d, dtype=complex)
+    e = np.eye(4 * n, dtype=complex)
     left = e if left is None else left
     right = e if right is None else right
-    gens = list(e)
-    for a in range(d):
-        for b in range(a + 1, d):
-            gens += [e[a] + e[b], e[a] + 1j * e[b]]
-    vectors = [np.kron(left @ psi, right @ psi.conj()) for psi in gens]
+    vectors = [np.kron(left @ psi, right @ psi.conj()) for psi in dense_generators(n)]
     return max(abs(complex(v.conj() @ matrix @ v)) for v in vectors), numerical_rank(vectors)
 
 
@@ -52,13 +48,15 @@ def checked_families(w):
 
     Optimality certifies W on (A psi) (x) (B psi*), read off W' = S^dagger W S with G = I;
     nd-optimality certifies W^Gamma on (Abar G0 psi) (x) (B psi*), read off Gamma(W') with G = G0.
+    The route's G is a phase permutation (cols, phase); the factor L takes G0 densely.
     """
     d = w.d
     a, b = maps.local_rotation(w.source)
     g0 = np.kron(np.eye(2), maps.canonical_u0(w.source.size))
     pulled = w.pulled_back.reshape(d, d, d, d)
-    return [(w.matrix, a, b, pulled, np.eye(d)),
-            (partial_transpose(w.matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3), g0)]
+    return [(w.matrix, a, b, pulled, (np.arange(d), np.ones(d))),
+            (partial_transpose(w.matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3),
+             witnesses.canonical_gamma(w.source.size))]
 
 
 def product_vectors(phi, chi):
@@ -76,14 +74,15 @@ def dense_gram_rank(vectors, tol=1e-9):
 
 def drop_phase_vectors(monkeypatch):
     """Make spanning_family leave out its e_m + i e_n generators."""
-    build = certify.spanning_family
+    build = witnesses.spanning_family
 
     def reduced(n):
         d = 4 * n
         keep = np.r_[np.arange(d), d + 2 * np.arange(d * (d - 1) // 2)]  # e_l, then e_m + e_n per pair
-        return build(n)[keep]
+        cells, values = build(n)
+        return cells[keep], values[keep]
 
-    monkeypatch.setattr(certify, "spanning_family", reduced)
+    monkeypatch.setattr(witnesses, "spanning_family", reduced)
 
 
 def record_hermitian_eig(monkeypatch):
@@ -152,20 +151,20 @@ def splitting_defects(u, psi1, psi2):
 class TestDetect:
     def test_ppt_state(self, canonical_witness):
         state = states.ppt_entangled_state(canonical_witness)
-        assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
+        assert witnesses.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_maximally_mixed(self, canonical_witness):
         mixed = np.eye(16, dtype=complex) / 16
-        assert certify.detect(canonical_witness, mixed) == pytest.approx(1 / 16, abs=1e-12)
+        assert witnesses.detect(canonical_witness, mixed) == pytest.approx(1 / 16, abs=1e-12)
 
     def test_maximally_entangled(self, canonical_witness):
-        plus = witnesses.max_entangled(4)
-        assert certify.detect(canonical_witness, plus) == pytest.approx(-1 / 4, abs=1e-12)
+        plus = states.max_entangled(4)
+        assert witnesses.detect(canonical_witness, plus) == pytest.approx(-1 / 4, abs=1e-12)
 
     def test_dimension_mismatch(self, canonical_witness):
         small = np.eye(4, dtype=complex) / 4
         with pytest.raises(ValueError, match="mismatch"):
-            certify.detect(canonical_witness, small)
+            witnesses.detect(canonical_witness, small)
 
 
 def corrupt_apply_map(monkeypatch, off_u0_only):
@@ -228,9 +227,9 @@ class TestPositivity:
         base = maps.phi_u(1, maps.canonical_u0(1))
         w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary")))
         w.rotation_residual  # builds the base before apply_map is recorded
-        rng = np.random.default_rng(certify.POSITIVITY_SEED)
+        rng = np.random.default_rng(witnesses.POSITIVITY_SEED)
         worst, projectors = np.inf, []
-        for _ in range(certify.POSITIVITY_TRIALS):
+        for _ in range(witnesses.POSITIVITY_TRIALS):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
             projectors.append(np.outer(psi, psi.conj()))
@@ -415,12 +414,25 @@ class TestNondecomposability:
 class TestSpanningFamily:
     @pytest.mark.parametrize("n,count", [(1, 16), (2, 64)])
     def test_counts(self, n, count):
-        family = certify.spanning_family(n)
-        assert family.shape == (count, 4 * n)
+        cells, values = witnesses.spanning_family(n)
+        assert cells.shape == values.shape == (count, 2)
 
     def test_first_pair_sum_vector(self):
-        family = certify.spanning_family(1)
+        family = densify(*witnesses.spanning_family(1), 4)
         np.testing.assert_array_equal(family[4], np.array([1, 1, 0, 0], dtype=complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cells_equal_the_dense_generators(self, n):
+        cells, values = witnesses.spanning_family(n)
+        np.testing.assert_array_equal(densify(cells, values, 4 * n), dense_generators(n))
+        assert np.all(cells[:, 0] <= cells[:, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_canonical_gamma_is_the_dense_kronecker_product(self, n):
+        cols, phase = witnesses.canonical_gamma(n)
+        g0 = np.zeros((4 * n, 4 * n), dtype=complex)
+        g0[np.arange(4 * n), cols] = phase
+        np.testing.assert_array_equal(g0, np.kron(np.eye(2), maps.canonical_u0(n)))
 
     def test_phase_vector_tensor_convention(self):
         # dim-2 analog of e_m + i e_n mapped to psi (x) psi*
@@ -428,7 +440,7 @@ class TestSpanningFamily:
         np.testing.assert_allclose(np.kron(g, g.conj()), [1.0, -1.0j, 1.0j, 1.0], atol=1e-15)
 
     def test_spans(self):
-        gens = certify.spanning_family(2)
+        gens = densify(*witnesses.spanning_family(2), 8)
         assert numerical_rank([np.kron(g, g.conj()) for g in gens]) == 64
 
 
@@ -496,7 +508,7 @@ class TestFamilyRank:
         u = maps.random_antisymmetric_unitary(n, seed=40 + n, mode="complex-unitary")
         d = 4 * n
         conj = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=42), maps.random_unitary(d, seed=43))
-        gens = certify.spanning_family(n)
+        gens = dense_generators(n)
         families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
             w = witnesses.choi(m)
@@ -519,7 +531,7 @@ class TestFamilyRank:
     def test_rank_drops_without_phase_vectors(self, monkeypatch, fresh_base, n):
         drop_phase_vectors(monkeypatch)
         d = 4 * n
-        gens = certify.spanning_family(n)
+        gens = densify(*witnesses.spanning_family(n), d)
         dropped = d + d * (d - 1) // 2
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
         rank = w.base.family_rank
@@ -591,18 +603,18 @@ class TestSelfDuality:
 class TestSpa:
     def test_endpoints(self, canonical_witness):
         np.testing.assert_allclose(
-            certify.spa_witness(canonical_witness, 1.0), np.eye(16) / 16, atol=1e-15
+            witnesses.spa_witness(canonical_witness, 1.0), np.eye(16) / 16, atol=1e-15
         )
         np.testing.assert_allclose(
-            certify.spa_witness(canonical_witness, 0.0), canonical_witness.matrix, atol=1e-15
+            witnesses.spa_witness(canonical_witness, 0.0), canonical_witness.matrix, atol=1e-15
         )
 
     def test_threshold_degeneracy(self, canonical_witness):
-        assert abs(min_eigenvalue(certify.spa_witness(canonical_witness, 0.8))) <= 1e-10
+        assert abs(min_eigenvalue(witnesses.spa_witness(canonical_witness, 0.8))) <= 1e-10
 
     def test_rejects_out_of_range(self, canonical_witness):
         with pytest.raises(ValueError, match="outside"):
-            certify.spa_witness(canonical_witness, 1.5)
+            witnesses.spa_witness(canonical_witness, 1.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_threshold_coincides_with_isotropic_boundary(self, n):
@@ -652,7 +664,7 @@ class TestSpa:
         monkeypatch.undo()
         # the boundary it reports is the min eig of the approximated base witness, solved directly
         boundary = float(re.search(r"closed-form threshold = (\S+) ", report.details).group(1))
-        direct = min_eigenvalue(certify.spa_witness(w.base, report.expected))
+        direct = min_eigenvalue(witnesses.spa_witness(w.base, report.expected))
         assert abs(boundary - direct) <= 1e-15
 
     def test_report_fails_off_the_family(self, perturbed_witness):
@@ -688,7 +700,7 @@ class TestSpa:
         # the smallest-eigenvalue branch is affine, so second differences vanish
         p0 = 0.8
         values = [
-            min_eigenvalue(certify.spa_witness(canonical_witness, p))
+            min_eigenvalue(witnesses.spa_witness(canonical_witness, p))
             for p in (p0 - 0.05, p0, p0 + 0.05)
         ]
         assert abs(values[0] + values[2] - 2 * values[1]) <= 1e-9
@@ -705,7 +717,7 @@ class TestIsotropicDetection:
     def test_matches_numeric_detect(self, n):
         w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
         for lam in (0.0, 0.25, 0.5, 0.8, 1.0):
-            numeric = certify.detect(w, states.isotropic_state(4 * n, lam))
+            numeric = witnesses.detect(w, states.isotropic_state(4 * n, lam))
             assert numeric == pytest.approx(certify.isotropic_detection_value(n, lam), abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -718,7 +730,7 @@ class TestIsotropicDetection:
         u = maps.random_antisymmetric_unitary(1, seed=17)
         m = maps.phi_u(1, u)
         w = witnesses.choi(m)
-        overlap = complex(np.einsum("ij,ji->", w.matrix, witnesses.max_entangled(4))).real
+        overlap = complex(np.einsum("ij,ji->", w.matrix, states.max_entangled(4))).real
         assert detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
 
     def test_detection_root(self, canonical_witness):
@@ -819,7 +831,7 @@ class TestStandInBase:
         # 3 (P+ - I/D) added to the base: unit trace, unital and self-dual still, and W is the stand-in
         # itself, so ||E||_F = u = 0; with the true base's other facts only the realignment bound can fail
         true = witnesses.canonical_witness(1)
-        mixed = true.matrix + 3.0 * (witnesses.max_entangled(4) - np.eye(16) / 16)
+        mixed = true.matrix + 3.0 * (states.max_entangled(4) - np.eye(16) / 16)
         stand_in = witnesses.Witness(mixed, true.source)
         for fact in ("detection_boundary", "spa_partial_transpose_min", "self_duality_defect"):
             vars(stand_in)[fact] = getattr(true, fact)
@@ -862,7 +874,7 @@ class TestRealignment:
     def test_trace_norm_flags_entanglement(self):
         # oracle: ||R(P+)||_1 = d, ||R(I/d^2)||_1 = 1/d
         d = 4
-        assert linalg.trace_norm(linalg.realign(witnesses.max_entangled(d), d, d)) == pytest.approx(d)
+        assert linalg.trace_norm(linalg.realign(states.max_entangled(d), d, d)) == pytest.approx(d)
         assert linalg.trace_norm(linalg.realign(np.eye(d * d) / d ** 2, d, d)) == pytest.approx(1 / d)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -873,7 +885,7 @@ class TestRealignment:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=51), maps.random_unitary(d, seed=52))
-        approx = certify.spa_witness(witnesses.choi(m), states.isotropic_entanglement_threshold(n))
+        approx = witnesses.spa_witness(witnesses.choi(m), states.isotropic_entanglement_threshold(n))
         dense = np.sum(np.linalg.svd(linalg.realign(approx, d, d), compute_uv=False))
         assert linalg.trace_norm(linalg.realign(approx, d, d)) == pytest.approx(dense, rel=0, abs=1e-13)
 
@@ -898,7 +910,7 @@ class TestFullSuite:
         for m in (plain, conjugated):
             w = witnesses.choi(m)
             rho = linalg.local_conjugate(states.ppt_entangled_state(base), *maps.local_rotation(m))
-            approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+            approx = witnesses.spa_witness(w, states.isotropic_entanglement_threshold(n))
             never += [w.matrix, rho, partial_transpose(rho, d, d), partial_transpose(approx, d, d)]
         solved = record_hermitian_eig(monkeypatch)
         for m in (plain, conjugated, plain):
@@ -925,6 +937,23 @@ class TestFullSuite:
         for _ in range(2):
             assert all(r.passed for r in certify.run_full_suite(m))
         assert built == [m.family, "PhiU4N", m.family]
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_decides_the_kind_of_u_once_per_witness(self, monkeypatch, conjugated):
+        # a warm suite asks whether U is an antisymmetric unitary twice: once for its witness's
+        # base, which every check reads, and once in maps.local_rotation
+        n = 2
+        m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=7))
+        if conjugated:
+            m = maps.conjugated_phi(n, m.u, maps.random_unitary(8, seed=8), maps.random_unitary(8, seed=9))
+        assert all(r.passed for r in certify.run_full_suite(m))
+        calls = []
+        decide = maps.is_antisymmetric_unitary
+        monkeypatch.setattr(maps, "is_antisymmetric_unitary", lambda u: calls.append(u) or decide(u))
+        assert all(r.passed for r in certify.run_full_suite(m))
+        assert len(calls) == 2
+        base = witnesses.canonical_witness(n)
+        assert base.unitary_u and all(value is not base for value in vars(base).values())
 
     def test_one_cache_clear_samples_and_ranks_again(self, monkeypatch, fresh_base):
         # every per-N fact lives in the one memo of W(U0): after one cache_clear() the next suite of
@@ -983,7 +1012,7 @@ class TestCorruptedPlainWitness:
                                           certify.verify_nd_optimality, certify.verify_eb_certificate)]
         nondecomposability, optimality, nd_optimality, eb = reports
         rho = linalg.local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
-        assert nondecomposability.measured == pytest.approx(certify.detect(w, rho), rel=1e-12)
+        assert nondecomposability.measured == pytest.approx(witnesses.detect(w, rho), rel=1e-12)
         assert abs(nondecomposability.measured - nondecomposability.expected) > 1e-9
         assert optimality.measured > 1e-7
         bound = float(re.search(r"conjugation residual bound (\S+) ", nd_optimality.details).group(1))

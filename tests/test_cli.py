@@ -47,6 +47,26 @@ class TestMatrixSerialization:
         with pytest.raises(ValueError, match="malformed"):
             cli.matrix_from_payload(payload)
 
+    @pytest.mark.parametrize("d", ["1e400", "1.5", "1.0", "true"])
+    def test_rejects_a_d_that_is_no_integer(self, d):
+        # 1e400 parses as inf, which int() cannot convert; 1.5 would be truncated to the rows' 1
+        with pytest.raises(ValueError, match="malformed matrix payload.*d must be an integer"):
+            cli.matrix_from_payload(json.loads(f'{{"d": {d}, "rows": [[[1.0, 0.0]]]}}'))
+
+    @pytest.mark.parametrize("command", ["certify", "build"])
+    @pytest.mark.parametrize("flags", [["--u"], ["--v2", "seed:2", "--v1"], ["--v1", "seed:1", "--v2"]],
+                             ids=["u", "v1", "v2"])
+    @pytest.mark.parametrize("d", ["1e400", "{}.5"], ids=["overflow", "fraction"])
+    def test_a_file_whose_d_is_no_integer_exits_2(self, capsys, tmp_path, command, flags, d):
+        # a valid matrix whose d is 1e400 or its size plus 0.5: a malformed payload, not a traceback or a pass
+        matrix = maps.random_antisymmetric_unitary(1, 5) if flags == ["--u"] else maps.random_unitary(4, seed=1)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**cli.matrix_to_payload(matrix), "d": 0}).replace(
+            '"d": 0', f'"d": {d.format(len(matrix))}'))
+        code, out, err = run(capsys, command, "--n", "1", *flags, f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed matrix payload") and "d must be an integer" in err
+
 
 class TestBuild:
     def test_json_output(self, capsys):
@@ -142,7 +162,7 @@ class TestSizeGuard:
 
 @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
 def test_seed_is_not_an_option(capsys, command):
-    # positivity's sample has one fixed stream, certify.POSITIVITY_SEED: its seed is no parameter of a claim
+    # positivity's sample has one fixed stream, witnesses.POSITIVITY_SEED: its seed is no parameter of a claim
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--n", "1", "--seed", "1"])
     assert exc.value.code == 2
@@ -340,7 +360,7 @@ class TestCurve:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 21
         for row in rows:
-            per_point = certify.detect(w, build(8, float(row["lambda"])))
+            per_point = witnesses.detect(w, build(8, float(row["lambda"])))
             assert float(row["numeric"]) == pytest.approx(per_point, rel=0, abs=1e-15)
 
 

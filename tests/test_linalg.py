@@ -7,6 +7,8 @@ from robwit import linalg
 from robwit.maps import SIGMA_Y, canonical_u0, phi_u
 from robwit.witnesses import choi
 
+from conftest import dense_generators
+
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -251,9 +253,7 @@ class TestNumericalRank:
         assert linalg.numerical_rank([e1, 2 * e1]) == 1
 
     def test_product_family_spans(self):
-        from robwit.certify import spanning_family
-
-        gens = spanning_family(1)
+        gens = dense_generators(1)
         assert linalg.numerical_rank([np.kron(g, g.conj()) for g in gens]) == 16
 
     def test_cutoff_applies_to_pinned_coordinates(self):

@@ -36,13 +36,13 @@ class TestPptEntangledState:
 
     def test_detected_value_at_n1(self, canonical_witness):
         state = states.ppt_entangled_state(canonical_witness)
-        assert certify.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
+        assert witnesses.detect(canonical_witness, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_random_u(self):
         u = maps.random_antisymmetric_unitary(1, seed=30)
         w = witnesses.choi(maps.phi_u(1, u))
         state = states.ppt_entangled_state(w)
-        assert certify.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
+        assert witnesses.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_rejects_contraction_u(self):
         w = witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
@@ -56,7 +56,7 @@ class TestIsotropicState:
 
     def test_maximally_entangled_endpoint(self):
         np.testing.assert_allclose(
-            states.isotropic_state(4, 0.0), witnesses.max_entangled(4), atol=1e-15
+            states.isotropic_state(4, 0.0), states.max_entangled(4), atol=1e-15
         )
 
     @pytest.mark.parametrize("d", [2, 4, 12])
@@ -99,5 +99,5 @@ class TestEntanglementThreshold:
 
     def test_separable_side_not_detected(self, canonical_witness):
         for lam in (0.8, 0.9, 1.0):
-            value = certify.detect(canonical_witness, states.isotropic_state(4, lam))
+            value = witnesses.detect(canonical_witness, states.isotropic_state(4, lam))
             assert value >= -1e-12

@@ -23,27 +23,27 @@ class TestMaxEntangled:
         expected = 0.5 * np.array(
             [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=complex
         )
-        np.testing.assert_allclose(witnesses.max_entangled(2), expected, atol=1e-15)
+        np.testing.assert_allclose(states.max_entangled(2), expected, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 4, 12])
     def test_matches_dense_outer_product(self, d):
         v = np.zeros(d * d, dtype=complex)
         v[:: d + 1] = 1.0
         reference = np.outer(v, v.conj()) / d
-        first, second = witnesses.max_entangled(d), witnesses.max_entangled(d)
+        first, second = states.max_entangled(d), states.max_entangled(d)
         np.testing.assert_array_equal(first, reference)
         first[0, 0] = 7.0  # each call hands out its own writable array
         np.testing.assert_array_equal(second, reference)
-        np.testing.assert_array_equal(witnesses.max_entangled(d), reference)
+        np.testing.assert_array_equal(states.max_entangled(d), reference)
 
     def test_rank_one_projector(self):
-        p = witnesses.max_entangled(4)
+        p = states.max_entangled(4)
         assert complex(np.trace(p)).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_twirl_invariance(self, d):
-        p = witnesses.max_entangled(d)
+        p = states.max_entangled(d)
         for seed in range(10):
             v = maps.random_unitary(d, seed=seed)
             big = np.kron(v, v.conj())
@@ -51,7 +51,7 @@ class TestMaxEntangled:
 
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
-            witnesses.max_entangled(1)
+            states.max_entangled(1)
 
 
 class TestChoi:
@@ -265,7 +265,7 @@ class TestPullBack:
         w = witnesses.choi(example_map(family, n, mode, seed))
         rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
         measured = certify.verify_nondecomposability(w).measured
-        assert measured == pytest.approx(certify.detect(w, rho), rel=1e-12, abs=1e-17)
+        assert measured == pytest.approx(witnesses.detect(w, rho), rel=1e-12, abs=1e-17)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
@@ -301,7 +301,7 @@ class TestPullBack:
         g = gamma_unitary(m)
         gamma = np.linalg.norm(partial_transpose(w.matrix, d, d) - local_conjugate(w.matrix, g, np.eye(d)))
         assert gamma <= w.gamma_conjugation_bound + rounding
-        approx = certify.spa_witness(w, states.isotropic_entanglement_threshold(n))
+        approx = witnesses.spa_witness(w, states.isotropic_entanglement_threshold(n))
         assert trace_norm(realign(approx, d, d)) <= w.spa_realignment_bound + rounding
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -314,7 +314,7 @@ class TestPullBack:
         g0 = np.kron(np.eye(2), maps.canonical_u0(n))
         np.testing.assert_array_equal(partial_transpose(base.matrix, d, d), local_conjugate(base.matrix, g0, np.eye(d)))
         assert base.spa_realignment_norm == pytest.approx(1 / (2 * n), rel=1e-13)
-        approx = certify.spa_witness(base, states.isotropic_entanglement_threshold(n))
+        approx = witnesses.spa_witness(base, states.isotropic_entanglement_threshold(n))
         dense = np.sum(np.linalg.svd(realign(approx, d, d), compute_uv=False))
         assert base.spa_realignment_norm == pytest.approx(dense, rel=1e-12)
 
