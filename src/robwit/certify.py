@@ -9,9 +9,10 @@ approximation, detection of all entangled isotropic states, and the
 resulting entanglement-breaking certificate for the approximated map.
 
 Every check takes one :class:`Witness`, which carries its map and, as
-``Witness.base``, the PhiU4N witness it is moved from by the local rotation
-(A, B) of ``maps.local_rotation``: for an antisymmetric unitary U, W(U0) of
-the map's N, built once per N and shared (``witnesses.canonical_witness``).
+``Witness.base``, W(U0) of the map's N, the witness it is moved from by the
+local rotation (A, B) of ``maps.local_rotation``, built once per N and shared
+(``witnesses.canonical_witness``).  Reading it rejects, with one ``ValueError``
+and before any work, a U that is not an antisymmetric unitary.
 The facts read off the base are kept with it in ``witnesses``, beside what
 they are built from: positivity's fixed projector sample, the product family
 (``spanning_family``, index cells), G0 (``canonical_gamma``, a phase
@@ -85,18 +86,18 @@ def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"])
     """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
     ``measured`` is the worst image eigenvalue of ``witnesses.POSITIVITY_TRIALS`` random rank-1 projectors
-    under the base's map (Phi_{U0}; a strict contraction is its own base), drawn once per N and
-    kept with the base (``Witness.positivity_worst``); a complex Gaussian sample is unitarily
-    invariant, so it is distributed exactly as a sample of W's own map.  W = S W_b S^dagger + E
-    with S = A (x) B gives Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X), Delta the map with
-    Choi matrix E, and ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both congruences keep
-    a matrix PSD and scale its eigenvalues within the unitarity defect u of 1 (Ostrowski), so the
-    sample's verdict holds for W's map iff worst (1 + u) - d ||E||_F >= -tol (worst - u |worst|
-    for either sign).
+    under the base's map Phi_{U0}, drawn once per N and kept with the base (``Witness.positivity_worst``);
+    a complex Gaussian sample is unitarily invariant, so it is distributed exactly as a sample of W's own
+    map.  W = S W_b S^dagger + E with S = A (x) B gives Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X),
+    Delta the map with Choi matrix E, and ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both
+    congruences keep a matrix PSD and scale its eigenvalues within the unitarity defect u of 1
+    (Ostrowski), so the sample's verdict holds for W's map iff worst (1 + u) - d ||E||_F >= -tol
+    (worst - u |worst| for either sign).
     The proof maps psi = sqrt(a) psi1 (+) sqrt(1-a) psi2 to (1/2N) [[(1-a) I, -b M], [-b M^dagger,
     a I]] with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger, PSD iff
     M M^dagger = Q + Q^U <= I (Schur complement): two orthogonal projectors when U^T = -U and U is
-    unitary.  ``premise_defects`` of W's U bounds both defects over every splitting.
+    unitary.  ``premise_defects`` of W's U bounds both defects over every splitting: in the 2-norm, they
+    still fail a U that ``Witness.base`` admits entrywise within CONSTRUCTION_TOL, such as U0 + 4e-13 I.
     """
     worst = w.base.positivity_worst
     carried = worst - w.unitarity_defect * abs(worst) - w.d * w.rotation_residual
@@ -219,8 +220,6 @@ def verify_nd_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["nd-optimal
     W^Gamma = (G (x) 1) W (G (x) 1)^dagger is measured on the base, where G0 permutes,
     and carried to W by ``Witness.gamma_conjugation_bound``.
     """
-    if not w.unitary_u:
-        raise ValueError("U must be an antisymmetric unitary matrix")
     d = w.d
     gamma = w.pulled_back.reshape(d, d, d, d).transpose(2, 1, 0, 3)  # Gamma(W'), a view
     rank = w.base.family_rank
@@ -282,12 +281,12 @@ def spa_threshold_report(w: Witness, tol: float = DEFAULT_TOLERANCES["spa-thresh
     eigenvalue of (p/D) I + (1 - p) W lies within (1 - p) s of the base
     approximation's.  The root p = 1 - c / g, with c = 1/D + POSITIVITY_TOL
     and g = 1/D - lambda_min, then moves by at most c s / (g (g - s)); both
-    verdicts are widened by these amounts.  A positive W measures p = 0 and fails.
+    verdicts are widened by these amounts.
     The boundary min eig at the closed form is affine in lambda_min too: no eigensolve.
     """
     base = w.base
     slack = w.rotation_slack
-    measured = spa_threshold(base) if base.spectrum[0] < -POSITIVITY_TOL else 0.0
+    measured = spa_threshold(base)
     expected = states.isotropic_entanglement_threshold(base.source.size)
     dsq = base.matrix.shape[0]
     boundary = expected / dsq + (1.0 - expected) * base.spectrum[0]  # min eig of spa_witness(base, expected)
@@ -344,9 +343,6 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
     w_base = w.base
     n = w.source.size
     d = 4 * n
-    if not w.unitary_u:
-        raise ValueError("the entanglement-breaking certificate requires a strictly unitary U")
-
     unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
     unital_defect = float(np.max(np.abs(unital - np.eye(d))))
     self_dual_defect = w.self_duality_bound

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +46,8 @@ def matrix_from_payload(obj: dict) -> np.ndarray:
         if type(d) is not int:  # a float such as 2.5 or 1e400 is no dimension, nor is a bool
             raise TypeError(f"d must be an integer, got {d!r}")
         m = np.array([[complex(re, im) for re, im in row] for row in obj["rows"]])
+        if any(type(x) is bool for row in obj["rows"] for entry in row for x in entry):  # complex() takes true as 1
+            raise TypeError("an entry [re, im] must hold numbers, got a bool")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload, expected {{d, rows: [[[re, im], ...], ...]}}: {exc}") from None
     if m.shape != (d, d):
@@ -222,9 +225,10 @@ def bounded_n(raw: str) -> int:
     n = positive_int(raw)
     need = PEAK_W_ARRAYS * 16 * (4 * n) ** 4
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise argparse.ArgumentTypeError(
-            f"N={n} needs an estimated {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of physical memory")
+    if need > have:  # need / 1e9 overflows a float from N ~ 1e76 on; its logarithm does not
+        exponent, mantissa = divmod(math.log10(need) - 9, 1)
+        raise argparse.ArgumentTypeError(f"N={n} needs an estimated {10 ** mantissa:.3f}e+{exponent:.0f} GB, "
+                                         f"more than the {have / 1e9:.1f} GB of physical memory")
     return n
 
 

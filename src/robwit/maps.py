@@ -131,27 +131,17 @@ def youla_factor(u: np.ndarray) -> np.ndarray:
     return v
 
 
-def base_descriptor(m: MapDescriptor) -> MapDescriptor:
-    """Underlying PhiU4N descriptor of a (possibly conjugated) core-family map."""
-    if m.family == "PhiU4N":
-        return m
-    return MapDescriptor("PhiU4N", m.size, u=m.u)
-
-
 def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) with witness (A (x) B) W_base (A (x) B)^dagger.
+    """(A, B) with witness (A (x) B) W(U0) (A (x) B)^dagger, W(U0) the witness of Phi_{U0} of m's size.
 
-    W_base is the witness of Phi_{U0} of m's size for an antisymmetric unitary U,
-    so every such map of one N shares it.  With U = V U0 V^T (``youla_factor``),
-    Phi_U is Phi_{U0} conjugated by V1 = V2 = I_2 (x) V^dagger, so a plain map has
-    (I_2 (x) Vbar, I_2 (x) V) and a conjugated one (V2^T (I_2 (x) Vbar),
-    V1^dagger (I_2 (x) V)).  A strict contraction U is its own base, the witness of
-    Phi_U, with (I, I) and (V2^T, V1^dagger).
+    With U = V U0 V^T (``youla_factor``), Phi_U is Phi_{U0} conjugated by
+    V1 = V2 = I_2 (x) V^dagger, so a plain map has (I_2 (x) Vbar, I_2 (x) V) and a
+    conjugated one (V2^T (I_2 (x) Vbar), V1^dagger (I_2 (x) V)).  U must be an
+    antisymmetric unitary, which ``witnesses.Witness.base`` checks first: for any
+    other U the factor is no unitary and (A, B) relates nothing.
     """
-    a = b = np.eye(4 * m.size, dtype=complex)
-    if is_antisymmetric_unitary(m.u):
-        v = youla_factor(m.u)
-        a, b = np.kron(np.eye(2), v.conj()), np.kron(np.eye(2), v)
+    v = youla_factor(m.u)
+    a, b = np.kron(np.eye(2), v.conj()), np.kron(np.eye(2), v)
     if m.family == "PhiU4N":
         return a, b
     return m.v2.T @ a, m.v1.conj().T @ b
@@ -233,7 +223,7 @@ def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
         )
 
     if m.family == "ConjugatedPhiU":
-        inner = apply_map(base_descriptor(m), m.v2 @ x @ m.v2.conj().T)
+        inner = apply_map(MapDescriptor("PhiU4N", m.size, u=m.u), m.v2 @ x @ m.v2.conj().T)
         return m.v1.conj().T @ inner @ m.v1
 
     u = m.u

@@ -70,7 +70,8 @@ class Witness:
 
     @cached_property
     def rotation(self) -> tuple[np.ndarray, np.ndarray]:
-        """The map's local rotation (A, B) from ``maps.local_rotation``, computed once."""
+        """The map's local rotation (A, B) onto ``base`` from ``maps.local_rotation``, computed once."""
+        self.base  # a U without a Youla factor is rejected before it is factorized
         return maps.local_rotation(self.source)
 
     @cached_property
@@ -168,19 +169,15 @@ class Witness:
 
     @property
     def base(self) -> Witness:
-        """The PhiU4N witness that ``rotation`` moves to this one.
+        """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this witness.
 
-        For an antisymmetric unitary U it is ``canonical_witness`` of the map's N,
-        shared by every witness of that N.  A strict contraction U is its own
-        base: the witness of Phi_U, built on first use and kept.
+        Every witness of that N shares it, and every certificate reads it.  A U that is
+        not an antisymmetric unitary has no Youla factor onto U0: it is rejected here,
+        before any check maps, factorizes or diagonalizes anything.
         """
-        if self.unitary_u:
-            return canonical_witness(self.source.size)
-        return self._contraction_base
-
-    @cached_property
-    def _contraction_base(self) -> Witness:
-        return choi(maps.base_descriptor(self.source))
+        if not self.unitary_u:
+            raise ValueError("U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T")
+        return canonical_witness(self.source.size)
 
     # Facts the checks read off a base, kept with it so that one base serves every request at its N.
 
@@ -188,6 +185,7 @@ class Witness:
     def positivity_worst(self) -> float:
         """Worst image eigenvalue of this witness's map over positivity's fixed projector sample.
 
+        ``verify_positivity`` reads it on the base, so the map is Phi_{U0}, sampled once per N:
         ``POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
         ``POSITIVITY_SEED`` and mapped ``POSITIVITY_BLOCK`` projectors per call.
         """

@@ -21,6 +21,10 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):  # without lib
     import hypothesis.extra._patching  # noqa: F401
 
 
+# The one message with which every certificate rejects a U that is not an antisymmetric unitary.
+NOT_UNITARY = "U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T"
+
+
 def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     """d x d matrix with a single 1 at (i, j), 0-based."""
     e = np.zeros((d, d), dtype=complex)

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import (corrupted_conjugated_witness, corrupted_plain_witness, dense_generators, densify,
-                      perturb_witness)
+from conftest import (NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
+                      densify, perturb_witness)
 from reference_maps import breuer_hall, reference_witness
+
+REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
 
 
 @pytest.fixture(scope="module")
@@ -290,13 +292,12 @@ class TestPositivity:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
-        # Phi_U is still positive for U = U0 / 2, so the sampling passes, but
-        # M M^dagger = Q + Q^U needs a unitary U
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(n, 0.5 * maps.canonical_u0(n))))
-        defect = float(re.search(r"proof-identity defect (\S+),", report.details).group(1))
-        assert report.measured >= -report.tolerance
-        assert defect > 1e-2
-        assert not report.passed
+        # Phi_U is still positive for U = U0 / 2, but M M^dagger = Q + Q^U needs a unitary U;
+        # the certificate rejects such a U before it samples anything
+        u = 0.5 * maps.canonical_u0(n)
+        with pytest.raises(ValueError, match=REJECTED):
+            certify.verify_positivity(witnesses.choi(maps.phi_u(n, u)))
+        assert certify.premise_defects(u)[0] > 1e-2
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 2), mode=st.sampled_from(("real-orthogonal", "complex-unitary")),
@@ -307,8 +308,6 @@ class TestPositivity:
         # up to the oracle's own rounding (the Schur bound is attained for (1 + eps) U)
         u = perturbed_u(n, kind, 10.0 ** log_eps, seed, mode)
         identity, schur = certify.premise_defects(u)
-        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)))
-        assert f"proof-identity defect {identity:.2e}, Schur defect {schur:.2e}," in report.details
         rng = np.random.default_rng(seed)
         rounding = 64 * np.finfo(float).eps
         for _ in range(20):
@@ -323,11 +322,28 @@ class TestPositivity:
     @pytest.mark.parametrize("kind", ["symmetric", "scaled"])
     @pytest.mark.parametrize("eps", [1e-3, 1e-11])
     def test_premises_fail_off_the_antisymmetric_unitaries(self, n, kind, eps):
-        # the descriptor is built around phi_u's validation, so only the report can reject U
+        # the descriptor is built around phi_u's validation; every certificate rejects U, whose
+        # premise bounds are off too
         u = perturbed_u(n, kind, eps)
-        report = certify.verify_positivity(witnesses.choi(maps.MapDescriptor("PhiU4N", n, u=u)))
-        if eps < 1e-9:
-            assert report.measured >= -report.tolerance  # the sample alone does not notice
+        m = maps.MapDescriptor("PhiU4N", n, u=u)
+        w = witnesses.choi(m)
+        for check in (certify.verify_positivity, *WITNESS_CHECKS):
+            with pytest.raises(ValueError, match=REJECTED):
+                check(w)
+        with pytest.raises(ValueError, match=REJECTED):
+            certify.run_full_suite(m)
+        assert min(certify.premise_defects(u)) > linalg.CONSTRUCTION_TOL
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_premises_fail_at_the_margin_of_the_unitaries(self, n):
+        # U0 + 4e-13 I passes the entrywise test (defects 8e-13) and reaches the base; the sample
+        # passes on it, and only the premises, bounded in the 2-norm, fail the report
+        u = maps.canonical_u0(n) + 4e-13 * np.eye(2 * n)
+        w = witnesses.choi(maps.phi_u(n, u))
+        assert w.unitary_u and w.base is witnesses.canonical_witness(n)
+        report = certify.verify_positivity(w)
+        assert report.measured >= -report.tolerance
+        assert "proof-identity defect 1.60e-12, Schur defect 2.80e-12," in report.details
         assert not report.passed
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
@@ -684,12 +700,16 @@ class TestSpa:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("c", [0.0, 0.5])
     def test_threshold_holds_for_a_contraction(self, n, c):
-        # lambda_min(W) = -1/(4N) for every U = c U0, so 4N/(4N+1) is still the
-        # true threshold: the report must pass, while the spectrum check fails
+        # lambda_min(W) = -1/(4N) for every U = c U0, so 4N/(4N+1) is still the true threshold of
+        # the contraction's own witness, while its spectrum is off the closed form; both checks,
+        # which read W(U0), reject the contraction
         w = witnesses.choi(maps.phi_u(n, c * maps.canonical_u0(n)))
         assert w.spectrum[0] == pytest.approx(-1 / (4 * n), abs=1e-14)
-        assert certify.spa_threshold_report(w).passed
-        assert not witnesses.verify_spectrum(w).passed
+        assert certify.spa_threshold(w) == pytest.approx(states.isotropic_entanglement_threshold(n), abs=1e-8)
+        assert np.max(np.abs(w.spectrum - witnesses.expected_spectrum_sorted(n))) > 1e-3
+        for check in (certify.spa_threshold_report, witnesses.verify_spectrum):
+            with pytest.raises(ValueError, match=REJECTED):
+                check(w)
 
     def test_bisect_rejects_positive_input(self, canonical_witness):
         fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, canonical_witness.source)
@@ -757,7 +777,7 @@ class TestEbCertificate:
         assert certify.verify_eb_certificate(witnesses.choi(m)).passed
 
     def test_rejects_contraction_u(self):
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match=REJECTED):
             certify.verify_eb_certificate(witnesses.choi(maps.phi_u(1, np.zeros((2, 2)))))
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
@@ -822,6 +842,42 @@ class TestPositiveStandIn:
         root, crosses = stand_in.detection_boundary
         assert crosses is False
         assert root == 0.0
+
+
+def off_unitary_maps(n):
+    """Descriptors whose U is no antisymmetric unitary: 0.5 U0 and U0 + 1e-11 S (S symmetric), plain and conjugated.
+
+    Built around phi_u's validation, which would reject the second U.
+    """
+    d = 4 * n
+    v1, v2 = maps.random_unitary(d, seed=1), maps.random_unitary(d, seed=2)
+    for u in (0.5 * maps.canonical_u0(n), maps.canonical_u0(n) + 1e-11 * np.ones((2 * n, 2 * n))):
+        yield maps.MapDescriptor("PhiU4N", n, u=u)
+        yield maps.MapDescriptor("ConjugatedPhiU", n, u=u, v1=v1, v2=v2)
+
+
+class TestRejectsAnOffUnitaryU:
+    """Every certificate rejects a U that is not an antisymmetric unitary, with one message and no work."""
+
+    @pytest.mark.parametrize("m", off_unitary_maps(2),
+                             ids=["half-u0", "half-u0-conjugated", "symmetric", "symmetric-conjugated"])
+    @pytest.mark.parametrize("check", (certify.verify_positivity, *WITNESS_CHECKS, certify.run_full_suite),
+                             ids=lambda check: check.__name__)
+    def test_raises_before_any_factorization_sample_or_eigensolve(self, monkeypatch, m, check):
+        w = witnesses.choi(m)
+        factored = []
+        factor = maps.youla_factor
+        monkeypatch.setattr(maps, "youla_factor", lambda u: factored.append(u) or factor(u))
+        mapped = record_apply_map(monkeypatch)
+        solved = count_eigensolves(monkeypatch)
+        suite = check is certify.run_full_suite
+        with pytest.raises(ValueError, match=REJECTED):
+            check(m if suite else w)
+        assert factored == [] and solved == []
+        # a suite builds its own W: one apply_map on the matrix units, whose conjugated map calls the
+        # plain one once more; no check maps a projector
+        units = [(8, 8, 8, 8)] * (1 + (m.family == "ConjugatedPhiU")) if suite else []
+        assert [x.shape for _, x in mapped] == units
 
 
 class TestStandInBase:
@@ -940,8 +996,8 @@ class TestFullSuite:
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_decides_the_kind_of_u_once_per_witness(self, monkeypatch, conjugated):
-        # a warm suite asks whether U is an antisymmetric unitary twice: once for its witness's
-        # base, which every check reads, and once in maps.local_rotation
+        # a warm suite asks whether U is an antisymmetric unitary once, for its witness's base,
+        # which every check reads; maps.local_rotation decides nothing
         n = 2
         m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=7))
         if conjugated:
@@ -951,7 +1007,7 @@ class TestFullSuite:
         decide = maps.is_antisymmetric_unitary
         monkeypatch.setattr(maps, "is_antisymmetric_unitary", lambda u: calls.append(u) or decide(u))
         assert all(r.passed for r in certify.run_full_suite(m))
-        assert len(calls) == 2
+        assert len(calls) == 1
         base = witnesses.canonical_witness(n)
         assert base.unitary_u and all(value is not base for value in vars(base).values())
 

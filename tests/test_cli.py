@@ -9,6 +9,8 @@ import pytest
 
 from robwit import certify, cli, linalg, maps, states, witnesses
 
+from conftest import NOT_UNITARY
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -52,6 +54,24 @@ class TestMatrixSerialization:
         # 1e400 parses as inf, which int() cannot convert; 1.5 would be truncated to the rows' 1
         with pytest.raises(ValueError, match="malformed matrix payload.*d must be an integer"):
             cli.matrix_from_payload(json.loads(f'{{"d": {d}, "rows": [[[1.0, 0.0]]]}}'))
+
+    @pytest.mark.parametrize("entry", [[0, True], [False, 0.5], [1.0, False]])
+    def test_rejects_a_bool_entry(self, entry):
+        # complex() would read true as 1 and false as 0
+        with pytest.raises(ValueError, match="malformed matrix payload.*got a bool"):
+            cli.matrix_from_payload({"d": 2, "rows": [[[0.0, 0.0], entry], [[1.0, 0.0], [0.0, 0.0]]]})
+
+    @pytest.mark.parametrize("command", ["certify", "build"])
+    @pytest.mark.parametrize("flags", [["--u"], ["--v2", "seed:2", "--v1"], ["--v1", "seed:1", "--v2"]],
+                             ids=["u", "v1", "v2"])
+    def test_a_file_with_a_bool_entry_exits_2(self, capsys, tmp_path, command, flags):
+        # sigma_y (U) and I_2 (x) sigma_y (V) with each +i written [0, true]: read as 1j, both would pass
+        matrix = maps.SIGMA_Y if flags == ["--u"] else np.kron(np.eye(2), maps.SIGMA_Y)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_payload(matrix)).replace("[0.0, 1.0]", "[0, true]"))
+        code, out, err = run(capsys, command, "--n", "1", *flags, f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed matrix payload") and "got a bool" in err
 
     @pytest.mark.parametrize("command", ["certify", "build"])
     @pytest.mark.parametrize("flags", [["--u"], ["--v2", "seed:2", "--v1"], ["--v1", "seed:1", "--v2"]],
@@ -151,6 +171,17 @@ class TestSizeGuard:
         err = capsys.readouterr().err
         assert "N=100 needs an estimated" in err and "GB" in err
 
+    @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
+    @pytest.mark.parametrize("digits", [20, 81, 301])
+    def test_refuses_an_n_too_large_for_a_float_in_one_line(self, capsys, command, digits):
+        # the estimate (4N)^4 bytes overflows a float from N ~ 1e76 on; it is a usage error, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--n", str(10 ** (digits - 1))])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith("GB of physical memory")
+        assert f"needs an estimated 9.830e+{4 * (digits - 1) - 5} GB" in errors[0]
+
     def test_bound_follows_physical_memory(self, monkeypatch):
         # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
         memory = {"SC_PHYS_PAGES": cli.PEAK_W_ARRAYS * 16 * 8 ** 4, "SC_PAGE_SIZE": 1}
@@ -247,10 +278,22 @@ class TestCertify:
         assert "antisymmetric" in err
 
     def test_rejects_a_contraction_u_file(self, capsys, tmp_path):
-        # Phi_U accepts 0.5 sigma_y, but the PPT entangled state and the closed forms need a unitary U
-        code, out, err = run(capsys, "certify", "--n", "1", "--u", write_matrix(tmp_path, 0.5 * maps.SIGMA_Y))
+        # Phi_U accepts 0.5 sigma_y, as do build and curve; every certificate reads W(U0) and needs a unitary U
+        spec = write_matrix(tmp_path, 0.5 * maps.SIGMA_Y)
+        code, out, err = run(capsys, "certify", "--n", "1", "--u", spec)
         assert code == 2 and out == ""
-        assert err == "error: the PPT entangled state requires a strictly unitary U\n"
+        assert err == f"error: {NOT_UNITARY}\n"
+        assert [run(capsys, command, "--n", "1", "--u", spec)[0] for command in ("build", "curve")] == [0, 0]
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_a_u_at_the_margin_fails_positivity_through_its_premises(self, capsys, tmp_path, n):
+        # U0 + 4e-13 I is an antisymmetric unitary entrywise within 1e-12, so it is certified through W(U0);
+        # its premise bounds in the 2-norm, 1.6e-12 and 2.8e-12, fail positivity: a failed check, exit 1
+        spec = write_matrix(tmp_path, maps.canonical_u0(n) + 4e-13 * np.eye(2 * n))
+        code, out, _ = run(capsys, "certify", "--n", str(n), "--u", spec, "--output", "json")
+        positivity = json.loads(out)["checks"][0]
+        assert code == 1 and positivity["name"] == "positivity" and positivity["verdict"] == "fail"
+        assert "proof-identity defect 1.60e-12, Schur defect 2.80e-12," in positivity["details"]
 
     @pytest.mark.parametrize("flags,matrix,message", [
         (["--u"], maps.random_antisymmetric_unitary(2, 5), "U must be 2x2 for N=1"),

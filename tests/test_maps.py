@@ -312,11 +312,8 @@ class TestYoulaFactor:
         assert np.max(np.abs(v @ maps.canonical_u0(size) @ v.T - u)) <= 1e-14
         assert np.max(np.abs(v.conj().T @ v - np.eye(2 * size))) <= 1e-14
 
-    def test_a_contraction_has_no_factor_and_is_its_own_base(self):
-        # (1/2) U0 = V U0 V^T would need V^dagger V = I / 2; local_rotation does not try
+    def test_a_contraction_has_no_unitary_factor(self):
+        # (1/2) U0 = V U0 V^T would need V^dagger V = I / 2; Witness.base rejects such a U before it is factorized
         u = 0.5 * maps.canonical_u0(2)
         v = maps.youla_factor(u)
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) > 0.1
-        a, b = maps.local_rotation(maps.phi_u(2, u))
-        np.testing.assert_array_equal(a, np.eye(8))
-        np.testing.assert_array_equal(b, np.eye(8))

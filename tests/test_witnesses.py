@@ -197,20 +197,6 @@ class TestBase:
         assert sizes == [2, 3, 2]
         assert witnesses.canonical_witness.cache_info().currsize == 1
 
-    @pytest.mark.parametrize("conjugated", [False, True])
-    def test_a_contraction_is_its_own_base(self, conjugated):
-        # a strict contraction has no Youla factor onto U0: its base is the witness of Phi_U, built once
-        m = maps.phi_u(1, 0.5 * maps.SIGMA_Y)
-        if conjugated:
-            m = maps.conjugated_phi(1, m.u, maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2))
-        w = witnesses.choi(m)
-        assert w.base is w.base
-        np.testing.assert_array_equal(w.base.source.u, m.u)
-        np.testing.assert_array_equal(w.base.matrix, witnesses.choi(maps.phi_u(1, m.u)).matrix)
-        # the residual read off W' bounds the one measured on W; W(U0) in place of the base gives 0.27
-        direct = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
-        assert direct <= w.rotation_residual <= 1e-14
-
 
 MODES = ("real-orthogonal", "complex-unitary")
 
