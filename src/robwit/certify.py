@@ -331,14 +331,17 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
     fails); the covariance W = (A (x) B) W_base (A (x) B)^dagger
     under the local rotation, as the witness's measured rotation residual;
     and two independent necessary conditions on the approximated Choi matrix
-    at the threshold.  Its positive partial transpose is read off the base.
-    A partial transpose only permutes entries, so it keeps the residual's
-    Frobenius norm; it maps the rotation A (x) B to Abar (x) B, with the same
-    unitarity defect; and W_base^Gamma = (G (x) 1) W_base (G (x) 1)^dagger has
-    W_base's spectral radius.  So each eigenvalue moves by at most (1 - p)
-    times the rotation slack.  The realignment criterion, a separability test
-    independent of PPT, is read off the same base and carried to W by
-    ``Witness.spa_realignment_bound``, whose error term is d (1 - p) ||E||_F.
+    at the threshold.  Its partial transpose's min eig is read off the base's
+    spectrum: W_base^Gamma is W_base moved by the unitary G0 (x) 1 up to the
+    base's Gamma defect delta, so by Weyl's inequality its eigenvalues lie
+    within delta of W_base's.  A partial transpose keeps the residual's
+    Frobenius norm and maps the rotation A (x) B to Abar (x) B, with the same
+    unitarity defect u, so lambda_min(W^Gamma) >= lambda_min(W_base) -
+    (1 + u) delta - s for the rotation slack s, and the approximation's
+    partial transpose has min eig at least p/D + (1 - p) times that.  The
+    realignment criterion, a separability test independent of PPT, is read
+    off the same base and carried to W by ``Witness.spa_realignment_bound``,
+    whose error term is d (1 - p) ||E||_F.
     """
     w_base = w.base
     n = w.source.size
@@ -351,7 +354,9 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
 
     threshold = states.isotropic_entanglement_threshold(n)
     root, _ = w_base.detection_boundary
-    ppt_low = w_base.spa_partial_transpose_min - (1.0 - threshold) * slack
+    gamma_defect = w_base.gamma_conjugation_defect
+    low = w_base.spectrum[0] - (1.0 + w.unitarity_defect) * gamma_defect - slack  # bounds lambda_min(W^Gamma)
+    ppt_low = threshold / (d * d) + (1.0 - threshold) * low
     realigned = w.spa_realignment_bound  # ||realign(W_spa)||_1 is at most 1 for a separable state
 
     ok = (
@@ -372,7 +377,8 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
             f"self-duality defect bound {self_dual_defect:.2e} <= {_text(CONSTRUCTION_TOL)}, "
             f"covariance defect {covariance_defect:.2e}, "
             f"approximated Choi at threshold: min eig of partial transpose {ppt_low:.2e} >= -{_text(POSITIVITY_TOL)} "
-            f"(the base's less (1 - p) times the rotation slack {slack:.2e}), "
+            f"(p/D + (1 - p)(lambda_min(W_base) - (1 + u) delta - s), base Gamma defect delta {gamma_defect:.2e}, "
+            f"rotation slack s {slack:.2e}), "
             f"realignment trace norm at most {realigned:.6f} <= 1 + {_text(REALIGNMENT_SLACK)} (the base's "
             f"{w_base.spa_realignment_norm:.6f}, carried to W)"
         ),

@@ -2,13 +2,15 @@
 
 All operators are plain ``numpy`` arrays of ``complex128`` in row-major
 layout.  Hermitian inputs are diagonalized by one checked solver,
-``hermitian_eig``.  A single matrix whose exact-zero pattern splits into
-disconnected components (a reducible matrix: a symmetric permutation makes
-it block diagonal) is solved block by block, and so are the trace norm and
-the numerical rank; a dense matrix takes the plain LAPACK path.  Local
-unitaries act by contraction on the (dA, dB, dA, dB) view, never through a
-D x D Kronecker product.  Composite-space indices follow the convention that
-``|k> (x) |a>`` sits at row ``k * d + a`` (0-based).
+``hermitian_eig``.  A square matrix whose nonzeros, each an edge between its
+row and its column index, fall into several connected components is
+reducible: a symmetric permutation makes it block diagonal.  ``hermitian_eig``
+and ``trace_norm`` solve it block by block through one split, ``_blockwise``;
+a dense matrix takes the plain LAPACK path.  ``numerical_rank`` is a dense SVD
+rank with the cutoff of ``gram_rank``.  Local unitaries act by contraction
+on the (dA, dB, dA, dB) view, never through a D x D Kronecker product.
+Composite-space indices follow the convention that ``|k> (x) |a>`` sits at
+row ``k * d + a`` (0-based).
 """
 
 from __future__ import annotations
@@ -46,24 +48,23 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return m.reshape(d_a, d_b, d_a, d_b).transpose(2, 1, 0, 3).reshape(n, n)
 
 
-def _components(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Row and column index groups of the connected components of a boolean R x C pattern.
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index groups of the connected components of a square boolean pattern.
 
-    Rows and columns are the two vertex sets of a bipartite graph with one
-    edge per True entry.  The components of equal shape (r, c) come as one
-    pair of (k, r) and (k, c) index arrays, each component's indices
-    ascending, so their blocks slice out as one stack.  Components without a
-    row or without a column hold no entry and are left out.  A pattern with
-    a full row is one component, found without labelling.
+    The indices are the vertices of a graph with one edge per True entry,
+    followed in both directions, so an entry (i, j) joins i and j whatever
+    (j, i) holds.  Components of one size come as one (k, size) array, each
+    component's indices ascending, so their blocks slice out as one stack.
+    A pattern with a full row, or with no index, is one component, found
+    without labelling.
     """
-    r, c = pattern.shape
-    if c and pattern.all(axis=1).any():
-        return [(np.flatnonzero(pattern.any(axis=1))[None], np.arange(c)[None])]
+    n = len(pattern)
+    if not n or pattern.all(axis=1).any():
+        return [np.arange(n)[None]]
     rows, cols = np.nonzero(pattern)
-    cols += r  # column vertices follow the row vertices
     # min-label propagation with pointer jumping; labels only decrease, and the
-    # fixed point gives every component the smallest vertex it contains
-    labels = np.arange(r + c)
+    # fixed point gives every component the smallest index it contains
+    labels = np.arange(n)
     while True:
         new = labels.copy()
         np.minimum.at(new, rows, labels[cols])
@@ -72,40 +73,23 @@ def _components(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         if np.array_equal(new, labels):
             break
         labels = new
-    roots, comp = np.unique(labels, return_inverse=True)
-    k = len(roots)
-    row_comp, col_comp = comp[:r], comp[r:]
-    shape = np.bincount(row_comp, minlength=k) * (c + 1) + np.bincount(col_comp, minlength=k)
-    # vertices sorted by (component shape, component), so each shape is one contiguous slice
-    row_order = np.lexsort((row_comp, shape[row_comp]))
-    col_order = np.lexsort((col_comp, shape[col_comp]))
-    groups = []
-    row_start = col_start = 0
-    for key, count in zip(*np.unique(shape, return_counts=True)):
-        nr, nc = divmod(int(key), c + 1)
-        group_rows = row_order[row_start : row_start + count * nr].reshape(count, nr)
-        group_cols = col_order[col_start : col_start + count * nc].reshape(count, nc)
-        row_start += count * nr
-        col_start += count * nc
-        if nr and nc:
-            groups.append((group_rows, group_cols))
-    return groups
+    sizes = np.bincount(labels, minlength=n)  # each component's size, at its smallest index
+    order = np.lexsort((labels, sizes[labels]))  # by (component size, component): each size one contiguous slice
+    size, count = np.unique(sizes[sizes > 0], return_counts=True)
+    return [g.reshape(-1, k) for g, k in zip(np.split(order, np.cumsum(size * count)[:-1]), size)]
 
 
-def _blockwise(solve, pattern: np.ndarray, *mats: np.ndarray) -> np.ndarray:
-    """``solve`` on the blocks that the components of ``pattern`` cut out of ``mats``, flattened.
+def _blockwise(solve, *mats: np.ndarray) -> np.ndarray:
+    """``solve`` on the square diagonal blocks that the first matrix's nonzeros cut out of ``mats``, flattened.
 
-    ``solve`` receives the same block of every matrix in ``mats``; blocks of
-    one shape go to it as one (k, r, c) stack.  When the pattern is a single
-    component covering every row and column, it receives the matrices
-    themselves.
+    ``solve`` receives the same block of every matrix; blocks of one size go to
+    it as one (k, size, size) stack.  When the nonzeros join every index, it
+    receives the matrices themselves.
     """
-    groups = _components(pattern)
-    r, c = pattern.shape
-    if len(groups) == 1 and (groups[0][0].shape, groups[0][1].shape) == ((1, r), (1, c)):
+    groups = _components(mats[0] != 0)
+    if len(groups) == 1 and len(groups[0]) == 1:
         return solve(*mats).ravel()
-    values = [solve(*(x[rows[:, :, None], cols[:, None, :]] for x in mats)).ravel() for rows, cols in groups]
-    return np.concatenate(values) if values else np.zeros(0)
+    return np.concatenate([solve(*(x[g[:, :, None], g[:, None, :]] for x in mats)).ravel() for g in groups])
 
 
 def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
@@ -126,11 +110,8 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
     if m.ndim > 2 or not m.size:
         return np.linalg.eigvalsh((m + mh) / 2)
-    # Rows and columns of the pattern joined through the diagonal: outside its
-    # components both M and M^dagger vanish, so (M + M^dagger) / 2 is block diagonal.
-    pattern = m != 0
-    np.fill_diagonal(pattern, True)
-    return np.sort(_blockwise(lambda b, bh: np.linalg.eigvalsh((b + bh) / 2), pattern, m, mh))
+    # M's nonzeros, followed both ways, hold M^dagger's too: (M + M^dagger) / 2 is block diagonal on their components
+    return np.sort(_blockwise(lambda b, bh: np.linalg.eigvalsh((b + bh) / 2), m, mh))
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> float:
@@ -151,9 +132,11 @@ def realign(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of the singular values, block by block over the components of the nonzero pattern."""
+    """Sum of the singular values of a square matrix, block by block over the components of its nonzeros."""
     m = as_complex(m)
-    return float(np.sum(_blockwise(lambda b: np.linalg.svd(b, compute_uv=False), m != 0, m)))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return float(np.sum(_blockwise(lambda b: np.linalg.svd(b, compute_uv=False), m)))
 
 
 def local_conjugate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,37 +155,18 @@ def local_conjugate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj() @ (t @ b.conj().T)).reshape(n, n)
 
 
-def _gram_eigenvalues(vectors: np.ndarray) -> np.ndarray:
-    gram = vectors.conj() @ np.swapaxes(vectors, -1, -2)
-    return np.linalg.eigvalsh((gram + np.swapaxes(gram, -1, -2).conj()) / 2)
+def gram_rank(squares: np.ndarray, count: int) -> int:
+    """How many squared singular values of ``count`` vectors are above (EIGENVALUE_TOL * sigma_max)^2.
+
+    The cutoff is floored at 8 count eps sigma_max^2, where Gram eigenvalues that should vanish come back.
+    """
+    largest = float(np.max(squares, initial=0.0))
+    return int(np.sum(squares > largest * max(EIGENVALUE_TOL * EIGENVALUE_TOL, 8 * count * np.finfo(float).eps)))
 
 
 def numerical_rank(vectors) -> int:
-    """Rank of the span of the rows of a (k, dim) array.
-
-    Exact elimination first: a vector with a single nonzero entry pins its
-    coordinate, and subtracting it zeroes that coordinate in every other
-    vector without arithmetic.  The remaining vectors split into blocks by
-    their shared coordinates.  The squared norms of the pinned coordinates'
-    vectors and the Gram eigenvalues of every block are the squared singular
-    values; those below ``EIGENVALUE_TOL`` times the largest singular value count as zero.
-    """
+    """Rank of the span of the rows of a (k, dim) array, from a dense SVD and the cutoff of ``gram_rank``."""
     a = as_complex(vectors)  # row k is vector k
     if not len(a):
         raise ValueError("numerical_rank needs at least one vector")
-    nonzero = a != 0
-    unit = np.count_nonzero(nonzero, axis=1) == 1
-    pinned = np.argmax(nonzero[unit], axis=1)
-    pinned_sq = np.zeros(a.shape[1])
-    np.maximum.at(pinned_sq, pinned, np.abs(a[unit, pinned]) ** 2)
-    rest = nonzero & ~unit[:, None]
-    rest[:, pinned] = False
-    eig = np.concatenate([pinned_sq[pinned_sq > 0], _blockwise(_gram_eigenvalues, rest, a)])
-    largest = float(np.max(eig, initial=0.0))
-    if largest <= 0.0:
-        return 0
-    # Squared cutoff (EIGENVALUE_TOL * sigma_max)^2, floored at the eigensolver's own
-    # resolution: Gram eigenvalues that should vanish come back at the scale
-    # of machine epsilon times the largest one.
-    cutoff = largest * max(EIGENVALUE_TOL * EIGENVALUE_TOL, 8 * len(a) * np.finfo(float).eps)
-    return int(np.sum(eig > cutoff))
+    return gram_rank(np.linalg.svd(a, compute_uv=False) ** 2, len(a))

@@ -18,11 +18,11 @@ from . import maps, states
 from .linalg import (
     CONSTRUCTION_TOL,
     EIGENVALUE_TOL,
+    gram_rank,
     hermiticity_defect,
     hermitian_eig,
     local_conjugate,
     min_eigenvalue,
-    numerical_rank,
     partial_transpose,
     realign,
     trace_norm,
@@ -198,11 +198,27 @@ class Witness:
 
     @cached_property
     def family_rank(self) -> int:
-        """``numerical_rank`` of the plain product family psi (x) psi*, psi over ``spanning_family``."""
+        """Rank of the plain product family psi (x) psi*, psi over ``spanning_family``, read off its cells.
+
+        psi = v0 e_m + v1 e_n puts |v0|^2 at (m, m), |v1|^2 at (n, n), v0 v1* at (m, n) and v1 v0* at
+        (n, m).  A one-cell generator (m = n) pins its diagonal coordinate: the span holds that axis, so
+        the rank is the pinned count plus that of the rest with the pinned coordinates dropped.  Dropping
+        the whole diagonal cannot raise a rank and leaves each two-cell generator on (m, n) and (n, m),
+        which no other pair shares: the rank is at least the pinned count plus the ranks of the per-pair
+        2 x 2 Gram matrices, solved as one stack, and equal to it when every diagonal coordinate is
+        pinned, as here.  Both count with ``gram_rank``'s cutoff.
+        """
         cells, values = spanning_family(self.source.size)
-        gens = np.zeros((len(cells), self.d), dtype=complex)
-        np.add.at(gens, (np.arange(len(cells))[:, None], cells), values)  # e_l's second cell repeats, with weight 0
-        return numerical_rank((gens[:, :, None] * gens.conj()[:, None, :]).reshape(len(gens), -1))
+        one = cells[:, 0] == cells[:, 1]
+        pinned = np.zeros(self.d)
+        np.maximum.at(pinned, cells[one, 0], np.abs(values[one].sum(axis=1)) ** 4)
+        (m, n), (v0, v1) = cells[~one].T, values[~one].T
+        x = np.where(m < n, v0 * v1.conj(), v1 * v0.conj())  # at (min, max); its conjugate at (max, min)
+        vec = np.stack([x, x.conj()], axis=1)
+        pairs, pair = np.unique(np.minimum(m, n) * self.d + np.maximum(m, n), return_inverse=True)
+        gram = np.zeros((len(pairs), 2, 2), dtype=complex)
+        np.add.at(gram, pair, vec.conj()[:, :, None] * vec[:, None, :])
+        return gram_rank(np.concatenate([pinned[pinned > 0], hermitian_eig(gram).ravel()]), len(cells))
 
     @cached_property
     def ppt_state_entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -237,12 +253,6 @@ class Witness:
         t = self.matrix.reshape(d, d, d, d)
         moved = phase[:, None, None, None] * t[cols][:, :, cols] * phase.conj()[None, None, :, None]
         return float(np.linalg.norm(t.transpose(2, 1, 0, 3) - moved))
-
-    @cached_property
-    def spa_partial_transpose_min(self) -> float:
-        """Smallest eigenvalue of the partial transpose of the approximated witness at the threshold 4N/(4N+1)."""
-        approx = spa_witness(self, states.isotropic_entanglement_threshold(self.source.size))
-        return min_eigenvalue(partial_transpose(approx, self.d, self.d))
 
     @cached_property
     def spa_realignment_norm(self) -> float:

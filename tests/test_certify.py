@@ -101,6 +101,30 @@ def record_hermitian_eig(monkeypatch):
     return solved
 
 
+def record_pair_ranks(monkeypatch):
+    """Record the length of every (k, 2, 2) Gram stack that ``Witness.family_rank`` hands to hermitian_eig."""
+    ranked = []
+    solve = witnesses.hermitian_eig
+
+    def record(m, *args, **kwargs):
+        if np.ndim(m) == 3 and np.shape(m)[1:] == (2, 2):
+            ranked.append(len(m))
+        return solve(m, *args, **kwargs)
+
+    monkeypatch.setattr(witnesses, "hermitian_eig", record)
+    return ranked
+
+
+def family_ranks(monkeypatch, n, cells, values):
+    """(``Witness.family_rank``, the dense ``numerical_rank``, both optimality reports) of W(U0) on (cells, values)."""
+    monkeypatch.setattr(witnesses, "spanning_family", lambda size: (cells, values))
+    witnesses.canonical_witness.cache_clear()
+    gens = densify(cells, values, 4 * n)
+    w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+    reports = certify.verify_optimality(w), certify.verify_nd_optimality(w)
+    return w.base.family_rank, numerical_rank(product_vectors(gens, gens.conj())), reports
+
+
 def forbid_eigensolves(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("unexpected eigensolve")
@@ -535,13 +559,49 @@ class TestFamilyRank:
         assert [dense_gram_rank(f) for f in families] == ranks
 
     def test_ranked_once_for_both_checks(self, monkeypatch, fresh_base):
-        # both optimality checks of every suite of one N share one rank of the plain family, kept on W(U0)
-        ranked = []
-        monkeypatch.setattr(witnesses, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
+        # both optimality checks of every suite of one N share one rank of the plain family, kept on
+        # W(U0): one stack of the 28 per-pair Gram matrices at N = 2
+        ranked = record_pair_ranks(monkeypatch)
         for seed in (1, 2):
             w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
             assert certify.verify_optimality(w).passed and certify.verify_nd_optimality(w).passed
-        assert ranked == [64]
+        assert ranked == [28]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_per_pair_rank_equals_the_dense_rank_in_any_generator_order(self, monkeypatch, fresh_base, n):
+        # the generator rows permuted, and the two cells of some generators swapped with their values
+        d = 4 * n
+        rng = np.random.default_rng(60 + n)
+        cells, values = witnesses.spanning_family(n)
+        assert family_ranks(monkeypatch, n, cells, values)[:2] == (d * d, d * d)
+        order = rng.permutation(len(cells))
+        cells, values = cells[order], values[order]
+        swap = rng.random(len(cells)) < 0.5
+        cells[swap], values[swap] = cells[swap, ::-1], values[swap, ::-1]
+        rank, dense, reports = family_ranks(monkeypatch, n, cells, values)
+        assert rank == dense == d * d
+        assert all(report.passed for report in reports)
+
+    @pytest.mark.parametrize("n,rank", [(1, 10), (2, 36), (3, 78)])
+    def test_rank_drops_with_a_second_sum_vector_in_place_of_each_phase_vector(self, monkeypatch, fresh_base, n, rank):
+        d = 4 * n
+        cells, values = witnesses.spanning_family(n)
+        values[d + 1 :: 2] = 1.0  # e_m + i e_n becomes e_m + e_n again
+        ranked, dense, reports = family_ranks(monkeypatch, n, cells, values)
+        assert ranked == dense == rank == d + d * (d - 1) // 2
+        for report in reports:
+            assert report.measured <= report.tolerance and f"rank {rank}" in report.details
+            assert not report.passed
+
+    def test_a_family_without_e0_is_ranked_at_most_its_dense_rank(self, monkeypatch, fresh_base):
+        # 15 generators span at most 15 dimensions; (0, 0) is pinned by none of them, so the per-pair
+        # count is only a lower bound here, and it is still never above the dense rank
+        cells, values = witnesses.spanning_family(1)
+        rank, dense, reports = family_ranks(monkeypatch, 1, cells[1:], values[1:])
+        assert rank == 15 and rank <= dense == 15
+        for report in reports:
+            assert report.measured <= report.tolerance and "rank 15" in report.details
+            assert not report.passed
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rank_drops_without_phase_vectors(self, monkeypatch, fresh_base, n):
@@ -889,7 +949,7 @@ class TestStandInBase:
         true = witnesses.canonical_witness(1)
         mixed = true.matrix + 3.0 * (states.max_entangled(4) - np.eye(16) / 16)
         stand_in = witnesses.Witness(mixed, true.source)
-        for fact in ("detection_boundary", "spa_partial_transpose_min", "self_duality_defect"):
+        for fact in ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect"):
             vars(stand_in)[fact] = getattr(true, fact)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
         w = witnesses.Witness(mixed, true.source)
@@ -912,6 +972,21 @@ class TestStandInBase:
         assert "base defect 1.00e-09" in report.details
         assert not report.passed
 
+    def test_a_base_with_a_gamma_conjugation_defect_fails_eb(self, monkeypatch):
+        # W(U0)^Gamma is W(U0) moved by G0 (x) 1 only up to the base's defect, which EB's partial
+        # transpose subtracts: (1 - p) 1e-9 = 2e-10 below the base's exact 0 at N = 1, past -1e-10
+        true = witnesses.canonical_witness(1)
+        stand_in = witnesses.Witness(true.matrix, true.source)
+        vars(stand_in)["gamma_conjugation_defect"] = 1e-9
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+        assert w.base is stand_in
+        report = certify.verify_eb_certificate(w)
+        ppt_low = float(re.search(r"min eig of partial transpose (\S+) ", report.details).group(1))
+        assert ppt_low == pytest.approx(-2e-10, rel=1e-3)
+        assert "base Gamma defect delta 1.00e-09" in report.details
+        assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
+        assert not report.passed
 
     def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
         true = witnesses.canonical_witness(1)
@@ -1019,9 +1094,8 @@ class TestFullSuite:
         assert all(r.passed for r in certify.run_full_suite(warm))
         witnesses.canonical_witness.cache_clear()
         mapped = record_apply_map(monkeypatch)
-        ranked = []
-        monkeypatch.setattr(witnesses, "numerical_rank", lambda v: ranked.append(len(v)) or numerical_rank(v))
-        for seed, stacks, ranks in ((4, [256, 256, 256, 232], [64]), (5, [], [])):
+        ranked = record_pair_ranks(monkeypatch)
+        for seed, stacks, ranks in ((4, [256, 256, 256, 232], [28]), (5, [], [])):
             mapped.clear()
             ranked.clear()
             m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=seed))

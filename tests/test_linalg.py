@@ -127,6 +127,29 @@ class TestBlockedEig:
         m = permuted_block_diagonal(np.random.default_rng(seed), sizes)
         np.testing.assert_allclose(linalg.hermitian_eig(m), np.linalg.eigvalsh(m), rtol=0, atol=1e-13)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), repeats=st.integers(1, 3),
+           empty=st.integers(2, 4), coupling=st.sampled_from(["none", "tiny", "one-sided"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_split_matches_dense_under_any_symmetric_permutation(self, sizes, repeats, empty, coupling, seed):
+        # blocks with one size repeated, then empty indices; "tiny" joins a block to the first empty
+        # index at 1e-300 both ways, "one-sided" puts 1e-9 only at M[i, j] for the first two empty
+        # indices: Hermitian within the default 1e-9, it must still join i and j (eigenvalues +-5e-10)
+        rng = np.random.default_rng(seed)
+        blocks = permuted_block_diagonal(rng, sizes + [sizes[0]] * (repeats - 1))
+        k = len(blocks)
+        m = np.zeros((k + empty, k + empty), dtype=complex)
+        m[:k, :k] = blocks
+        if coupling == "tiny":
+            m[0, k] = m[k, 0] = 1e-300
+        elif coupling == "one-sided":
+            m[k, k + 1] = 1e-9
+        p = rng.permutation(len(m))
+        m = m[np.ix_(p, p)]
+        dense = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        np.testing.assert_allclose(linalg.hermitian_eig(m), dense, rtol=0, atol=1e-13)
+        assert linalg.trace_norm(m) == pytest.approx(np.sum(np.linalg.svd(m, compute_uv=False)), rel=0, abs=1e-13)
+
     def test_solves_blocks_of_one_size_as_one_stack(self, monkeypatch):
         m = permuted_block_diagonal(np.random.default_rng(30), [3, 2, 3, 1, 3])
         shapes = record_eigvalsh(monkeypatch)
@@ -163,18 +186,25 @@ class TestBlockedEig:
 
 
 class TestTraceNorm:
-    def test_permuted_rectangular_blocks_match_dense(self):
+    def test_permuted_blocks_match_dense(self):
         rng = np.random.default_rng(32)
-        m = np.zeros((9, 11), dtype=complex)
-        m[:3, :2] = random_complex(rng, (3, 2))
-        m[3:5, 2:7] = random_complex(rng, (2, 5))
-        m[6:, 8:] = random_complex(rng, (3, 3))  # row 5 and column 7 stay empty
-        m = m[rng.permutation(9)][:, rng.permutation(11)]
+        m = np.zeros((11, 11), dtype=complex)
+        m[:3, :3] = random_complex(rng, (3, 3))
+        m[3:5, 3:5] = random_complex(rng, (2, 2))
+        m[5:9, 5:9] = random_complex(rng, (4, 4))  # indices 9 and 10 stay empty
+        p = rng.permutation(11)
+        m = m[np.ix_(p, p)]
         dense = np.sum(np.linalg.svd(m, compute_uv=False))
         assert linalg.trace_norm(m) == pytest.approx(dense, rel=0, abs=1e-13)
 
-    def test_zero_matrix(self):
-        assert linalg.trace_norm(np.zeros((3, 4))) == 0.0
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_zero_matrix(self, n):
+        assert linalg.trace_norm(np.zeros((n, n))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (2, 2, 2)])
+    def test_rejects_a_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            linalg.trace_norm(np.ones(shape))
 
 
 class TestLocalConjugate:
