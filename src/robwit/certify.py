@@ -12,7 +12,8 @@ Every check takes one :class:`Witness`, which carries its map and, as
 ``Witness.base``, W(U0) of the map's N, the witness it is moved from by the
 local rotation (A, B) of ``maps.local_rotation``, built once per N and shared
 (``witnesses.canonical_witness``).  Reading it rejects, with one ``ValueError``
-and before any work, a U that is not an antisymmetric unitary.
+(``witnesses.reject_off_unitary_u``) and before any work, a U that is not an
+antisymmetric unitary.
 The facts read off the base are kept with it in ``witnesses``, beside what
 they are built from: positivity's fixed projector sample, the product family
 (``spanning_family``, index cells), G0 (``canonical_gamma``, a phase
@@ -21,9 +22,11 @@ permutation), ``spa_witness`` and ``detect``.  This module builds on
 widens its verdict by one reported bound on how far W lies from the rotated
 base (``Witness.rotation_slack`` and its kin).  What a request measures on
 its own W is read off one pull-back, W' = S^dagger W S for S = A (x) B
-(``Witness.pulled_back``): the rotation residual ||E||_F that every bound
-carries, Tr(W rho) = Tr(W' rho_b), and the product-family expectations of W
-and W^Gamma, each a <= 4 x 4 block of W' or of its partial transpose.
+(``Witness.pulled_back``), taken straight from the closed-form Choi matrix
+W_p of the plain map, so no conjugated W is formed: the rotation residual
+||E||_F that every bound carries, Tr(W rho) = Tr(W' rho_b), and the
+product-family expectations of W and W^Gamma, each a <= 4 x 4 block of W'
+or of its partial transpose.
 Positivity's sample corroborates the Schur-complement proof, whose premises
 ``premise_defects`` checks.  ``run_full_suite`` runs all eight checks.
 """
@@ -135,7 +138,7 @@ def verify_nondecomposability(w: Witness, tol: float = DEFAULT_TOLERANCES["nonde
     |Tr rho_b - 1| + u Tr rho_b.
     """
     n = w.source.size
-    dsq = w.matrix.shape[0]
+    dsq = w.d ** 2
     index, values = w.base.ppt_state_entries
     rows, cols = np.divmod(index, dsq)
 
@@ -323,7 +326,8 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
     A positive unital map whose approximation threshold coincides with the
     isotropic entanglement threshold yields an entanglement breaking
     channel; self-duality reduces the detection condition to the witness.
-    The certificate aggregates: unitality read off the witness, F(I) = d Tr_A W;
+    The certificate aggregates: unitality read off the witness's Choi data,
+    F(I) = d Tr_A W (``Witness.identity_image``);
     exact self-duality of the underlying map (Hermiticity of its natural
     matrix, read off the base witness and bounded through the residual by
     ``Witness.self_duality_bound``); the base witness's detection root
@@ -346,8 +350,7 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
     w_base = w.base
     n = w.source.size
     d = 4 * n
-    unital = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
-    unital_defect = float(np.max(np.abs(unital - np.eye(d))))
+    unital_defect = float(np.max(np.abs(w.identity_image - np.eye(d))))
     self_dual_defect = w.self_duality_bound
     covariance_defect = w.rotation_residual
     slack = w.rotation_slack
@@ -390,7 +393,11 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
 
 
 def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:
-    """Run all eight certification checks for one plain or conjugated PhiU map."""
+    """Run all eight certification checks for one plain or conjugated PhiU map.
+
+    Its witness holds W_p from ``witnesses.plain_choi``, built once ``witnesses.reject_off_unitary_u``
+    has admitted U; no check forms a conjugated W.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
@@ -398,7 +405,8 @@ def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = 
             raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
         tol.update(tolerances)
 
-    w = witnesses.choi(m)
+    witnesses.reject_off_unitary_u(m)  # before anything is built, W(U0) included
+    w = Witness(witnesses.plain_choi(m), m)  # a conjugated W is never formed: every check reads W_p
     return [
         verify_positivity(w, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),

@@ -25,9 +25,9 @@ from .linalg import CONSTRUCTION_TOL
 
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
-# `build --output json` (its nested lists and JSON text), 23.8 at N = 3 and 15.9 / 15.4 at N = 4 / 5.
-# `certify`, which also holds the shared base W(U0) and one rotated copy of it, peaks at
-# 14.0 / 8.4 / 7.9 at N = 3 / 4 / 5.
+# `build --output json` (its nested lists and JSON text), 22.8 at N = 3 and 14.9 / 14.4 at N = 4 / 5.
+# `certify`, which also holds the shared base W(U0), its own W_p and its pull-back, peaks at
+# 13.2 / 8.4 / 7.9 at N = 3 / 4 / 5; `spectrum` and `curve` at <= 7.4.
 PEAK_W_ARRAYS = 24
 
 
@@ -134,15 +134,16 @@ def resolve_map(args) -> maps.MapDescriptor:
 
 
 def cmd_build(args) -> int:
-    w = witnesses.choi(resolve_map(args))
+    m = resolve_map(args)
     if args.output == "json":
-        payload = {"family": w.source.family, "n": args.n, "u": args.u}
+        payload = {"family": m.family, "n": args.n, "u": args.u}
         if args.v1 is not None:
             payload["v1"] = args.v1
             payload["v2"] = args.v2
-        payload.update(matrix_to_payload(w.matrix))
+        payload.update(matrix_to_payload(witnesses.choi(m).matrix))  # W_p and W are freed before encoding
         emit(to_json(payload), args.out_path)
     else:
+        w = witnesses.choi(m)
         lines = [
             f"family: {w.source.family}",
             f"n: {args.n}",

@@ -143,16 +143,19 @@ def local_conjugate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(A (x) B) M (A (x) B)^dagger for M on C^dA (x) C^dB.
 
     Each factor is contracted on its own index of the (dA, dB, dA, dB) view,
-    O(d^5) work where the D x D Kronecker product costs O(d^6).
+    O(d^5) work where the D x D Kronecker product costs O(d^6).  A acts on the
+    rows in one product, which allocates the result; B, Abar and Bbar then act
+    within each block of dB rows, in place, so no other D x D array is made.
     """
     a, b, m = as_complex(a), as_complex(b), as_complex(m)
     d_a, d_b = len(a), len(b)
     n = d_a * d_b
     if m.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix for factors of sizes ({d_a},{d_b}), got {m.shape}")
-    t = (a @ m.reshape(d_a, d_b * n)).reshape(d_a, d_b, n)
-    t = (b @ t).reshape(n, d_a, d_b)  # (A (x) B) M, columns split into (c, e)
-    return (a.conj() @ (t @ b.conj().T)).reshape(n, n)
+    t = (a @ m.reshape(d_a, d_b * n)).reshape(d_a, d_b, d_a, d_b)  # (A (x) 1) M
+    for rows in t:  # rows [j, c, e] of one first-factor index
+        rows[...] = a.conj() @ ((b @ rows.reshape(d_b, n)).reshape(d_b, d_a, d_b) @ b.conj().T)
+    return t.reshape(n, n)
 
 
 def gram_rank(squares: np.ndarray, count: int) -> int:

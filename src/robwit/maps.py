@@ -2,8 +2,10 @@
 
 Every map here acts on square complex matrices and is described by an
 immutable :class:`MapDescriptor`; :func:`apply_map` is the single
-interpreter, for one matrix or a ``(..., d, d)`` stack alike.  The two
-families, with X split into half-size blocks ``[[X11, X12], [X21, X22]]``:
+interpreter, for one matrix or a ``(..., d, d)`` stack alike.  Its one
+caller in the package is positivity's projector sample: the Choi matrix is
+filled from the formula below, entry by entry (``witnesses.plain_choi``).
+The two families, with X split into half-size blocks ``[[X11, X12], [X21, X22]]``:
 
 * ``PhiU4N`` (dim 4N):        X -> (1/2N) [[I Tr X22, -(X12 + U X21^T U^dagger)],
                               [-(X21 + U X12^T U^dagger), I Tr X11]] with an
@@ -17,6 +19,7 @@ Pauli convention: sigma_y = [[0, -i], [i, 0]].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +41,11 @@ class MapDescriptor:
     u: np.ndarray | None = None
     v1: np.ndarray | None = None
     v2: np.ndarray | None = None
+
+    @cached_property
+    def unitary_u(self) -> bool:
+        """Whether U is an antisymmetric unitary (``is_antisymmetric_unitary``), decided once per map."""
+        return is_antisymmetric_unitary(self.u)
 
 
 def antisymmetry_defect(u: np.ndarray) -> float:
@@ -137,7 +145,7 @@ def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     With U = V U0 V^T (``youla_factor``), Phi_U is Phi_{U0} conjugated by
     V1 = V2 = I_2 (x) V^dagger, so a plain map has (I_2 (x) Vbar, I_2 (x) V) and a
     conjugated one (V2^T (I_2 (x) Vbar), V1^dagger (I_2 (x) V)).  U must be an
-    antisymmetric unitary, which ``witnesses.Witness.base`` checks first: for any
+    antisymmetric unitary, which ``witnesses.reject_off_unitary_u`` checks first: for any
     other U the factor is no unitary and (A, B) relates nothing.
     """
     v = youla_factor(m.u)

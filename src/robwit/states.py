@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import maps
-
 if TYPE_CHECKING:  # witnesses builds on this module
     from .witnesses import Witness
 
@@ -39,13 +37,11 @@ def ppt_entangled_state(w: Witness) -> np.ndarray:
     * everything else zero, lower blocks by Hermitian completion.
 
     Each kind of block is one slice assignment on the (d, d, d, d) view of rho,
-    whose entry [i, a, j, b] is <a| rho_{ij} |b>.  Nothing here checks that
-    rho is a PPT state: ``certify.verify_nondecomposability`` measures that.
+    whose entry [i, a, j, b] is <a| rho_{ij} |b>.  Nothing here checks the
+    witness or that rho is a PPT state: certify builds rho only from W(U0)
+    (``Witness.ppt_state_entries`` of the base, whose U ``witnesses.reject_off_unitary_u``
+    admitted), and ``certify.verify_nondecomposability`` measures the rest.
     """
-    if w.source.family != "PhiU4N":
-        raise ValueError(f"the PPT entangled state needs a PhiU4N witness, got {w.source.family}")
-    if not maps.is_antisymmetric_unitary(w.source.u):
-        raise ValueError("the PPT entangled state requires a strictly unitary U")
     n = w.source.size
     d = 4 * n
     half = 2 * n

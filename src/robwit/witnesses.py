@@ -2,9 +2,11 @@
 
 The Choi matrix of a map F on d x d matrices is taken with the 1/d factor
 of the maximally entangled state, W = (1/d) sum_kl |k><l| (x) F(|k><l|), so
-that Tr W = 1 for the trace-preserving families.  For the PhiU4N family
-with unitary U the spectrum of W is known in closed form and carries a
-single negative eigenvalue -1/(4N).
+that Tr W = 1 for the trace-preserving families.  Phi_U is defined entry by
+entry, so each entry of its Choi matrix W_p is known in closed form
+(``plain_choi``); a conjugated map's W is W_p moved by one local unitary.
+For the PhiU4N family with unitary U the spectrum of W is known in closed
+form and carries a single negative eigenvalue -1/(4N).
 """
 
 from __future__ import annotations
@@ -38,19 +40,50 @@ POSITIVITY_BLOCK = 256
 
 @dataclass(frozen=True)
 class Witness:
-    """Choi matrix of a map plus its provenance; it acts on C^d (x) C^d."""
+    """Choi data of a map plus its provenance; it acts on C^d (x) C^d.
 
-    matrix: np.ndarray
+    ``plain`` is the Choi matrix W_p of the PhiU4N map under the source: W itself for a
+    plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1 the
+    matrix that ``matrix`` moves to W on first use.
+    """
+
+    plain: np.ndarray
     source: maps.MapDescriptor
 
     def __post_init__(self):
-        if self.matrix.shape != (self.d ** 2, self.d ** 2):
+        if self.plain.shape != (self.d ** 2, self.d ** 2):
             raise ValueError(f"a witness of a map on {self.d}x{self.d} matrices is {self.d ** 2}x{self.d ** 2}, "
-                             f"got {self.matrix.shape}")
+                             f"got {self.plain.shape}")
 
     @property
     def d(self) -> int:
         return maps.input_dim(self.source)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """W: ``plain`` for a plain map, T W_p T^dagger with T = V2^T (x) V1^dagger for a conjugated one.
+
+        (1 (x) V2) P+ (1 (x) V2)^dagger = (V2^T (x) 1) P+ (V2^T (x) 1)^dagger moves V2 onto the first
+        factor, and V1^dagger acts on the second.  Formed once, by ``local_conjugate``.
+        """
+        if self.source.family == "PhiU4N":
+            return self.plain
+        return local_conjugate(self.plain, self.source.v2.T, self.source.v1.conj().T)
+
+    @cached_property
+    def identity_image(self) -> np.ndarray:
+        """F(I) = d Tr_A W of the map, read off the Choi data: never through ``matrix``.
+
+        For T = V2^T (x) V1^dagger, Tr_A(T W_p T^dagger) = V1^dagger Tr_A(((V2 V2^dagger)^T (x) 1) W_p) V1,
+        so a conjugated map's F(I) is V1^dagger d Tr_A(((V2 V2^dagger)^T (x) 1) W_p) V1.
+        """
+        d = self.d
+        t = self.plain.reshape(d, d, d, d)
+        if self.source.family == "PhiU4N":
+            return d * np.trace(t, axis1=0, axis2=2)
+        v1, v2 = self.source.v1, self.source.v2
+        moved = np.einsum("km,makb->ab", (v2 @ v2.conj().T).T, t)  # Tr_A((X (x) 1) W_p), no copy of W_p
+        return v1.conj().T @ (d * moved) @ v1
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -78,11 +111,15 @@ class Witness:
     def pulled_back(self) -> np.ndarray:
         """W' = S^dagger W S for S = A (x) B of ``rotation``: the one W-sized contraction of a witness.
 
+        It is read off W_p, never off a conjugated W: with T = V2^T (x) V1^dagger,
+        S^dagger T = (A^dagger V2^T) (x) (B^dagger V1^dagger), so W' = S^dagger T W_p T^dagger S.
         Every per-request quantity is read off W' or off facts kept with the base.
         It equals W_base up to the rotation residual, which is read off it too.
         """
-        a, b = self.rotation
-        return local_conjugate(self.matrix, a.conj().T, b.conj().T)
+        a, b = (x.conj().T for x in self.rotation)
+        if self.source.family == "ConjugatedPhiU":
+            a, b = a @ self.source.v2.T, b @ self.source.v1.conj().T
+        return local_conjugate(self.plain, a, b)
 
     @cached_property
     def rotation_residual(self) -> float:
@@ -96,7 +133,8 @@ class Witness:
         """
         u = self.unitarity_defect
         base = self.base
-        moved = float(np.linalg.norm(self.pulled_back - base.matrix))
+        rows = zip(self.pulled_back.reshape(self.d, -1), base.matrix.reshape(self.d, -1))
+        moved = float(np.linalg.norm([np.linalg.norm(x - y) for x, y in rows]))  # no W-sized difference
         return (moved + (2.0 * u + u * u) * float(np.linalg.norm(base.spectrum))) / (1.0 - u)
 
     @cached_property
@@ -162,21 +200,15 @@ class Witness:
         p = states.isotropic_entanglement_threshold(self.source.size)
         return (1.0 + u) * self.base.spa_realignment_norm + p * u + self.d * (1.0 - p) * self.rotation_residual
 
-    @cached_property
-    def unitary_u(self) -> bool:
-        """Whether the map's U is an antisymmetric unitary (``maps.is_antisymmetric_unitary``), decided once."""
-        return maps.is_antisymmetric_unitary(self.source.u)
-
     @property
     def base(self) -> Witness:
         """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this witness.
 
-        Every witness of that N shares it, and every certificate reads it.  A U that is
-        not an antisymmetric unitary has no Youla factor onto U0: it is rejected here,
-        before any check maps, factorizes or diagonalizes anything.
+        Every witness of that N shares it, and every certificate reads it, so a U that
+        ``reject_off_unitary_u`` rejects is rejected here, before any check maps,
+        factorizes or diagonalizes anything.
         """
-        if not self.unitary_u:
-            raise ValueError("U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T")
+        reject_off_unitary_u(self.source)
         return canonical_witness(self.source.size)
 
     # Facts the checks read off a base, kept with it so that one base serves every request at its N.
@@ -286,6 +318,16 @@ class Witness:
         return g0 / (g0 - g1), True
 
 
+def reject_off_unitary_u(m: maps.MapDescriptor) -> None:
+    """Raise the one ``ValueError`` of every certificate for a U that is not an antisymmetric unitary.
+
+    Such a U (``MapDescriptor.unitary_u``, decided once per map) has no Youla factor onto U0,
+    so no certificate can read W(U0) for it.
+    """
+    if not m.unitary_u:
+        raise ValueError("U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T")
+
+
 @lru_cache(maxsize=1)
 def canonical_witness(n: int) -> Witness:
     """W(U0) for U0 = (+)_N sigma_y, the base of every core witness of size N.
@@ -295,7 +337,7 @@ def canonical_witness(n: int) -> Witness:
     Its matrix is read-only: every witness of that N shares it.
     """
     w = choi(maps.phi_u(n, maps.canonical_u0(n)))
-    w.matrix.flags.writeable = False
+    w.plain.flags.writeable = False
     return w
 
 
@@ -347,12 +389,42 @@ def real_trace(value: complex) -> float:
     return float(value.real)
 
 
+def plain_choi(m: maps.MapDescriptor) -> np.ndarray:
+    """W_p, the Choi matrix of the PhiU4N map under m, filled from the map's formula; V1, V2 are ignored.
+
+    On the (d, d, d, d) view t[k, a, l, b] = <k a|W_p|l b> = <a|Phi_U(|k><l|)|b> / d, with
+    K = 2N and c = 1/(dK) = 1/(8N^2), the nonzeros are:
+
+    * c at (k = l >= K, a = b < K) and at (k = l < K, a = b >= K), from I Tr X22 and I Tr X11;
+    * -c at (k = a < K, l = b >= K) and at (k = a >= K, l = b < K), from -X12 and -X21;
+    * -c U[a, l] Ubar[b, k] on the blocks t[K:, :K, :K, K:] and t[:K, K:, K:, :K] (indices within
+      each half), from -U X21^T U^dagger and -U X12^T U^dagger.
+
+    It holds for any U, a contraction included.  Choi, Linear Algebra Appl. 10 (1975) 285.
+    """
+    n = m.size
+    d, k = 4 * n, 2 * n
+    c = 1.0 / (8 * n * n)
+    w = np.zeros((d * d, d * d), dtype=complex)
+    t = w.reshape(d, d, d, d)
+    low, high = np.arange(k)[:, None], np.arange(k, d)[None, :]
+    t[high.T, low.T, high.T, low.T] = c
+    t[low, high, low, high] = c
+    t[low, low, high, high] = -c
+    t[high.T, high.T, low.T, low.T] = -c
+    t[k:, :k, :k, k:] = t[:k, k:, k:, :k] = -c * np.einsum("al,bk->kalb", m.u, m.u.conj())
+    return w
+
+
 def choi(m: maps.MapDescriptor) -> Witness:
-    """Choi matrix of a map descriptor, W = (1 (x) F) P+_d."""
-    d = maps.input_dim(m)
-    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
-    images = maps.apply_map(m, units).reshape(d * d, d * d)  # row (k, l), column (i, j)
-    return Witness(realign(images, d, d) / d, m)
+    """Witness of a plain or conjugated PhiU map with its W = (1 (x) F) P+_d formed: W_p from ``plain_choi``.
+
+    A conjugated map's W is formed here, by ``Witness.matrix``, as in ``transform_witness``.
+    ``certify.run_full_suite`` builds its witness from ``plain_choi`` alone and never forms it.
+    """
+    w = Witness(plain_choi(m), m)
+    w.matrix  # build, spectrum and curve each read W
+    return w
 
 
 def expected_spectrum(n: int) -> list[tuple[float, int]]:
@@ -399,8 +471,12 @@ def verify_spectrum(w: Witness, tol: float = EIGENVALUE_TOL) -> CertReport:
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
-    """Witness of the conjugated map: (V2^T (x) V1^dagger) W (V2^T (x) V1^dagger)^dagger."""
+    """Witness of the conjugated map: (V2^T (x) V1^dagger) W (V2^T (x) V1^dagger)^dagger, formed here.
+
+    It keeps w's matrix as its ``plain`` and forms its W through ``Witness.matrix``, as ``choi`` does.
+    """
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
-    desc = maps.conjugated_phi(w.source.size, w.source.u, v1, v2)
-    return Witness(local_conjugate(w.matrix, desc.v2.T, desc.v1.conj().T), desc)
+    out = Witness(w.plain, maps.conjugated_phi(w.source.size, w.source.u, v1, v2))
+    out.matrix
+    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_maps
-from robwit import maps, witnesses
+from robwit import linalg, maps, witnesses
 
 CORE_FAMILIES = ("PhiU4N", "ConjugatedPhiU")
 FAMILIES = CORE_FAMILIES + ("Reduction", "MapI", "MapII", "Robertson4", "Psi2K", "BreuerHall")  # references last
@@ -123,12 +123,13 @@ def perturb_witness(scale: float) -> witnesses.Witness:
 
 
 def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witness:
-    """The witness of m with 1e-6 added to entry [i, j]: still Hermitian only if i == j.
+    """The witness of m with 1e-6 added to entry [i, j] of its W_p: still Hermitian only if i == j.
 
     Its base, W(U0), stays exact, so the corruption shows only in the witness's
-    rotation residual.
+    rotation residual.  A conjugated map moves it by the unitary V2^T (x) V1^dagger,
+    which keeps ||E||_F = 1e-6.
     """
-    corrupted = witnesses.choi(m).matrix.copy()
+    corrupted = witnesses.plain_choi(m)
     corrupted[i, j] += 1e-6
     return witnesses.Witness(corrupted, m)
 
@@ -147,6 +148,25 @@ def corrupted_plain_witness(i: int, j: int) -> witnesses.Witness:
 @pytest.fixture(scope="session")
 def perturbed_witness():
     return perturb_witness(1e-3)
+
+
+def oracle_choi(m: maps.MapDescriptor) -> np.ndarray:
+    """W = (1/d) sum_kl |k><l| (x) F(|k><l|) through ``maps.apply_map``: every matrix unit mapped, then realigned.
+
+    The oracle for the closed form of ``witnesses.plain_choi`` and ``Witness.matrix``.
+    """
+    d = maps.input_dim(m)
+    units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|
+    images = maps.apply_map(m, units).reshape(d * d, d * d)  # row (k, l), column (i, j)
+    return linalg.realign(images, d, d) / d
+
+
+def flip_one_block(plain: np.ndarray, n: int) -> np.ndarray:
+    """W_p of size N with the sign of its block t[K:, :K, :K, K:] = -c U Ubar flipped: a wrong closed form."""
+    d, k = 4 * n, 2 * n
+    flipped = plain.copy()
+    flipped.reshape(d, d, d, d)[k:, :k, :k, k:] *= -1
+    return flipped
 
 
 def reference_detection_sum(m: maps.MapDescriptor) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -10,7 +11,7 @@ from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
 from conftest import (NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
-                      densify, perturb_witness)
+                      densify, flip_one_block, perturb_witness)
 from reference_maps import breuer_hall, reference_witness
 
 REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
@@ -193,20 +194,42 @@ class TestDetect:
             witnesses.detect(canonical_witness, small)
 
 
-def corrupt_apply_map(monkeypatch, off_u0_only):
-    """Make maps.apply_map subtract 1e-6 Tr(X) I from every image, or only from maps with U != U0.
+def corrupt_apply_map(monkeypatch):
+    """Make maps.apply_map subtract 1e-6 Tr(X) I from every image.
 
     The corrupted map is not positive: each projector's image has an eigenvalue near -1e-6.
     """
     apply = maps.apply_map
 
     def corrupted(m, x):
-        out = apply(m, x)
-        if off_u0_only and np.array_equal(m.u, maps.canonical_u0(m.size)):
-            return out
-        return out - 1e-6 * np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(x.shape[-1])
+        return apply(m, x) - 1e-6 * np.trace(x, axis1=-2, axis2=-1)[..., None, None] * np.eye(x.shape[-1])
 
     monkeypatch.setattr(maps, "apply_map", corrupted)
+
+
+def corrupt_closed_form_off_u0(monkeypatch):
+    """Make witnesses.plain_choi subtract (1e-6 / d) I, the Choi matrix of X -> 1e-6 Tr(X) I, for every U != U0.
+
+    The corrupted map is not positive: each projector's image has an eigenvalue near -1e-6.  A
+    conjugated map moves W_p by a unitary, so its W is corrupted by the same (1e-6 / d) I.
+    """
+    fill = witnesses.plain_choi
+
+    def corrupted(m):
+        out = fill(m)
+        if not np.array_equal(m.u, maps.canonical_u0(m.size)):
+            out -= 1e-6 / maps.input_dim(m) * np.eye(len(out))
+        return out
+
+    monkeypatch.setattr(witnesses, "plain_choi", corrupted)
+
+
+def record_plain_choi(monkeypatch):
+    """Record the descriptor of every witnesses.plain_choi call: each is one Choi matrix filled."""
+    built = []
+    fill = witnesses.plain_choi
+    monkeypatch.setattr(witnesses, "plain_choi", lambda m: built.append(m) or fill(m))
+    return built
 
 
 def record_apply_map(monkeypatch):
@@ -270,7 +293,7 @@ class TestPositivity:
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_a_map_corrupted_off_u0_fails_through_the_residual(self, monkeypatch, fresh_base, conjugated):
         # the base Phi_{U0} stays exact and its sample passes; only d ||E||_F can fail the report
-        corrupt_apply_map(monkeypatch, off_u0_only=True)
+        corrupt_closed_form_off_u0(monkeypatch)
         u = maps.random_antisymmetric_unitary(2, seed=8, mode="complex-unitary")
         m = maps.phi_u(2, u)
         if conjugated:
@@ -285,7 +308,7 @@ class TestPositivity:
         # W and W(U0) are built on the exact map, so the residual is rounding; the sample fails
         w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
         assert w.rotation_residual <= 1e-14
-        corrupt_apply_map(monkeypatch, off_u0_only=False)
+        corrupt_apply_map(monkeypatch)
         report = certify.verify_positivity(w)
         assert report.measured < -report.tolerance
         assert not report.passed
@@ -364,7 +387,7 @@ class TestPositivity:
         # passes on it, and only the premises, bounded in the 2-norm, fail the report
         u = maps.canonical_u0(n) + 4e-13 * np.eye(2 * n)
         w = witnesses.choi(maps.phi_u(n, u))
-        assert w.unitary_u and w.base is witnesses.canonical_witness(n)
+        assert w.source.unitary_u and w.base is witnesses.canonical_witness(n)
         report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
         assert "proof-identity defect 1.60e-12, Schur defect 2.80e-12," in report.details
@@ -530,9 +553,11 @@ class TestOptimality:
             assert rank == ref_rank == 16
             assert not ok
 
-    @pytest.mark.parametrize("entry", [(5, 5), (3, 7)])
+    @pytest.mark.parametrize("entry", [(5, 5), (1, 4)])
     def test_conjugated_witness_off_the_family_fails_both_checks(self, entry):
-        # the pull-back W' = (A (x) B)^dagger W (A (x) B) must carry the corruption of a dense, rotated W
+        # the pull-back W' = (A (x) B)^dagger W (A (x) B), read off W_p, must carry a corruption of W_p that
+        # the family sees; the reference measures the dense, rotated W on the rotated family.  Entry
+        # (k a, l b) = (0 1, 1 0) lies in the block of e_0 + e_1 and e_0 + i e_1, and is not Hermitian
         w = corrupted_conjugated_witness(*entry)
         reports = (certify.verify_optimality(w), certify.verify_nd_optimality(w))
         for report, (matrix, left, right, _, _) in zip(reports, checked_families(w)):
@@ -870,6 +895,23 @@ class TestEbCertificate:
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
         assert not report.passed
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fails_on_a_conjugated_witness_of_a_non_unital_map(self, n):
+        # the same bump on W_p of a conjugated map: EB reads F(I) off W_p and V1, V2, never off a formed W
+        d = 4 * n
+        m = maps.conjugated_phi(n, maps.canonical_u0(n), maps.random_unitary(d, seed=3), maps.random_unitary(d, seed=4))
+        bumped = witnesses.plain_choi(m)
+        bumped[0, 0] += 1e-3
+        bumped[d + 1, d + 1] -= 1e-3
+        w = witnesses.Witness(bumped, m)
+        report = certify.verify_eb_certificate(w)
+        assert "matrix" not in vars(w)
+        unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
+        direct = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)  # F(I) of the formed W
+        assert unitality == pytest.approx(float(np.max(np.abs(direct - np.eye(d)))), rel=1e-2)
+        assert unitality > 1e-4
+        assert not report.passed
+
     def test_fails_on_the_perturbed_witness(self, perturbed_witness):
         report = certify.verify_eb_certificate(perturbed_witness)
         self_duality = float(re.search(r"self-duality defect bound (\S+) ", report.details).group(1))
@@ -928,16 +970,13 @@ class TestRejectsAnOffUnitaryU:
         factored = []
         factor = maps.youla_factor
         monkeypatch.setattr(maps, "youla_factor", lambda u: factored.append(u) or factor(u))
+        built = record_plain_choi(monkeypatch)
         mapped = record_apply_map(monkeypatch)
         solved = count_eigensolves(monkeypatch)
-        suite = check is certify.run_full_suite
         with pytest.raises(ValueError, match=REJECTED):
-            check(m if suite else w)
-        assert factored == [] and solved == []
-        # a suite builds its own W: one apply_map on the matrix units, whose conjugated map calls the
-        # plain one once more; no check maps a projector
-        units = [(8, 8, 8, 8)] * (1 + (m.family == "ConjugatedPhiU")) if suite else []
-        assert [x.shape for _, x in mapped] == units
+            check(m if check is certify.run_full_suite else w)
+        # a suite rejects U before it fills any Choi entry of its own W; no check maps a projector
+        assert factored == [] and solved == [] and built == [] and mapped == []
 
 
 class TestStandInBase:
@@ -1052,39 +1091,43 @@ class TestFullSuite:
 
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_builds_each_choi_matrix_once(self, monkeypatch, conjugated):
-        # each suite builds its W; W(U0) is built once for every suite of its N
-        built = []
-        build = witnesses.choi
-
-        def record(m):
-            built.append(m.family)
-            return build(m)
-
-        monkeypatch.setattr(witnesses, "choi", record)
+        # each suite fills its W_p in closed form once; W(U0) is built once for every suite of its N.  No
+        # suite maps a matrix unit or forms a conjugated W: its one W-sized contraction is the pull-back
+        built = record_plain_choi(monkeypatch)
+        mapped = record_apply_map(monkeypatch)
+        contracted = []
+        contract = witnesses.local_conjugate
+        monkeypatch.setattr(witnesses, "local_conjugate", lambda *a: contracted.append(a[0].shape) or contract(*a))
         witnesses.canonical_witness.cache_clear()
         m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=5))
         if conjugated:
             m = maps.conjugated_phi(1, m.u, maps.random_unitary(4, seed=24), maps.random_unitary(4, seed=25))
         for _ in range(2):
             assert all(r.passed for r in certify.run_full_suite(m))
-        assert built == [m.family, "PhiU4N", m.family]
+        assert [x.family for x in built] == [m.family, "PhiU4N", m.family]
+        assert all(x.ndim == 3 for _, x in mapped)  # positivity's projector stacks, on W(U0) only
+        assert contracted == [(16, 16)] * 2
 
     @pytest.mark.parametrize("conjugated", [False, True])
-    def test_decides_the_kind_of_u_once_per_witness(self, monkeypatch, conjugated):
-        # a warm suite asks whether U is an antisymmetric unitary once, for its witness's base,
-        # which every check reads; maps.local_rotation decides nothing
+    def test_decides_the_kind_of_u_once_per_map(self, monkeypatch, conjugated):
+        # a warm suite asks whether U is an antisymmetric unitary once, for its map, before it builds
+        # anything; every check reads that answer, maps.local_rotation and the PPT state decide nothing,
+        # and a second suite of the same map asks nothing
         n = 2
         m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=7))
         if conjugated:
             m = maps.conjugated_phi(n, m.u, maps.random_unitary(8, seed=8), maps.random_unitary(8, seed=9))
-        assert all(r.passed for r in certify.run_full_suite(m))
+        assert all(r.passed for r in certify.run_full_suite(dataclasses.replace(m)))
         calls = []
         decide = maps.is_antisymmetric_unitary
         monkeypatch.setattr(maps, "is_antisymmetric_unitary", lambda u: calls.append(u) or decide(u))
+        witnesses.canonical_witness.cache_clear()  # a cold base builds its PPT state too
+        assert all(r.passed for r in certify.run_full_suite(m))
+        assert len(calls) == 1
         assert all(r.passed for r in certify.run_full_suite(m))
         assert len(calls) == 1
         base = witnesses.canonical_witness(n)
-        assert base.unitary_u and all(value is not base for value in vars(base).values())
+        assert all(value is not base for value in vars(base).values())
 
     def test_one_cache_clear_samples_and_ranks_again(self, monkeypatch, fresh_base):
         # every per-N fact lives in the one memo of W(U0): after one cache_clear() the next suite of
@@ -1113,6 +1156,28 @@ class TestFullSuite:
             assert all(r.passed for r in certify.run_full_suite(m))
             w = witnesses.choi(m)
             assert w.base.source.size == n and w.rotation_slack <= 1e-14
+
+
+class TestFlippedClosedForm:
+    """A suite whose closed form has one block's sign flipped for every U != U0; W(U0) stays exact."""
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    def test_fails_the_suite_through_the_rotation_residual(self, monkeypatch, fresh_base, conjugated):
+        fill = witnesses.plain_choi
+        u0 = maps.canonical_u0(2)
+        monkeypatch.setattr(witnesses, "plain_choi",
+                            lambda m: fill(m) if np.array_equal(m.u, u0) else flip_one_block(fill(m), 2))
+        m = maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=12, mode="complex-unitary"))
+        if conjugated:
+            m = maps.conjugated_phi(2, m.u, maps.random_unitary(8, seed=13), maps.random_unitary(8, seed=14))
+        reports = dict((r.name, r) for r in certify.run_full_suite(m))
+        # what is read off the exact base passes; the residual, of the flipped block's norm, fails it
+        positivity, eb = reports["positivity"], reports["eb-certificate"]
+        assert positivity.measured >= -positivity.tolerance and not positivity.passed
+        covariance = float(re.search(r"covariance defect (\S+),", eb.details).group(1))
+        assert covariance >= 0.9 * np.linalg.norm(2 * fill(m).reshape(8, 8, 8, 8)[4:, :4, :4, 4:])
+        # optimality alone passes: on psi (x) psi* the block meets only U's zero diagonal
+        assert [name for name, r in reports.items() if r.passed] == ["optimality"]
 
 
 class TestCorruptedPlainWitness:

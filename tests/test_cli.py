@@ -157,11 +157,12 @@ class TestBuild:
 class TestSizeGuard:
     @pytest.fixture(autouse=True)
     def no_witness(self, monkeypatch):
-        # a tree without the guard fails here instead of allocating a huge W
-        def refuse(m):
-            raise AssertionError("witnesses.choi was reached")
+        # a tree without the guard fails here instead of allocating a huge W or W_p
+        for name in ("choi", "plain_choi"):
+            def refuse(m, name=name):
+                raise AssertionError(f"witnesses.{name} was reached")
 
-        monkeypatch.setattr(witnesses, "choi", refuse)
+            monkeypatch.setattr(witnesses, name, refuse)
 
     @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
     def test_refuses_huge_n_before_allocating(self, capsys, command):

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, partial_transpose
+
+from conftest import NOT_UNITARY
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +48,17 @@ class TestPptEntangledState:
         state = states.ppt_entangled_state(w)
         assert witnesses.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
 
-    def test_rejects_contraction_u(self):
+    def test_rejects_contraction_u(self, monkeypatch):
+        # the state is built only from W(U0), read through Witness.base, which rejects a contraction U
+        # first (witnesses.reject_off_unitary_u), with the one message, before any state is built
         w = witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
-        with pytest.raises(ValueError, match="unitary"):
-            states.ppt_entangled_state(w)
+        built = []
+        build = states.ppt_entangled_state
+        monkeypatch.setattr(states, "ppt_entangled_state", lambda x: built.append(x) or build(x))
+        witnesses.canonical_witness.cache_clear()
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_UNITARY)}$"):
+            certify.verify_nondecomposability(w)
+        assert built == []
 
 
 class TestIsotropicState:

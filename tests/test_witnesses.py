@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose, realign, trace_norm
 
-from conftest import (CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, gamma_unitary, matrix_unit,
-                      self_dual_reference)
+from conftest import (CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
+                      matrix_unit, oracle_choi, self_dual_reference)
 
 
 @pytest.fixture(scope="module")
@@ -168,9 +168,9 @@ class TestWitness:
         with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
             witnesses.Witness(np.eye(4, dtype=complex) / 4, canonical_witness.source)
 
-    def test_has_only_its_matrix_and_source_as_fields(self):
-        # what a witness measures is a cached property kept with it, not a field
-        assert [f.name for f in dataclasses.fields(witnesses.Witness)] == ["matrix", "source"]
+    def test_has_only_its_choi_data_and_source_as_fields(self):
+        # what a witness measures, W of a conjugated map included, is a cached property kept with it, not a field
+        assert [f.name for f in dataclasses.fields(witnesses.Witness)] == ["plain", "source"]
 
 
 class TestBase:
@@ -222,7 +222,8 @@ class TestPullBack:
         w = witnesses.choi(example_map(family, n, mode, seed))
         d = w.d
         a, b = w.rotation
-        np.testing.assert_array_equal(w.pulled_back, local_conjugate(w.matrix, a.conj().T, b.conj().T))
+        # read off W_p in one contraction, W' equals S^dagger W S up to rounding
+        assert max_relative(w.pulled_back, local_conjugate(w.matrix, a.conj().T, b.conj().T)) <= 1e-14
         rng = np.random.default_rng(seed)
         wg = partial_transpose(w.matrix, d, d)
         for x, y in ((a, b), (random_factor(rng, d), random_factor(rng, d))):
@@ -275,10 +276,10 @@ class TestPullBack:
         # each bound read off W' and the base covers the quantity measured directly on W, up to
         # that measurement's own rounding, for W and for W + eps H
         m = example_map(family, n, mode, seed)
-        matrix = witnesses.choi(m).matrix
+        plain = witnesses.plain_choi(m)  # W_p: a conjugated map moves W_p + eps H by a unitary
         rng = np.random.default_rng(seed)
-        h = random_factor(rng, len(matrix))
-        w = witnesses.Witness(matrix + eps * (h + h.conj().T) / 2, m)
+        h = random_factor(rng, len(plain))
+        w = witnesses.Witness(plain + eps * (h + h.conj().T) / 2, m)
         d = w.d
         rounding = 1e-15
         residual = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
@@ -311,7 +312,7 @@ class TestPullBack:
         assert len(index) == np.count_nonzero(rho) == 400
         np.testing.assert_array_equal(rho.ravel()[index], values)
         base.ppt_min_eigenvalues
-        kept = [np.asarray(x) for key, value in vars(base).items() if key != "matrix"
+        kept = [np.asarray(x) for key, value in vars(base).items() if key not in ("plain", "matrix")
                 for x in (value if isinstance(value, tuple) else (value,))]
         assert max(x.size for x in kept) == len(index)  # the nonzeros, then the spectrum; no W-sized array
 
@@ -389,3 +390,58 @@ class TestTransformWitness:
     def test_rejects_non_unitary(self, canonical_witness):
         with pytest.raises(ValueError, match="not unitary"):
             witnesses.transform_witness(canonical_witness, 2 * np.eye(4), np.eye(4))
+
+
+def strict_contraction(n, seed, mode):
+    """V ((+)_j s_j sigma_y) V^T, every s_j in [0.05, 0.95): antisymmetric, ||U||_2 < 1, no multiple of a unitary.
+
+    V is a complex unitary or, as in the "real-orthogonal" mode, a real orthogonal matrix.
+    """
+    rng = np.random.default_rng(seed)
+    scales = np.kron(np.diag(rng.uniform(0.05, 0.95, n)), np.eye(2))
+    if mode == "complex-unitary":
+        v = maps.random_unitary(2 * n, seed)
+    else:
+        v = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
+    return v @ (scales @ maps.canonical_u0(n)) @ v.T
+
+
+class TestClosedForm:
+    """W_p filled from the map's formula against the oracle that maps every matrix unit through ``apply_map``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), mode=st.sampled_from(MODES), conjugated=st.booleans(), contraction=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_the_apply_map_oracle(self, n, mode, conjugated, contraction, seed):
+        u = strict_contraction(n, seed, mode) if contraction else maps.random_antisymmetric_unitary(n, seed, mode)
+        m = maps.phi_u(n, u)
+        if conjugated:
+            m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed + 1), maps.random_unitary(4 * n, seed + 2))
+        w = witnesses.choi(m)
+        np.testing.assert_allclose(w.plain, oracle_choi(maps.phi_u(n, u)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w.matrix, oracle_choi(m), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w.identity_image, maps.apply_map(m, np.eye(4 * n)), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_flipped_block_fails_the_oracle(self, n, conjugated):
+        u = maps.random_antisymmetric_unitary(n, seed=6, mode="complex-unitary")
+        m = maps.phi_u(n, u)
+        if conjugated:
+            m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed=7), maps.random_unitary(4 * n, seed=8))
+        w = witnesses.Witness(flip_one_block(witnesses.plain_choi(m), n), m)
+        assert np.max(np.abs(w.plain - oracle_choi(maps.phi_u(n, u)))) > 1e-3 / n ** 2
+        assert np.max(np.abs(w.matrix - oracle_choi(m))) > 1e-3 / n ** 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
+           seed=st.integers(0, 2 ** 16), eps=st.sampled_from([0.0, 1e-6, 1e-2]))
+    def test_identity_image_is_d_tr_a_of_w(self, example_map, n, mode, family, seed, eps):
+        # F(I) read off W_p is d Tr_A W of the formed W, for a wrong W_p too: EB sees a wrong Choi matrix
+        m = example_map(family, n, mode, seed)
+        rng = np.random.default_rng(seed)
+        h = random_factor(rng, (4 * n) ** 2)
+        w = witnesses.Witness(witnesses.plain_choi(m) + eps * h, m)
+        d = w.d
+        direct = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
+        assert max_relative(w.identity_image, direct) <= 1e-14
