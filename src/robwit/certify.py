@@ -395,8 +395,8 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
 def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:
     """Run all eight certification checks for one plain or conjugated PhiU map.
 
-    Its witness holds W_p from ``witnesses.plain_choi``, built once ``witnesses.reject_off_unitary_u``
-    has admitted U; no check forms a conjugated W.
+    Its witness is ``witnesses.choi(m)``, built once ``witnesses.reject_off_unitary_u`` has
+    admitted U; every check reads its W_p, and none forms a conjugated W.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -406,7 +406,7 @@ def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = 
         tol.update(tolerances)
 
     witnesses.reject_off_unitary_u(m)  # before anything is built, W(U0) included
-    w = Witness(witnesses.plain_choi(m), m)  # a conjugated W is never formed: every check reads W_p
+    w = witnesses.choi(m)  # no check reads w.matrix, so a conjugated W is never formed
     return [
         verify_positivity(w, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),

@@ -38,13 +38,15 @@ POSITIVITY_SEED = 42
 POSITIVITY_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Witness:
     """Choi data of a map plus its provenance; it acts on C^d (x) C^d.
 
     ``plain`` is the Choi matrix W_p of the PhiU4N map under the source: W itself for a
     plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1 the
-    matrix that ``matrix`` moves to W on first use.
+    matrix that ``matrix`` moves to W on first use.  Both fields are keyword-only, so
+    the older ``Witness(W, source)``, whose first field was W, raises rather than
+    reading a conjugated W as W_p.
     """
 
     plain: np.ndarray
@@ -417,14 +419,12 @@ def plain_choi(m: maps.MapDescriptor) -> np.ndarray:
 
 
 def choi(m: maps.MapDescriptor) -> Witness:
-    """Witness of a plain or conjugated PhiU map with its W = (1 (x) F) P+_d formed: W_p from ``plain_choi``.
+    """Witness of a plain or conjugated PhiU map: W_p from ``plain_choi``.
 
-    A conjugated map's W is formed here, by ``Witness.matrix``, as in ``transform_witness``.
-    ``certify.run_full_suite`` builds its witness from ``plain_choi`` alone and never forms it.
+    A conjugated map's W = (1 (x) F) P+_d is formed by ``Witness.matrix`` when first read,
+    as for ``transform_witness``; ``certify.run_full_suite`` never reads it.
     """
-    w = Witness(plain_choi(m), m)
-    w.matrix  # build, spectrum and curve each read W
-    return w
+    return Witness(plain=plain_choi(m), source=m)
 
 
 def expected_spectrum(n: int) -> list[tuple[float, int]]:
@@ -471,12 +471,10 @@ def verify_spectrum(w: Witness, tol: float = EIGENVALUE_TOL) -> CertReport:
 
 
 def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
-    """Witness of the conjugated map: (V2^T (x) V1^dagger) W (V2^T (x) V1^dagger)^dagger, formed here.
+    """Witness of the conjugated map, whose W is (V2^T (x) V1^dagger) W_w (V2^T (x) V1^dagger)^dagger.
 
-    It keeps w's matrix as its ``plain`` and forms its W through ``Witness.matrix``, as ``choi`` does.
+    It keeps w's matrix as its ``plain``; ``Witness.matrix`` forms its W when first read, as for ``choi``.
     """
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
-    out = Witness(w.plain, maps.conjugated_phi(w.source.size, w.source.u, v1, v2))
-    out.matrix
-    return out
+    return Witness(plain=w.plain, source=maps.conjugated_phi(w.source.size, w.source.u, v1, v2))

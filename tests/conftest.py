@@ -119,7 +119,7 @@ def perturb_witness(scale: float) -> witnesses.Witness:
     w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    return witnesses.Witness(w.matrix + scale * (g + g.conj().T) / 2, w.source)
+    return witnesses.Witness(plain=w.matrix + scale * (g + g.conj().T) / 2, source=w.source)
 
 
 def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witness:
@@ -131,7 +131,7 @@ def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witnes
     """
     corrupted = witnesses.plain_choi(m)
     corrupted[i, j] += 1e-6
-    return witnesses.Witness(corrupted, m)
+    return witnesses.Witness(plain=corrupted, source=m)
 
 
 def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:

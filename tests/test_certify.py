@@ -439,7 +439,8 @@ class TestNondecomposability:
     def test_fails_on_a_positive_matrix_in_place_of_w(self, n):
         # a PSD "witness" detects no state, so Tr(W rho) cannot reach the negative target
         d = 4 * n
-        w = witnesses.Witness(np.eye(d * d, dtype=complex) / d ** 2, maps.phi_u(n, maps.canonical_u0(n)))
+        w = witnesses.Witness(plain=np.eye(d * d, dtype=complex) / d ** 2,
+                              source=maps.phi_u(n, maps.canonical_u0(n)))
         report = certify.verify_nondecomposability(w)
         assert report.measured >= 0 > report.expected
         assert not report.passed
@@ -681,7 +682,8 @@ class TestSelfDuality:
         # the Breuer-Hall witness at U0, built by the reference formula, is the witness of Phi_{sigma_y}
         u0 = maps.canonical_u0(2)
         bh = reference_witness(lambda x: breuer_hall(x, u0), 4)
-        assert certify.verify_self_duality(witnesses.Witness(bh.matrix, maps.phi_u(1, maps.SIGMA_Y))).passed
+        w = witnesses.Witness(plain=bh.matrix, source=maps.phi_u(1, maps.SIGMA_Y))
+        assert certify.verify_self_duality(w).passed
 
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality of W; the check certifies the PhiU4N map under the
@@ -690,7 +692,8 @@ class TestSelfDuality:
                                                maps.random_unitary(4, seed=2)))
         assert w.self_duality_defect > 1e-2
         assert certify.verify_self_duality(w).passed
-        report = certify.verify_self_duality(witnesses.Witness(w.matrix, maps.phi_u(1, maps.canonical_u0(1))))
+        passed_off = witnesses.Witness(plain=w.matrix, source=maps.phi_u(1, maps.canonical_u0(1)))
+        report = certify.verify_self_duality(passed_off)
         assert not report.passed
 
     def test_fails_on_the_perturbed_witness(self, perturbed_witness):
@@ -797,7 +800,7 @@ class TestSpa:
                 check(w)
 
     def test_bisect_rejects_positive_input(self, canonical_witness):
-        fake = witnesses.Witness(np.eye(16, dtype=complex) / 16, canonical_witness.source)
+        fake = witnesses.Witness(plain=np.eye(16, dtype=complex) / 16, source=canonical_witness.source)
         with pytest.raises(ValueError, match="already positive"):
             certify.spa_threshold(fake)
 
@@ -889,7 +892,7 @@ class TestEbCertificate:
         bumped = w.matrix.copy()
         bumped[0, 0] += 1e-3  # |00><00|
         bumped[d + 1, d + 1] -= 1e-3  # |11><11|
-        report = certify.verify_eb_certificate(witnesses.Witness(bumped, w.source))
+        report = certify.verify_eb_certificate(witnesses.Witness(plain=bumped, source=w.source))
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
         assert unitality == pytest.approx(d * 1e-3, rel=1e-2)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
@@ -903,7 +906,7 @@ class TestEbCertificate:
         bumped = witnesses.plain_choi(m)
         bumped[0, 0] += 1e-3
         bumped[d + 1, d + 1] -= 1e-3
-        w = witnesses.Witness(bumped, m)
+        w = witnesses.Witness(plain=bumped, source=m)
         report = certify.verify_eb_certificate(w)
         assert "matrix" not in vars(w)
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
@@ -929,7 +932,7 @@ class TestPositiveStandIn:
 
     @pytest.fixture(scope="class")
     def stand_in(self):
-        return witnesses.Witness(np.eye(16, dtype=complex) / 16, maps.phi_u(1, maps.canonical_u0(1)))
+        return witnesses.Witness(plain=np.eye(16, dtype=complex) / 16, source=maps.phi_u(1, maps.canonical_u0(1)))
 
     @pytest.mark.parametrize("check", WITNESS_CHECKS, ids=lambda check: check.__name__)
     def test_every_check_reports_and_fails(self, stand_in, check):
@@ -979,6 +982,17 @@ class TestRejectsAnOffUnitaryU:
         assert factored == [] and solved == [] and built == [] and mapped == []
 
 
+class TestFormedWInPlaceOfItsPlainChoiMatrix:
+    """A conjugated map's formed W given as ``plain`` is moved by V2^T (x) V1^dagger a second time."""
+
+    def test_fails_every_check_through_the_rotation_residual(self):
+        m = maps.conjugated_phi(1, maps.random_antisymmetric_unitary(1, seed=3), maps.random_unitary(4, seed=1),
+                                maps.random_unitary(4, seed=2))
+        w = witnesses.Witness(plain=witnesses.choi(m).matrix, source=m)
+        assert w.rotation_residual > 0.1
+        assert not any(check(w).passed for check in (certify.verify_positivity, *WITNESS_CHECKS))
+
+
 class TestStandInBase:
     """W(U0) at N=1 replaced in the memo by a stand-in whose one kept fact is wrong; that fact fails its check."""
 
@@ -987,11 +1001,11 @@ class TestStandInBase:
         # itself, so ||E||_F = u = 0; with the true base's other facts only the realignment bound can fail
         true = witnesses.canonical_witness(1)
         mixed = true.matrix + 3.0 * (states.max_entangled(4) - np.eye(16) / 16)
-        stand_in = witnesses.Witness(mixed, true.source)
+        stand_in = witnesses.Witness(plain=mixed, source=true.source)
         for fact in ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect"):
             vars(stand_in)[fact] = getattr(true, fact)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
-        w = witnesses.Witness(mixed, true.source)
+        w = witnesses.Witness(plain=mixed, source=true.source)
         assert w.base is stand_in and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
         report = certify.verify_eb_certificate(w)
         realigned = float(re.search(r"realignment trace norm at most (\S+) ", report.details).group(1))
@@ -1001,7 +1015,7 @@ class TestStandInBase:
 
     def test_a_base_with_a_gamma_conjugation_defect_fails_nd_optimality(self, monkeypatch):
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(true.matrix, true.source)
+        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
         vars(stand_in)["gamma_conjugation_defect"] = 1e-9
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
         w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=3, mode="complex-unitary")))
@@ -1015,7 +1029,7 @@ class TestStandInBase:
         # W(U0)^Gamma is W(U0) moved by G0 (x) 1 only up to the base's defect, which EB's partial
         # transpose subtracts: (1 - p) 1e-9 = 2e-10 below the base's exact 0 at N = 1, past -1e-10
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(true.matrix, true.source)
+        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
         vars(stand_in)["gamma_conjugation_defect"] = 1e-9
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
         w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
@@ -1029,7 +1043,7 @@ class TestStandInBase:
 
     def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(true.matrix, true.source)
+        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
         index, values = true.ppt_state_entries
         vars(stand_in).update(ppt_state_entries=(index, values * (1 + 1e-9)),
                               ppt_min_eigenvalues=true.ppt_min_eigenvalues)

@@ -160,13 +160,18 @@ class TestCachedSpectrum:
         skewed = canonical_witness.matrix.copy()
         skewed[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            witnesses.Witness(skewed, canonical_witness.source).spectrum
+            witnesses.Witness(plain=skewed, source=canonical_witness.source).spectrum
 
 
 class TestWitness:
     def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness):
         with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
-            witnesses.Witness(np.eye(4, dtype=complex) / 4, canonical_witness.source)
+            witnesses.Witness(plain=np.eye(4, dtype=complex) / 4, source=canonical_witness.source)
+
+    def test_takes_its_fields_by_keyword_only(self, canonical_witness):
+        # the first field was W before it was W_p: the old positional call raises instead of misreading W
+        with pytest.raises(TypeError, match="positional"):
+            witnesses.Witness(canonical_witness.matrix, canonical_witness.source)
 
     def test_has_only_its_choi_data_and_source_as_fields(self):
         # what a witness measures, W of a conjugated map included, is a cached property kept with it, not a field
@@ -222,8 +227,11 @@ class TestPullBack:
         w = witnesses.choi(example_map(family, n, mode, seed))
         d = w.d
         a, b = w.rotation
-        # read off W_p in one contraction, W' equals S^dagger W S up to rounding
-        assert max_relative(w.pulled_back, local_conjugate(w.matrix, a.conj().T, b.conj().T)) <= 1e-14
+        plain = local_conjugate(w.matrix, a.conj().T, b.conj().T)
+        if family == "PhiU4N":  # W is W_p: the pull-back is the same contraction
+            np.testing.assert_array_equal(w.pulled_back, plain)
+        else:  # one contraction of W_p, not two of W: equal up to rounding
+            assert max_relative(w.pulled_back, plain) <= 1e-14
         rng = np.random.default_rng(seed)
         wg = partial_transpose(w.matrix, d, d)
         for x, y in ((a, b), (random_factor(rng, d), random_factor(rng, d))):
@@ -279,7 +287,7 @@ class TestPullBack:
         plain = witnesses.plain_choi(m)  # W_p: a conjugated map moves W_p + eps H by a unitary
         rng = np.random.default_rng(seed)
         h = random_factor(rng, len(plain))
-        w = witnesses.Witness(plain + eps * (h + h.conj().T) / 2, m)
+        w = witnesses.Witness(plain=plain + eps * (h + h.conj().T) / 2, source=m)
         d = w.d
         rounding = 1e-15
         residual = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
@@ -429,7 +437,7 @@ class TestClosedForm:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed=7), maps.random_unitary(4 * n, seed=8))
-        w = witnesses.Witness(flip_one_block(witnesses.plain_choi(m), n), m)
+        w = witnesses.Witness(plain=flip_one_block(witnesses.plain_choi(m), n), source=m)
         assert np.max(np.abs(w.plain - oracle_choi(maps.phi_u(n, u)))) > 1e-3 / n ** 2
         assert np.max(np.abs(w.matrix - oracle_choi(m))) > 1e-3 / n ** 2
 
@@ -441,7 +449,7 @@ class TestClosedForm:
         m = example_map(family, n, mode, seed)
         rng = np.random.default_rng(seed)
         h = random_factor(rng, (4 * n) ** 2)
-        w = witnesses.Witness(witnesses.plain_choi(m) + eps * h, m)
+        w = witnesses.Witness(plain=witnesses.plain_choi(m) + eps * h, source=m)
         d = w.d
         direct = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
         assert max_relative(w.identity_image, direct) <= 1e-14
