@@ -139,11 +139,11 @@ def verify_nondecomposability(w: Witness, tol: float = DEFAULT_TOLERANCES["nonde
     """
     n = w.source.size
     dsq = w.d ** 2
-    index, values = w.base.ppt_state_entries
+    (index, values), lows = w.base.ppt_state
     rows, cols = np.divmod(index, dsq)
 
     defect = w.unitarity_defect
-    low, low_pt = (x - defect * abs(x) for x in w.base.ppt_min_eigenvalues)
+    low, low_pt = (x - defect * abs(x) for x in lows)
     trace = float(np.sum(values[rows == cols].real))
     trace_defect = abs(trace - 1.0) + defect * trace
     measured = witnesses.real_trace(complex(np.sum(w.pulled_back[cols, rows] * values)))
@@ -402,7 +402,8 @@ def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = 
     if tolerances:
         unknown = set(tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
-            raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
+            raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}; "
+                             f"valid: {', '.join(SUITE_CHECKS)}")
         tol.update(tolerances)
 
     witnesses.reject_off_unitary_u(m)  # before anything is built, W(U0) included

@@ -5,9 +5,10 @@ layout.  Hermitian inputs are diagonalized by one checked solver,
 ``hermitian_eig``.  A square matrix whose nonzeros, each an edge between its
 row and its column index, fall into several connected components is
 reducible: a symmetric permutation makes it block diagonal.  ``hermitian_eig``
-and ``trace_norm`` solve it block by block through one split, ``_blockwise``;
-a dense matrix takes the plain LAPACK path.  ``numerical_rank`` is a dense SVD
-rank with the cutoff of ``gram_rank``.  Local unitaries act by contraction
+and ``trace_norm`` solve it block by block, on the blocks that one split,
+``_components``, cuts out of it; a dense matrix comes back whole and takes the
+plain LAPACK path.  ``numerical_rank`` is a dense SVD rank with the cutoff of
+``gram_rank``.  Local unitaries act by contraction
 on the (dA, dB, dA, dB) view, never through a D x D Kronecker product.
 Composite-space indices follow the convention that ``|k> (x) |a>`` sits at
 row ``k * d + a`` (0-based).
@@ -48,19 +49,19 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     return m.reshape(d_a, d_b, d_a, d_b).transpose(2, 1, 0, 3).reshape(n, n)
 
 
-def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index groups of the connected components of a square boolean pattern.
+def _components(m: np.ndarray) -> list[np.ndarray]:
+    """The square diagonal blocks that the connected components of M's nonzeros cut out of M.
 
-    The indices are the vertices of a graph with one edge per True entry,
+    The indices are the vertices of a graph with one edge per nonzero entry,
     followed in both directions, so an entry (i, j) joins i and j whatever
-    (j, i) holds.  Components of one size come as one (k, size) array, each
-    component's indices ascending, so their blocks slice out as one stack.
-    A pattern with a full row, or with no index, is one component, found
-    without labelling.
+    (j, i) holds.  Blocks of one size come as one (k, size, size) stack, each
+    component's indices ascending.  A matrix that forms one block, such as one
+    with a full row or with no index, comes back itself, uncopied.
     """
-    n = len(pattern)
+    pattern = m != 0
+    n = len(m)
     if not n or pattern.all(axis=1).any():
-        return [np.arange(n)[None]]
+        return [m]
     rows, cols = np.nonzero(pattern)
     # min-label propagation with pointer jumping; labels only decrease, and the
     # fixed point gives every component the smallest index it contains
@@ -73,23 +74,13 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
         if np.array_equal(new, labels):
             break
         labels = new
+    if not labels.any():  # every index reaches 0
+        return [m]
     sizes = np.bincount(labels, minlength=n)  # each component's size, at its smallest index
     order = np.lexsort((labels, sizes[labels]))  # by (component size, component): each size one contiguous slice
     size, count = np.unique(sizes[sizes > 0], return_counts=True)
-    return [g.reshape(-1, k) for g, k in zip(np.split(order, np.cumsum(size * count)[:-1]), size)]
-
-
-def _blockwise(solve, *mats: np.ndarray) -> np.ndarray:
-    """``solve`` on the square diagonal blocks that the first matrix's nonzeros cut out of ``mats``, flattened.
-
-    ``solve`` receives the same block of every matrix; blocks of one size go to
-    it as one (k, size, size) stack.  When the nonzeros join every index, it
-    receives the matrices themselves.
-    """
-    groups = _components(mats[0] != 0)
-    if len(groups) == 1 and len(groups[0]) == 1:
-        return solve(*mats).ravel()
-    return np.concatenate([solve(*(x[g[:, :, None], g[:, None, :]] for x in mats)).ravel() for g in groups])
+    groups = [g.reshape(-1, k) for g, k in zip(np.split(order, np.cumsum(size * count)[:-1]), size)]
+    return [m[g[:, :, None], g[:, None, :]] for g in groups]
 
 
 def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
@@ -97,21 +88,23 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
 
     Returns the real eigenvalues sorted ascending, member by member.  Raises
     if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``.
-    The solve is of (M + M^dagger) / 2.  A single matrix is split by its
-    exact zeros (no threshold) into independent blocks, and blocks of one
-    size are solved as one stack; a stack is solved as it is.
+    The solve is of H = (M + M^dagger) / 2, formed in place of M^dagger.  A
+    single H is split by its exact zeros (no threshold) into its blocks
+    (``_components``), and blocks of one size are solved as one stack; a
+    stack is solved as it is.
     """
     m = as_complex(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    mh = np.conj(np.swapaxes(m, -1, -2), order="C")  # contiguous, so M - M^dagger reads both in row order
-    defect = float(np.max(np.abs(m - mh))) if m.size else 0.0
+    h = np.conj(np.swapaxes(m, -1, -2), order="C")  # M^dagger, contiguous, so M - M^dagger reads both in row order
+    defect = float(np.max(np.abs(m - h))) if m.size else 0.0
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
-    if m.ndim > 2 or not m.size:
-        return np.linalg.eigvalsh((m + mh) / 2)
-    # M's nonzeros, followed both ways, hold M^dagger's too: (M + M^dagger) / 2 is block diagonal on their components
-    return np.sort(_blockwise(lambda b, bh: np.linalg.eigvalsh((b + bh) / 2), m, mh))
+    h += m
+    h /= 2
+    if h.ndim > 2 or not h.size:
+        return np.linalg.eigvalsh(h)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _components(h)]))
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> float:
@@ -136,7 +129,7 @@ def trace_norm(m: np.ndarray) -> float:
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.sum(_blockwise(lambda b: np.linalg.svd(b, compute_uv=False), m)))
+    return float(np.sum(np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in _components(m)])))
 
 
 def local_conjugate(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,17 +30,21 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class MapDescriptor:
-    """Tagged description of a PhiU4N or ConjugatedPhiU map plus its parameters.
+    """A PhiU4N map, or with V1 and V2 a ConjugatedPhiU map, and its parameters.
 
     ``size`` is N.  Parameter matrices are validated by the constructor
     functions below and must not be mutated afterwards.
     """
 
-    family: str
     size: int
-    u: np.ndarray | None = None
+    u: np.ndarray
     v1: np.ndarray | None = None
     v2: np.ndarray | None = None
+
+    @property
+    def family(self) -> str:
+        """The map's family, "PhiU4N" or "ConjugatedPhiU", read off whether it has V1."""
+        return "PhiU4N" if self.v1 is None else "ConjugatedPhiU"
 
     @cached_property
     def unitary_u(self) -> bool:
@@ -101,7 +105,7 @@ def phi_u(n: int, u: np.ndarray) -> MapDescriptor:
         raise ValueError(f"U must be {2 * n}x{2 * n} for N={n}, got {u.shape}")
     if not is_antisymmetric_contraction(u):
         raise ValueError("U must be antisymmetric with U U^dagger <= I")
-    return MapDescriptor("PhiU4N", n, u=u)
+    return MapDescriptor(n, u)
 
 
 def conjugated_phi(n: int, u: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> MapDescriptor:
@@ -113,7 +117,7 @@ def conjugated_phi(n: int, u: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> Map
     for name, v in (("V1", v1), ("V2", v2)):
         if v.shape != (d, d):
             raise ValueError(f"{name} must be {d}x{d} for N={n}, got {v.shape}")
-    return MapDescriptor("ConjugatedPhiU", n, u=base.u, v1=v1, v2=v2)
+    return MapDescriptor(n, base.u, v1, v2)
 
 
 def youla_factor(u: np.ndarray) -> np.ndarray:
@@ -185,24 +189,17 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def random_antisymmetric_unitary(n: int, seed: int, mode: str = "real-orthogonal") -> np.ndarray:
-    """Seeded random antisymmetric unitary 2N x 2N, as V U0 V^T.
+def random_antisymmetric_unitary(n: int, seed: int) -> np.ndarray:
+    """Seeded random antisymmetric unitary 2N x 2N, as V U0 V^T for a real orthogonal V.
 
-    ``mode`` picks V: "real-orthogonal" (purely imaginary output, the
-    Hermitian case) or "complex-unitary" (fully complex output).
+    Its entries are purely imaginary: U is Hermitian as well.
     """
     if n < 1:
         raise ValueError("N must be a positive integer")
-    if mode == "real-orthogonal":
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((2 * n, 2 * n))
-        q, r = np.linalg.qr(g)
-        v = as_complex(q * np.sign(np.diagonal(r)))
-    elif mode == "complex-unitary":
-        v = random_unitary(2 * n, seed)
-    else:
-        raise ValueError(f"mode must be 'real-orthogonal' or 'complex-unitary', got {mode!r}")
-    return conjugate_u0(v)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * n, 2 * n))
+    q, r = np.linalg.qr(g)
+    return conjugate_u0(as_complex(q * np.sign(np.diagonal(r))))
 
 
 # --- the interpreter --------------------------------------------------------
@@ -231,7 +228,7 @@ def apply_map(m: MapDescriptor, x: np.ndarray) -> np.ndarray:
         )
 
     if m.family == "ConjugatedPhiU":
-        inner = apply_map(MapDescriptor("PhiU4N", m.size, u=m.u), m.v2 @ x @ m.v2.conj().T)
+        inner = apply_map(MapDescriptor(m.size, m.u), m.v2 @ x @ m.v2.conj().T)
         return m.v1.conj().T @ inner @ m.v1
 
     u = m.u

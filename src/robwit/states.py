@@ -39,7 +39,7 @@ def ppt_entangled_state(w: Witness) -> np.ndarray:
     Each kind of block is one slice assignment on the (d, d, d, d) view of rho,
     whose entry [i, a, j, b] is <a| rho_{ij} |b>.  Nothing here checks the
     witness or that rho is a PPT state: certify builds rho only from W(U0)
-    (``Witness.ppt_state_entries`` of the base, whose U ``witnesses.reject_off_unitary_u``
+    (``Witness.ppt_state`` of the base, whose U ``witnesses.reject_off_unitary_u``
     admitted), and ``certify.verify_nondecomposability`` measures the rest.
     """
     n = w.source.size

@@ -255,24 +255,18 @@ class Witness:
         return gram_rank(np.concatenate([pinned[pinned > 0], hermitian_eig(gram).ravel()]), len(cells))
 
     @cached_property
-    def ppt_state_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The PPT entangled state rho_b built from this witness, kept as (flat indices, values) of its nonzeros.
+    def ppt_state(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float]]:
+        """The PPT entangled state rho_b built from this witness: its nonzeros and two smallest eigenvalues.
 
-        rho_b is sparse, 400 nonzeros at N = 4 and 3504 at N = 12, so a base keeps
-        those and no dense state.
+        Returns ((flat indices, values) of rho_b's nonzeros, (min eig of rho_b, min eig of rho_b^Gamma)).
+        rho_b is built once and dropped: it is sparse, 400 nonzeros at N = 4 and 3504 at
+        N = 12, so a base keeps those and no dense state.
         """
         rho = states.ppt_entangled_state(self)
         index = np.flatnonzero(rho)
-        return index, rho.ravel()[index]
-
-    @cached_property
-    def ppt_min_eigenvalues(self) -> tuple[float, float]:
-        """Smallest eigenvalues of the PPT entangled state built from this witness and of its partial transpose."""
-        index, values = self.ppt_state_entries
-        rho = np.zeros((self.d ** 2, self.d ** 2), dtype=complex)
-        rho.flat[index] = values
-        return (min_eigenvalue(rho, CONSTRUCTION_TOL),  # raises unless rho is Hermitian within 1e-12
-                min_eigenvalue(partial_transpose(rho, self.d, self.d)))
+        entries = index, rho.ravel()[index]  # kept: allocated before the solves' W-sized temporaries, not in their gaps
+        low = min_eigenvalue(rho, CONSTRUCTION_TOL)  # raises unless rho is Hermitian within 1e-12
+        return entries, (low, min_eigenvalue(partial_transpose(rho, self.d, self.d)))
 
     @cached_property
     def gamma_conjugation_defect(self) -> float:

@@ -21,6 +21,10 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):  # without lib
     import hypothesis.extra._patching  # noqa: F401
 
 
+# How a test draws U = V U0 V^T: V real orthogonal, as ``maps.random_antisymmetric_unitary`` draws it
+# (U purely imaginary and Hermitian), or V = ``maps.random_unitary(2N, seed)`` (U fully complex).
+MODES = ("real-orthogonal", "complex-unitary")
+
 # The one message with which every certificate rejects a U that is not an antisymmetric unitary.
 NOT_UNITARY = "U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T"
 
@@ -32,10 +36,19 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     return e
 
 
+def random_u(n: int, seed: int, mode: str = "real-orthogonal") -> np.ndarray:
+    """A seeded antisymmetric unitary 2N x 2N, its V drawn in ``mode`` (one of ``MODES``)."""
+    if mode == "real-orthogonal":
+        return maps.random_antisymmetric_unitary(n, seed)
+    if mode == "complex-unitary":
+        return maps.conjugate_u0(maps.random_unitary(2 * n, seed))
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def build_example_map(family: str, size: int, mode: str = "real-orthogonal",
                       seed: int = 0) -> maps.MapDescriptor:
     """A valid PhiU4N or ConjugatedPhiU descriptor of size N; U is drawn in ``mode``."""
-    u = maps.random_antisymmetric_unitary(size, seed, mode)
+    u = random_u(size, seed, mode)
     if family == "PhiU4N":
         return maps.phi_u(size, u)
     if family == "ConjugatedPhiU":
@@ -61,7 +74,7 @@ def build_example_action(family: str, size: int, mode: str = "real-orthogonal", 
         return reference_maps.robertson4, 4
     if family == "BreuerHall":
         k = max(size, 2)
-        u = maps.random_antisymmetric_unitary(k, seed, mode)
+        u = random_u(k, seed, mode)
         return (lambda x: reference_maps.breuer_hall(x, u)), 2 * k
     blocks = {"MapI": reference_maps.map_i, "MapII": reference_maps.map_ii, "Psi2K": reference_maps.psi_2k}
     return blocks[family], 2 * size
@@ -142,7 +155,7 @@ def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:
 
 def corrupted_plain_witness(i: int, j: int) -> witnesses.Witness:
     """``corrupted_witness`` of the plain N=1 map of a seeded U, whose rotation is a Youla factor."""
-    return corrupted_witness(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=3, mode="complex-unitary")), i, j)
+    return corrupted_witness(maps.phi_u(1, random_u(1, 3, "complex-unitary")), i, j)
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import (NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
-                      densify, flip_one_block, perturb_witness)
+from conftest import (MODES, NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
+                      densify, flip_one_block, perturb_witness, random_u)
 from reference_maps import breuer_hall, reference_witness
 
 REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
@@ -150,7 +150,7 @@ def perturbed_u(n, kind, eps, seed=0, mode="real-orthogonal"):
     """An antisymmetric unitary moved off a premise: U + eps S (S symmetric), (1 + eps) U, or 0.5 U0."""
     if kind == "contraction":
         return 0.5 * maps.canonical_u0(n)
-    u = maps.random_antisymmetric_unitary(n, seed, mode)
+    u = random_u(n, seed, mode)
     if kind == "scaled":
         return (1.0 + eps) * u
     rng = np.random.default_rng(seed)
@@ -259,7 +259,7 @@ class TestPositivity:
         assert report.passed
 
     def test_random_u_n2(self):
-        u = maps.random_antisymmetric_unitary(2, seed=2, mode="complex-unitary")
+        u = random_u(2, 2, "complex-unitary")
         report = certify.verify_positivity(witnesses.choi(maps.phi_u(2, u)))
         assert report.passed
 
@@ -274,7 +274,7 @@ class TestPositivity:
         # reference: one projector per apply_map call on Phi_{U0}, drawn from the same stream;
         # the trials cross several POSITIVITY_BLOCK boundaries.  The request's U is not U0.
         base = maps.phi_u(1, maps.canonical_u0(1))
-        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4, mode="complex-unitary")))
+        w = witnesses.choi(maps.phi_u(1, random_u(1, 4, "complex-unitary")))
         w.rotation_residual  # builds the base before apply_map is recorded
         rng = np.random.default_rng(witnesses.POSITIVITY_SEED)
         worst, projectors = np.inf, []
@@ -294,7 +294,7 @@ class TestPositivity:
     def test_a_map_corrupted_off_u0_fails_through_the_residual(self, monkeypatch, fresh_base, conjugated):
         # the base Phi_{U0} stays exact and its sample passes; only d ||E||_F can fail the report
         corrupt_closed_form_off_u0(monkeypatch)
-        u = maps.random_antisymmetric_unitary(2, seed=8, mode="complex-unitary")
+        u = random_u(2, 8, "complex-unitary")
         m = maps.phi_u(2, u)
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, seed=9), maps.random_unitary(8, seed=10))
@@ -347,7 +347,7 @@ class TestPositivity:
         assert certify.premise_defects(u)[0] > 1e-2
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 2), mode=st.sampled_from(("real-orthogonal", "complex-unitary")),
+    @given(n=st.integers(1, 2), mode=st.sampled_from(MODES),
            kind=st.sampled_from(("symmetric", "scaled", "contraction")), log_eps=st.floats(-9.0, -0.5),
            seed=st.integers(0, 2 ** 16))
     def test_premise_bounds_hold_on_every_splitting(self, n, mode, kind, log_eps, seed):
@@ -372,7 +372,7 @@ class TestPositivity:
         # the descriptor is built around phi_u's validation; every certificate rejects U, whose
         # premise bounds are off too
         u = perturbed_u(n, kind, eps)
-        m = maps.MapDescriptor("PhiU4N", n, u=u)
+        m = maps.MapDescriptor(n, u)
         w = witnesses.choi(m)
         for check in (certify.verify_positivity, *WITNESS_CHECKS):
             with pytest.raises(ValueError, match=REJECTED):
@@ -531,7 +531,7 @@ class TestOptimality:
     @pytest.mark.parametrize("conjugated", [False, True])
     def test_batched_family_matches_loop_reference(self, conjugated):
         n = 2
-        u = maps.random_antisymmetric_unitary(n, seed=21, mode="complex-unitary")
+        u = random_u(n, 21, "complex-unitary")
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23))
@@ -571,7 +571,7 @@ class TestOptimality:
 class TestFamilyRank:
     @pytest.mark.parametrize("n", [1, 2])
     def test_structural_rank_equals_dense_rank_of_every_family(self, n):
-        u = maps.random_antisymmetric_unitary(n, seed=40 + n, mode="complex-unitary")
+        u = random_u(n, 40 + n, "complex-unitary")
         d = 4 * n
         conj = maps.conjugated_phi(n, u, maps.random_unitary(d, seed=42), maps.random_unitary(d, seed=43))
         gens = dense_generators(n)
@@ -652,7 +652,7 @@ class TestNdOptimality:
         assert certify.verify_nd_optimality(canonical_witness).passed
 
     def test_random_u(self):
-        u = maps.random_antisymmetric_unitary(1, seed=13, mode="complex-unitary")
+        u = random_u(1, 13, "complex-unitary")
         w = witnesses.choi(maps.phi_u(1, u))
         assert certify.verify_nd_optimality(w).passed
 
@@ -957,8 +957,8 @@ def off_unitary_maps(n):
     d = 4 * n
     v1, v2 = maps.random_unitary(d, seed=1), maps.random_unitary(d, seed=2)
     for u in (0.5 * maps.canonical_u0(n), maps.canonical_u0(n) + 1e-11 * np.ones((2 * n, 2 * n))):
-        yield maps.MapDescriptor("PhiU4N", n, u=u)
-        yield maps.MapDescriptor("ConjugatedPhiU", n, u=u, v1=v1, v2=v2)
+        yield maps.MapDescriptor(n, u)
+        yield maps.MapDescriptor(n, u, v1, v2)
 
 
 class TestRejectsAnOffUnitaryU:
@@ -1018,7 +1018,7 @@ class TestStandInBase:
         stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
         vars(stand_in)["gamma_conjugation_defect"] = 1e-9
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
-        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=3, mode="complex-unitary")))
+        w = witnesses.choi(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
         assert w.base is stand_in
         report = certify.verify_nd_optimality(w)
         assert report.measured <= report.tolerance  # the family alone would pass
@@ -1044,9 +1044,8 @@ class TestStandInBase:
     def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
         true = witnesses.canonical_witness(1)
         stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
-        index, values = true.ppt_state_entries
-        vars(stand_in).update(ppt_state_entries=(index, values * (1 + 1e-9)),
-                              ppt_min_eigenvalues=true.ppt_min_eigenvalues)
+        (index, values), lows = true.ppt_state
+        vars(stand_in).update(ppt_state=((index, values * (1 + 1e-9)), lows))
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
         report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
@@ -1181,7 +1180,7 @@ class TestFlippedClosedForm:
         u0 = maps.canonical_u0(2)
         monkeypatch.setattr(witnesses, "plain_choi",
                             lambda m: fill(m) if np.array_equal(m.u, u0) else flip_one_block(fill(m), 2))
-        m = maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=12, mode="complex-unitary"))
+        m = maps.phi_u(2, random_u(2, 12, "complex-unitary"))
         if conjugated:
             m = maps.conjugated_phi(2, m.u, maps.random_unitary(8, seed=13), maps.random_unitary(8, seed=14))
         reports = dict((r.name, r) for r in certify.run_full_suite(m))

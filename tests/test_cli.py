@@ -183,6 +183,25 @@ class TestSizeGuard:
         assert len(errors) == 1 and errors[0].endswith("GB of physical memory")
         assert f"needs an estimated 9.830e+{4 * (digits - 1) - 5} GB" in errors[0]
 
+    @pytest.mark.parametrize("points", [10 ** 13, 10 ** 100])
+    def test_refuses_huge_points_in_one_line(self, capsys, points):
+        # numpy's grid of 1e13 points once failed with an _ArrayMemoryError traceback and exit 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--n", "1", "--points", str(points)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith("GB of physical memory") and "Traceback" not in err
+        assert f"--points: a curve of {points} points needs an estimated" in errors[0]
+
+    def test_points_bound_follows_physical_memory(self, monkeypatch):
+        # physical memory set to exactly the estimate of 11 points: 11 fit, 12 do not
+        memory = {"SC_PHYS_PAGES": cli.PEAK_POINT_BYTES * 11, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+        assert cli.bounded_points("11") == 11
+        with pytest.raises(argparse.ArgumentTypeError, match="a curve of 12 points needs an estimated"):
+            cli.bounded_points("12")
+
     def test_bound_follows_physical_memory(self, monkeypatch):
         # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
         memory = {"SC_PHYS_PAGES": cli.PEAK_W_ARRAYS * 16 * 8 ** 4, "SC_PAGE_SIZE": 1}
@@ -333,9 +352,11 @@ class TestCertify:
         assert "finite non-negative" in err and out == ""
 
     def test_unknown_tolerance_name(self, capsys):
-        code, _, err = run(capsys, "certify", "--n", "1", "--tol", "bogus=1")
-        assert code == 2
-        assert "unknown check" in err
+        # certify.run_full_suite alone checks the names; its one line lists the valid ones
+        code, out, err = run(capsys, "certify", "--n", "1", "--tol", "bogus=1")
+        assert code == 2 and out == ""
+        assert err == (f"error: unknown check names in tolerance overrides: ['bogus']; "
+                       f"valid: {', '.join(certify.SUITE_CHECKS)}\n")
 
 
 class TestCurve:

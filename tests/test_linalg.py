@@ -129,12 +129,14 @@ class TestBlockedEig:
 
     @settings(max_examples=200, deadline=None)
     @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5), repeats=st.integers(1, 3),
-           empty=st.integers(2, 4), coupling=st.sampled_from(["none", "tiny", "one-sided"]),
+           empty=st.integers(2, 4), coupling=st.sampled_from(["none", "tiny", "one-sided", "anti-hermitian"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_split_matches_dense_under_any_symmetric_permutation(self, sizes, repeats, empty, coupling, seed):
         # blocks with one size repeated, then empty indices; "tiny" joins a block to the first empty
         # index at 1e-300 both ways, "one-sided" puts 1e-9 only at M[i, j] for the first two empty
-        # indices: Hermitian within the default 1e-9, it must still join i and j (eigenvalues +-5e-10)
+        # indices: Hermitian within the default 1e-9, it must still join i and j (eigenvalues +-5e-10).
+        # "anti-hermitian" puts 1e-10 at M[i, j] and -1e-10 at M[j, i]: the pair cancels in H, which
+        # leaves i and j apart, while it joins them in M's SVD (singular values 1e-10 twice)
         rng = np.random.default_rng(seed)
         blocks = permuted_block_diagonal(rng, sizes + [sizes[0]] * (repeats - 1))
         k = len(blocks)
@@ -144,10 +146,23 @@ class TestBlockedEig:
             m[0, k] = m[k, 0] = 1e-300
         elif coupling == "one-sided":
             m[k, k + 1] = 1e-9
+        elif coupling == "anti-hermitian":
+            m[k, k + 1], m[k + 1, k] = 1e-10, -1e-10
         p = rng.permutation(len(m))
         m = m[np.ix_(p, p)]
         dense = np.linalg.eigvalsh((m + m.conj().T) / 2)
         np.testing.assert_allclose(linalg.hermitian_eig(m), dense, rtol=0, atol=1e-13)
+        singular = np.sum(np.linalg.svd(m, compute_uv=False))
+        assert linalg.trace_norm(m) == pytest.approx(singular, rel=0, abs=1e-13)
+
+    def test_one_block_comes_back_uncopied(self):
+        # a dense matrix (a full row) and a tridiagonal one (one component found by labelling)
+        rng = np.random.default_rng(33)
+        g = random_complex(rng, (6, 6))
+        chain = np.diag(np.arange(1.0, 7.0)) + np.diag(np.ones(5), 1) + np.diag(np.ones(5), -1)
+        for m in (g + g.conj().T, chain.astype(complex)):
+            blocks = linalg._components(m)
+            assert len(blocks) == 1 and blocks[0] is m
         assert linalg.trace_norm(m) == pytest.approx(np.sum(np.linalg.svd(m, compute_uv=False)), rel=0, abs=1e-13)
 
     def test_solves_blocks_of_one_size_as_one_stack(self, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from robwit import maps
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose
 from robwit.witnesses import canonical_witness, choi
 
-from conftest import CORE_FAMILIES, FAMILIES, UNITAL, matrix_unit
+from conftest import CORE_FAMILIES, FAMILIES, MODES, UNITAL, matrix_unit, random_u
 
 
 def random_complex(rng, shape):
@@ -124,10 +126,10 @@ class TestParameterGenerators:
     def test_conjugate_u0_identity_case(self):
         np.testing.assert_allclose(maps.conjugate_u0(np.eye(4)), maps.canonical_u0(2), atol=1e-15)
 
-    @pytest.mark.parametrize("mode", ["real-orthogonal", "complex-unitary"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_random_u_invariants(self, mode):
         for n in (1, 2):
-            u = maps.random_antisymmetric_unitary(n, seed=10, mode=mode)
+            u = random_u(n, 10, mode)
             assert maps.antisymmetry_defect(u) <= 1e-12
             assert np.max(np.abs(u @ u.conj().T - np.eye(2 * n))) <= 1e-12
 
@@ -137,10 +139,6 @@ class TestParameterGenerators:
         c = maps.random_antisymmetric_unitary(2, seed=2)
         np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(a - c)) > 1e-3
-
-    def test_random_u_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            maps.random_antisymmetric_unitary(1, seed=0, mode="quaternionic")
 
     def test_random_unitary(self):
         v = maps.random_unitary(5, seed=11)
@@ -154,6 +152,14 @@ class TestDescriptorValidation:
         assert m.family == "PhiU4N"
         np.testing.assert_allclose(maps.apply_map(m, np.eye(4)), np.eye(4), atol=1e-12)  # unital for every U
         assert maps.phi_u(2, np.zeros((4, 4))).family == "PhiU4N"
+
+    def test_family_is_read_off_v1(self):
+        # the family is no field, so no tag can contradict V1 and V2
+        u, v1, v2 = maps.canonical_u0(1), maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2)
+        assert [f.name for f in dataclasses.fields(maps.MapDescriptor)] == ["size", "u", "v1", "v2"]
+        assert maps.MapDescriptor(1, u).family == "PhiU4N"
+        assert maps.MapDescriptor(1, u, v1, v2).family == "ConjugatedPhiU"
+        assert maps.conjugated_phi(1, u, v1, v2).family == "ConjugatedPhiU"
 
     def test_phi_u_rejects_expansion(self):
         with pytest.raises(ValueError, match="U U"):
@@ -222,7 +228,7 @@ class TestStacks:
     @given(
         family=st.sampled_from(FAMILIES),
         size=st.integers(1, 2),
-        mode=st.sampled_from(["real-orthogonal", "complex-unitary"]),
+        mode=st.sampled_from(MODES),
         seed=st.integers(0, 2 ** 16),
         lead=st.sampled_from([(1,), (3,), (5,), (2, 3)]),
     )
@@ -246,9 +252,6 @@ class TestStacks:
     def test_empty_stack(self):
         m = maps.phi_u(1, maps.SIGMA_Y)
         assert maps.apply_map(m, np.zeros((0, 4, 4))).shape == (0, 4, 4)
-
-
-MODES = ("real-orthogonal", "complex-unitary")
 
 
 class TestAlgebraicProperties:
@@ -307,7 +310,7 @@ class TestYoulaFactor:
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(1, 4), mode=st.sampled_from(MODES), seed=st.integers(0, 2 ** 16))
     def test_unitary_factor_onto_the_canonical_form(self, size, mode, seed):
-        u = maps.random_antisymmetric_unitary(size, seed, mode)
+        u = random_u(size, seed, mode)
         v = maps.youla_factor(u)
         assert np.max(np.abs(v @ maps.canonical_u0(size) @ v.T - u)) <= 1e-14
         assert np.max(np.abs(v.conj().T @ v - np.eye(2 * size))) <= 1e-14

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose, realign, trace_norm
 
-from conftest import (CORE_FAMILIES, FAMILIES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
-                      matrix_unit, oracle_choi, self_dual_reference)
+from conftest import (CORE_FAMILIES, FAMILIES, MODES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
+                      matrix_unit, oracle_choi, random_u, self_dual_reference)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ class TestChoi:
         expected = bruteforce(maps.phi_u(1, maps.canonical_u0(1)))
         np.testing.assert_allclose(canonical_witness.matrix, expected, atol=1e-15)
         for family in CORE_FAMILIES:
-            for mode in ("real-orthogonal", "complex-unitary"):
+            for mode in MODES:
                 m = example_map(family, 2, mode, seed=3)
                 np.testing.assert_allclose(witnesses.choi(m).matrix, bruteforce(m), atol=1e-15,
                                            err_msg=f"{family} ({mode})")
@@ -113,7 +113,7 @@ class TestVerifySpectrum:
         assert report.passed and report.measured < 1e-9
 
     def test_spectrum_is_u_independent(self):
-        u = maps.random_antisymmetric_unitary(1, seed=21, mode="complex-unitary")
+        u = random_u(1, 21, "complex-unitary")
         report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(1, u)))
         assert report.passed
 
@@ -201,9 +201,6 @@ class TestBase:
                  for n in (2, 3, 2)]
         assert sizes == [2, 3, 2]
         assert witnesses.canonical_witness.cache_info().currsize == 1
-
-
-MODES = ("real-orthogonal", "complex-unitary")
 
 
 def random_factor(rng, d):
@@ -315,13 +312,16 @@ class TestPullBack:
 
     def test_the_base_keeps_only_the_ppt_states_nonzeros(self):
         base = witnesses.canonical_witness(4)
-        index, values = base.ppt_state_entries
+        (index, values), lows = base.ppt_state
         rho = states.ppt_entangled_state(base)
         assert len(index) == np.count_nonzero(rho) == 400
         np.testing.assert_array_equal(rho.ravel()[index], values)
-        base.ppt_min_eigenvalues
-        kept = [np.asarray(x) for key, value in vars(base).items() if key not in ("plain", "matrix")
-                for x in (value if isinstance(value, tuple) else (value,))]
+        assert lows == (min_eigenvalue(rho), min_eigenvalue(partial_transpose(rho, 16, 16)))
+
+        def leaves(value):
+            return [x for v in value for x in leaves(v)] if isinstance(value, tuple) else [np.asarray(value)]
+
+        kept = [x for key, value in vars(base).items() if key not in ("plain", "matrix") for x in leaves(value)]
         assert max(x.size for x in kept) == len(index)  # the nonzeros, then the spectrum; no W-sized array
 
 
@@ -354,9 +354,7 @@ class TestGammaUnitary:
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("seed", [None, 22])
     def test_conjugation_identity(self, n, seed):
-        u = maps.canonical_u0(n) if seed is None else maps.random_antisymmetric_unitary(
-            n, seed=seed, mode="complex-unitary"
-        )
+        u = maps.canonical_u0(n) if seed is None else random_u(n, seed, "complex-unitary")
         w = witnesses.choi(maps.phi_u(n, u))
         g = gamma_unitary(w.source)
         residual = partial_transpose(w.matrix, w.d, w.d) - local_conjugate(w.matrix, g, np.eye(w.d))
@@ -421,7 +419,7 @@ class TestClosedForm:
     @given(n=st.integers(1, 6), mode=st.sampled_from(MODES), conjugated=st.booleans(), contraction=st.booleans(),
            seed=st.integers(0, 2 ** 16))
     def test_matches_the_apply_map_oracle(self, n, mode, conjugated, contraction, seed):
-        u = strict_contraction(n, seed, mode) if contraction else maps.random_antisymmetric_unitary(n, seed, mode)
+        u = strict_contraction(n, seed, mode) if contraction else random_u(n, seed, mode)
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed + 1), maps.random_unitary(4 * n, seed + 2))
@@ -433,7 +431,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("conjugated", [False, True])
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_flipped_block_fails_the_oracle(self, n, conjugated):
-        u = maps.random_antisymmetric_unitary(n, seed=6, mode="complex-unitary")
+        u = random_u(n, 6, "complex-unitary")
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed=7), maps.random_unitary(4 * n, seed=8))
