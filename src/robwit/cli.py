@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from . import certify, maps, witnesses
 from .linalg import CONSTRUCTION_TOL
 
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
-# process over every subcommand at N = 3..5, plain and conjugated, is highest for a conjugated
-# `build --output json` (its nested lists and JSON text), 22.8 at N = 3 and 14.9 / 14.4 at N = 4 / 5.
-# `certify`, which also holds the shared base W(U0), its own W_p and its pull-back, peaks at
-# 13.2 / 8.4 / 7.9 at N = 3 / 4 / 5; `spectrum` and `curve` at <= 7.4.
-PEAK_W_ARRAYS = 24
+# process over every subcommand at N = 3..5, plain and conjugated, is highest for `certify`, which
+# also holds the shared base W(U0), its own W_p and its pull-back: 13.1 / 8.4 / 7.9 at N = 3 / 4 / 5.
+# A conjugated `build --output json` peaks at 11.8 / 9.8 / 9.3, `spectrum` and `curve` at <= 7.4.
+PEAK_W_ARRAYS = 14
 
 # Peak memory of `curve` per --points row (its floats, row lists and CSV text): the tracemalloc peak
 # of `curve --n 1` over the points is 401 / 342 B at 1e5 / 3e5 points.
@@ -90,7 +89,10 @@ def parse_tolerances(entries: list[str] | None) -> dict[str, float]:
         if "=" not in entry:
             raise ValueError(f"--tol expects <check>=<value>, got {entry!r}")
         name, raw = entry.split("=", 1)  # certify.run_full_suite checks the name
-        value = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:  # no number: rejected below, in the same one line
+            value = math.nan
         if not (np.isfinite(value) and value >= 0):
             raise ValueError(f"--tol {name} must be a finite non-negative number, got {raw!r}")
         overrides[name] = value
@@ -100,19 +102,68 @@ def parse_tolerances(entries: list[str] | None) -> dict[str, float]:
 def to_json(payload: dict) -> str:
     """Compact, key-sorted JSON, the one format of `build` and `certify --output json`.
 
-    Without an indent `json` runs its C encoder; floats keep their shortest
-    round-trip repr, so `matrix_from_payload` recovers a matrix bit for bit.
+    Floats keep their shortest round-trip repr, so `matrix_from_payload` recovers a
+    matrix bit for bit.  `build` writes its matrix through `json_chunks` instead.
     """
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
-def emit(text: str, out_path: str | None) -> None:
+# json writes a non-finite float under these names, and every finite one as float.__repr__ does
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Distinct doubles formatted per batch: strings for all of them at once would outweigh W several times
+REPR_BATCH = 4096
+
+
+def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
+    """``to_json({**members, **matrix_to_payload(matrix)})``, byte for byte, yielded row by row.
+
+    No list of entries is built.  The interleaved (re, im) doubles are deduplicated by
+    bit pattern, so -0.0 and 0.0 stay apart; each distinct one is formatted once, into a
+    fixed-width byte string, and a row's text is joined from those.  The other members
+    are encoded by `json`.
+    """
+    m = np.ascontiguousarray(matrix, dtype=complex)
+    d = m.shape[0]
+    members = {**members, "d": d}
+    head = to_json({key: value for key, value in members.items() if key < "rows"})[1:-1]
+    tail = to_json({key: value for key, value in members.items() if key > "rows"})[1:-1]
+    yield "{" + head + ',"rows":['
+    bits = m.view(np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    inverse = inverse.reshape(bits.shape)  # set explicitly: NumPy 2 changed the shape it returns
+    values = distinct.view(np.float64)
+    texts = np.empty(len(values), dtype="S24")  # a repr has at most 24 characters: -2.2250738585072014e-308
+    for start in range(0, len(values), REPR_BATCH):
+        texts[start:start + REPR_BATCH] = list(map(float.__repr__, values[start:start + REPR_BATCH].tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = JSON_NONFINITE[float.__repr__(values[i])]
+    frame = [b"],["] * (4 * d + 1)  # [[re,im],[re,im],...,[re,im]] with the doubles at 1::2
+    frame[2::4] = [b","] * d
+    frame[0], frame[-1] = b"[[", b"]]"
+    for row in inverse:
+        frame[1::2] = texts[row].tolist()  # tolist drops each string's padding
+        yield b"".join(frame).decode()
+        frame[0] = b",[["
+    yield "]" + ("," if tail else "") + tail + "}"
+
+
+def emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write the text, whole or in chunks, to ``out_path``, or to stdout ending in a newline.
+
+    Chunks from a generator are made as they are written, so the whole text is never held.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        return
+    last = ""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+        last = chunk
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def csv_table(header: list[str], rows: list[list]) -> str:
@@ -141,8 +192,7 @@ def cmd_build(args, m: maps.MapDescriptor) -> int:
         if args.v1 is not None:
             payload["v1"] = args.v1
             payload["v2"] = args.v2
-        payload.update(matrix_to_payload(witnesses.choi(m).matrix))  # W_p and W are freed before encoding
-        emit(to_json(payload), args.out_path)
+        emit(json_chunks(payload, witnesses.choi(m).matrix), args.out_path)  # W_p is freed before encoding
     else:
         w = witnesses.choi(m)
         lines = [
@@ -229,10 +279,15 @@ def require_memory(need: int, what: str) -> None:
                                          f"more than the {have / 1e9:.1f} GB of physical memory")
 
 
+def n_bytes(n: int) -> int:
+    """Estimated peak memory of a command at N: ``PEAK_W_ARRAYS`` W-sized arrays."""
+    return PEAK_W_ARRAYS * 16 * (4 * n) ** 4
+
+
 def bounded_n(raw: str) -> int:
     """--n: a positive integer whose estimated peak memory fits in physical memory."""
     n = positive_int(raw)
-    require_memory(PEAK_W_ARRAYS * 16 * (4 * n) ** 4, f"N={n}")
+    require_memory(n_bytes(n), f"N={n}")
     return n
 
 
@@ -283,7 +338,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.command == "curve":  # it holds W and its table at once: each bound alone can pass while both do not
+        try:
+            require_memory(n_bytes(args.n) + PEAK_POINT_BYTES * args.points,
+                           f"N={args.n} with a curve of {args.points} points")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args, resolve_map(args))
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

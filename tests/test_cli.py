@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,14 @@ def write_matrix(tmp_path, m, name="v.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(cli.matrix_to_payload(m)))
     return f"file:{path}"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """got == want, reported at the first differing offset."""
+    if got != want:  # pytest's own diff of texts of a few megabytes would not finish
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ from offset {at}: "
+                    f"{got[at:at + 60]!r} vs {want[at:at + 60]!r}")
 
 
 def write_v_with(tmp_path, value) -> str:
@@ -109,11 +118,46 @@ class TestBuild:
         m = cli.resolve_map(cli.make_parser().parse_args(["build", "--n", "2", "--u", "seed:3", *conjugation]))
         np.testing.assert_array_equal(cli.matrix_from_payload(payload), witnesses.choi(m).matrix)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("conjugation", [[], ["--v1", "seed:1", "--v2", "seed:2"]],
+                             ids=["plain", "conjugated"])
+    def test_json_equals_the_encoded_payload(self, capsys, n, conjugation):
+        # the old path, json.dumps of matrix_to_payload with the other members, is the oracle, byte for byte
+        argv = ["--n", str(n), "--u", "seed:3", *conjugation]
+        code, out, _ = run(capsys, "build", *argv, "--output", "json")
+        assert code == 0
+        m = cli.resolve_map(cli.make_parser().parse_args(["build", *argv]))
+        members = {"family": m.family, "n": n, "u": "seed:3", **dict(zip(["v1", "v2"], conjugation[1::2]))}
+        oracle = json.dumps({**members, **cli.matrix_to_payload(witnesses.choi(m).matrix)},
+                            separators=(",", ":"), sort_keys=True)
+        assert_same_text(out, oracle + "\n")
+
+    def test_json_keeps_every_bit_pattern(self):
+        # -0.0 and 0.0 are equal values with distinct bit patterns: an encoder that dedupes values merges them;
+        # json writes NaN and Infinity where repr writes nan and inf
+        m = np.zeros((3, 3), dtype=complex)
+        m.real = [[-0.0, 0.0, 5e-324], [1e-05, 1e16, -1e22], [-5e-324, np.nan, -0.0]]
+        m.imag = [[0.0, -0.0, 1e16], [-0.0, 0.0, 5e-324], [np.inf, -1e22, -np.inf]]
+        members = {"family": "PhiU4N", "n": 1, "u": "canonical", "v1": "seed:1", "v2": "seed:2"}
+        text = "".join(cli.json_chunks(members, m))
+        oracle = json.dumps({**members, **cli.matrix_to_payload(m)}, separators=(",", ":"), sort_keys=True)
+        assert_same_text(text, oracle)
+        assert '"rows":[[[-0.0,0.0],[0.0,-0.0],[5e-324,1e+16]],[[1e-05,-0.0],[1e+16,0.0],' in text
+
+    def test_out_path_holds_stdout_without_its_newline(self, capsys, tmp_path):
+        argv = ["build", "--n", "2", "--u", "seed:3", "--v1", "seed:1", "--v2", "seed:2", "--output", "json"]
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "witness.json"
+        assert run(capsys, *argv, "--out-path", str(target)) == (0, "", "")
+        assert code == 0 and out.endswith("}\n")
+        assert_same_text(target.read_text(encoding="utf-8"), out[:-1])
+
     def test_peak_memory_within_size_guard(self, capsys):
-        # the conjugated JSON export is the costliest command at small N
+        # a cold conjugated certify is the costliest command at small N: it holds the base W(U0) too
+        witnesses.canonical_witness.cache_clear()
         tracemalloc.start()
         try:
-            code = cli.main(["build", "--n", "3", "--v1", "seed:1", "--v2", "seed:1", "--output", "json"])
+            code = cli.main(["certify", "--n", "3", "--v1", "seed:1", "--v2", "seed:2", "--output", "json"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -181,7 +225,8 @@ class TestSizeGuard:
         assert exc.value.code == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].endswith("GB of physical memory")
-        assert f"needs an estimated 9.830e+{4 * (digits - 1) - 5} GB" in errors[0]
+        # PEAK_W_ARRAYS * 16 * 4^4 = 57344 bytes per N^4
+        assert f"needs an estimated 5.734e+{4 * (digits - 1) - 5} GB" in errors[0]
 
     @pytest.mark.parametrize("points", [10 ** 13, 10 ** 100])
     def test_refuses_huge_points_in_one_line(self, capsys, points):
@@ -201,6 +246,20 @@ class TestSizeGuard:
         assert cli.bounded_points("11") == 11
         with pytest.raises(argparse.ArgumentTypeError, match="a curve of 12 points needs an estimated"):
             cli.bounded_points("12")
+
+    def test_curve_bounds_both_estimates_at_once(self, capsys, monkeypatch):
+        # physical memory set to exactly the estimate at N=2 plus 11 points: N=2 and 12 points each
+        # pass their own guard, but curve holds both and is refused in one line, before any W is built
+        memory = {"SC_PHYS_PAGES": cli.n_bytes(2) + cli.PEAK_POINT_BYTES * 11, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+        assert cli.bounded_n("2") == 2 and cli.bounded_points("12") == 12
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["curve", "--n", "2", "--points", "12"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert "N=2 with a curve of 12 points needs an estimated" in errors[0]
 
     def test_bound_follows_physical_memory(self, monkeypatch):
         # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
@@ -350,6 +409,12 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "--n", "1", "--tol", f"spectrum={value}")
         assert code == 2
         assert "finite non-negative" in err and out == ""
+
+    def test_tolerance_that_is_no_number(self, capsys):
+        # float() alone said "could not convert string to float: 'abc'", naming neither --tol nor the check
+        code, out, err = run(capsys, "certify", "--n", "1", "--tol", "spectrum=abc")
+        assert code == 2 and out == ""
+        assert err == "error: --tol spectrum must be a finite non-negative number, got 'abc'\n"
 
     def test_unknown_tolerance_name(self, capsys):
         # certify.run_full_suite alone checks the names; its one line lists the valid ones
