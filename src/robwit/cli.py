@@ -25,8 +25,8 @@ from .linalg import CONSTRUCTION_TOL
 
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for `certify`, which
-# also holds the shared base W(U0), its own W_p and its pull-back: 13.1 / 8.4 / 7.9 at N = 3 / 4 / 5.
-# A conjugated `build --output json` peaks at 11.8 / 9.8 / 9.3, `spectrum` and `curve` at <= 7.4.
+# also holds the shared base W(U0), its own W_p and its pull-back: 13.2 / 8.4 / 7.9 at N = 3 / 4 / 5.
+# A conjugated `build --output json` peaks at 9.9 / 7.7 / 7.1, `spectrum` and `curve` at <= 7.4.
 PEAK_W_ARRAYS = 14
 
 # Peak memory of `curve` per --points row (its floats, row lists and CSV text): the tracemalloc peak
@@ -109,7 +109,7 @@ def to_json(payload: dict) -> str:
 
 
 # json writes a non-finite float under these names, and every finite one as float.__repr__ does
-JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity"}
 
 # Distinct doubles formatted per batch: strings for all of them at once would outweigh W several times
 REPR_BATCH = 4096
@@ -119,25 +119,35 @@ def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
     """``to_json({**members, **matrix_to_payload(matrix)})``, byte for byte, yielded row by row.
 
     No list of entries is built.  The interleaved (re, im) doubles are deduplicated by
-    bit pattern, so -0.0 and 0.0 stay apart; each distinct one is formatted once, into a
-    fixed-width byte string, and a row's text is joined from those.  The other members
-    are encoded by `json`.
+    magnitude, and each distinct magnitude is formatted once, into a fixed-width byte
+    string.  As repr(-x) is "-" + repr(x) for every double, -inf included, a second
+    table holds each text with a "-" in front, and a double whose sign bit is set reads
+    from it: so -0.0 and 0.0 stay apart, and a NaN, which json writes NaN whatever its
+    sign, reads from the first.  An exactly Hermitian D x D matrix, as ``Witness.matrix``
+    is, has at most D^2 + 1 distinct magnitudes.  A row's text is joined from the
+    tables.  The other members are encoded by `json`.
     """
-    m = np.ascontiguousarray(matrix, dtype=complex)
-    d = m.shape[0]
+    doubles = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
+    d = doubles.shape[0]
     members = {**members, "d": d}
     head = to_json({key: value for key, value in members.items() if key < "rows"})[1:-1]
     tail = to_json({key: value for key, value in members.items() if key > "rows"})[1:-1]
     yield "{" + head + ',"rows":['
-    bits = m.view(np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-    inverse = inverse.reshape(bits.shape)  # set explicitly: NumPy 2 changed the shape it returns
-    values = distinct.view(np.float64)
-    texts = np.empty(len(values), dtype="S24")  # a repr has at most 24 characters: -2.2250738585072014e-308
+    magnitudes = np.abs(doubles)
+    negative = np.signbit(doubles) & ~np.isnan(doubles)
+    del matrix, doubles  # a caller's temporary W is freed before the sort
+    values, inverse = np.unique(magnitudes.ravel(), return_inverse=True)
+    inverse = inverse.reshape(negative.shape)  # set explicitly: NumPy 2 changed the shape it returns
+    np.add(inverse, len(values), out=inverse, where=negative)
+    texts = np.empty(2 * len(values), dtype="S24")  # a repr has at most 24 characters: -2.2250738585072014e-308
+    plus = texts[:len(values)]  # the texts of the magnitudes; the rest, of their negatives
     for start in range(0, len(values), REPR_BATCH):
-        texts[start:start + REPR_BATCH] = list(map(float.__repr__, values[start:start + REPR_BATCH].tolist()))
+        plus[start:start + REPR_BATCH] = list(map(float.__repr__, values[start:start + REPR_BATCH].tolist()))
     for i in np.flatnonzero(~np.isfinite(values)):
-        texts[i] = JSON_NONFINITE[float.__repr__(values[i])]
+        plus[i] = JSON_NONFINITE[float.__repr__(values[i])]
+    minus = texts[len(values):].view(np.uint8).reshape(-1, 24)
+    minus[:, 0] = ord("-")
+    minus[:, 1:] = plus.view(np.uint8).reshape(-1, 24)[:, :-1]  # drops padding: a magnitude's text is <= 23 long
     frame = [b"],["] * (4 * d + 1)  # [[re,im],[re,im],...,[re,im]] with the doubles at 1::2
     frame[2::4] = [b","] * d
     frame[0], frame[-1] = b"[[", b"]]"

@@ -67,10 +67,21 @@ class Witness:
 
         (1 (x) V2) P+ (1 (x) V2)^dagger = (V2^T (x) 1) P+ (V2^T (x) 1)^dagger moves V2 onto the first
         factor, and V1^dagger acts on the second.  Formed once, by ``local_conjugate``.
+
+        ``local_conjugate`` rounds W[i, j] and W[j, i] apart, so when W_p is exactly Hermitian, as
+        ``plain_choi`` is for any U, W is replaced by its Hermitian part (W + W^dagger) / 2.  That is
+        the orthogonal projection onto the Hermitian matrices, where the exact W lies, so it never
+        moves W further from it in the Frobenius norm.  ``hermitian_eig`` solves this same matrix,
+        bit for bit, whether it is handed W or its Hermitian part.  A W_p that is not exactly
+        Hermitian is conjugated as it is.
         """
         if self.source.family == "PhiU4N":
             return self.plain
-        return local_conjugate(self.plain, self.source.v2.T, self.source.v1.conj().T)
+        w = local_conjugate(self.plain, self.source.v2.T, self.source.v1.conj().T)
+        if np.array_equal(self.plain, self.plain.conj().T):
+            w += w.conj().T
+            w /= 2
+        return w
 
     @cached_property
     def identity_image(self) -> np.ndarray:

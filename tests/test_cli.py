@@ -3,11 +3,14 @@ import csv
 import io
 import json
 import os
-import tracemalloc
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robwit
 from robwit import certify, cli, linalg, maps, states, witnesses
 
 from conftest import NOT_UNITARY
@@ -138,11 +141,19 @@ class TestBuild:
         m = np.zeros((3, 3), dtype=complex)
         m.real = [[-0.0, 0.0, 5e-324], [1e-05, 1e16, -1e22], [-5e-324, np.nan, -0.0]]
         m.imag = [[0.0, -0.0, 1e16], [-0.0, 0.0, 5e-324], [np.inf, -1e22, -np.inf]]
+        # x and -x share a magnitude, and so one text; a NaN with its sign bit set is NaN, as json writes it
+        signed = np.zeros((3, 3), dtype=complex)
+        signed.real = [[1.5, -1.5, np.copysign(np.nan, -1.0)], [-np.inf, -5e-324, 0.0], [-0.0, 0.1, 2.5e-308]]
+        signed.imag = [[-0.1, 0.1, -0.0], [np.nan, 1e22, -1e22], [5e-324, np.inf, -2.2250738585072014e-308]]
+        assert np.signbit(signed.real[0, 2])
         members = {"family": "PhiU4N", "n": 1, "u": "canonical", "v1": "seed:1", "v2": "seed:2"}
-        text = "".join(cli.json_chunks(members, m))
-        oracle = json.dumps({**members, **cli.matrix_to_payload(m)}, separators=(",", ":"), sort_keys=True)
-        assert_same_text(text, oracle)
-        assert '"rows":[[[-0.0,0.0],[0.0,-0.0],[5e-324,1e+16]],[[1e-05,-0.0],[1e+16,0.0],' in text
+        texts = []
+        for matrix in (m, signed):
+            texts.append("".join(cli.json_chunks(members, matrix)))
+            oracle = json.dumps({**members, **cli.matrix_to_payload(matrix)}, separators=(",", ":"), sort_keys=True)
+            assert_same_text(texts[-1], oracle)
+        assert '"rows":[[[-0.0,0.0],[0.0,-0.0],[5e-324,1e+16]],[[1e-05,-0.0],[1e+16,0.0],' in texts[0]
+        assert '"rows":[[[1.5,-0.1],[-1.5,0.1],[NaN,-0.0]],[[-Infinity,NaN],' in texts[1]
 
     def test_out_path_holds_stdout_without_its_newline(self, capsys, tmp_path):
         argv = ["build", "--n", "2", "--u", "seed:3", "--v1", "seed:1", "--v2", "seed:2", "--output", "json"]
@@ -152,18 +163,22 @@ class TestBuild:
         assert code == 0 and out.endswith("}\n")
         assert_same_text(target.read_text(encoding="utf-8"), out[:-1])
 
-    def test_peak_memory_within_size_guard(self, capsys):
-        # a cold conjugated certify is the costliest command at small N: it holds the base W(U0) too
-        witnesses.canonical_witness.cache_clear()
-        tracemalloc.start()
-        try:
-            code = cli.main(["certify", "--n", "3", "--v1", "seed:1", "--v2", "seed:2", "--output", "json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
+    @pytest.mark.parametrize("argv", [["certify", "--n", "3", "--v1", "seed:1", "--v2", "seed:2", "--output", "json"],
+                                      ["build", "--n", "3", "--u", "seed:3", "--v1", "seed:1", "--v2", "seed:2",
+                                       "--output", "json"]], ids=["certify", "build"])
+    def test_peak_memory_within_size_guard(self, argv):
+        # a cold conjugated certify is the costliest command at small N, then a conjugated JSON build; each
+        # runs in a fresh process, as the first certify of a process allocates more than later ones
+        script = ("import sys, tracemalloc\nfrom robwit import cli\ntracemalloc.start()\ncode = cli.main(sys.argv[1:])\n"
+                  "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)")
+        src = str(Path(robwit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        code, peak = map(int, done.stderr.split()[-2:])
         assert code == 0
-        assert peak <= cli.PEAK_W_ARRAYS * 16 * 12 ** 4, f"peak {peak / (16 * 12 ** 4):.2f} W-sized arrays"
+        assert peak <= cli.n_bytes(3), f"peak {peak / (16 * 12 ** 4):.2f} W-sized arrays"
 
     def test_seeded_u_dimension(self, capsys):
         code, out, _ = run(capsys, "build", "--n", "2", "--u", "seed:7")

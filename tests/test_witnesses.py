@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robwit import certify, maps, states, witnesses
-from robwit.linalg import local_conjugate, min_eigenvalue, partial_transpose, realign, trace_norm
+from robwit.linalg import (CONSTRUCTION_TOL, hermitian_eig, local_conjugate, min_eigenvalue, partial_transpose, realign,
+                           trace_norm)
 
 from conftest import (CORE_FAMILIES, FAMILIES, MODES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
                       matrix_unit, oracle_choi, random_u, self_dual_reference)
@@ -438,6 +439,31 @@ class TestClosedForm:
         w = witnesses.Witness(plain=flip_one_block(witnesses.plain_choi(m), n), source=m)
         assert np.max(np.abs(w.plain - oracle_choi(maps.phi_u(n, u)))) > 1e-3 / n ** 2
         assert np.max(np.abs(w.matrix - oracle_choi(m))) > 1e-3 / n ** 2
+
+    @pytest.mark.parametrize("contraction", [False, True], ids=["unitary", "contraction"])
+    @pytest.mark.parametrize("equal", [False, True], ids=["v1-v2", "v1=v2"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_conjugated_w_is_exactly_hermitian(self, n, equal, contraction):
+        # W is the Hermitian part of the local_conjugate result: no further from the oracle, same spectrum
+        u = 0.5 * maps.canonical_u0(n) if contraction else random_u(n, 5)
+        v1 = maps.random_unitary(4 * n, seed=7)
+        v2 = v1 if equal else maps.random_unitary(4 * n, seed=8)
+        m = maps.conjugated_phi(n, u, v1, v2)
+        w = witnesses.choi(m)
+        raw = local_conjugate(w.plain, v2.T, v1.conj().T)
+        oracle = oracle_choi(m)
+        assert np.array_equal(w.matrix, w.matrix.conj().T)
+        np.testing.assert_allclose(w.matrix, oracle, rtol=0, atol=1e-16)
+        assert np.linalg.norm(w.matrix - oracle) <= np.linalg.norm(raw - oracle)
+        np.testing.assert_array_equal(w.spectrum, hermitian_eig(raw, tol=CONSTRUCTION_TOL))
+
+    @pytest.mark.parametrize("i, j, hermitian", [(0, 1, False), (1, 1, True)])
+    def test_only_an_exactly_hermitian_w_p_is_projected(self, i, j, hermitian):
+        w = corrupted_conjugated_witness(i, j)
+        raw = local_conjugate(w.plain, w.source.v2.T, w.source.v1.conj().T)
+        assert np.array_equal(w.matrix, w.matrix.conj().T) == hermitian
+        if not hermitian:
+            np.testing.assert_array_equal(w.matrix, raw)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
