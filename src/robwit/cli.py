@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +27,8 @@ from .linalg import CONSTRUCTION_TOL
 # Peak memory of a command in W-sized (16 (4N)^4-byte) arrays: the tracemalloc peak of a fresh
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for `certify`, which
 # also holds the shared base W(U0), its own W_p and its pull-back: 13.2 / 8.4 / 7.9 at N = 3 / 4 / 5.
-# A conjugated `build --output json` peaks at 9.9 / 7.7 / 7.1, `spectrum` and `curve` at <= 7.4.
+# A conjugated `build --output json` peaks at 9.7 / 7.8 / 7.3 (a plain one at 5.2), `spectrum` at 7.4,
+# and `curve` with V1 = V2 at 6.1 / 4.1 / 3.5.
 PEAK_W_ARRAYS = 14
 
 # Peak memory of `curve` per --points row (its floats, row lists and CSV text): the tracemalloc peak
@@ -124,7 +126,8 @@ def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
     table holds each text with a "-" in front, and a double whose sign bit is set reads
     from it: so -0.0 and 0.0 stay apart, and a NaN, which json writes NaN whatever its
     sign, reads from the first.  An exactly Hermitian D x D matrix, as ``Witness.matrix``
-    is, has at most D^2 + 1 distinct magnitudes.  A row's text is joined from the
+    is, has at most D^2 + 1 distinct magnitudes.  Zero, most of a plain W_p, is no
+    member of the sort: it is entry 0 of the tables.  A row's text is joined from the
     tables.  The other members are encoded by `json`.
     """
     doubles = np.ascontiguousarray(matrix, dtype=complex).view(np.float64)
@@ -136,8 +139,15 @@ def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
     magnitudes = np.abs(doubles)
     negative = np.signbit(doubles) & ~np.isnan(doubles)
     del matrix, doubles  # a caller's temporary W is freed before the sort
-    values, inverse = np.unique(magnitudes.ravel(), return_inverse=True)
-    inverse = inverse.reshape(negative.shape)  # set explicitly: NumPy 2 changed the shape it returns
+    nonzero = magnitudes != 0  # a NaN is nonzero
+    magnitudes = magnitudes[nonzero]  # only these are sorted: index 0 of the table is the magnitude 0.0
+    values, found = np.unique(magnitudes, return_inverse=True)
+    del magnitudes
+    values = np.concatenate(([0.0], values))
+    inverse = np.zeros(nonzero.shape, dtype=np.intp)
+    found += 1
+    inverse[nonzero] = found
+    del found
     np.add(inverse, len(values), out=inverse, where=negative)
     texts = np.empty(2 * len(values), dtype="S24")  # a repr has at most 24 characters: -2.2250738585072014e-308
     plus = texts[:len(values)]  # the texts of the magnitudes; the rest, of their negatives
@@ -347,8 +357,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of ``main``, built on its first call and reused: ``parse_args`` leaves it unchanged
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "curve":  # it holds W and its table at once: each bound alone can pass while both do not
         try:

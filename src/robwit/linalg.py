@@ -24,6 +24,10 @@ CONSTRUCTION_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 
+# Side of the square blocks in which ``is_exactly_hermitian`` and ``make_hermitian`` visit a matrix:
+# each visit makes block-sized temporaries, never one the size of the matrix
+HERMITIAN_BLOCK = 32
+
 
 def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
@@ -33,6 +37,31 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger| entrywise, over every member of a stack."""
     m = as_complex(m)
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
+
+
+def _upper_blocks(size: int) -> list[tuple[slice, slice]]:
+    """(rows, columns) of each HERMITIAN_BLOCK-square block on or above the diagonal of a size x size matrix."""
+    starts = range(0, size, HERMITIAN_BLOCK)
+    return [(slice(p, p + HERMITIAN_BLOCK), slice(q, q + HERMITIAN_BLOCK)) for p in starts for q in starts if q >= p]
+
+
+def is_exactly_hermitian(m: np.ndarray) -> bool:
+    """M == M^dagger entry for entry, as ``np.array_equal`` compares (-0.0 equals 0.0, a NaN nothing)."""
+    return all(np.array_equal(m[rows, cols], m[cols, rows].conj().T) for rows, cols in _upper_blocks(len(m)))
+
+
+def make_hermitian(m: np.ndarray) -> None:
+    """Replace the square matrix M by (M + M^dagger) / 2 in place, bit for bit as ``m += m.conj().T; m /= 2``.
+
+    Entry (j, i) becomes M[j, i] + conj(M[i, j]) from the entries as they were, not the conjugate
+    of the new (i, j), whose imaginary part can differ from it in the sign of a zero.
+    """
+    for rows, cols in _upper_blocks(len(m)):
+        upper = m[rows, cols] + m[cols, rows].conj().T
+        if rows != cols:
+            m[cols, rows] += m[rows, cols].conj().T
+        m[rows, cols] = upper
+    m /= 2
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

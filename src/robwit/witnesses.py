@@ -23,7 +23,9 @@ from .linalg import (
     gram_rank,
     hermiticity_defect,
     hermitian_eig,
+    is_exactly_hermitian,
     local_conjugate,
+    make_hermitian,
     min_eigenvalue,
     partial_transpose,
     realign,
@@ -69,7 +71,8 @@ class Witness:
         factor, and V1^dagger acts on the second.  Formed once, by ``local_conjugate``.
 
         ``local_conjugate`` rounds W[i, j] and W[j, i] apart, so when W_p is exactly Hermitian, as
-        ``plain_choi`` is for any U, W is replaced by its Hermitian part (W + W^dagger) / 2.  That is
+        ``plain_choi`` is for any U, W is replaced by its Hermitian part (W + W^dagger) / 2, in place
+        (the test and the sum go block by block, with no W-sized temporary).  That is
         the orthogonal projection onto the Hermitian matrices, where the exact W lies, so it never
         moves W further from it in the Frobenius norm.  ``hermitian_eig`` solves this same matrix,
         bit for bit, whether it is handed W or its Hermitian part.  A W_p that is not exactly
@@ -78,9 +81,8 @@ class Witness:
         if self.source.family == "PhiU4N":
             return self.plain
         w = local_conjugate(self.plain, self.source.v2.T, self.source.v1.conj().T)
-        if np.array_equal(self.plain, self.plain.conj().T):
-            w += w.conj().T
-            w /= 2
+        if is_exactly_hermitian(self.plain):
+            make_hermitian(w)
         return w
 
     @cached_property

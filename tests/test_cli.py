@@ -37,6 +37,12 @@ def assert_same_text(got: str, want: str) -> None:
                     f"{got[at:at + 60]!r} vs {want[at:at + 60]!r}")
 
 
+def fresh_env() -> dict:
+    """The environment, with the sources of the robwit under test first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(robwit.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def write_v_with(tmp_path, value) -> str:
     """file: spec of a 4x4 unitary with one entry replaced by ``value``."""
     v = maps.random_unitary(4, seed=1)
@@ -171,10 +177,8 @@ class TestBuild:
         # runs in a fresh process, as the first certify of a process allocates more than later ones
         script = ("import sys, tracemalloc\nfrom robwit import cli\ntracemalloc.start()\ncode = cli.main(sys.argv[1:])\n"
                   "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)")
-        src = str(Path(robwit.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", script, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=300)
+                              text=True, env=fresh_env(), timeout=300)
         assert done.returncode == 0, done.stderr
         code, peak = map(int, done.stderr.split()[-2:])
         assert code == 0
@@ -530,3 +534,40 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--n", "1", "--output", "text")
         assert code == 0
         assert len(out.strip().splitlines()) == 16
+
+
+class TestOneProcess:
+    """Requests of one long-running caller share one parser, and answer as fresh processes do."""
+
+    SEQUENCE = [
+        ["certify", "--n", "1", "--bogus"],
+        ["certify", "--help"],
+        ["certify", "--n", "1", "--tol", "spectrum=1e-3", "--output", "json"],
+        ["certify", "--n", "1", "--output", "json"],
+        ["build", "--n", "1", "--u", "seed:3", "--output", "json"],
+        ["build", "--n", "1", "--u", "seed:3", "--v1", "seed:1", "--v2", "seed:1", "--output", "json"],
+    ]
+
+    def test_no_state_leaks_between_requests(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # --help wraps at the same width here and in a fresh process
+        cli._parser.cache_clear()
+        answers = []
+        for argv in self.SEQUENCE:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            answers.append((code, out.out, out.err))
+        assert [code for code, _, _ in answers] == [2, 0, 0, 0, 0, 0]
+        built = cli._parser.cache_info()
+        assert (built.misses, built.hits) == (1, len(self.SEQUENCE) - 1)  # make_parser ran once
+
+        tolerances = [{c["name"]: c["tolerance"] for c in json.loads(answers[i][1])["checks"]} for i in (2, 3)]
+        assert tolerances[0]["spectrum"] == 1e-3
+        assert tolerances[1] == certify.DEFAULT_TOLERANCES
+
+        for argv, answer in zip(self.SEQUENCE, answers):
+            done = subprocess.run([sys.executable, "-c", "import sys; from robwit import cli; sys.exit(cli.main())", *argv],
+                                  capture_output=True, text=True, env=fresh_env(), timeout=300)
+            assert answer == (done.returncode, done.stdout, done.stderr), argv
