@@ -8,14 +8,14 @@ family, self-duality, the noise threshold of the structural physical
 approximation, detection of all entangled isotropic states, and the
 resulting entanglement-breaking certificate for the approximated map.
 
-Every check takes one :class:`Witness`, which carries its map and, as
+Every check takes one request :class:`Witness`, which carries its map and, as
 ``Witness.base``, W(U0) of the map's N, the witness it is moved from by the
 local rotation (A, B) of ``maps.local_rotation``, built once per N and shared
 (``witnesses.canonical_witness``).  Reading it rejects, with one ``ValueError``
 (``witnesses.reject_off_unitary_u``) and before any work, a U that is not an
 antisymmetric unitary.
-The facts read off the base are kept with it in ``witnesses``, beside what
-they are built from: positivity's fixed projector sample, the product family
+W(U0) is a :class:`witnesses.Base`, and the facts read off it are kept on it,
+beside what they are built from in ``witnesses``: positivity's fixed projector sample, the product family
 (``spanning_family``, index cells), G0 (``canonical_gamma``, a phase
 permutation), ``spa_witness`` and ``detect``.  This module builds on
 ``witnesses`` and ``states``, never the other way.  Each base-read check
@@ -89,7 +89,7 @@ def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"])
     """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
     ``measured`` is the worst image eigenvalue of ``witnesses.POSITIVITY_TRIALS`` random rank-1 projectors
-    under the base's map Phi_{U0}, drawn once per N and kept with the base (``Witness.positivity_worst``);
+    under the base's map Phi_{U0}, drawn once per N and kept with the base (``Base.positivity_worst``);
     a complex Gaussian sample is unitarily invariant, so it is distributed exactly as a sample of W's own
     map.  W = S W_b S^dagger + E with S = A (x) B gives Phi(X) = B Phi_b(A^T X Abar) B^dagger + Delta(X),
     Delta the map with Choi matrix E, and ||Delta(X)||_2 <= d ||E||_F for a unit-trace PSD X.  Both
@@ -175,7 +175,7 @@ def _product_family_check(view: np.ndarray, gamma: tuple[np.ndarray, np.ndarray]
     permutation (cols, phase), phase[r] in column cols[r] of row r: I, or ``witnesses.canonical_gamma``.
     G moves each generator's two cells, so every expectation is read off one <= 4 x 4 block of M'.
     G (x) 1 is unitary and keeps rank, so ``rank`` is the plain family psi (x) psi*'s
-    (``Witness.family_rank`` of the base), as is that of the family moved by a local rotation.
+    (``Base.family_rank``), as is that of the family moved by a local rotation.
     ok iff worst <= tol and the family spans C^D.
     """
     cols, phase = gamma

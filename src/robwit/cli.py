@@ -28,7 +28,7 @@ from .linalg import CONSTRUCTION_TOL
 # process over every subcommand at N = 3..5, plain and conjugated, is highest for `certify`, which
 # also holds the shared base W(U0), its own W_p and its pull-back: 13.2 / 8.4 / 7.9 at N = 3 / 4 / 5.
 # A conjugated `build --output json` peaks at 9.7 / 7.8 / 7.3 (a plain one at 5.2), `spectrum` at 7.4,
-# and `curve` with V1 = V2 at 6.1 / 4.1 / 3.5.
+# and `curve` with V1 = V2 at 7.3 / 5.1 / 4.5.
 PEAK_W_ARRAYS = 14
 
 # Peak memory of `curve` per --points row (its floats, row lists and CSV text): the tracemalloc peak

@@ -24,10 +24,6 @@ CONSTRUCTION_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
 POSITIVITY_TOL = 1e-10
 
-# Side of the square blocks in which ``is_exactly_hermitian`` and ``make_hermitian`` visit a matrix:
-# each visit makes block-sized temporaries, never one the size of the matrix
-HERMITIAN_BLOCK = 32
-
 
 def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
@@ -37,31 +33,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dagger| entrywise, over every member of a stack."""
     m = as_complex(m)
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))) if m.size else 0.0
-
-
-def _upper_blocks(size: int) -> list[tuple[slice, slice]]:
-    """(rows, columns) of each HERMITIAN_BLOCK-square block on or above the diagonal of a size x size matrix."""
-    starts = range(0, size, HERMITIAN_BLOCK)
-    return [(slice(p, p + HERMITIAN_BLOCK), slice(q, q + HERMITIAN_BLOCK)) for p in starts for q in starts if q >= p]
-
-
-def is_exactly_hermitian(m: np.ndarray) -> bool:
-    """M == M^dagger entry for entry, as ``np.array_equal`` compares (-0.0 equals 0.0, a NaN nothing)."""
-    return all(np.array_equal(m[rows, cols], m[cols, rows].conj().T) for rows, cols in _upper_blocks(len(m)))
-
-
-def make_hermitian(m: np.ndarray) -> None:
-    """Replace the square matrix M by (M + M^dagger) / 2 in place, bit for bit as ``m += m.conj().T; m /= 2``.
-
-    Entry (j, i) becomes M[j, i] + conj(M[i, j]) from the entries as they were, not the conjugate
-    of the new (i, j), whose imaginary part can differ from it in the sign of a zero.
-    """
-    for rows, cols in _upper_blocks(len(m)):
-        upper = m[rows, cols] + m[cols, rows].conj().T
-        if rows != cols:
-            m[cols, rows] += m[rows, cols].conj().T
-        m[rows, cols] = upper
-    m /= 2
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
@@ -116,7 +87,8 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix or of a ``(..., n, n)`` stack.
 
     Returns the real eigenvalues sorted ascending, member by member.  Raises
-    if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``.
+    if any member fails the Hermiticity check ``max|M - M^dagger| <= tol``, as
+    one with a NaN entry does.
     The solve is of H = (M + M^dagger) / 2, formed in place of M^dagger.  A
     single H is split by its exact zeros (no threshold) into its blocks
     (``_components``), and blocks of one size are solved as one stack; a
@@ -127,7 +99,7 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     h = np.conj(np.swapaxes(m, -1, -2), order="C")  # M^dagger, contiguous, so M - M^dagger reads both in row order
     defect = float(np.max(np.abs(m - h))) if m.size else 0.0
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
     h += m
     h /= 2

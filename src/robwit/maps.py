@@ -58,13 +58,16 @@ def antisymmetry_defect(u: np.ndarray) -> float:
 
 
 def is_antisymmetric_contraction(u: np.ndarray) -> bool:
-    """U^T = -U and largest eigenvalue of U U^dagger at most 1, within CONSTRUCTION_TOL."""
+    """U^T = -U and largest eigenvalue of U U^dagger at most 1, within CONSTRUCTION_TOL; U U^dagger must be finite."""
     u = as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     if antisymmetry_defect(u) > CONSTRUCTION_TOL:
         return False
-    gram = u @ u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed U U^dagger is rejected below
+        gram = u @ u.conj().T
+    if not np.isfinite(gram).all():  # eigvalsh of a NaN Gram matrix can return finite values
+        return False
     top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if u.size else 0.0
     return top <= 1.0 + CONSTRUCTION_TOL
 

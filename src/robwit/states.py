@@ -38,9 +38,10 @@ def ppt_entangled_state(w: Witness) -> np.ndarray:
 
     Each kind of block is one slice assignment on the (d, d, d, d) view of rho,
     whose entry [i, a, j, b] is <a| rho_{ij} |b>.  Nothing here checks the
-    witness or that rho is a PPT state: certify builds rho only from W(U0)
-    (``Witness.ppt_state`` of the base, whose U ``witnesses.reject_off_unitary_u``
-    admitted), and ``certify.verify_nondecomposability`` measures the rest.
+    witness or that rho is a PPT state: certify builds rho only from W(U0),
+    in ``witnesses.Base.ppt_state``, which keeps its nonzeros and two smallest
+    eigenvalues, and ``certify.verify_nondecomposability`` measures the rest
+    on every request through the request's rotation.
     """
     n = w.source.size
     d = 4 * n

@@ -7,6 +7,14 @@ entry, so each entry of its Choi matrix W_p is known in closed form
 (``plain_choi``); a conjugated map's W is W_p moved by one local unitary.
 For the PhiU4N family with unitary U the spectrum of W is known in closed
 form and carries a single negative eigenvalue -1/(4N).
+
+Two classes hold the two kinds of fact.  A request's :class:`Witness` holds
+its map's Choi data, what ``build``, ``spectrum`` and ``curve`` read off it, and
+what a certificate measures on that one request: the rotation from W(U0), the
+residual and the carried bounds.  :class:`Base` is W(U0) of one N, the witness
+of Phi_{U0} (``canonical_witness``), with the facts every certificate reads off
+it: positivity's sample, the family rank, the PPT state, the Gamma and
+self-duality defects, the realignment norm and the detection root.
 """
 
 from __future__ import annotations
@@ -23,9 +31,7 @@ from .linalg import (
     gram_rank,
     hermiticity_defect,
     hermitian_eig,
-    is_exactly_hermitian,
     local_conjugate,
-    make_hermitian,
     min_eigenvalue,
     partial_transpose,
     realign,
@@ -42,13 +48,13 @@ POSITIVITY_BLOCK = 256
 
 @dataclass(frozen=True, kw_only=True)
 class Witness:
-    """Choi data of a map plus its provenance; it acts on C^d (x) C^d.
+    """Choi data of a map plus its provenance, and what one request measures on it; it acts on C^d (x) C^d.
 
     ``plain`` is the Choi matrix W_p of the PhiU4N map under the source: W itself for a
     plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1 the
     matrix that ``matrix`` moves to W on first use.  Both fields are keyword-only, so
     the older ``Witness(W, source)``, whose first field was W, raises rather than
-    reading a conjugated W as W_p.
+    reading a conjugated W as W_p.  The facts read only off W(U0) are kept on its ``Base``.
     """
 
     plain: np.ndarray
@@ -71,8 +77,7 @@ class Witness:
         factor, and V1^dagger acts on the second.  Formed once, by ``local_conjugate``.
 
         ``local_conjugate`` rounds W[i, j] and W[j, i] apart, so when W_p is exactly Hermitian, as
-        ``plain_choi`` is for any U, W is replaced by its Hermitian part (W + W^dagger) / 2, in place
-        (the test and the sum go block by block, with no W-sized temporary).  That is
+        ``plain_choi`` is for any U, W is replaced by its Hermitian part (W + W^dagger) / 2.  That is
         the orthogonal projection onto the Hermitian matrices, where the exact W lies, so it never
         moves W further from it in the Frobenius norm.  ``hermitian_eig`` solves this same matrix,
         bit for bit, whether it is handed W or its Hermitian part.  A W_p that is not exactly
@@ -81,8 +86,9 @@ class Witness:
         if self.source.family == "PhiU4N":
             return self.plain
         w = local_conjugate(self.plain, self.source.v2.T, self.source.v1.conj().T)
-        if is_exactly_hermitian(self.plain):
-            make_hermitian(w)
+        if np.array_equal(self.plain, self.plain.conj().T):
+            w += w.conj().T
+            w /= 2
         return w
 
     @cached_property
@@ -106,15 +112,6 @@ class Witness:
         values = hermitian_eig(self.matrix, tol=CONSTRUCTION_TOL)
         values.flags.writeable = False  # one array is shared by every reader
         return values
-
-    @cached_property
-    def self_duality_defect(self) -> float:
-        """max |R - R^dagger| for R = realign(W) = S^T / d, S the natural matrix of the map; measured once.
-
-        For a Hermiticity-preserving map, Tr(X F(Y)) = Tr(F(X) Y) for all X, Y exactly
-        when S is Hermitian: exact self-duality, read off the witness without sampling.
-        """
-        return hermiticity_defect(realign(self.matrix, self.d, self.d))
 
     @cached_property
     def rotation(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +213,7 @@ class Witness:
         return (1.0 + u) * self.base.spa_realignment_norm + p * u + self.d * (1.0 - p) * self.rotation_residual
 
     @property
-    def base(self) -> Witness:
+    def base(self) -> Base:
         """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this witness.
 
         Every witness of that N shares it, and every certificate reads it, so a U that
@@ -226,14 +223,28 @@ class Witness:
         reject_off_unitary_u(self.source)
         return canonical_witness(self.source.size)
 
-    # Facts the checks read off a base, kept with it so that one base serves every request at its N.
+    @cached_property
+    def detection_line(self) -> tuple[float, float]:
+        """(g0, g1) = Tr(W rho_lam) at lam = 0 and lam = 1.
+
+        rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
+        """
+        return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+
+
+class Base(Witness):
+    """W(U0) of one N, the witness of Phi_{U0}: every certificate reads its facts, each kept once computed.
+
+    ``canonical_witness`` builds it once per N, and every request of that N is moved from it by
+    its local rotation.  A request ``Witness`` has none of these facts, so no check can read
+    them off its own W.
+    """
 
     @cached_property
     def positivity_worst(self) -> float:
-        """Worst image eigenvalue of this witness's map over positivity's fixed projector sample.
+        """Worst image eigenvalue of the base's map, Phi_{U0}, over positivity's fixed projector sample.
 
-        ``verify_positivity`` reads it on the base, so the map is Phi_{U0}, sampled once per N:
-        ``POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
+        Sampled once per N: ``POSITIVITY_TRIALS`` complex Gaussian unit vectors, drawn from the stream
         ``POSITIVITY_SEED`` and mapped ``POSITIVITY_BLOCK`` projectors per call.
         """
         rng = np.random.default_rng(POSITIVITY_SEED)
@@ -269,7 +280,7 @@ class Witness:
 
     @cached_property
     def ppt_state(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[float, float]]:
-        """The PPT entangled state rho_b built from this witness: its nonzeros and two smallest eigenvalues.
+        """The PPT entangled state rho_b built from W(U0): its nonzeros and two smallest eigenvalues.
 
         Returns ((flat indices, values) of rho_b's nonzeros, (min eig of rho_b, min eig of rho_b^Gamma)).
         rho_b is built once and dropped: it is sparse, 400 nonzeros at N = 4 and 3504 at
@@ -305,12 +316,13 @@ class Witness:
         return trace_norm(realign(approx, self.d, self.d))
 
     @cached_property
-    def detection_line(self) -> tuple[float, float]:
-        """(g0, g1) = Tr(W rho_lam) at lam = 0 and lam = 1.
+    def self_duality_defect(self) -> float:
+        """max |R - R^dagger| for R = realign(W) = S^T / d, S the natural matrix of Phi_{U0}; measured once.
 
-        rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
+        For a Hermiticity-preserving map, Tr(X F(Y)) = Tr(F(X) Y) for all X, Y exactly
+        when S is Hermitian: exact self-duality, read off W(U0) without sampling.
         """
-        return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+        return hermiticity_defect(realign(self.matrix, self.d, self.d))
 
     @cached_property
     def detection_boundary(self) -> tuple[float, bool]:
@@ -338,14 +350,15 @@ def reject_off_unitary_u(m: maps.MapDescriptor) -> None:
 
 
 @lru_cache(maxsize=1)
-def canonical_witness(n: int) -> Witness:
+def canonical_witness(n: int) -> Base:
     """W(U0) for U0 = (+)_N sigma_y, the base of every core witness of size N.
 
     Kept for the last N asked for, with its cached spectrum and facts, so a
     process certifying many maps of one N builds and diagonalizes it once.
     Its matrix is read-only: every witness of that N shares it.
     """
-    w = choi(maps.phi_u(n, maps.canonical_u0(n)))
+    m = maps.phi_u(n, maps.canonical_u0(n))
+    w = Base(plain=plain_choi(m), source=m)
     w.plain.flags.writeable = False
     return w
 

@@ -81,13 +81,23 @@ def build_example_action(family: str, size: int, mode: str = "real-orthogonal", 
 
 
 def self_dual_reference(f, d: int):
-    """``reference_witness(f, d)`` carrying the self-duality defect that ``Witness``'s own property measures.
+    """``reference_witness(f, d)`` carrying the self-duality defect that ``Base``'s own property measures.
 
-    A reference map has no descriptor, so it is no ``Witness``; the property reads only matrix and d.
+    A reference map has no descriptor, and its d need not be a multiple of 4, so it is no ``Base``;
+    the property reads only matrix and d.
     """
     ref = reference_maps.reference_witness(f, d)
-    ref.self_duality_defect = witnesses.Witness.self_duality_defect.func(ref)
+    ref.self_duality_defect = witnesses.Base.self_duality_defect.func(ref)
     return ref
+
+
+def with_facts(cls: type, plain: np.ndarray, source: maps.MapDescriptor, **facts):
+    """A ``cls`` (``Witness`` or ``Base``) of (plain, source) whose named facts are the given values.
+
+    Each value is a class attribute of a one-off subclass, so it shadows the cached property
+    of that name and every other fact is computed as usual.
+    """
+    return type(f"StandIn{cls.__name__}", (cls,), facts)(plain=plain, source=source)
 
 
 def dense_generators(n: int) -> np.ndarray:

@@ -122,7 +122,7 @@ def test_criterion_7_isotropic_detection(detection_sum):
     ok = True
     worst = 0.0
     for n in (1, 2):
-        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        w = witnesses.canonical_witness(n)  # W(U0), a Base: the detection root is one of its facts
         for lam in np.linspace(0.0, 1.0, 11):
             numeric = witnesses.detect(w, states.isotropic_state(4 * n, float(lam)))
             closed = certify.isotropic_detection_value(n, float(lam))

@@ -11,7 +11,7 @@ from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
 from conftest import (MODES, NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
-                      densify, flip_one_block, perturb_witness, random_u)
+                      densify, flip_one_block, perturb_witness, random_u, with_facts)
 from reference_maps import breuer_hall, reference_witness
 
 REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
@@ -688,9 +688,9 @@ class TestSelfDuality:
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality of W; the check certifies the PhiU4N map under the
         # conjugation, and the conjugated W passed off as that plain map's witness fails it
-        w = witnesses.choi(maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1),
-                                               maps.random_unitary(4, seed=2)))
-        assert w.self_duality_defect > 1e-2
+        m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2))
+        w = witnesses.choi(m)
+        assert witnesses.Base(plain=w.plain, source=m).self_duality_defect > 1e-2  # measured on W itself
         assert certify.verify_self_duality(w).passed
         passed_off = witnesses.Witness(plain=w.matrix, source=maps.phi_u(1, maps.canonical_u0(1)))
         report = certify.verify_self_duality(passed_off)
@@ -841,8 +841,8 @@ class TestIsotropicDetection:
         overlap = complex(np.einsum("ij,ji->", w.matrix, states.max_entangled(4))).real
         assert detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
 
-    def test_detection_root(self, canonical_witness):
-        root, crosses = canonical_witness.detection_boundary
+    def test_detection_root(self):
+        root, crosses = witnesses.canonical_witness(1).detection_boundary
         assert crosses is True
         assert root == pytest.approx(0.8, abs=1e-12)
 
@@ -944,7 +944,7 @@ class TestPositiveStandIn:
 
     def test_detection_boundary_does_not_cross(self, stand_in):
         # Tr(W rho_lam) >= 0 on all of [0, 1]: no isotropic state is detected, so no root
-        root, crosses = stand_in.detection_boundary
+        root, crosses = witnesses.Base(plain=stand_in.plain, source=stand_in.source).detection_boundary
         assert crosses is False
         assert root == 0.0
 
@@ -994,32 +994,30 @@ class TestFormedWInPlaceOfItsPlainChoiMatrix:
 
 
 class TestStandInBase:
-    """W(U0) at N=1 replaced in the memo by a stand-in whose one kept fact is wrong; that fact fails its check."""
+    """W(U0) at N=1 replaced in the memo by a stand-in ``Base`` with one wrong fact, which fails its check."""
 
     def test_a_base_with_realignment_norm_above_one_fails_eb(self, monkeypatch):
         # 3 (P+ - I/D) added to the base: unit trace, unital and self-dual still, and W is the stand-in
         # itself, so ||E||_F = u = 0; with the true base's other facts only the realignment bound can fail
         true = witnesses.canonical_witness(1)
         mixed = true.matrix + 3.0 * (states.max_entangled(4) - np.eye(16) / 16)
-        stand_in = witnesses.Witness(plain=mixed, source=true.source)
-        for fact in ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect"):
-            vars(stand_in)[fact] = getattr(true, fact)
-        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        kept = ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect")
+        base = with_facts(witnesses.Base, mixed, true.source, **{fact: getattr(true, fact) for fact in kept})
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
         w = witnesses.Witness(plain=mixed, source=true.source)
-        assert w.base is stand_in and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
+        assert w.base is base and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
         report = certify.verify_eb_certificate(w)
         realigned = float(re.search(r"realignment trace norm at most (\S+) ", report.details).group(1))
-        assert realigned == pytest.approx(stand_in.spa_realignment_norm) and realigned > 1 + 1e-8
+        assert realigned == pytest.approx(base.spa_realignment_norm) and realigned > 1 + 1e-8
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
         assert not report.passed
 
     def test_a_base_with_a_gamma_conjugation_defect_fails_nd_optimality(self, monkeypatch):
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
-        vars(stand_in)["gamma_conjugation_defect"] = 1e-9
-        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
         w = witnesses.choi(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
-        assert w.base is stand_in
+        assert w.base is base
         report = certify.verify_nd_optimality(w)
         assert report.measured <= report.tolerance  # the family alone would pass
         assert "base defect 1.00e-09" in report.details
@@ -1029,11 +1027,10 @@ class TestStandInBase:
         # W(U0)^Gamma is W(U0) moved by G0 (x) 1 only up to the base's defect, which EB's partial
         # transpose subtracts: (1 - p) 1e-9 = 2e-10 below the base's exact 0 at N = 1, past -1e-10
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
-        vars(stand_in)["gamma_conjugation_defect"] = 1e-9
-        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
         w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
-        assert w.base is stand_in
+        assert w.base is base
         report = certify.verify_eb_certificate(w)
         ppt_low = float(re.search(r"min eig of partial transpose (\S+) ", report.details).group(1))
         assert ppt_low == pytest.approx(-2e-10, rel=1e-3)
@@ -1043,13 +1040,47 @@ class TestStandInBase:
 
     def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
         true = witnesses.canonical_witness(1)
-        stand_in = witnesses.Witness(plain=true.matrix, source=true.source)
         (index, values), lows = true.ppt_state
-        vars(stand_in).update(ppt_state=((index, values * (1 + 1e-9)), lows))
-        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: stand_in)
+        base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=((index, values * (1 + 1e-9)), lows))
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
         report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
         assert trace_defect == pytest.approx(1e-9, rel=1e-3)
+        assert not report.passed
+
+
+class TestCarriedTerms:
+    """Stand-in requests with a seeded unitarity defect u, sized so that one carried term decides what is reported."""
+
+    def test_positivity_carries_a_negative_worst_further_below_zero(self, monkeypatch):
+        # worst - u |worst| = -0.8e-10 * 1.5 = -1.2e-10, past -1e-10; worst + u |worst| would pass
+        true = witnesses.canonical_witness(1)
+        base = with_facts(witnesses.Base, true.matrix, true.source, positivity_worst=-0.8e-10)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
+        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        report = certify.verify_positivity(w)
+        carried = float(re.search(r"= (\S+), pass iff >= -tol", report.details).group(1))
+        assert carried == pytest.approx(-1.2e-10, rel=1e-3)
+        assert not report.passed
+
+    def test_nondecomposability_moves_each_base_eigenvalue_down_by_u_times_its_size(self, monkeypatch):
+        # Ostrowski: each min eig lies within u |lambda| of the base state's, and the check takes the low end
+        true = witnesses.canonical_witness(1)
+        entries, _ = true.ppt_state
+        base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=(entries, (-1e-3, 2e-3)))
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
+        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5)
+        details = certify.verify_nondecomposability(w).details
+        assert "min eig(rho) = -1.50e-03, min eig(rho^Gamma) = 1.00e-03 " in details
+
+    def test_nondecomposability_widens_the_trace_defect_by_u(self):
+        # Tr rho lies within u Tr rho_b of Tr rho_b: u = 2e-12 alone pushes the trace defect past 1e-12
+        m = maps.phi_u(1, maps.canonical_u0(1))
+        report = certify.verify_nondecomposability(with_facts(witnesses.Witness, witnesses.plain_choi(m), m,
+                                                              unitarity_defect=2e-12))
+        trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
+        assert trace_defect == pytest.approx(2e-12, rel=1e-3)
+        assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
         assert not report.passed
 
 

@@ -165,6 +165,14 @@ class TestDescriptorValidation:
         with pytest.raises(ValueError, match="U U"):
             maps.phi_u(1, 2.0 * maps.SIGMA_Y)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300, np.nan], ids=["1e160", "1e300", "nan"])
+    def test_phi_u_rejects_a_u_whose_gram_matrix_is_not_finite(self, scale):
+        # U U^dagger overflows (or is NaN); eigvalsh of it returned [0, -0], which once admitted U as a contraction
+        u = scale * maps.SIGMA_Y
+        assert not maps.is_antisymmetric_contraction(u)
+        with pytest.raises(ValueError, match="U U"):
+            maps.phi_u(1, u)
+
     def test_phi_u_rejects_symmetric(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             maps.phi_u(1, np.eye(2))

@@ -179,7 +179,28 @@ class TestWitness:
         assert [f.name for f in dataclasses.fields(witnesses.Witness)] == ["plain", "source"]
 
 
+BASE_FACTS = ("positivity_worst", "family_rank", "ppt_state", "gamma_conjugation_defect", "self_duality_defect",
+              "spa_realignment_norm", "detection_boundary")
+
+
 class TestBase:
+    @pytest.mark.parametrize("family", CORE_FAMILIES)
+    def test_a_request_has_no_base_fact(self, example_map, family):
+        w = witnesses.choi(example_map(family, 1))
+        assert type(w) is witnesses.Witness
+        for fact in BASE_FACTS:
+            with pytest.raises(AttributeError, match=fact):
+                getattr(w, fact)
+
+    def test_the_canonical_base_computes_each_fact_on_first_read(self):
+        witnesses.canonical_witness.cache_clear()
+        base = witnesses.canonical_witness(1)
+        assert isinstance(base, witnesses.Base) and isinstance(base, witnesses.Witness)
+        for fact in BASE_FACTS:
+            assert fact not in vars(base)
+            value = getattr(base, fact)
+            assert vars(base)[fact] is value and getattr(base, fact) is value
+
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_every_witness_of_one_n_shares_the_canonical_base(self, example_map, family):
         w = witnesses.choi(example_map(family, 2, "complex-unitary", seed=5))
@@ -331,7 +352,8 @@ class TestSelfDualityDefect:
     @pytest.mark.parametrize("size", [1, 2])
     def test_exact_on_self_dual_families_only(self, example_map, example_action, family, size):
         if family in CORE_FAMILIES:
-            w = witnesses.choi(example_map(family, size))
+            m = example_map(family, size)
+            w = witnesses.Base(plain=witnesses.plain_choi(m), source=m)  # the fact of a base, measured on its own W
         else:
             w = self_dual_reference(*example_action(family, size))
         defect = w.self_duality_defect
