@@ -383,6 +383,14 @@ class TestCertify:
         assert err == f"error: {NOT_UNITARY}\n"
         assert [run(capsys, command, "--n", "1", "--u", spec)[0] for command in ("build", "curve")] == [0, 0]
 
+    @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
+    def test_rejects_a_u_file_whose_gram_matrix_overflows(self, capsys, tmp_path, command):
+        # 1e160 sigma_y is finite, but U U^dagger overflows; build, spectrum and curve once wrote NaN from it, exit 0
+        spec = write_matrix(tmp_path, 1e160 * maps.SIGMA_Y)
+        code, out, err = run(capsys, command, "--n", "1", "--u", spec)
+        assert (code, out) == (2, "")
+        assert err == "error: U must be antisymmetric with U U^dagger <= I\n"
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_a_u_at_the_margin_fails_positivity_through_its_premises(self, capsys, tmp_path, n):
         # U0 + 4e-13 I is an antisymmetric unitary entrywise within 1e-12, so it is certified through W(U0);
