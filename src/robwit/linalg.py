@@ -98,7 +98,8 @@ def hermitian_eig(m: np.ndarray, tol: float = EIGENVALUE_TOL) -> np.ndarray:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     h = np.conj(np.swapaxes(m, -1, -2), order="C")  # M^dagger, contiguous, so M - M^dagger reads both in row order
-    defect = float(np.max(np.abs(m - h))) if m.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect, rejected below
+        defect = float(np.max(np.abs(m - h))) if m.size else 0.0
     if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"matrix is not Hermitian: max|M - M^dagger| = {defect:.3e} > {tol:.1e}")
     h += m

@@ -54,7 +54,8 @@ class MapDescriptor:
 
 def antisymmetry_defect(u: np.ndarray) -> float:
     u = as_complex(u)
-    return float(np.max(np.abs(u + u.T))) if u.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed U + U^T is an infinite defect, rejected
+        return float(np.max(np.abs(u + u.T))) if u.size else 0.0
 
 
 def is_antisymmetric_contraction(u: np.ndarray) -> bool:
@@ -85,7 +86,8 @@ def _require_unitary(v: np.ndarray, name: str) -> np.ndarray:
     v = as_complex(v)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {v.shape}")
-    defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed V^dagger V is a defect of inf or NaN
+        defect = float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))))
     if not defect <= CONSTRUCTION_TOL:  # a NaN defect fails too
         raise ValueError(f"{name} is not unitary: max|V^dagger V - I| = {defect:.3e}")
     return v

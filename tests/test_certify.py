@@ -1083,6 +1083,48 @@ class TestCarriedTerms:
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
         assert not report.passed
 
+    def test_self_duality_scales_the_base_defect_up_by_one_plus_u(self, monkeypatch):
+        # (1 + u) D delta_b = 1.5 * 16 * 5.2e-12 = 1.25e-10, past 1e-10; (1 - u) D delta_b = 4.2e-11 would pass
+        true = witnesses.canonical_witness(1)
+        base = with_facts(witnesses.Base, true.matrix, true.source, self_duality_defect=5.2e-12)
+        monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
+        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        report = certify.verify_self_duality(w)
+        bound = float(re.search(r"defect by (\S+), pass iff", report.details).group(1))
+        assert bound == pytest.approx(1.25e-10, rel=1e-2)
+        assert report.measured <= report.tolerance and not report.passed
+
+    def test_nd_optimality_adds_the_moved_base_to_the_gamma_defect(self):
+        # (1 + u)(delta_b + (2u + u^2) ||W_base||_F) = 2e-12 * sqrt(6) / 4 = 1.22e-12 with delta_b = 0, past 1e-12;
+        # subtracting the moved base would give a negative bound, which passes
+        true = witnesses.canonical_witness(1)
+        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=1e-12, rotation_residual=0.0)
+        report = certify.verify_nd_optimality(w)
+        bound = float(re.search(r"conjugation residual bound (\S+) <=", report.details).group(1))
+        assert bound == pytest.approx(2e-12 * np.sqrt(6) / 4, rel=1e-2)
+        assert report.measured <= report.tolerance and not report.passed
+
+    def test_spa_threshold_widens_the_boundary_eigenvalue_by_the_slack(self):
+        # (1 - p) s = 1e-8 / 5 = 2e-9 alone is past |boundary| <= 1e-9; the root, 3.2e-10 off and widened by
+        # 6.4e-9, stays within 1e-8
+        true = witnesses.canonical_witness(1)
+        w = with_facts(witnesses.Witness, true.plain, true.source, rotation_slack=1e-8)
+        report = certify.spa_threshold_report(w)
+        widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
+        assert abs(report.measured - report.expected) + widened <= report.tolerance
+        assert not report.passed
+
+    def test_spa_threshold_widens_the_root_by_its_move_when_lambda_min_rises_by_the_slack(self):
+        # p = 1 - c / g with g = 1/D - lambda_min: lambda_min raised by s moves the root by c s / (g (g - s)),
+        # further than the c s / (g (g + s)) of lowering it; s = 0.01 sets the two apart by 6%
+        true = witnesses.canonical_witness(1)
+        slack = 0.01
+        w = with_facts(witnesses.Witness, true.plain, true.source, rotation_slack=slack)
+        report = certify.spa_threshold_report(w)
+        widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
+        raised = with_facts(witnesses.Base, true.plain, true.source, spectrum=true.spectrum + slack)
+        assert widened == pytest.approx(abs(certify.spa_threshold(raised) - certify.spa_threshold(true)), rel=1e-2)
+
 
 class TestRealignment:
     def test_trace_norm_flags_entanglement(self):

@@ -383,13 +383,20 @@ class TestCertify:
         assert err == f"error: {NOT_UNITARY}\n"
         assert [run(capsys, command, "--n", "1", "--u", spec)[0] for command in ("build", "curve")] == [0, 0]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
-    def test_rejects_a_u_file_whose_gram_matrix_overflows(self, capsys, tmp_path, command):
-        # 1e160 sigma_y is finite, but U U^dagger overflows; build, spectrum and curve once wrote NaN from it, exit 0
-        spec = write_matrix(tmp_path, 1e160 * maps.SIGMA_Y)
-        code, out, err = run(capsys, command, "--n", "1", "--u", spec)
+    @pytest.mark.parametrize("flags,matrix,message", [
+        (["--u"], 1e160 * maps.SIGMA_Y, "U must be antisymmetric with U U^dagger <= I"),
+        (["--u"], 1e308 * np.eye(2), "U must be antisymmetric with U U^dagger <= I"),
+        (["--v2", "seed:2", "--v1"], 1e200 * np.eye(4), "V1 is not unitary: max|V^dagger V - I| = inf"),
+    ], ids=["u-1e160-sigma-y", "u-1e308-identity", "v1-1e200-identity"])
+    def test_rejects_a_u_file_whose_gram_matrix_overflows(self, capsys, tmp_path, command, flags, matrix, message):
+        # each file is finite, but U U^dagger, U + U^T or V1^dagger V1 overflows: the check rejects it without a
+        # RuntimeWarning (build, spectrum and curve once wrote NaN from 1e160 sigma_y, exit 0)
+        spec = write_matrix(tmp_path, matrix)
+        code, out, err = run(capsys, command, "--n", "1", *flags, spec)
         assert (code, out) == (2, "")
-        assert err == "error: U must be antisymmetric with U U^dagger <= I\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_a_u_at_the_margin_fails_positivity_through_its_premises(self, capsys, tmp_path, n):

@@ -93,10 +93,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="square"):
             linalg.hermitian_eig(np.zeros((2, 3)))
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_a_nan_matrix(self):
-        # max|M - M^dagger| is NaN, which no tolerance admits: its eigenvalues would be NaN too
-        with pytest.raises(ValueError, match=r"not Hermitian: .* = nan >"):
-            linalg.hermitian_eig(np.full((2, 2), np.nan))
+        # max|M - M^dagger| is NaN, which no tolerance admits: its eigenvalues would be NaN too.  An infinite
+        # diagonal makes it NaN through inf - inf, formed without a RuntimeWarning
+        for m in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+            with pytest.raises(ValueError, match=r"not Hermitian: .* = nan >"):
+                linalg.hermitian_eig(m)
         stack = np.stack([np.eye(2, dtype=complex)] * 3)
         stack[1, 0, 0] = np.nan  # one entry of one member, on the diagonal
         with pytest.raises(ValueError, match="not Hermitian"):
