@@ -8,21 +8,22 @@ family, self-duality, the noise threshold of the structural physical
 approximation, detection of all entangled isotropic states, and the
 resulting entanglement-breaking certificate for the approximated map.
 
-Every check takes one request :class:`Witness`, which carries its map and, as
-``Witness.base``, W(U0) of the map's N, the witness it is moved from by the
-local rotation (A, B) of ``maps.local_rotation``, built once per N and shared
-(``witnesses.canonical_witness``).  Reading it rejects, with one ``ValueError``
-(``witnesses.reject_off_unitary_u``) and before any work, a U that is not an
-antisymmetric unitary.
-W(U0) is a :class:`witnesses.Base`, and the facts read off it are kept on it,
-beside what they are built from in ``witnesses``: positivity's fixed projector sample, the product family
+Every check takes one :class:`witnesses.Request`, certify's object for one map,
+which carries the map and, as ``Request.base``, W(U0) of the map's N, the
+witness it is moved from by the local rotation (A, B) of ``maps.local_rotation``,
+built once per N and shared (``witnesses.canonical_witness``).  Reading it
+rejects, with one ``ValueError`` (``witnesses.reject_off_unitary_u``) and before
+any work, a U that is not an antisymmetric unitary.
+W(U0) is a :class:`witnesses.Base`, the :class:`witnesses.Choi` of Phi_{U0}, and
+the facts read off it are kept on it, beside what they are built from in
+``witnesses``: positivity's fixed projector sample, the product family
 (``spanning_family``, index cells), G0 (``canonical_gamma``, a phase
 permutation), ``spa_witness`` and ``detect``.  This module builds on
 ``witnesses`` and ``states``, never the other way.  Each base-read check
 widens its verdict by one reported bound on how far W lies from the rotated
-base (``Witness.rotation_slack`` and its kin).  What a request measures on
+base (``Request.rotation_slack`` and its kin).  What a request measures on
 its own W is read off one pull-back, W' = S^dagger W S for S = A (x) B
-(``Witness.pulled_back``), taken straight from the closed-form Choi matrix
+(``Request.pulled_back``), taken straight from the closed-form Choi matrix
 W_p of the plain map, so no conjugated W is formed: the rotation residual
 ||E||_F that every bound carries, Tr(W rho) = Tr(W' rho_b), and the
 product-family expectations of W and W^Gamma, each a <= 4 x 4 block of W'
@@ -38,7 +39,7 @@ import numpy as np
 from . import maps, states, witnesses
 from .linalg import CONSTRUCTION_TOL, EIGENVALUE_TOL, POSITIVITY_TOL
 from .report import CertReport, rule_report, value_report
-from .witnesses import Witness
+from .witnesses import Choi, Request
 
 DEFAULT_TOLERANCES = {
     "positivity": POSITIVITY_TOL,
@@ -85,7 +86,7 @@ def premise_defects(u: np.ndarray) -> tuple[float, float]:
     return identity, beta + alpha / 2 + identity
 
 
-def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"]) -> CertReport:
+def verify_positivity(w: Request, tol: float = DEFAULT_TOLERANCES["positivity"]) -> CertReport:
     """Positivity of W's map: its base map's sample, carried to it, and the premises of its proof.
 
     ``measured`` is the worst image eigenvalue of ``witnesses.POSITIVITY_TRIALS`` random rank-1 projectors
@@ -100,7 +101,7 @@ def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"])
     a I]] with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger, PSD iff
     M M^dagger = Q + Q^U <= I (Schur complement): two orthogonal projectors when U^T = -U and U is
     unitary.  ``premise_defects`` of W's U bounds both defects over every splitting: in the 2-norm, they
-    still fail a U that ``Witness.base`` admits entrywise within CONSTRUCTION_TOL, such as U0 + 4e-13 I.
+    still fail a U that ``Request.base`` admits entrywise within CONSTRUCTION_TOL, such as U0 + 4e-13 I.
     """
     worst = w.base.positivity_worst
     carried = worst - w.unitarity_defect * abs(worst) - w.d * w.rotation_residual
@@ -122,7 +123,7 @@ def verify_positivity(w: Witness, tol: float = DEFAULT_TOLERANCES["positivity"])
 # --- nondecomposability -----------------------------------------------------
 
 
-def verify_nondecomposability(w: Witness, tol: float = DEFAULT_TOLERANCES["nondecomposability"]) -> CertReport:
+def verify_nondecomposability(w: Request, tol: float = DEFAULT_TOLERANCES["nondecomposability"]) -> CertReport:
     """Exhibit a PPT state on which the witness is strictly negative.
 
     The state is rho = S rho_b S^dagger, with rho_b built from the PhiU4N base
@@ -190,7 +191,7 @@ def _product_family_check(view: np.ndarray, gamma: tuple[np.ndarray, np.ndarray]
     return worst, len(cells), worst <= tol and rank == d * d
 
 
-def verify_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["optimality"]) -> CertReport:
+def verify_optimality(w: Request, tol: float = DEFAULT_TOLERANCES["optimality"]) -> CertReport:
     """Optimality: the zero-expectation product family spans the whole space.
 
     The family is (A psi) (x) (B psi*) for the map's local rotation (A, B);
@@ -211,7 +212,7 @@ def verify_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["optimality"])
     )
 
 
-def verify_nd_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["nd-optimality"]) -> CertReport:
+def verify_nd_optimality(w: Request, tol: float = DEFAULT_TOLERANCES["nd-optimality"]) -> CertReport:
     """Optimality of the partially transposed witness.
 
     Transposing the first factor of W' = (A^dagger (x) B^dagger) W (A (x) B) gives
@@ -221,7 +222,7 @@ def verify_nd_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["nd-optimal
     factor's indices swapped.  It is the family (G A psi) (x) (B psi*) transported by
     G = Abar G0 A^dagger, up to A's unitarity defect.  The conjugation identity
     W^Gamma = (G (x) 1) W (G (x) 1)^dagger is measured on the base, where G0 permutes,
-    and carried to W by ``Witness.gamma_conjugation_bound``.
+    and carried to W by ``Request.gamma_conjugation_bound``.
     """
     d = w.d
     gamma = w.pulled_back.reshape(d, d, d, d).transpose(2, 1, 0, 3)  # Gamma(W'), a view
@@ -243,11 +244,11 @@ def verify_nd_optimality(w: Witness, tol: float = DEFAULT_TOLERANCES["nd-optimal
 # --- self-duality -----------------------------------------------------------
 
 
-def verify_self_duality(w: Witness, tol: float = DEFAULT_TOLERANCES["self-duality"]) -> CertReport:
+def verify_self_duality(w: Request, tol: float = DEFAULT_TOLERANCES["self-duality"]) -> CertReport:
     """Tr(X F(Y)) = Tr(F(X) Y) for all X, Y, exactly: the natural matrix of F is Hermitian.
 
     Measured on the base witness and carried to the map underlying W by
-    ``Witness.self_duality_bound``: for a conjugated W, the PhiU4N map under its
+    ``Request.self_duality_bound``: for a conjugated W, the PhiU4N map under its
     conjugation.
     """
     defect = w.base.self_duality_defect
@@ -265,7 +266,7 @@ def verify_self_duality(w: Witness, tol: float = DEFAULT_TOLERANCES["self-dualit
 # --- structural physical approximation --------------------------------------
 
 
-def spa_threshold(w: Witness) -> float:
+def spa_threshold(w: Choi) -> float:
     """Smallest p with min eig of the approximation >= -POSITIVITY_TOL.
 
     I commutes with W, so that min eig is p/D + (1 - p) lambda_min(W), affine
@@ -277,7 +278,7 @@ def spa_threshold(w: Witness) -> float:
     return float((-POSITIVITY_TOL - low) / (1.0 / w.matrix.shape[0] - low))
 
 
-def spa_threshold_report(w: Witness, tol: float = DEFAULT_TOLERANCES["spa-threshold"]) -> CertReport:
+def spa_threshold_report(w: Request, tol: float = DEFAULT_TOLERANCES["spa-threshold"]) -> CertReport:
     """Threshold from the base's smallest eigenvalue against the closed form, plus exact degeneracy at it.
 
     lambda_min(W) lies within the rotation slack s of the base's, and so each
@@ -320,17 +321,17 @@ def isotropic_detection_value(n: int, lam: float) -> float:
     return (lam / (4.0 * n) + lam - 1.0) / (4.0 * n)
 
 
-def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certificate"]) -> CertReport:
+def verify_eb_certificate(w: Request, tol: float = DEFAULT_TOLERANCES["eb-certificate"]) -> CertReport:
     """Entanglement-breaking certificate for the structurally approximated map.
 
     A positive unital map whose approximation threshold coincides with the
     isotropic entanglement threshold yields an entanglement breaking
     channel; self-duality reduces the detection condition to the witness.
     The certificate aggregates: unitality read off the witness's Choi data,
-    F(I) = d Tr_A W (``Witness.identity_image``);
+    F(I) = d Tr_A W (``Request.identity_image``);
     exact self-duality of the underlying map (Hermiticity of its natural
     matrix, read off the base witness and bounded through the residual by
-    ``Witness.self_duality_bound``); the base witness's detection root
+    ``Request.self_duality_bound``); the base witness's detection root
     against the threshold (0 for a W that detects no isotropic state, which
     fails); the covariance W = (A (x) B) W_base (A (x) B)^dagger
     under the local rotation, as the witness's measured rotation residual;
@@ -344,7 +345,7 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
     (1 + u) delta - s for the rotation slack s, and the approximation's
     partial transpose has min eig at least p/D + (1 - p) times that.  The
     realignment criterion, a separability test independent of PPT, is read
-    off the same base and carried to W by ``Witness.spa_realignment_bound``,
+    off the same base and carried to W by ``Request.spa_realignment_bound``,
     whose error term is d (1 - p) ||E||_F.
     """
     w_base = w.base
@@ -395,8 +396,8 @@ def verify_eb_certificate(w: Witness, tol: float = DEFAULT_TOLERANCES["eb-certif
 def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:
     """Run all eight certification checks for one plain or conjugated PhiU map.
 
-    Its witness is ``witnesses.choi(m)``, built once ``witnesses.reject_off_unitary_u`` has
-    admitted U; every check reads its W_p, and none forms a conjugated W.
+    Its ``witnesses.Request`` holds W_p from ``witnesses.plain_choi``, filled once
+    ``witnesses.reject_off_unitary_u`` has admitted U; no check forms a conjugated W.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -407,7 +408,7 @@ def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = 
         tol.update(tolerances)
 
     witnesses.reject_off_unitary_u(m)  # before anything is built, W(U0) included
-    w = witnesses.choi(m)  # no check reads w.matrix, so a conjugated W is never formed
+    w = witnesses.Request(plain=witnesses.plain_choi(m), source=m)
     return [
         verify_positivity(w, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),

@@ -64,7 +64,10 @@ def matrix_from_payload(obj: dict) -> np.ndarray:
 
 def load_matrix_file(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
-        return matrix_from_payload(json.load(handle))
+        try:
+            return matrix_from_payload(json.load(handle))
+        except RecursionError:  # json's decoder recurses once per nested array or object
+            raise ValueError("malformed matrix payload: nested too deeply to decode") from None
 
 
 def resolve_u(spec: str, n: int) -> np.ndarray:
@@ -125,7 +128,7 @@ def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
     string.  As repr(-x) is "-" + repr(x) for every double, -inf included, a second
     table holds each text with a "-" in front, and a double whose sign bit is set reads
     from it: so -0.0 and 0.0 stay apart, and a NaN, which json writes NaN whatever its
-    sign, reads from the first.  An exactly Hermitian D x D matrix, as ``Witness.matrix``
+    sign, reads from the first.  An exactly Hermitian D x D matrix, as ``Choi.matrix``
     is, has at most D^2 + 1 distinct magnitudes.  Zero, most of a plain W_p, is no
     member of the sort: it is entry 0 of the tables.  A row's text is joined from the
     tables.  The other members are encoded by `json`.

@@ -69,7 +69,7 @@ def is_antisymmetric_contraction(u: np.ndarray) -> bool:
         gram = u @ u.conj().T
     if not np.isfinite(gram).all():  # eigvalsh of a NaN Gram matrix can return finite values
         return False
-    top = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1]) if u.size else 0.0
+    top = float(np.linalg.eigvalsh(gram)[-1]) if u.size else 0.0  # eigvalsh reads one triangle: no sum to overflow
     return top <= 1.0 + CONSTRUCTION_TOL
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # witnesses builds on this module
-    from .witnesses import Witness
+    from .witnesses import Choi
 
 
 def normalization_factor(n: int) -> float:
@@ -22,7 +22,7 @@ def normalization_factor(n: int) -> float:
     return 1.0 / (8 * n * n * (1 + 4 * n))
 
 
-def ppt_entangled_state(w: Witness) -> np.ndarray:
+def ppt_entangled_state(w: Choi) -> np.ndarray:
     """PPT entangled state detected by the witness built from PhiU4N.
 
     Blocks on C^{4N} (x) C^{4N}, with scale NN = 1/(8N^2(1+4N)):

@@ -8,13 +8,13 @@ entry, so each entry of its Choi matrix W_p is known in closed form
 For the PhiU4N family with unitary U the spectrum of W is known in closed
 form and carries a single negative eigenvalue -1/(4N).
 
-Two classes hold the two kinds of fact.  A request's :class:`Witness` holds
-its map's Choi data, what ``build``, ``spectrum`` and ``curve`` read off it, and
-what a certificate measures on that one request: the rotation from W(U0), the
-residual and the carried bounds.  :class:`Base` is W(U0) of one N, the witness
-of Phi_{U0} (``canonical_witness``), with the facts every certificate reads off
-it: positivity's sample, the family rank, the PPT state, the Gamma and
-self-duality defects, the realignment norm and the detection root.
+Three classes hold the three kinds of fact.  A map's :class:`Choi` holds its
+Choi data, what ``build``, ``spectrum`` and ``curve`` read off it.  :class:`Base` is
+the ``Choi`` of W(U0) of one N, the witness of Phi_{U0} (``canonical_witness``),
+with the facts every certificate reads off it: positivity's sample, the family
+rank, the PPT state, the Gamma and self-duality defects, the realignment norm and
+the detection root.  A :class:`Request` is what ``certify`` measures on one map
+against that base: the rotation from W(U0), the residual and the carried bounds.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ POSITIVITY_BLOCK = 256
 
 
 @dataclass(frozen=True, kw_only=True)
-class Witness:
-    """Choi data of a map plus its provenance, and what one request measures on it; it acts on C^d (x) C^d.
+class Choi:
+    """Choi data of a map plus its provenance; it acts on C^d (x) C^d.
 
     ``plain`` is the Choi matrix W_p of the PhiU4N map under the source: W itself for a
     plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1 the
-    matrix that ``matrix`` moves to W on first use.  Both fields are keyword-only, so
-    the older ``Witness(W, source)``, whose first field was W, raises rather than
-    reading a conjugated W as W_p.  The facts read only off W(U0) are kept on its ``Base``.
+    matrix that ``matrix`` moves to W on first use.  Both fields are keyword-only, so no
+    positional call can pass a conjugated W where W_p is meant.
     """
 
     plain: np.ndarray
@@ -92,8 +91,38 @@ class Witness:
         return w
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of the matrix, computed on first use and kept (read-only)."""
+        values = hermitian_eig(self.matrix, tol=CONSTRUCTION_TOL)
+        values.flags.writeable = False  # one array is shared by every reader
+        return values
+
+    @cached_property
+    def detection_line(self) -> tuple[float, float]:
+        """(g0, g1) = Tr(W rho_lam) at lam = 0 and lam = 1.
+
+        rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
+        """
+        return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
+
+
+@dataclass(frozen=True, kw_only=True)
+class Request:
+    """One map as ``certify`` reads it: W_p and the source, as its ``Choi`` holds them, measured against W(U0).
+
+    It reads W_p only through ``pulled_back`` and ``identity_image``, and its base's facts
+    through ``base``.
+    """
+
+    plain: np.ndarray
+    source: maps.MapDescriptor
+
+    __post_init__ = Choi.__post_init__  # the same shape check
+    d = Choi.d
+
+    @cached_property
     def identity_image(self) -> np.ndarray:
-        """F(I) = d Tr_A W of the map, read off the Choi data: never through ``matrix``.
+        """F(I) = d Tr_A W of the map, read off W_p: a conjugated W is never formed.
 
         For T = V2^T (x) V1^dagger, Tr_A(T W_p T^dagger) = V1^dagger Tr_A(((V2 V2^dagger)^T (x) 1) W_p) V1,
         so a conjugated map's F(I) is V1^dagger d Tr_A(((V2 V2^dagger)^T (x) 1) W_p) V1.
@@ -107,13 +136,6 @@ class Witness:
         return v1.conj().T @ (d * moved) @ v1
 
     @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of the matrix, computed on first use and kept (read-only)."""
-        values = hermitian_eig(self.matrix, tol=CONSTRUCTION_TOL)
-        values.flags.writeable = False  # one array is shared by every reader
-        return values
-
-    @cached_property
     def rotation(self) -> tuple[np.ndarray, np.ndarray]:
         """The map's local rotation (A, B) onto ``base`` from ``maps.local_rotation``, computed once."""
         self.base  # a U without a Youla factor is rejected before it is factorized
@@ -121,7 +143,7 @@ class Witness:
 
     @cached_property
     def pulled_back(self) -> np.ndarray:
-        """W' = S^dagger W S for S = A (x) B of ``rotation``: the one W-sized contraction of a witness.
+        """W' = S^dagger W S for S = A (x) B of ``rotation``: the one W-sized contraction of a request.
 
         It is read off W_p, never off a conjugated W: with T = V2^T (x) V1^dagger,
         S^dagger T = (A^dagger V2^T) (x) (B^dagger V1^dagger), so W' = S^dagger T W_p T^dagger S.
@@ -214,30 +236,21 @@ class Witness:
 
     @property
     def base(self) -> Base:
-        """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this witness.
+        """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this map's W.
 
-        Every witness of that N shares it, and every certificate reads it, so a U that
+        Every request of that N shares it, and every certificate reads it, so a U that
         ``reject_off_unitary_u`` rejects is rejected here, before any check maps,
         factorizes or diagonalizes anything.
         """
         reject_off_unitary_u(self.source)
         return canonical_witness(self.source.size)
 
-    @cached_property
-    def detection_line(self) -> tuple[float, float]:
-        """(g0, g1) = Tr(W rho_lam) at lam = 0 and lam = 1.
 
-        rho_lam is affine in lam, so Tr(W rho_lam) = (1 - lam) g0 + lam g1 on all of [0, 1].
-        """
-        return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
-
-
-class Base(Witness):
+class Base(Choi):
     """W(U0) of one N, the witness of Phi_{U0}: every certificate reads its facts, each kept once computed.
 
     ``canonical_witness`` builds it once per N, and every request of that N is moved from it by
-    its local rotation.  A request ``Witness`` has none of these facts, so no check can read
-    them off its own W.
+    its local rotation.
     """
 
     @cached_property
@@ -355,7 +368,7 @@ def canonical_witness(n: int) -> Base:
 
     Kept for the last N asked for, with its cached spectrum and facts, so a
     process certifying many maps of one N builds and diagonalizes it once.
-    Its matrix is read-only: every witness of that N shares it.
+    Its matrix is read-only: every request of that N reads it.
     """
     m = maps.phi_u(n, maps.canonical_u0(n))
     w = Base(plain=plain_choi(m), source=m)
@@ -389,7 +402,7 @@ def spanning_family(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cells, values
 
 
-def spa_witness(w: Witness, p: float) -> np.ndarray:
+def spa_witness(w: Choi, p: float) -> np.ndarray:
     """White-noise admixture (p/d^2) I (x) I + (1 - p) W; trace stays 1."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing parameter p={p} outside [0, 1]")
@@ -397,7 +410,7 @@ def spa_witness(w: Witness, p: float) -> np.ndarray:
     return (p / dsq) * np.eye(dsq, dtype=complex) + (1.0 - p) * w.matrix
 
 
-def detect(w: Witness, rho: np.ndarray) -> float:
+def detect(w: Choi, rho: np.ndarray) -> float:
     """Tr(W rho); strictly negative means the witness detects the state."""
     if w.matrix.shape != rho.shape:
         raise ValueError(f"dimension mismatch: witness {w.matrix.shape} vs state {rho.shape}")
@@ -438,13 +451,13 @@ def plain_choi(m: maps.MapDescriptor) -> np.ndarray:
     return w
 
 
-def choi(m: maps.MapDescriptor) -> Witness:
-    """Witness of a plain or conjugated PhiU map: W_p from ``plain_choi``.
+def choi(m: maps.MapDescriptor) -> Choi:
+    """Choi data of a plain or conjugated PhiU map: W_p from ``plain_choi``.
 
-    A conjugated map's W = (1 (x) F) P+_d is formed by ``Witness.matrix`` when first read,
-    as for ``transform_witness``; ``certify.run_full_suite`` never reads it.
+    A conjugated map's W = (1 (x) F) P+_d is formed by ``Choi.matrix`` when first read,
+    as for ``transform_witness``.
     """
-    return Witness(plain=plain_choi(m), source=m)
+    return Choi(plain=plain_choi(m), source=m)
 
 
 def expected_spectrum(n: int) -> list[tuple[float, int]]:
@@ -468,7 +481,7 @@ def expected_spectrum_sorted(n: int) -> np.ndarray:
     return np.sort(np.repeat(values, mults))
 
 
-def verify_spectrum(w: Witness, tol: float = EIGENVALUE_TOL) -> CertReport:
+def verify_spectrum(w: Request, tol: float = EIGENVALUE_TOL) -> CertReport:
     """Match the Choi eigenvalues, read off the base witness, against the closed form.
 
     The base's sorted eigenvalues (its cached blocked spectrum) are compared
@@ -490,11 +503,11 @@ def verify_spectrum(w: Witness, tol: float = EIGENVALUE_TOL) -> CertReport:
     )
 
 
-def transform_witness(w: Witness, v1: np.ndarray, v2: np.ndarray) -> Witness:
-    """Witness of the conjugated map, whose W is (V2^T (x) V1^dagger) W_w (V2^T (x) V1^dagger)^dagger.
+def transform_witness(w: Choi, v1: np.ndarray, v2: np.ndarray) -> Choi:
+    """Choi data of the conjugated map, whose W is (V2^T (x) V1^dagger) W_w (V2^T (x) V1^dagger)^dagger.
 
-    It keeps w's matrix as its ``plain``; ``Witness.matrix`` forms its W when first read, as for ``choi``.
+    It keeps w's matrix as its ``plain``; ``Choi.matrix`` forms its W when first read, as for ``choi``.
     """
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
-    return Witness(plain=w.plain, source=maps.conjugated_phi(w.source.size, w.source.u, v1, v2))
+    return Choi(plain=w.plain, source=maps.conjugated_phi(w.source.size, w.source.u, v1, v2))

@@ -92,12 +92,26 @@ def self_dual_reference(f, d: int):
 
 
 def with_facts(cls: type, plain: np.ndarray, source: maps.MapDescriptor, **facts):
-    """A ``cls`` (``Witness`` or ``Base``) of (plain, source) whose named facts are the given values.
+    """A ``cls`` (``Request`` or ``Base``) of (plain, source) whose named facts are the given values.
 
     Each value is a class attribute of a one-off subclass, so it shadows the cached property
-    of that name and every other fact is computed as usual.
+    of that name and every other fact is computed as usual.  A name that ``cls`` has no fact of
+    raises, so a stand-in cannot set a fact that no check reads off its class.
     """
+    unknown = [name for name in facts if not hasattr(cls, name)]
+    if unknown:
+        raise AttributeError(f"{cls.__name__} has no fact {unknown}")
     return type(f"StandIn{cls.__name__}", (cls,), facts)(plain=plain, source=source)
+
+
+def request(m: maps.MapDescriptor) -> witnesses.Request:
+    """The ``Request`` of m as ``certify.run_full_suite`` builds it: W_p from ``witnesses.plain_choi``."""
+    return witnesses.Request(plain=witnesses.plain_choi(m), source=m)
+
+
+def choi_of(w: witnesses.Request) -> witnesses.Choi:
+    """The ``Choi`` of a request's (plain, source): the W, spectrum and detection line a request does not hold."""
+    return witnesses.Choi(plain=w.plain, source=w.source)
 
 
 def dense_generators(n: int) -> np.ndarray:
@@ -137,16 +151,16 @@ def example_action():
     return build_example_action
 
 
-def perturb_witness(scale: float) -> witnesses.Witness:
-    """W + scale H at N=1 for a seeded Hermitian H: Hermitian and not positive, but not a Phi_U witness."""
+def perturb_witness(scale: float) -> witnesses.Request:
+    """The request of W + scale H at N=1, H a seeded Hermitian: Hermitian and not positive, but not a Phi_U witness."""
     w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    return witnesses.Witness(plain=w.matrix + scale * (g + g.conj().T) / 2, source=w.source)
+    return witnesses.Request(plain=w.matrix + scale * (g + g.conj().T) / 2, source=w.source)
 
 
-def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witness:
-    """The witness of m with 1e-6 added to entry [i, j] of its W_p: still Hermitian only if i == j.
+def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Request:
+    """The request of m with 1e-6 added to entry [i, j] of its W_p: still Hermitian only if i == j.
 
     Its base, W(U0), stays exact, so the corruption shows only in the witness's
     rotation residual.  A conjugated map moves it by the unitary V2^T (x) V1^dagger,
@@ -154,16 +168,16 @@ def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Witnes
     """
     corrupted = witnesses.plain_choi(m)
     corrupted[i, j] += 1e-6
-    return witnesses.Witness(plain=corrupted, source=m)
+    return witnesses.Request(plain=corrupted, source=m)
 
 
-def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Witness:
+def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Request:
     """``corrupted_witness`` of a conjugated N=1 map with U = U0."""
     m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=18), maps.random_unitary(4, seed=19))
     return corrupted_witness(m, i, j)
 
 
-def corrupted_plain_witness(i: int, j: int) -> witnesses.Witness:
+def corrupted_plain_witness(i: int, j: int) -> witnesses.Request:
     """``corrupted_witness`` of the plain N=1 map of a seeded U, whose rotation is a Youla factor."""
     return corrupted_witness(maps.phi_u(1, random_u(1, 3, "complex-unitary")), i, j)
 
@@ -176,7 +190,7 @@ def perturbed_witness():
 def oracle_choi(m: maps.MapDescriptor) -> np.ndarray:
     """W = (1/d) sum_kl |k><l| (x) F(|k><l|) through ``maps.apply_map``: every matrix unit mapped, then realigned.
 
-    The oracle for the closed form of ``witnesses.plain_choi`` and ``Witness.matrix``.
+    The oracle for the closed form of ``witnesses.plain_choi`` and ``Choi.matrix``.
     """
     d = maps.input_dim(m)
     units = np.eye(d * d, dtype=complex).reshape(d, d, d, d)  # units[k, l] = |k><l|

@@ -13,6 +13,8 @@ import reference_maps
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, partial_transpose, realign, trace_norm
 
+from conftest import request
+
 
 def announce(number: int, label: str, ok: bool, detail: str = "") -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({label})" + (f": {detail}" if detail else ""))
@@ -65,12 +67,13 @@ def test_criterion_2_nondecomposability():
 def test_criterion_3_optimality():
     ok = True
     for n in (1, 2):
-        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        w = request(maps.phi_u(n, maps.canonical_u0(n)))
         ok = ok and certify.verify_optimality(w, tol=1e-10).passed
         ok = ok and certify.verify_nd_optimality(w, tol=1e-10).passed
         transformed = witnesses.transform_witness(
-            w, maps.random_unitary(4 * n, seed=200 + n), maps.random_unitary(4 * n, seed=300 + n)
+            witnesses.choi(w.source), maps.random_unitary(4 * n, seed=200 + n), maps.random_unitary(4 * n, seed=300 + n)
         )
+        transformed = witnesses.Request(plain=transformed.plain, source=transformed.source)
         ok = ok and certify.verify_optimality(transformed, tol=1e-10).passed
     announce(3, "optimality incl. partial transpose and transformed witness", ok)
     assert ok
@@ -81,7 +84,7 @@ def test_criterion_4_map_positivity():
     details = []
     assert witnesses.POSITIVITY_TRIALS == 1000
     for n in (1, 2):
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(n, maps.canonical_u0(n))))
+        report = certify.verify_positivity(request(maps.phi_u(n, maps.canonical_u0(n))))
         premises = re.search(r"proof-identity defect (\S+), Schur defect (\S+),", report.details)
         assert premises is not None, report.details
         defects = [float(x) for x in premises.groups()]
@@ -111,7 +114,7 @@ def test_criterion_6_self_duality():
     worst = 0.0
     for n in (1, 2):
         for _, u in u_cases(n):
-            report = certify.verify_self_duality(witnesses.choi(maps.phi_u(n, u)), tol=1e-10)
+            report = certify.verify_self_duality(request(maps.phi_u(n, u)), tol=1e-10)
             ok = ok and report.passed
             worst = max(worst, report.measured)
     announce(6, "self-duality, exact (Hermitian natural matrix)", ok, f"max |R - R^dagger| {worst:.2e}")
@@ -140,16 +143,16 @@ def test_criterion_8_entanglement_breaking():
     ok = True
     for n in (1, 2):
         for _, u in u_cases(n):
-            w = witnesses.choi(maps.phi_u(n, u))
-            ok = ok and certify.verify_eb_certificate(w).passed
-            approx = witnesses.spa_witness(w, states.isotropic_entanglement_threshold(n))
+            m = maps.phi_u(n, u)
+            ok = ok and certify.verify_eb_certificate(request(m)).passed
+            approx = witnesses.spa_witness(witnesses.choi(m), states.isotropic_entanglement_threshold(n))
             d = 4 * n
             ok = ok and min_eigenvalue(partial_transpose(approx, d, d)) >= -1e-10
             ok = ok and trace_norm(realign(approx, d, d)) <= 1.0 + 1e-8
     conj = maps.conjugated_phi(
         1, maps.canonical_u0(1), maps.random_unitary(4, seed=601), maps.random_unitary(4, seed=602)
     )
-    ok = ok and certify.verify_eb_certificate(witnesses.choi(conj)).passed
+    ok = ok and certify.verify_eb_certificate(request(conj)).passed
     announce(8, "entanglement-breaking certificate incl. conjugated variant", ok)
     assert ok
 

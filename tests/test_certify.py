@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import (MODES, NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
-                      densify, flip_one_block, perturb_witness, random_u, with_facts)
+from conftest import (MODES, NOT_UNITARY, choi_of, corrupted_conjugated_witness, corrupted_plain_witness,
+                      dense_generators, densify, flip_one_block, perturb_witness, random_u, request, with_facts)
 from reference_maps import breuer_hall, reference_witness
 
 REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
@@ -20,6 +20,11 @@ REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expr
 @pytest.fixture(scope="module")
 def canonical_witness():
     return witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+
+
+@pytest.fixture(scope="module")
+def canonical_request():
+    return request(maps.phi_u(1, maps.canonical_u0(1)))
 
 
 def reference_spa_bisect(w, tol=1e-10):
@@ -57,8 +62,9 @@ def checked_families(w):
     a, b = maps.local_rotation(w.source)
     g0 = np.kron(np.eye(2), maps.canonical_u0(w.source.size))
     pulled = w.pulled_back.reshape(d, d, d, d)
-    return [(w.matrix, a, b, pulled, (np.arange(d), np.ones(d))),
-            (partial_transpose(w.matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3),
+    matrix = choi_of(w).matrix
+    return [(matrix, a, b, pulled, (np.arange(d), np.ones(d))),
+            (partial_transpose(matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3),
              witnesses.canonical_gamma(w.source.size))]
 
 
@@ -103,7 +109,7 @@ def record_hermitian_eig(monkeypatch):
 
 
 def record_pair_ranks(monkeypatch):
-    """Record the length of every (k, 2, 2) Gram stack that ``Witness.family_rank`` hands to hermitian_eig."""
+    """Record the length of every (k, 2, 2) Gram stack that ``Base.family_rank`` hands to hermitian_eig."""
     ranked = []
     solve = witnesses.hermitian_eig
 
@@ -117,11 +123,11 @@ def record_pair_ranks(monkeypatch):
 
 
 def family_ranks(monkeypatch, n, cells, values):
-    """(``Witness.family_rank``, the dense ``numerical_rank``, both optimality reports) of W(U0) on (cells, values)."""
+    """(``Base.family_rank``, the dense ``numerical_rank``, both optimality reports) of W(U0) on (cells, values)."""
     monkeypatch.setattr(witnesses, "spanning_family", lambda size: (cells, values))
     witnesses.canonical_witness.cache_clear()
     gens = densify(cells, values, 4 * n)
-    w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+    w = request(maps.phi_u(n, maps.canonical_u0(n)))
     reports = certify.verify_optimality(w), certify.verify_nd_optimality(w)
     return w.base.family_rank, numerical_rank(product_vectors(gens, gens.conj())), reports
 
@@ -255,26 +261,26 @@ def fresh_base():
 
 class TestPositivity:
     def test_canonical(self):
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
+        report = certify.verify_positivity(request(maps.phi_u(1, maps.canonical_u0(1))))
         assert report.passed
 
     def test_random_u_n2(self):
         u = random_u(2, 2, "complex-unitary")
-        report = certify.verify_positivity(witnesses.choi(maps.phi_u(2, u)))
+        report = certify.verify_positivity(request(maps.phi_u(2, u)))
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
             1, maps.canonical_u0(1), maps.random_unitary(4, seed=4), maps.random_unitary(4, seed=5)
         )
-        report = certify.verify_positivity(witnesses.choi(m))
+        report = certify.verify_positivity(request(m))
         assert report.passed
 
     def test_sampling_matches_loop_reference(self, monkeypatch, fresh_base):
         # reference: one projector per apply_map call on Phi_{U0}, drawn from the same stream;
         # the trials cross several POSITIVITY_BLOCK boundaries.  The request's U is not U0.
         base = maps.phi_u(1, maps.canonical_u0(1))
-        w = witnesses.choi(maps.phi_u(1, random_u(1, 4, "complex-unitary")))
+        w = request(maps.phi_u(1, random_u(1, 4, "complex-unitary")))
         w.rotation_residual  # builds the base before apply_map is recorded
         rng = np.random.default_rng(witnesses.POSITIVITY_SEED)
         worst, projectors = np.inf, []
@@ -298,7 +304,7 @@ class TestPositivity:
         m = maps.phi_u(2, u)
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, seed=9), maps.random_unitary(8, seed=10))
-        w = witnesses.choi(m)
+        w = request(m)
         report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
         assert w.rotation_residual >= 1e-6
@@ -306,7 +312,7 @@ class TestPositivity:
 
     def test_a_corrupted_base_map_fails_the_sample(self, monkeypatch, fresh_base):
         # W and W(U0) are built on the exact map, so the residual is rounding; the sample fails
-        w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
+        w = request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
         assert w.rotation_residual <= 1e-14
         corrupt_apply_map(monkeypatch)
         report = certify.verify_positivity(w)
@@ -314,26 +320,26 @@ class TestPositivity:
         assert not report.passed
 
     def test_samples_once_per_n(self, monkeypatch, fresh_base):
-        def request(n, seed, conjugated=False):
+        def warm_request(n, seed, conjugated=False):
             u = maps.random_antisymmetric_unitary(n, seed)
             m = maps.phi_u(n, u)
             if conjugated:
                 m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed), maps.random_unitary(4 * n, seed + 1))
-            w = witnesses.choi(m)
+            w = request(m)
             w.rotation_residual  # builds the base and measures the residual before any counting
             return w
 
-        plain, conjugated = request(2, 3), request(2, 4, conjugated=True)
+        plain, conjugated = warm_request(2, 3), warm_request(2, 4, conjugated=True)
         calls = record_apply_map(monkeypatch)
         first = certify.verify_positivity(plain)
         assert len(calls) > 0 and all(np.array_equal(m.u, maps.canonical_u0(2)) for m, _ in calls)
         calls.clear()
         second = certify.verify_positivity(conjugated)
         assert calls == [] and second.measured == first.measured and second.passed
-        other_n = request(3, 5)
+        other_n = warm_request(3, 5)
         calls.clear()
         assert certify.verify_positivity(other_n).passed and len(calls) > 0  # a new N re-samples
-        back = request(2, 3)  # the one-entry memo dropped N = 2 and its sample with it
+        back = warm_request(2, 3)  # the one-entry memo dropped N = 2 and its sample with it
         calls.clear()
         assert certify.verify_positivity(back).measured == first.measured and len(calls) > 0
 
@@ -343,7 +349,7 @@ class TestPositivity:
         # the certificate rejects such a U before it samples anything
         u = 0.5 * maps.canonical_u0(n)
         with pytest.raises(ValueError, match=REJECTED):
-            certify.verify_positivity(witnesses.choi(maps.phi_u(n, u)))
+            certify.verify_positivity(request(maps.phi_u(n, u)))
         assert certify.premise_defects(u)[0] > 1e-2
 
     @settings(max_examples=60, deadline=None)
@@ -373,7 +379,7 @@ class TestPositivity:
         # premise bounds are off too
         u = perturbed_u(n, kind, eps)
         m = maps.MapDescriptor(n, u)
-        w = witnesses.choi(m)
+        w = request(m)
         for check in (certify.verify_positivity, *WITNESS_CHECKS):
             with pytest.raises(ValueError, match=REJECTED):
                 check(w)
@@ -386,7 +392,7 @@ class TestPositivity:
         # U0 + 4e-13 I passes the entrywise test (defects 8e-13) and reaches the base; the sample
         # passes on it, and only the premises, bounded in the 2-norm, fail the report
         u = maps.canonical_u0(n) + 4e-13 * np.eye(2 * n)
-        w = witnesses.choi(maps.phi_u(n, u))
+        w = request(maps.phi_u(n, u))
         assert w.source.unitary_u and w.base is witnesses.canonical_witness(n)
         report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
@@ -413,25 +419,25 @@ class TestPositivity:
 
 
 class TestNondecomposability:
-    def test_n1_canonical(self, canonical_witness):
-        report = certify.verify_nondecomposability(canonical_witness)
+    def test_n1_canonical(self, canonical_request):
+        report = certify.verify_nondecomposability(canonical_request)
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_n2_canonical(self):
-        report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))))
+        report = certify.verify_nondecomposability(request(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 9216, abs=1e-12)
 
     def test_n1_random(self):
-        w = witnesses.choi(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=8)))
+        w = request(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=8)))
         report = certify.verify_nondecomposability(w)
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=9),
                                 maps.random_unitary(4, seed=10))
-        report = certify.verify_nondecomposability(witnesses.choi(m))
+        report = certify.verify_nondecomposability(request(m))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
@@ -439,7 +445,7 @@ class TestNondecomposability:
     def test_fails_on_a_positive_matrix_in_place_of_w(self, n):
         # a PSD "witness" detects no state, so Tr(W rho) cannot reach the negative target
         d = 4 * n
-        w = witnesses.Witness(plain=np.eye(d * d, dtype=complex) / d ** 2,
+        w = witnesses.Request(plain=np.eye(d * d, dtype=complex) / d ** 2,
                               source=maps.phi_u(n, maps.canonical_u0(n)))
         report = certify.verify_nondecomposability(w)
         assert report.measured >= 0 > report.expected
@@ -464,7 +470,7 @@ class TestNondecomposability:
         witnesses.canonical_witness.cache_clear()
         rho = states.ppt_entangled_state(witnesses.canonical_witness(n))
         rotated = linalg.local_conjugate(rho, *maps.local_rotation(desc))
-        w, again = witnesses.choi(desc), witnesses.choi(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=28)))
+        w, again = request(desc), request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=28)))
         solved = record_hermitian_eig(monkeypatch)
         assert certify.verify_nondecomposability(w).passed
         assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
@@ -509,19 +515,19 @@ class TestSpanningFamily:
 
 
 class TestOptimality:
-    def test_canonical(self, canonical_witness):
-        report = certify.verify_optimality(canonical_witness)
+    def test_canonical(self, canonical_request):
+        report = certify.verify_optimality(canonical_request)
         assert report.passed and report.measured < 1e-12
 
     def test_n2(self):
-        w = witnesses.choi(maps.phi_u(2, maps.canonical_u0(2)))
+        w = request(maps.phi_u(2, maps.canonical_u0(2)))
         assert certify.verify_optimality(w).passed
 
     def test_transformed(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=11), maps.random_unitary(4, seed=12)
         )
-        assert certify.verify_optimality(out).passed
+        assert certify.verify_optimality(witnesses.Request(plain=out.plain, source=out.source)).passed
 
     def test_fails_off_the_family(self, perturbed_witness):
         report = certify.verify_optimality(perturbed_witness)
@@ -535,7 +541,7 @@ class TestOptimality:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23))
-        w = witnesses.choi(m)
+        w = request(m)
         for matrix, left, right, view, g in checked_families(w):
             worst, size, ok = certify._product_family_check(view, g, w.base.family_rank, 1e-10)
             ref_worst, ref_rank = loop_product_family(matrix, n, left, right)
@@ -577,7 +583,7 @@ class TestFamilyRank:
         gens = dense_generators(n)
         families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
-            w = witnesses.choi(m)
+            w = request(m)
             for _, left, right, _, _ in checked_families(w):
                 families.append(product_vectors(gens @ left.T, gens.conj() @ right.T))
                 ranks.append(w.base.family_rank)
@@ -589,7 +595,7 @@ class TestFamilyRank:
         # W(U0): one stack of the 28 per-pair Gram matrices at N = 2
         ranked = record_pair_ranks(monkeypatch)
         for seed in (1, 2):
-            w = witnesses.choi(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
+            w = request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
             assert certify.verify_optimality(w).passed and certify.verify_nd_optimality(w).passed
         assert ranked == [28]
 
@@ -635,7 +641,7 @@ class TestFamilyRank:
         d = 4 * n
         gens = densify(*witnesses.spanning_family(n), d)
         dropped = d + d * (d - 1) // 2
-        w = witnesses.choi(maps.phi_u(n, maps.canonical_u0(n)))
+        w = request(maps.phi_u(n, maps.canonical_u0(n)))
         rank = w.base.family_rank
         for _, _, _, view, g in checked_families(w):
             _, size, ok = certify._product_family_check(view, g, rank, 1e-10)
@@ -648,19 +654,19 @@ class TestFamilyRank:
 
 
 class TestNdOptimality:
-    def test_canonical(self, canonical_witness):
-        assert certify.verify_nd_optimality(canonical_witness).passed
+    def test_canonical(self, canonical_request):
+        assert certify.verify_nd_optimality(canonical_request).passed
 
     def test_random_u(self):
         u = random_u(1, 13, "complex-unitary")
-        w = witnesses.choi(maps.phi_u(1, u))
+        w = request(maps.phi_u(1, u))
         assert certify.verify_nd_optimality(w).passed
 
     def test_conjugated(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=14), maps.random_unitary(4, seed=15)
         )
-        assert certify.verify_nd_optimality(out).passed
+        assert certify.verify_nd_optimality(witnesses.Request(plain=out.plain, source=out.source)).passed
 
     def test_fails_off_the_family(self, perturbed_witness):
         report = certify.verify_nd_optimality(perturbed_witness)
@@ -675,24 +681,24 @@ class TestSelfDuality:
         lhs = complex(np.trace(eye @ maps.apply_map(m, eye)))
         assert lhs.real == pytest.approx(8.0, abs=1e-12)
 
-    def test_canonical(self, canonical_witness):
-        assert certify.verify_self_duality(canonical_witness).passed
+    def test_canonical(self, canonical_request):
+        assert certify.verify_self_duality(canonical_request).passed
 
     def test_breuer_hall_sanity(self):
         # the Breuer-Hall witness at U0, built by the reference formula, is the witness of Phi_{sigma_y}
         u0 = maps.canonical_u0(2)
         bh = reference_witness(lambda x: breuer_hall(x, u0), 4)
-        w = witnesses.Witness(plain=bh.matrix, source=maps.phi_u(1, maps.SIGMA_Y))
+        w = witnesses.Request(plain=bh.matrix, source=maps.phi_u(1, maps.SIGMA_Y))
         assert certify.verify_self_duality(w).passed
 
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality of W; the check certifies the PhiU4N map under the
         # conjugation, and the conjugated W passed off as that plain map's witness fails it
         m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2))
-        w = witnesses.choi(m)
+        w = request(m)
         assert witnesses.Base(plain=w.plain, source=m).self_duality_defect > 1e-2  # measured on W itself
         assert certify.verify_self_duality(w).passed
-        passed_off = witnesses.Witness(plain=w.matrix, source=maps.phi_u(1, maps.canonical_u0(1)))
+        passed_off = witnesses.Request(plain=witnesses.choi(m).matrix, source=maps.phi_u(1, maps.canonical_u0(1)))
         report = certify.verify_self_duality(passed_off)
         assert not report.passed
 
@@ -744,8 +750,9 @@ class TestSpa:
         assert certify.spa_threshold(w) == pytest.approx(reference_spa_bisect(w), abs=1e-12)
 
     def test_bisect_matches_reference_off_the_family(self, perturbed_witness):
-        measured = certify.spa_threshold(perturbed_witness)
-        assert measured == pytest.approx(reference_spa_bisect(perturbed_witness), abs=1e-12)
+        w = choi_of(perturbed_witness)
+        measured = certify.spa_threshold(w)
+        assert measured == pytest.approx(reference_spa_bisect(w), abs=1e-12)
         assert abs(measured - 0.8) > 1e-6
 
     def test_bisect_runs_on_the_cached_spectrum(self, monkeypatch):
@@ -760,7 +767,7 @@ class TestSpa:
         m = maps.phi_u(2, u)
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, 1), maps.random_unitary(8, 2))
-        w = witnesses.choi(m)
+        w = request(m)
         w.base.spectrum
         calls = count_eigensolves(monkeypatch)
         report = certify.spa_threshold_report(w)
@@ -797,10 +804,10 @@ class TestSpa:
         assert np.max(np.abs(w.spectrum - witnesses.expected_spectrum_sorted(n))) > 1e-3
         for check in (certify.spa_threshold_report, witnesses.verify_spectrum):
             with pytest.raises(ValueError, match=REJECTED):
-                check(w)
+                check(request(w.source))
 
     def test_bisect_rejects_positive_input(self, canonical_witness):
-        fake = witnesses.Witness(plain=np.eye(16, dtype=complex) / 16, source=canonical_witness.source)
+        fake = witnesses.Choi(plain=np.eye(16, dtype=complex) / 16, source=canonical_witness.source)
         with pytest.raises(ValueError, match="already positive"):
             certify.spa_threshold(fake)
 
@@ -852,8 +859,8 @@ class TestIsotropicDetection:
 
 
 class TestEbCertificate:
-    def test_canonical(self, canonical_witness):
-        assert certify.verify_eb_certificate(canonical_witness).passed
+    def test_canonical(self, canonical_request):
+        assert certify.verify_eb_certificate(canonical_request).passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
@@ -862,11 +869,11 @@ class TestEbCertificate:
             maps.random_unitary(4, seed=18),
             maps.random_unitary(4, seed=19),
         )
-        assert certify.verify_eb_certificate(witnesses.choi(m)).passed
+        assert certify.verify_eb_certificate(request(m)).passed
 
     def test_rejects_contraction_u(self):
         with pytest.raises(ValueError, match=REJECTED):
-            certify.verify_eb_certificate(witnesses.choi(maps.phi_u(1, np.zeros((2, 2)))))
+            certify.verify_eb_certificate(request(maps.phi_u(1, np.zeros((2, 2)))))
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
         report = certify.verify_eb_certificate(corrupted_conjugated_witness(5, 5))
@@ -892,7 +899,7 @@ class TestEbCertificate:
         bumped = w.matrix.copy()
         bumped[0, 0] += 1e-3  # |00><00|
         bumped[d + 1, d + 1] -= 1e-3  # |11><11|
-        report = certify.verify_eb_certificate(witnesses.Witness(plain=bumped, source=w.source))
+        report = certify.verify_eb_certificate(witnesses.Request(plain=bumped, source=w.source))
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
         assert unitality == pytest.approx(d * 1e-3, rel=1e-2)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
@@ -906,11 +913,10 @@ class TestEbCertificate:
         bumped = witnesses.plain_choi(m)
         bumped[0, 0] += 1e-3
         bumped[d + 1, d + 1] -= 1e-3
-        w = witnesses.Witness(plain=bumped, source=m)
+        w = witnesses.Request(plain=bumped, source=m)
         report = certify.verify_eb_certificate(w)
-        assert "matrix" not in vars(w)
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
-        direct = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)  # F(I) of the formed W
+        direct = d * np.trace(choi_of(w).matrix.reshape(d, d, d, d), axis1=0, axis2=2)  # F(I) of the formed W
         assert unitality == pytest.approx(float(np.max(np.abs(direct - np.eye(d)))), rel=1e-2)
         assert unitality > 1e-4
         assert not report.passed
@@ -932,7 +938,7 @@ class TestPositiveStandIn:
 
     @pytest.fixture(scope="class")
     def stand_in(self):
-        return witnesses.Witness(plain=np.eye(16, dtype=complex) / 16, source=maps.phi_u(1, maps.canonical_u0(1)))
+        return witnesses.Request(plain=np.eye(16, dtype=complex) / 16, source=maps.phi_u(1, maps.canonical_u0(1)))
 
     @pytest.mark.parametrize("check", WITNESS_CHECKS, ids=lambda check: check.__name__)
     def test_every_check_reports_and_fails(self, stand_in, check):
@@ -969,7 +975,7 @@ class TestRejectsAnOffUnitaryU:
     @pytest.mark.parametrize("check", (certify.verify_positivity, *WITNESS_CHECKS, certify.run_full_suite),
                              ids=lambda check: check.__name__)
     def test_raises_before_any_factorization_sample_or_eigensolve(self, monkeypatch, m, check):
-        w = witnesses.choi(m)
+        w = request(m)
         factored = []
         factor = maps.youla_factor
         monkeypatch.setattr(maps, "youla_factor", lambda u: factored.append(u) or factor(u))
@@ -988,7 +994,7 @@ class TestFormedWInPlaceOfItsPlainChoiMatrix:
     def test_fails_every_check_through_the_rotation_residual(self):
         m = maps.conjugated_phi(1, maps.random_antisymmetric_unitary(1, seed=3), maps.random_unitary(4, seed=1),
                                 maps.random_unitary(4, seed=2))
-        w = witnesses.Witness(plain=witnesses.choi(m).matrix, source=m)
+        w = witnesses.Request(plain=witnesses.choi(m).matrix, source=m)
         assert w.rotation_residual > 0.1
         assert not any(check(w).passed for check in (certify.verify_positivity, *WITNESS_CHECKS))
 
@@ -1004,7 +1010,7 @@ class TestStandInBase:
         kept = ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect")
         base = with_facts(witnesses.Base, mixed, true.source, **{fact: getattr(true, fact) for fact in kept})
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = witnesses.Witness(plain=mixed, source=true.source)
+        w = witnesses.Request(plain=mixed, source=true.source)
         assert w.base is base and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
         report = certify.verify_eb_certificate(w)
         realigned = float(re.search(r"realignment trace norm at most (\S+) ", report.details).group(1))
@@ -1016,7 +1022,7 @@ class TestStandInBase:
         true = witnesses.canonical_witness(1)
         base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = witnesses.choi(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
+        w = request(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
         assert w.base is base
         report = certify.verify_nd_optimality(w)
         assert report.measured <= report.tolerance  # the family alone would pass
@@ -1029,7 +1035,7 @@ class TestStandInBase:
         true = witnesses.canonical_witness(1)
         base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+        w = request(maps.phi_u(1, maps.canonical_u0(1)))
         assert w.base is base
         report = certify.verify_eb_certificate(w)
         ppt_low = float(re.search(r"min eig of partial transpose (\S+) ", report.details).group(1))
@@ -1043,7 +1049,7 @@ class TestStandInBase:
         (index, values), lows = true.ppt_state
         base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=((index, values * (1 + 1e-9)), lows))
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        report = certify.verify_nondecomposability(witnesses.choi(maps.phi_u(1, maps.canonical_u0(1))))
+        report = certify.verify_nondecomposability(request(maps.phi_u(1, maps.canonical_u0(1))))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
         assert trace_defect == pytest.approx(1e-9, rel=1e-3)
         assert not report.passed
@@ -1057,7 +1063,7 @@ class TestCarriedTerms:
         true = witnesses.canonical_witness(1)
         base = with_facts(witnesses.Base, true.matrix, true.source, positivity_worst=-0.8e-10)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
         report = certify.verify_positivity(w)
         carried = float(re.search(r"= (\S+), pass iff >= -tol", report.details).group(1))
         assert carried == pytest.approx(-1.2e-10, rel=1e-3)
@@ -1069,14 +1075,14 @@ class TestCarriedTerms:
         entries, _ = true.ppt_state
         base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=(entries, (-1e-3, 2e-3)))
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5)
+        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5)
         details = certify.verify_nondecomposability(w).details
         assert "min eig(rho) = -1.50e-03, min eig(rho^Gamma) = 1.00e-03 " in details
 
     def test_nondecomposability_widens_the_trace_defect_by_u(self):
         # Tr rho lies within u Tr rho_b of Tr rho_b: u = 2e-12 alone pushes the trace defect past 1e-12
         m = maps.phi_u(1, maps.canonical_u0(1))
-        report = certify.verify_nondecomposability(with_facts(witnesses.Witness, witnesses.plain_choi(m), m,
+        report = certify.verify_nondecomposability(with_facts(witnesses.Request, witnesses.plain_choi(m), m,
                                                               unitarity_defect=2e-12))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
         assert trace_defect == pytest.approx(2e-12, rel=1e-3)
@@ -1088,7 +1094,7 @@ class TestCarriedTerms:
         true = witnesses.canonical_witness(1)
         base = with_facts(witnesses.Base, true.matrix, true.source, self_duality_defect=5.2e-12)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
         report = certify.verify_self_duality(w)
         bound = float(re.search(r"defect by (\S+), pass iff", report.details).group(1))
         assert bound == pytest.approx(1.25e-10, rel=1e-2)
@@ -1098,7 +1104,7 @@ class TestCarriedTerms:
         # (1 + u)(delta_b + (2u + u^2) ||W_base||_F) = 2e-12 * sqrt(6) / 4 = 1.22e-12 with delta_b = 0, past 1e-12;
         # subtracting the moved base would give a negative bound, which passes
         true = witnesses.canonical_witness(1)
-        w = with_facts(witnesses.Witness, true.plain, true.source, unitarity_defect=1e-12, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=1e-12, rotation_residual=0.0)
         report = certify.verify_nd_optimality(w)
         bound = float(re.search(r"conjugation residual bound (\S+) <=", report.details).group(1))
         assert bound == pytest.approx(2e-12 * np.sqrt(6) / 4, rel=1e-2)
@@ -1108,7 +1114,7 @@ class TestCarriedTerms:
         # (1 - p) s = 1e-8 / 5 = 2e-9 alone is past |boundary| <= 1e-9; the root, 3.2e-10 off and widened by
         # 6.4e-9, stays within 1e-8
         true = witnesses.canonical_witness(1)
-        w = with_facts(witnesses.Witness, true.plain, true.source, rotation_slack=1e-8)
+        w = with_facts(witnesses.Request, true.plain, true.source, rotation_slack=1e-8)
         report = certify.spa_threshold_report(w)
         widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
         assert abs(report.measured - report.expected) + widened <= report.tolerance
@@ -1119,7 +1125,7 @@ class TestCarriedTerms:
         # further than the c s / (g (g + s)) of lowering it; s = 0.01 sets the two apart by 6%
         true = witnesses.canonical_witness(1)
         slack = 0.01
-        w = with_facts(witnesses.Witness, true.plain, true.source, rotation_slack=slack)
+        w = with_facts(witnesses.Request, true.plain, true.source, rotation_slack=slack)
         report = certify.spa_threshold_report(w)
         widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
         raised = with_facts(witnesses.Base, true.plain, true.source, spectrum=true.spectrum + slack)
@@ -1240,7 +1246,7 @@ class TestFullSuite:
         for n in (2, 3, 2):
             m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=10 + n))
             assert all(r.passed for r in certify.run_full_suite(m))
-            w = witnesses.choi(m)
+            w = request(m)
             assert w.base.source.size == n and w.rotation_slack <= 1e-14
 
 
@@ -1293,7 +1299,7 @@ class TestCorruptedPlainWitness:
                                           certify.verify_nd_optimality, certify.verify_eb_certificate)]
         nondecomposability, optimality, nd_optimality, eb = reports
         rho = linalg.local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
-        assert nondecomposability.measured == pytest.approx(witnesses.detect(w, rho), rel=1e-12)
+        assert nondecomposability.measured == pytest.approx(witnesses.detect(choi_of(w), rho), rel=1e-12)
         assert abs(nondecomposability.measured - nondecomposability.expected) > 1e-9
         assert optimality.measured > 1e-7
         bound = float(re.search(r"conjugation residual bound (\S+) ", nd_optimality.details).group(1))

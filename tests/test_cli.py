@@ -91,6 +91,15 @@ class TestMatrixSerialization:
         assert code == 2 and out == ""
         assert err.startswith("error: malformed matrix payload") and "got a bool" in err
 
+    @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
+    def test_a_file_nested_too_deeply_exits_2(self, capsys, tmp_path, command):
+        # 100,000 nested arrays exhaust the JSON decoder's recursion limit: a malformed payload, not a RecursionError
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, command, "--n", "1", "--u", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == "error: malformed matrix payload: nested too deeply to decode\n"
+
     @pytest.mark.parametrize("command", ["certify", "build"])
     @pytest.mark.parametrize("flags", [["--u"], ["--v2", "seed:2", "--v1"], ["--v1", "seed:1", "--v2"]],
                              ids=["u", "v1", "v2"])
@@ -387,12 +396,14 @@ class TestCertify:
     @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
     @pytest.mark.parametrize("flags,matrix,message", [
         (["--u"], 1e160 * maps.SIGMA_Y, "U must be antisymmetric with U U^dagger <= I"),
+        (["--u"], 1e154 * maps.SIGMA_Y, "U must be antisymmetric with U U^dagger <= I"),
         (["--u"], 1e308 * np.eye(2), "U must be antisymmetric with U U^dagger <= I"),
         (["--v2", "seed:2", "--v1"], 1e200 * np.eye(4), "V1 is not unitary: max|V^dagger V - I| = inf"),
-    ], ids=["u-1e160-sigma-y", "u-1e308-identity", "v1-1e200-identity"])
+    ], ids=["u-1e160-sigma-y", "u-1e154-sigma-y", "u-1e308-identity", "v1-1e200-identity"])
     def test_rejects_a_u_file_whose_gram_matrix_overflows(self, capsys, tmp_path, command, flags, matrix, message):
-        # each file is finite, but U U^dagger, U + U^T or V1^dagger V1 overflows: the check rejects it without a
-        # RuntimeWarning (build, spectrum and curve once wrote NaN from 1e160 sigma_y, exit 0)
+        # each file is finite, but U U^dagger, U + U^T or V1^dagger V1 overflows, or U U^dagger = 1e308 I is finite
+        # and twice it is not: the check rejects it without a RuntimeWarning (build, spectrum and curve once wrote
+        # NaN from 1e160 sigma_y, exit 0)
         spec = write_matrix(tmp_path, matrix)
         code, out, err = run(capsys, command, "--n", "1", *flags, spec)
         assert (code, out) == (2, "")

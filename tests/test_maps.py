@@ -324,7 +324,7 @@ class TestYoulaFactor:
         assert np.max(np.abs(v.conj().T @ v - np.eye(2 * size))) <= 1e-14
 
     def test_a_contraction_has_no_unitary_factor(self):
-        # (1/2) U0 = V U0 V^T would need V^dagger V = I / 2; Witness.base rejects such a U before it is factorized
+        # (1/2) U0 = V U0 V^T would need V^dagger V = I / 2; Request.base rejects such a U before it is factorized
         u = 0.5 * maps.canonical_u0(2)
         v = maps.youla_factor(u)
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) > 0.1

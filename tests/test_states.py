@@ -6,7 +6,7 @@ import pytest
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, partial_transpose
 
-from conftest import NOT_UNITARY
+from conftest import NOT_UNITARY, request
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,9 @@ class TestPptEntangledState:
         assert witnesses.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_rejects_contraction_u(self, monkeypatch):
-        # the state is built only from W(U0), read through Witness.base, which rejects a contraction U
+        # the state is built only from W(U0), read through Request.base, which rejects a contraction U
         # first (witnesses.reject_off_unitary_u), with the one message, before any state is built
-        w = witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
+        w = request(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
         built = []
         build = states.ppt_entangled_state
         monkeypatch.setattr(states, "ppt_entangled_state", lambda x: built.append(x) or build(x))

@@ -10,8 +10,8 @@ from robwit import certify, maps, states, witnesses
 from robwit.linalg import (CONSTRUCTION_TOL, hermitian_eig, local_conjugate, min_eigenvalue, partial_transpose, realign,
                            trace_norm)
 
-from conftest import (CORE_FAMILIES, FAMILIES, MODES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
-                      matrix_unit, oracle_choi, random_u, self_dual_reference)
+from conftest import (CORE_FAMILIES, FAMILIES, MODES, choi_of, corrupted_conjugated_witness, flip_one_block,
+                      gamma_unitary, matrix_unit, oracle_choi, random_u, request, self_dual_reference)
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +110,16 @@ class TestExpectedSpectrum:
 
 class TestVerifySpectrum:
     def test_canonical(self, canonical_witness):
-        report = witnesses.verify_spectrum(canonical_witness)
+        report = witnesses.verify_spectrum(request(canonical_witness.source))
         assert report.passed and report.measured < 1e-9
 
     def test_spectrum_is_u_independent(self):
         u = random_u(1, 21, "complex-unitary")
-        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(1, u)))
+        report = witnesses.verify_spectrum(request(maps.phi_u(1, u)))
         assert report.passed
 
     def test_n2(self):
-        report = witnesses.verify_spectrum(witnesses.choi(maps.phi_u(2, maps.canonical_u0(2))))
+        report = witnesses.verify_spectrum(request(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
 
     def test_fails_on_perturbed_witness(self, perturbed_witness):
@@ -161,41 +161,73 @@ class TestCachedSpectrum:
         skewed = canonical_witness.matrix.copy()
         skewed[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            witnesses.Witness(plain=skewed, source=canonical_witness.source).spectrum
+            witnesses.Choi(plain=skewed, source=canonical_witness.source).spectrum
 
 
-class TestWitness:
-    def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness):
+HOLDERS = (witnesses.Choi, witnesses.Request)  # each holds (plain, source) of one map
+
+
+class TestFields:
+    @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
+    def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness, cls):
         with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
-            witnesses.Witness(plain=np.eye(4, dtype=complex) / 4, source=canonical_witness.source)
+            cls(plain=np.eye(4, dtype=complex) / 4, source=canonical_witness.source)
 
-    def test_takes_its_fields_by_keyword_only(self, canonical_witness):
-        # the first field was W before it was W_p: the old positional call raises instead of misreading W
+    @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
+    def test_takes_its_fields_by_keyword_only(self, canonical_witness, cls):
+        # a positional call raises instead of reading a conjugated W as W_p
         with pytest.raises(TypeError, match="positional"):
-            witnesses.Witness(canonical_witness.matrix, canonical_witness.source)
+            cls(canonical_witness.matrix, canonical_witness.source)
 
-    def test_has_only_its_choi_data_and_source_as_fields(self):
-        # what a witness measures, W of a conjugated map included, is a cached property kept with it, not a field
-        assert [f.name for f in dataclasses.fields(witnesses.Witness)] == ["plain", "source"]
+    @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
+    def test_has_only_its_choi_data_and_source_as_fields(self, cls):
+        # what is read off W_p, W of a conjugated map included, is a cached property kept with it, not a field
+        assert [f.name for f in dataclasses.fields(cls)] == ["plain", "source"]
 
 
 BASE_FACTS = ("positivity_worst", "family_rank", "ppt_state", "gamma_conjugation_defect", "self_duality_defect",
               "spa_realignment_norm", "detection_boundary")
+REQUEST_FACTS = ("rotation", "pulled_back", "unitarity_defect", "rotation_residual", "rotation_slack",
+                 "self_duality_bound", "gamma_conjugation_bound", "spa_realignment_bound", "identity_image", "base")
+CHOI_DATA = ("matrix", "spectrum", "detection_line")
+
+
+def assert_has_none(w, facts):
+    for fact in facts:
+        with pytest.raises(AttributeError, match=fact):
+            getattr(w, fact)
 
 
 class TestBase:
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_a_request_has_no_base_fact(self, example_map, family):
+        w = request(example_map(family, 1))
+        assert type(w) is witnesses.Request
+        assert_has_none(w, BASE_FACTS)
+
+    @pytest.mark.parametrize("family", CORE_FAMILIES)
+    def test_a_request_has_no_choi_data(self, example_map, family):
+        # it reads W_p only through its pull-back and F(I): it holds no W, spectrum or detection line
+        w = request(example_map(family, 1))
+        assert not isinstance(w, witnesses.Choi)
+        assert_has_none(w, CHOI_DATA)
+
+    @pytest.mark.parametrize("family", CORE_FAMILIES)
+    def test_a_choi_has_no_request_or_base_fact(self, example_map, family):
         w = witnesses.choi(example_map(family, 1))
-        assert type(w) is witnesses.Witness
-        for fact in BASE_FACTS:
-            with pytest.raises(AttributeError, match=fact):
-                getattr(w, fact)
+        assert type(w) is witnesses.Choi
+        assert_has_none(w, REQUEST_FACTS + BASE_FACTS)
+
+    def test_a_base_has_no_request_fact(self):
+        # W(U0) is no request: it has no rotation, pull-back or base of its own
+        base = witnesses.canonical_witness(1)
+        assert not isinstance(base, witnesses.Request)
+        assert_has_none(base, REQUEST_FACTS)
 
     def test_the_canonical_base_computes_each_fact_on_first_read(self):
         witnesses.canonical_witness.cache_clear()
         base = witnesses.canonical_witness(1)
-        assert isinstance(base, witnesses.Base) and isinstance(base, witnesses.Witness)
+        assert isinstance(base, witnesses.Base) and isinstance(base, witnesses.Choi)
         for fact in BASE_FACTS:
             assert fact not in vars(base)
             value = getattr(base, fact)
@@ -203,9 +235,9 @@ class TestBase:
 
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_every_witness_of_one_n_shares_the_canonical_base(self, example_map, family):
-        w = witnesses.choi(example_map(family, 2, "complex-unitary", seed=5))
+        w = request(example_map(family, 2, "complex-unitary", seed=5))
         base = witnesses.canonical_witness(2)
-        assert w.base is base and w.base is witnesses.choi(example_map(family, 2, seed=8)).base
+        assert w.base is base and w.base is request(example_map(family, 2, seed=8)).base
         assert "base" not in vars(w) and "base" not in vars(base)  # nothing holds the memo's witness but the memo
         assert maps.is_antisymmetric_unitary(base.source.u)
         np.testing.assert_array_equal(base.source.u, maps.canonical_u0(2))
@@ -219,7 +251,7 @@ class TestBase:
 
     def test_one_entry_memo_follows_n(self):
         witnesses.canonical_witness.cache_clear()
-        sizes = [witnesses.choi(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=n))).base.source.size
+        sizes = [request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=n))).base.source.size
                  for n in (2, 3, 2)]
         assert sizes == [2, 3, 2]
         assert witnesses.canonical_witness.cache_info().currsize == 1
@@ -243,18 +275,19 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_partial_transpose_of_the_pull_back(self, example_map, n, mode, family, seed):
         # Gamma(S^dagger W S) = (A^T (x) B^dagger) W^Gamma (Abar (x) B), for the rotation and for any A, B
-        w = witnesses.choi(example_map(family, n, mode, seed))
+        w = request(example_map(family, n, mode, seed))
+        matrix = choi_of(w).matrix
         d = w.d
         a, b = w.rotation
-        plain = local_conjugate(w.matrix, a.conj().T, b.conj().T)
+        plain = local_conjugate(matrix, a.conj().T, b.conj().T)
         if family == "PhiU4N":  # W is W_p: the pull-back is the same contraction
             np.testing.assert_array_equal(w.pulled_back, plain)
         else:  # one contraction of W_p, not two of W: equal up to rounding
             assert max_relative(w.pulled_back, plain) <= 1e-14
         rng = np.random.default_rng(seed)
-        wg = partial_transpose(w.matrix, d, d)
+        wg = partial_transpose(matrix, d, d)
         for x, y in ((a, b), (random_factor(rng, d), random_factor(rng, d))):
-            pulled = local_conjugate(w.matrix, x.conj().T, y.conj().T)
+            pulled = local_conjugate(matrix, x.conj().T, y.conj().T)
             assert max_relative(partial_transpose(pulled, d, d), local_conjugate(wg, x.T, y.conj().T)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
@@ -262,10 +295,10 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_realignment_covariance(self, example_map, n, mode, family, seed):
         # realign(S M S^dagger) = (A (x) Abar) realign(M) (B (x) Bbar)^T, for the rotation and for any A, B
-        w = witnesses.choi(example_map(family, n, mode, seed))
+        w = request(example_map(family, n, mode, seed))
         d = w.d
         rng = np.random.default_rng(seed)
-        for m in (w.base.matrix, w.matrix):
+        for m in (w.base.matrix, choi_of(w).matrix):
             for x, y in (w.rotation, (random_factor(rng, d), random_factor(rng, d))):
                 moved = realign(local_conjugate(m, x, y), d, d)
                 covariant = np.kron(x, x.conj()) @ realign(m, d, d) @ np.kron(y, y.conj()).T
@@ -276,10 +309,10 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_trace_through_the_pull_back(self, example_map, n, mode, family, seed):
         # Tr(W rho) on the rotated state rho = S rho_b S^dagger is the report's Tr(W' rho_b)
-        w = witnesses.choi(example_map(family, n, mode, seed))
+        w = request(example_map(family, n, mode, seed))
         rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
         measured = certify.verify_nondecomposability(w).measured
-        assert measured == pytest.approx(witnesses.detect(w, rho), rel=1e-12, abs=1e-17)
+        assert measured == pytest.approx(witnesses.detect(choi_of(w), rho), rel=1e-12, abs=1e-17)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
@@ -288,12 +321,13 @@ class TestPullBack:
         # the family (G0 psi) (x) psi* on Gamma(W') is psi (x) psi* on (G0 (x) 1)^dagger Gamma(W') (G0 (x) 1);
         # that is W^Gamma pulled back by (G A, B), G = Abar G0 A^dagger, up to A's unitarity defect
         m = example_map(family, n, mode, seed)
-        w = witnesses.choi(m)
+        w = request(m)
         d = w.d
         a, b = w.rotation
         g0 = np.kron(np.eye(2), maps.canonical_u0(n))
         new = local_conjugate(partial_transpose(w.pulled_back, d, d), g0.conj().T, np.eye(d))
-        old = local_conjugate(partial_transpose(w.matrix, d, d), (gamma_unitary(m) @ a).conj().T, b.conj().T)
+        wg = partial_transpose(witnesses.choi(m).matrix, d, d)
+        old = local_conjugate(wg, (gamma_unitary(m) @ a).conj().T, b.conj().T)
         assert np.max(np.abs(new - old)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
@@ -306,16 +340,17 @@ class TestPullBack:
         plain = witnesses.plain_choi(m)  # W_p: a conjugated map moves W_p + eps H by a unitary
         rng = np.random.default_rng(seed)
         h = random_factor(rng, len(plain))
-        w = witnesses.Witness(plain=plain + eps * (h + h.conj().T) / 2, source=m)
+        w = witnesses.Request(plain=plain + eps * (h + h.conj().T) / 2, source=m)
+        c = choi_of(w)
         d = w.d
         rounding = 1e-15
-        residual = np.linalg.norm(w.matrix - local_conjugate(w.base.matrix, *w.rotation))
+        residual = np.linalg.norm(c.matrix - local_conjugate(w.base.matrix, *w.rotation))
         assert residual <= w.rotation_residual + rounding
         assert w.rotation_residual <= residual + 1e-14  # and tracks it
         g = gamma_unitary(m)
-        gamma = np.linalg.norm(partial_transpose(w.matrix, d, d) - local_conjugate(w.matrix, g, np.eye(d)))
+        gamma = np.linalg.norm(partial_transpose(c.matrix, d, d) - local_conjugate(c.matrix, g, np.eye(d)))
         assert gamma <= w.gamma_conjugation_bound + rounding
-        approx = witnesses.spa_witness(w, states.isotropic_entanglement_threshold(n))
+        approx = witnesses.spa_witness(c, states.isotropic_entanglement_threshold(n))
         assert trace_norm(realign(approx, d, d)) <= w.spa_realignment_bound + rounding
 
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -391,7 +426,7 @@ class TestGammaUnitary:
     def test_rejects_invalid_u(self):
         # Phi_U accepts a contraction, but (W)^Gamma is a unitary conjugate of W only for unitary U
         with pytest.raises(ValueError, match="antisymmetric"):
-            certify.verify_nd_optimality(witnesses.choi(maps.phi_u(1, 0.5 * maps.SIGMA_Y)))
+            certify.verify_nd_optimality(request(maps.phi_u(1, 0.5 * maps.SIGMA_Y)))
 
 
 class TestTransformWitness:
@@ -449,7 +484,7 @@ class TestClosedForm:
         w = witnesses.choi(m)
         np.testing.assert_allclose(w.plain, oracle_choi(maps.phi_u(n, u)), rtol=0, atol=1e-15)
         np.testing.assert_allclose(w.matrix, oracle_choi(m), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(w.identity_image, maps.apply_map(m, np.eye(4 * n)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(request(m).identity_image, maps.apply_map(m, np.eye(4 * n)), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     @pytest.mark.parametrize("n", [1, 2])
@@ -458,7 +493,7 @@ class TestClosedForm:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed=7), maps.random_unitary(4 * n, seed=8))
-        w = witnesses.Witness(plain=flip_one_block(witnesses.plain_choi(m), n), source=m)
+        w = witnesses.Choi(plain=flip_one_block(witnesses.plain_choi(m), n), source=m)
         assert np.max(np.abs(w.plain - oracle_choi(maps.phi_u(n, u)))) > 1e-3 / n ** 2
         assert np.max(np.abs(w.matrix - oracle_choi(m))) > 1e-3 / n ** 2
 
@@ -481,7 +516,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("i, j, hermitian", [(0, 1, False), (1, 1, True)])
     def test_only_an_exactly_hermitian_w_p_is_projected(self, i, j, hermitian):
-        w = corrupted_conjugated_witness(i, j)
+        w = choi_of(corrupted_conjugated_witness(i, j))
         raw = local_conjugate(w.plain, w.source.v2.T, w.source.v1.conj().T)
         assert np.array_equal(w.matrix, w.matrix.conj().T) == hermitian
         if not hermitian:
@@ -495,7 +530,7 @@ class TestClosedForm:
         m = example_map(family, n, mode, seed)
         rng = np.random.default_rng(seed)
         h = random_factor(rng, (4 * n) ** 2)
-        w = witnesses.Witness(plain=witnesses.plain_choi(m) + eps * h, source=m)
+        w = witnesses.Request(plain=witnesses.plain_choi(m) + eps * h, source=m)
         d = w.d
-        direct = d * np.trace(w.matrix.reshape(d, d, d, d), axis1=0, axis2=2)
+        direct = d * np.trace(choi_of(w).matrix.reshape(d, d, d, d), axis1=0, axis2=2)
         assert max_relative(w.identity_image, direct) <= 1e-14
