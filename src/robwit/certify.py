@@ -313,8 +313,8 @@ def spa_threshold_report(w: Request, tol: float = DEFAULT_TOLERANCES["spa-thresh
 # --- isotropic detection and entanglement breaking ---------------------------
 
 
-def isotropic_detection_value(n: int, lam: float) -> float:
-    """Closed form for Tr(W rho_lam): (1/4N)(lam/4N + lam - 1).
+def isotropic_detection_value(n: int, lam: float | np.ndarray) -> float | np.ndarray:
+    """Closed form for Tr(W rho_lam): (1/4N)(lam/4N + lam - 1), at one lam or elementwise over an array.
 
     Vanishes exactly at the isotropic entanglement threshold 4N/(4N+1).
     """

@@ -10,9 +10,7 @@ eigenvalues).  Exit codes: 0 all good, 1 a certification check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -31,8 +29,8 @@ from .linalg import CONSTRUCTION_TOL
 # and `curve` with V1 = V2 at 7.3 / 5.1 / 4.5.
 PEAK_W_ARRAYS = 14
 
-# Peak memory of `curve` per --points row (its floats, row lists and CSV text): the tracemalloc peak
-# of `curve --n 1` over the points is 401 / 342 B at 1e5 / 3e5 points.
+# Peak memory of `curve` per --points row (its columns as floats, the row lines and the CSV text): the
+# tracemalloc peak of `curve --n 1` over the points is 334 / 335 B at 1e5 / 3e5 points.
 PEAK_POINT_BYTES = 400
 
 
@@ -53,7 +51,7 @@ def matrix_from_payload(obj: dict) -> np.ndarray:
         m = np.array([[complex(re, im) for re, im in row] for row in obj["rows"]])
         if any(type(x) is bool for row in obj["rows"] for entry in row for x in entry):  # complex() takes true as 1
             raise TypeError("an entry [re, im] must hold numbers, got a bool")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # complex() of an int past float range overflows
         raise ValueError(f"malformed matrix payload, expected {{d, rows: [[[re, im], ...], ...]}}: {exc}") from None
     if m.shape != (d, d):
         raise ValueError(f"matrix payload claims d={d} but rows disagree")
@@ -189,13 +187,20 @@ def emit(text: str | Iterable[str], out_path: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def csv_table(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
+def csv_table(header: list[str], rows: Iterable[tuple]) -> str:
+    """The rows under ``header`` as CSV, each number written as ``{:.17g}`` (an integer as itself)."""
+    line = ",".join(["{:.17g}"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line.format(*row) for row in rows)
+
+
+def emit_table(args, header: list[str], text_line: str, *columns: np.ndarray) -> int:
+    """Write the columns, row by row, as ``csv_table`` or each row through the format ``text_line``."""
+    rows = zip(*(column.tolist() for column in columns))
+    if args.output == "csv":
+        emit(csv_table(header, rows), args.out_path)
+    else:
+        emit("".join(text_line.format(*row) + "\n" for row in rows), args.out_path)
+    return 0
 
 
 def resolve_map(args) -> maps.MapDescriptor:
@@ -258,32 +263,20 @@ def cmd_curve(args, m: maps.MapDescriptor) -> int:
     if gap > CONSTRUCTION_TOL:
         raise ValueError(f"curve needs V1 = V2 for its closed_form column to hold, got max|V1 - V2| = {gap:.3e}")
     g0, g1 = witnesses.choi(m).detection_line
-    rows = []
-    for lam in np.linspace(0.0, 1.0, args.points).tolist():
-        closed = certify.isotropic_detection_value(args.n, lam)
-        numeric = (1.0 - lam) * g0 + lam * g1
-        rows.append([lam, closed, numeric, abs(closed - numeric)])
-    if args.output == "csv":
-        emit(csv_table(["lambda", "closed_form", "numeric", "abs_difference"], rows), args.out_path)
-    else:
-        lines = [f"lambda={r[0]:.4f} closed={r[1]:+.12f} numeric={r[2]:+.12f} diff={r[3]:.2e}" for r in rows]
-        emit("\n".join(lines) + "\n", args.out_path)
-    return 0
+    lam = np.linspace(0.0, 1.0, args.points)
+    closed = certify.isotropic_detection_value(args.n, lam)
+    numeric = (1.0 - lam) * g0 + lam * g1
+    return emit_table(args, ["lambda", "closed_form", "numeric", "abs_difference"],
+                      "lambda={:.4f} closed={:+.12f} numeric={:+.12f} diff={:.2e}",
+                      lam, closed, numeric, np.abs(closed - numeric))
 
 
 def cmd_spectrum(args, m: maps.MapDescriptor) -> int:
-    w = witnesses.choi(m)
+    computed = witnesses.choi(m).spectrum
     expected = witnesses.expected_spectrum_sorted(args.n)
-    rows = [
-        [i, float(c), float(e), abs(float(c) - float(e))]
-        for i, (c, e) in enumerate(zip(w.spectrum, expected))
-    ]
-    if args.output == "csv":
-        emit(csv_table(["index", "computed", "expected", "abs_difference"], rows), args.out_path)
-    else:
-        lines = [f"{i:4d}  computed={c:+.12f}  expected={e:+.12f}  diff={d:.2e}" for i, c, e, d in rows]
-        emit("\n".join(lines) + "\n", args.out_path)
-    return 0
+    return emit_table(args, ["index", "computed", "expected", "abs_difference"],
+                      "{:4d}  computed={:+.12f}  expected={:+.12f}  diff={:.2e}",
+                      np.arange(len(computed)), computed, expected, np.abs(computed - expected))
 
 
 def positive_int(raw: str) -> int:
@@ -293,32 +286,26 @@ def positive_int(raw: str) -> int:
     return value
 
 
-def require_memory(need: int, what: str) -> None:
-    """Reject, as a usage error, a value whose estimated peak of ``need`` bytes exceeds physical memory."""
+def peak_estimate(args) -> tuple[int, str]:
+    """Estimated peak memory in bytes of the parsed request, and the request as a refusal names it.
+
+    ``PEAK_W_ARRAYS`` W-sized arrays at N, plus ``PEAK_POINT_BYTES`` a point for ``curve``, which
+    holds W and its table at once.
+    """
+    need, what = PEAK_W_ARRAYS * 16 * (4 * args.n) ** 4, f"N={args.n}"
+    if args.command == "curve":
+        return need + PEAK_POINT_BYTES * args.points, f"{what} with a curve of {args.points} points"
+    return need, what
+
+
+def require_memory(args) -> None:
+    """Reject, as a usage error, a request whose estimated peak memory exceeds physical memory."""
+    need, what = peak_estimate(args)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:  # need / 1e9 overflows a float from N ~ 1e76 on; its logarithm does not
         exponent, mantissa = divmod(math.log10(need) - 9, 1)
-        raise argparse.ArgumentTypeError(f"{what} needs an estimated {10 ** mantissa:.3f}e+{exponent:.0f} GB, "
-                                         f"more than the {have / 1e9:.1f} GB of physical memory")
-
-
-def n_bytes(n: int) -> int:
-    """Estimated peak memory of a command at N: ``PEAK_W_ARRAYS`` W-sized arrays."""
-    return PEAK_W_ARRAYS * 16 * (4 * n) ** 4
-
-
-def bounded_n(raw: str) -> int:
-    """--n: a positive integer whose estimated peak memory fits in physical memory."""
-    n = positive_int(raw)
-    require_memory(n_bytes(n), f"N={n}")
-    return n
-
-
-def bounded_points(raw: str) -> int:
-    """--points: a positive integer whose estimated table fits in physical memory."""
-    points = positive_int(raw)
-    require_memory(PEAK_POINT_BYTES * points, f"a curve of {points} points")
-    return points
+        raise ValueError(f"{what} needs an estimated {10 ** mantissa:.3f}e{exponent:+.0f} GB, "
+                         f"more than the {have / 1e9:.1f} GB of physical memory")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -329,7 +316,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, outputs):
-        p.add_argument("--n", type=bounded_n, required=True, help="family size parameter N (dimension 4N)")
+        p.add_argument("--n", type=positive_int, required=True, help="family size parameter N (dimension 4N)")
         p.add_argument("--u", type=str, default="canonical",
                        help="U spec: canonical, seed:<int> or file:<path>")
         p.add_argument("--v1", type=str, default=None, help="optional V1 spec: seed:<int> or file:<path>")
@@ -350,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     curve_cmd = sub.add_parser("curve", help="isotropic detection curve, closed form vs numeric")
     common(curve_cmd, ("csv", "text"))
-    curve_cmd.add_argument("--points", type=bounded_points, default=11, help="number of lambda grid points on [0, 1]")
+    curve_cmd.add_argument("--points", type=positive_int, default=11, help="number of lambda grid points on [0, 1]")
     curve_cmd.set_defaults(func=cmd_curve)
 
     spectrum_cmd = sub.add_parser("spectrum", help="computed vs expected Choi eigenvalues")
@@ -365,15 +352,9 @@ _parser = functools.cache(make_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "curve":  # it holds W and its table at once: each bound alone can pass while both do not
-        try:
-            require_memory(n_bytes(args.n) + PEAK_POINT_BYTES * args.points,
-                           f"N={args.n} with a curve of {args.points} points")
-        except argparse.ArgumentTypeError as exc:
-            parser.error(str(exc))
+    args = _parser().parse_args(argv)
     try:
+        require_memory(args)  # before anything is built: a refused request allocates nothing
         return args.func(args, resolve_map(args))
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -92,6 +91,19 @@ class TestMatrixSerialization:
         assert err.startswith("error: malformed matrix payload") and "got a bool" in err
 
     @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
+    @pytest.mark.parametrize("flags", [["--u"], ["--v2", "seed:2", "--v1"]], ids=["u", "v1"])
+    def test_a_file_with_an_integer_beyond_float_range_exits_2(self, capsys, tmp_path, command, flags):
+        # json reads 1 followed by 400 zeros as a Python int, which complex() cannot convert: a malformed
+        # payload, not an OverflowError traceback
+        matrix = maps.SIGMA_Y if flags == ["--u"] else np.kron(np.eye(2), maps.SIGMA_Y)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_payload(matrix)).replace("[0.0, 1.0]", f"[0, {10 ** 400}]"))
+        code, out, err = run(capsys, command, "--n", "1", *flags, f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed matrix payload, expected {d, rows: [[[re, im], ...], ...]}: "
+                       "int too large to convert to float\n")
+
+    @pytest.mark.parametrize("command", ["build", "spectrum", "curve", "certify"])
     def test_a_file_nested_too_deeply_exits_2(self, capsys, tmp_path, command):
         # 100,000 nested arrays exhaust the JSON decoder's recursion limit: a malformed payload, not a RecursionError
         path = tmp_path / "m.json"
@@ -183,15 +195,23 @@ class TestBuild:
                                        "--output", "json"]], ids=["certify", "build"])
     def test_peak_memory_within_size_guard(self, argv):
         # a cold conjugated certify is the costliest command at small N, then a conjugated JSON build; each
-        # runs in a fresh process, as the first certify of a process allocates more than later ones
-        script = ("import sys, tracemalloc\nfrom robwit import cli\ntracemalloc.start()\ncode = cli.main(sys.argv[1:])\n"
-                  "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)")
+        # runs in a fresh process, as the first certify of a process allocates more than later ones.  main's
+        # guard refuses the request one byte below its estimate, and admits it at the estimate, which its
+        # traced peak stays within
+        script = ("import os, sys, tracemalloc\nfrom robwit import cli\n"
+                  "need = cli.peak_estimate(cli.make_parser().parse_args(sys.argv[1:]))[0]\n"
+                  "os.sysconf = {'SC_PHYS_PAGES': need - 1, 'SC_PAGE_SIZE': 1}.__getitem__\n"
+                  "refused = cli.main(sys.argv[1:])\n"
+                  "os.sysconf = {'SC_PHYS_PAGES': need, 'SC_PAGE_SIZE': 1}.__getitem__\n"
+                  "tracemalloc.start()\ncode = cli.main(sys.argv[1:])\n"
+                  "print(refused, code, need, tracemalloc.get_traced_memory()[1], file=sys.stderr)")
         done = subprocess.run([sys.executable, "-c", script, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True, env=fresh_env(), timeout=300)
         assert done.returncode == 0, done.stderr
-        code, peak = map(int, done.stderr.split()[-2:])
-        assert code == 0
-        assert peak <= cli.n_bytes(3), f"peak {peak / (16 * 12 ** 4):.2f} W-sized arrays"
+        refused, code, need, peak = map(int, done.stderr.split()[-4:])
+        assert (refused, code) == (2, 0), done.stderr
+        assert need == cli.PEAK_W_ARRAYS * 16 * 12 ** 4
+        assert peak <= need, f"peak {peak / (16 * 12 ** 4):.2f} W-sized arrays"
 
     def test_seeded_u_dimension(self, capsys):
         code, out, _ = run(capsys, "build", "--n", "2", "--u", "seed:7")
@@ -227,75 +247,93 @@ class TestBuild:
 
 
 class TestSizeGuard:
+    """The one memory guard of ``main``: a refused request is one ``error:`` line, exit 2, before any W is built."""
+
+    MEMORY = 2 ** 34  # bytes of physical memory each test reads, printed as 17.2 GB
+
     @pytest.fixture(autouse=True)
     def no_witness(self, monkeypatch):
-        # a tree without the guard fails here instead of allocating a huge W or W_p
+        # a tree without the guard fails here instead of allocating a huge W or W_p; an admitted request
+        # stops here too, so a test sees the guard's verdict without building anything
         for name in ("choi", "plain_choi"):
             def refuse(m, name=name):
                 raise AssertionError(f"witnesses.{name} was reached")
 
             monkeypatch.setattr(witnesses, name, refuse)
+        self.set_memory(monkeypatch, self.MEMORY)
+
+    @staticmethod
+    def set_memory(monkeypatch, memory):
+        monkeypatch.setattr(cli.os, "sysconf", {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}.__getitem__)
+
+    @staticmethod
+    def admitted(argv):
+        """True when ``main`` passes ``argv`` through its guard: the request goes on to build W."""
+        with pytest.raises(AssertionError, match="was reached"):
+            cli.main(argv)
+        return True
+
+    @staticmethod
+    def refusal(capsys, argv) -> str:
+        """The one stderr line of a request refused with exit 2 and an empty stdout."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), err
+        assert err.count("\n") == 1 and err.startswith("error: ") and err.endswith("GB of physical memory\n")
+        return err
 
     @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
     def test_refuses_huge_n_before_allocating(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--n", "100"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "N=100 needs an estimated" in err and "GB" in err
+        # PEAK_W_ARRAYS * 16 * 400^4 bytes = 5734.4 GB; curve adds its 11 default points
+        what = "N=100 with a curve of 11 points" if command == "curve" else "N=100"
+        assert self.refusal(capsys, [command, "--n", "100"]) == (
+            f"error: {what} needs an estimated 5.734e+3 GB, more than the 17.2 GB of physical memory\n")
 
     @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
     @pytest.mark.parametrize("digits", [20, 81, 301])
     def test_refuses_an_n_too_large_for_a_float_in_one_line(self, capsys, command, digits):
-        # the estimate (4N)^4 bytes overflows a float from N ~ 1e76 on; it is a usage error, not a traceback
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--n", str(10 ** (digits - 1))])
-        assert exc.value.code == 2
-        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and errors[0].endswith("GB of physical memory")
+        # the estimate (4N)^4 bytes overflows a float from N ~ 1e76 on; it is a usage error, not a traceback.
         # PEAK_W_ARRAYS * 16 * 4^4 = 57344 bytes per N^4
-        assert f"needs an estimated 5.734e+{4 * (digits - 1) - 5} GB" in errors[0]
+        n = 10 ** (digits - 1)
+        what = f"N={n} with a curve of 11 points" if command == "curve" else f"N={n}"
+        assert self.refusal(capsys, [command, "--n", str(n)]) == (
+            f"error: {what} needs an estimated 5.734e+{4 * (digits - 1) - 5} GB, "
+            f"more than the 17.2 GB of physical memory\n")
 
-    @pytest.mark.parametrize("points", [10 ** 13, 10 ** 100])
-    def test_refuses_huge_points_in_one_line(self, capsys, points):
+    @pytest.mark.parametrize("points,gb", [(10 ** 13, "4.000e+6"), (10 ** 100, "4.000e+93")])
+    def test_refuses_huge_points_in_one_line(self, capsys, points, gb):
         # numpy's grid of 1e13 points once failed with an _ArrayMemoryError traceback and exit 1
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["curve", "--n", "1", "--points", str(points)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and errors[0].endswith("GB of physical memory") and "Traceback" not in err
-        assert f"--points: a curve of {points} points needs an estimated" in errors[0]
+        assert self.refusal(capsys, ["curve", "--n", "1", "--points", str(points)]) == (
+            f"error: N=1 with a curve of {points} points needs an estimated {gb} GB, "
+            f"more than the 17.2 GB of physical memory\n")
 
-    def test_points_bound_follows_physical_memory(self, monkeypatch):
-        # physical memory set to exactly the estimate of 11 points: 11 fit, 12 do not
-        memory = {"SC_PHYS_PAGES": cli.PEAK_POINT_BYTES * 11, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
-        assert cli.bounded_points("11") == 11
-        with pytest.raises(argparse.ArgumentTypeError, match="a curve of 12 points needs an estimated"):
-            cli.bounded_points("12")
+    def test_bound_follows_physical_memory(self, capsys, monkeypatch):
+        # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
+        self.set_memory(monkeypatch, cli.PEAK_W_ARRAYS * 16 * 8 ** 4)
+        assert self.admitted(["spectrum", "--n", "2"])
+        # an estimate under 1 GB is printed with a negative exponent (it once read "4.645e+-3")
+        assert self.refusal(capsys, ["spectrum", "--n", "3"]) == (
+            "error: N=3 needs an estimated 4.645e-3 GB, more than the 0.0 GB of physical memory\n")
+
+    def test_points_bound_follows_physical_memory(self, capsys, monkeypatch):
+        # physical memory set to exactly the estimate of N=1 with 11 points: 11 fit, 12 do not
+        self.set_memory(monkeypatch, cli.PEAK_W_ARRAYS * 16 * 4 ** 4 + cli.PEAK_POINT_BYTES * 11)
+        assert self.admitted(["curve", "--n", "1", "--points", "11"])
+        assert self.refusal(capsys, ["curve", "--n", "1", "--points", "12"]).startswith(
+            "error: N=1 with a curve of 12 points needs an estimated")
 
     def test_curve_bounds_both_estimates_at_once(self, capsys, monkeypatch):
-        # physical memory set to exactly the estimate at N=2 plus 11 points: N=2 and 12 points each
-        # pass their own guard, but curve holds both and is refused in one line, before any W is built
-        memory = {"SC_PHYS_PAGES": cli.n_bytes(2) + cli.PEAK_POINT_BYTES * 11, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
-        assert cli.bounded_n("2") == 2 and cli.bounded_points("12") == 12
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["curve", "--n", "2", "--points", "12"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and "Traceback" not in err
-        assert "N=2 with a curve of 12 points needs an estimated" in errors[0]
+        # physical memory set to exactly the estimate at N=2 plus 11 points: N=2 alone fits, but curve holds
+        # W and its table at once, so 12 points are refused in one line, before any W is built
+        self.set_memory(monkeypatch, cli.PEAK_W_ARRAYS * 16 * 8 ** 4 + cli.PEAK_POINT_BYTES * 11)
+        assert self.admitted(["spectrum", "--n", "2"])
+        assert self.admitted(["curve", "--n", "2", "--points", "11"])
+        assert self.refusal(capsys, ["curve", "--n", "2", "--points", "12"]).startswith(
+            "error: N=2 with a curve of 12 points needs an estimated")
 
-    def test_bound_follows_physical_memory(self, monkeypatch):
-        # physical memory set to exactly the estimate at N=2: N=2 fits, N=3 does not
-        memory = {"SC_PHYS_PAGES": cli.PEAK_W_ARRAYS * 16 * 8 ** 4, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
-        assert cli.bounded_n("2") == 2
-        with pytest.raises(argparse.ArgumentTypeError, match="N=3 needs an estimated"):
-            cli.bounded_n("3")
+    def test_refuses_before_reading_a_u_file(self, capsys, tmp_path):
+        # the guard reads the parsed request only: a request too large is refused before its U spec is resolved
+        err = self.refusal(capsys, ["certify", "--n", "100", "--u", f"file:{tmp_path / 'missing.json'}"])
+        assert err.startswith("error: N=100 needs an estimated")
 
 
 @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
@@ -538,6 +576,20 @@ class TestCurve:
             per_point = witnesses.detect(w, build(8, float(row["lambda"])))
             assert float(row["numeric"]) == pytest.approx(per_point, rel=0, abs=1e-15)
 
+    def test_columns_equal_the_per_point_loop(self, capsys):
+        # the columns are computed on the whole lambda grid at once; each value equals, bit for bit, the
+        # same arithmetic done one Python float at a time
+        n, v = 2, maps.random_unitary(8, 1)
+        code, out, _ = run(capsys, "curve", "--n", str(n), "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:1",
+                           "--points", "21")
+        assert code == 0
+        g0, g1 = witnesses.choi(maps.conjugated_phi(n, maps.random_antisymmetric_unitary(n, 5), v, v)).detection_line
+        want = []
+        for lam in np.linspace(0.0, 1.0, 21).tolist():
+            closed, numeric = certify.isotropic_detection_value(n, lam), (1.0 - lam) * g0 + lam * g1
+            want.append([lam, closed, numeric, abs(closed - numeric)])
+        assert [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]] == want
+
 
 class TestSpectrum:
     def test_csv_content(self, capsys):
@@ -560,6 +612,54 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "--n", "1", "--output", "text")
         assert code == 0
         assert len(out.strip().splitlines()) == 16
+
+
+class TestTables:
+    """spectrum's and curve's rows, one table writer's, in both formats."""
+
+    REQUESTS = {"n1": ["--n", "1"], "n2-conjugated": ["--n", "2", "--u", "seed:5", "--v1", "seed:1", "--v2", "seed:1"]}
+    HEADER = {"spectrum": "index,computed,expected,abs_difference", "curve": "lambda,closed_form,numeric,abs_difference"}
+    # the --output text line of a row, as README documents it
+    TEXT_LINE = {"spectrum": "{:4d}  computed={:+.12f}  expected={:+.12f}  diff={:.2e}",
+                 "curve": "lambda={:.4f} closed={:+.12f} numeric={:+.12f} diff={:.2e}"}
+    # the first and last row of each table, as CSV and as text
+    PINNED = {
+        ("spectrum", "n1"): (
+            ("0,-0.25,-0.25,0", "15,0.25000000000000006,0.25,5.5511151231257827e-17"),
+            ("   0  computed=-0.250000000000  expected=-0.250000000000  diff=0.00e+00",
+             "  15  computed=+0.250000000000  expected=+0.250000000000  diff=5.55e-17")),
+        ("curve", "n1"): (
+            ("0,-0.25,-0.25,0", "1,0.0625,0.0625,0"),
+            ("lambda=0.0000 closed=-0.250000000000 numeric=-0.250000000000 diff=0.00e+00",
+             "lambda=1.0000 closed=+0.062500000000 numeric=+0.062500000000 diff=0.00e+00")),
+        ("spectrum", "n2-conjugated"): (
+            ("0,-0.12500000000000006,-0.125,5.5511151231257827e-17", "63,0.125,0.125,0"),
+            ("   0  computed=-0.125000000000  expected=-0.125000000000  diff=5.55e-17",
+             "  63  computed=+0.125000000000  expected=+0.125000000000  diff=0.00e+00")),
+        ("curve", "n2-conjugated"): (
+            ("0,-0.125,-0.125,0", "1,0.015625,0.015625,0"),
+            ("lambda=0.0000 closed=-0.125000000000 numeric=-0.125000000000 diff=0.00e+00",
+             "lambda=1.0000 closed=+0.015625000000 numeric=+0.015625000000 diff=0.00e+00")),
+    }
+
+    @pytest.mark.parametrize("request_id", list(REQUESTS))
+    @pytest.mark.parametrize("command", ["spectrum", "curve"])
+    def test_text_rows_format_the_csv_rows(self, capsys, command, request_id):
+        argv = [command, *self.REQUESTS[request_id]]
+        code, table, _ = run(capsys, *argv, "--output", "csv")
+        assert code == 0
+        code, text, _ = run(capsys, *argv, "--output", "text")
+        assert code == 0
+        header, *rows = table.splitlines()
+        lines = text.splitlines()
+        assert table.endswith("\n") and text.endswith("\n") and header == self.HEADER[command]
+        assert len(rows) == len(lines) == {"spectrum": (4 * int(argv[2])) ** 2, "curve": 11}[command]
+        for row, line in zip(rows, lines):
+            index, *values = row.split(",")  # every value is written as {:.17g}, which a float reads back exactly
+            assert values == [format(float(value), ".17g") for value in values]
+            first = int(index) if command == "spectrum" else float(index)
+            assert line == self.TEXT_LINE[command].format(first, *map(float, values))
+        assert ((rows[0], rows[-1]), (lines[0], lines[-1])) == self.PINNED[command, request_id]
 
 
 class TestOneProcess:
