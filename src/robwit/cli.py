@@ -10,6 +10,7 @@ eigenvalues).  Exit codes: 0 all good, 1 a certification check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -68,11 +69,19 @@ def load_matrix_file(path: str) -> np.ndarray:
             raise ValueError("malformed matrix payload: nested too deeply to decode") from None
 
 
+def read_seed(spec: str, option: str) -> int:
+    """The seed of a ``seed:<int>`` spec as ``int()`` reads it; one that is no non-negative integer is a usage error."""
+    with contextlib.suppress(ValueError):  # no integer, or one of more digits than int() reads from text
+        if (seed := int(spec.split(":", 1)[1])) >= 0:
+            return seed
+    raise ValueError(f"{option} seed must be a non-negative integer")
+
+
 def resolve_u(spec: str, n: int) -> np.ndarray:
     if spec == "canonical":
         return maps.canonical_u0(n)
     if spec.startswith("seed:"):
-        return maps.random_antisymmetric_unitary(n, int(spec.split(":", 1)[1]))
+        return maps.random_antisymmetric_unitary(n, read_seed(spec, "--u"))
     if spec.startswith("file:"):
         return load_matrix_file(spec.split(":", 1)[1])  # maps.phi_u validates it
     raise ValueError(f"unrecognized U spec {spec!r}; use canonical, seed:<int> or file:<path>")
@@ -80,7 +89,7 @@ def resolve_u(spec: str, n: int) -> np.ndarray:
 
 def resolve_v(spec: str, d: int, name: str) -> np.ndarray:
     if spec.startswith("seed:"):
-        return maps.random_unitary(d, int(spec.split(":", 1)[1]))
+        return maps.random_unitary(d, read_seed(spec, f"--{name.lower()}"))
     if spec.startswith("file:"):
         return load_matrix_file(spec.split(":", 1)[1])  # maps.conjugated_phi validates it
     raise ValueError(f"unrecognized {name} spec {spec!r}; use seed:<int> or file:<path>")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,15 @@ def test_seed_is_not_an_option(capsys, command):
     assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
+@pytest.mark.parametrize("seed", ["abc", "-1", "", "1.5", "9" * 5000], ids=["abc", "-1", "empty", "1.5", "5000-digits"])
+@pytest.mark.parametrize("option", ["--u", "--v1"])
+def test_a_seed_that_is_no_non_negative_integer_is_named_by_its_option(capsys, option, seed, command):
+    # int()'s, numpy's and Python's digit-limit messages once passed through, naming neither the option nor the spec
+    flags = [option, f"seed:{seed}"] + (["--v2", "seed:2"] if option == "--v1" else [])
+    assert run(capsys, command, "--n", "1", *flags) == (2, "", f"error: {option} seed must be a non-negative integer\n")
+
+
 class TestCertify:
     def test_text_all_pass(self, capsys):
         code, out, _ = run(capsys, "certify", "--n", "1", "--u", "canonical")
@@ -370,12 +380,13 @@ class TestCertify:
         assert code == 0
         assert "verdict: pass (8/8 checks passed)" in out
 
-    def test_conjugated_family(self, capsys):
-        code, out, _ = run(
-            capsys, "certify", "--n", "1", "--u", "canonical", "--v1", "seed:1", "--v2", "seed:2"
-        )
+    @pytest.mark.parametrize("argv", [["--n", "1", "--u", "canonical", "--v1", "seed:1", "--v2", "seed:2"],
+                                      ["--n", "4", "--u", "seed:9", "--v1", "seed:4", "--v2", "seed:6"]],
+                             ids=["n1", "n4"])
+    def test_conjugated_family(self, capsys, argv):
+        code, out, _ = run(capsys, "certify", *argv)
         assert code == 0
-        assert "verdict: pass" in out
+        assert "verdict: pass (8/8 checks passed)" in out
 
     def test_one_contraction_per_warm_request(self, capsys, monkeypatch):
         # once W(U0) of the N is warm, a request contracts W once, into W' = S^dagger W S, and
@@ -592,13 +603,16 @@ class TestCurve:
 
 
 class TestSpectrum:
-    def test_csv_content(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "--n", "1", "--u", "seed:3")
+    # at N = 3 the sparse W(U0) is solved block by block, and a seeded plain W_p as 60 singletons, one
+    # 12-block and one 72-block
+    @pytest.mark.parametrize("n,u", [(1, "seed:3"), (3, "canonical"), (3, "seed:3")])
+    def test_csv_content(self, capsys, n, u):
+        code, out, _ = run(capsys, "spectrum", "--n", str(n), "--u", u)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 16
-        assert all(float(r["abs_difference"]) < 1e-9 for r in rows)
-        assert float(rows[0]["expected"]) == pytest.approx(-0.25)
+        assert len(rows) == (4 * n) ** 2
+        assert all(float(r["abs_difference"]) <= 1e-12 for r in rows)
+        assert float(rows[0]["expected"]) == pytest.approx(-1 / (4 * n))
 
     def test_contraction_u_file_is_tabulated(self, capsys, tmp_path):
         # the spectrum table has no verdict: a contraction U shows as a large deviation, with exit 0
@@ -672,6 +686,10 @@ class TestOneProcess:
         ["certify", "--n", "1", "--output", "json"],
         ["build", "--n", "1", "--u", "seed:3", "--output", "json"],
         ["build", "--n", "1", "--u", "seed:3", "--v1", "seed:1", "--v2", "seed:1", "--output", "json"],
+        ["spectrum", "--n", "3", "--u", "seed:5"],
+        ["curve", "--n", "3", "--u", "seed:5", "--points", "101"],
+        ["spectrum", "--n", "3", "--u", "seed:5", "--v1", "seed:7", "--v2", "seed:7"],
+        ["curve", "--n", "3", "--u", "seed:5", "--v1", "seed:7", "--v2", "seed:7", "--points", "101"],
     ]
 
     def test_no_state_leaks_between_requests(self, capsys, monkeypatch):
@@ -685,7 +703,7 @@ class TestOneProcess:
                 code = exc.code
             out = capsys.readouterr()
             answers.append((code, out.out, out.err))
-        assert [code for code, _, _ in answers] == [2, 0, 0, 0, 0, 0]
+        assert [code for code, _, _ in answers] == [2] + [0] * (len(self.SEQUENCE) - 1)
         built = cli._parser.cache_info()
         assert (built.misses, built.hits) == (1, len(self.SEQUENCE) - 1)  # make_parser ran once
 
@@ -693,7 +711,11 @@ class TestOneProcess:
         assert tolerances[0]["spectrum"] == 1e-3
         assert tolerances[1] == certify.DEFAULT_TOLERANCES
 
-        for argv, answer in zip(self.SEQUENCE, answers):
-            done = subprocess.run([sys.executable, "-c", "import sys; from robwit import cli; sys.exit(cli.main())", *argv],
-                                  capture_output=True, text=True, env=fresh_env(), timeout=300)
-            assert answer == (done.returncode, done.stdout, done.stderr), argv
+        def fresh(argv):
+            script = "import sys; from robwit import cli; sys.exit(cli.main())"
+            return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                                  env=fresh_env(), timeout=300)
+
+        with ThreadPoolExecutor(2) as pool:  # two fresh processes at a time
+            for argv, answer, done in zip(self.SEQUENCE, answers, pool.map(fresh, self.SEQUENCE)):
+                assert answer == (done.returncode, done.stdout, done.stderr), argv

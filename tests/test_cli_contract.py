@@ -3,9 +3,11 @@
 Each drawn request runs through ``cli.main`` in process, with warnings as errors and
 stdout and stderr captured.  The oracle: no exception but argparse's ``SystemExit``
 leaves ``main``; the code is 0, 1 or 2, and 1 only from ``certify``; on exit 2,
-stdout is empty, stderr holds no "Traceback" and its last line is its one ``error:``
-line; on exit 0 or 1, stderr is empty.  Only argparse's own syntax errors carry its
-usage lines: every other exit 2, a memory refusal included, is one ``error:`` line.
+stdout is empty, stderr holds no "Traceback" and no message passed through from
+Python or numpy, and its last line is its one ``error:`` line; on exit 0 or 1,
+stderr is empty, and with ``--out-path`` stdout is empty and the file is not.  Only
+argparse's own syntax errors carry its usage lines: every other exit 2, a memory
+refusal included, is one ``error:`` line.
 """
 
 import contextlib
@@ -37,20 +39,29 @@ PAYLOADS = {
     "ragged": json.dumps({"d": 2, "rows": [[[0, 0]], [[0, 1], [0, 0]]]}),
     "wrong-d": SIGMA_Y_TEXT.replace('"d": 2', '"d": 3'),
     "missing-rows": json.dumps({"d": 2}),
+    "missing-d": json.dumps({"rows": cli.matrix_to_payload(maps.SIGMA_Y)["rows"]}),
     "deep": "[" * 100_000 + "]" * 100_000,
 }
 with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as the file should hold
     PAYLOADS |= {f"{base}*{scale}": json.dumps(cli.matrix_to_payload(value * matrix))
                  for base, matrix in BASES.items() for scale, value in SCALES.items()}
 FILES = [*PAYLOADS, "invalid-utf8", "dir", "missing"]
+# Valid matrix files, so that file inputs reach exit 0 and 1 too: U at N = 1 and 2, and V at N = 1
+VALID = {"u-n1": maps.random_antisymmetric_unitary(1, 5), "u-n2": maps.random_antisymmetric_unitary(2, 5),
+         "v-n1": maps.random_unitary(4, 1)}
+PAYLOADS |= {name: json.dumps(cli.matrix_to_payload(matrix)) for name, matrix in VALID.items()}
 
 SEEDS = ["0", "3", "-1", str(10 ** 30), "1.5", "", "abc", "9" * 5000]
 SPECS = st.one_of(st.just("canonical"), st.sampled_from(SEEDS).map("seed:".__add__),
-                  st.sampled_from(FILES).map("file:".__add__))
+                  st.sampled_from(FILES).map("file:".__add__), st.sampled_from(list(VALID)).map("file:".__add__))
 OUTPUTS = {"build": ["json", "text"], "certify": ["text", "json"], "curve": ["csv", "text"], "spectrum": ["csv", "text"]}
 POINTS = ["1", "11", "20", "0", "10000000000000"]
 TOLS = ["spectrum=1e-3", "spa-threshold=1e-15", "positivity=0", "spectrum=abc", "spectrum=-1", "spectrum=nan",
         "bogus=1", "spectrum"]
+# Wording of Python's and numpy's own exceptions, each of which once reached stderr as the error line
+FOREIGN = ["invalid literal for int()", "set_int_max_str_digits", "expected non-negative integer",
+           "could not convert string to float"]
+OUT = "<out>"  # stands for the --out-path file
 
 
 @st.composite
@@ -70,6 +81,8 @@ def requests(draw):
     if draw(st.integers(0, 9)) < (6 if command == "certify" else 1):
         for entry in draw(st.lists(st.sampled_from(TOLS), min_size=1, max_size=2)):
             argv += ["--tol", entry]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out-path", OUT]
     return argv
 
 
@@ -106,18 +119,31 @@ def answer(argv):
 @example(argv=["spectrum", "--n", "4"])
 @example(argv=["curve", "--n", "3", "--points", "21"])
 @example(argv=["curve", "--n", "1", "--points", "10000000000000"])
+@example(argv=["certify", "--n", "1", "--u", "file:u-n1", "--v1", "file:v-n1", "--v2", "file:v-n1", "--out-path", OUT])
+@example(argv=["certify", "--n", "2", "--u", "file:u-n2", "--tol", "spa-threshold=1e-15", "--out-path", OUT])
+@example(argv=["build", "--n", "1", "--u", "seed:abc"])
+@example(argv=["certify", "--n", "1", "--u", "seed:-1"])
+@example(argv=["spectrum", "--n", "1", "--v1", "seed:", "--v2", "seed:2"])
+@example(argv=["curve", "--n", "1", "--v1", "seed:1.5", "--v2", "seed:1"])
+@example(argv=["build", "--n", "2", "--v1", "seed:1", "--v2", "seed:" + "9" * 5000])
 def test_every_request_keeps_the_exit_code_contract(files, argv):
     paths = {"dir": files, "missing": files / "missing"}
     argv = [f"file:{paths.get(a[5:], files / a[5:])}" if a.startswith("file:") else a for a in argv]
+    out_path = files / "out"
+    out_path.unlink(missing_ok=True)
+    argv = [str(out_path) if a == OUT else a for a in argv]
     code, out, err, exited = answer(argv)
     assert code in (0, 1, 2), code
     if code == 1:
         assert argv[0] == "certify"
     if code != 2:
         assert err == ""
+        if "--out-path" in argv:  # the output went to the file alone
+            assert out == "" and out_path.stat().st_size > 0
         return
     lines = err.splitlines()
     assert out == "" and "Traceback" not in err
+    assert not any(text in err for text in FOREIGN), err
     assert lines and [line for line in lines if "error:" in line] == lines[-1:], err
     if not exited or "physical memory" in err:  # a refusal or a bad input: one line, without argparse's usage
         assert len(lines) == 1 and lines[0].startswith("error: "), err
