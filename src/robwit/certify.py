@@ -11,9 +11,9 @@ resulting entanglement-breaking certificate for the approximated map.
 Every check takes one :class:`witnesses.Request`, certify's object for one map,
 which carries the map and, as ``Request.base``, W(U0) of the map's N, the
 witness it is moved from by the local rotation (A, B) of ``maps.local_rotation``,
-built once per N and shared (``witnesses.canonical_witness``).  Reading it
-rejects, with one ``ValueError`` (``witnesses.reject_off_unitary_u``) and before
-any work, a U that is not an antisymmetric unitary.
+built once per N and shared (``witnesses.canonical_witness``).  A request is
+refused when it is built, with one ``ValueError`` and before any work, if its U
+is not an antisymmetric unitary.
 W(U0) is a :class:`witnesses.Base`, the :class:`witnesses.Choi` of Phi_{U0}, and
 the facts read off it are kept on it, beside what they are built from in
 ``witnesses``: positivity's fixed projector sample, the product family
@@ -101,7 +101,7 @@ def verify_positivity(w: Request, tol: float = DEFAULT_TOLERANCES["positivity"])
     a I]] with b = sqrt(a(1-a)) and M = |psi1><psi2| + U |conj psi1><conj psi2| U^dagger, PSD iff
     M M^dagger = Q + Q^U <= I (Schur complement): two orthogonal projectors when U^T = -U and U is
     unitary.  ``premise_defects`` of W's U bounds both defects over every splitting: in the 2-norm, they
-    still fail a U that ``Request.base`` admits entrywise within CONSTRUCTION_TOL, such as U0 + 4e-13 I.
+    still fail a U that ``Request`` admits entrywise within CONSTRUCTION_TOL, such as U0 + 4e-13 I.
     """
     worst = w.base.positivity_worst
     carried = worst - w.unitarity_defect * abs(worst) - w.d * w.rotation_residual
@@ -357,7 +357,7 @@ def verify_eb_certificate(w: Request, tol: float = DEFAULT_TOLERANCES["eb-certif
     slack = w.rotation_slack
 
     threshold = states.isotropic_entanglement_threshold(n)
-    root, _ = w_base.detection_boundary
+    root = w_base.detection_boundary
     gamma_defect = w_base.gamma_conjugation_defect
     low = w_base.spectrum[0] - (1.0 + w.unitarity_defect) * gamma_defect - slack  # bounds lambda_min(W^Gamma)
     ppt_low = threshold / (d * d) + (1.0 - threshold) * low
@@ -396,8 +396,9 @@ def verify_eb_certificate(w: Request, tol: float = DEFAULT_TOLERANCES["eb-certif
 def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = None) -> list[CertReport]:
     """Run all eight certification checks for one plain or conjugated PhiU map.
 
-    Its ``witnesses.Request`` holds W_p from ``witnesses.plain_choi``, filled once
-    ``witnesses.reject_off_unitary_u`` has admitted U; no check forms a conjugated W.
+    Its ``witnesses.Request`` refuses a U that is no antisymmetric unitary before anything is
+    built, W(U0) included, and then holds W_p from ``witnesses.plain_choi``; no check forms a
+    conjugated W.
     """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
@@ -407,8 +408,7 @@ def run_full_suite(m: maps.MapDescriptor, tolerances: dict[str, float] | None = 
                              f"valid: {', '.join(SUITE_CHECKS)}")
         tol.update(tolerances)
 
-    witnesses.reject_off_unitary_u(m)  # before anything is built, W(U0) included
-    w = witnesses.Request(plain=witnesses.plain_choi(m), source=m)
+    w = witnesses.Request(m)
     return [
         verify_positivity(w, tol=tol["positivity"]),
         witnesses.verify_spectrum(w, tol=tol["spectrum"]),

@@ -179,12 +179,13 @@ def json_chunks(members: dict, matrix: np.ndarray) -> Iterator[str]:
 
 
 def emit(text: str | Iterable[str], out_path: str | None) -> None:
-    """Write the text, whole or in chunks, to ``out_path``, or to stdout ending in a newline.
+    """Write the text, whole or in chunks, to the file ``out_path``, or without one to stdout ending in a newline.
 
-    Chunks from a generator are made as they are written, so the whole text is never held.
+    Any given path is a path: an empty one names no file and raises, as ``open`` does.  Chunks
+    from a generator are made as they are written, so the whole text is never held.
     """
     chunks = (text,) if isinstance(text, str) else text
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
         return

@@ -154,7 +154,7 @@ def local_rotation(m: MapDescriptor) -> tuple[np.ndarray, np.ndarray]:
     With U = V U0 V^T (``youla_factor``), Phi_U is Phi_{U0} conjugated by
     V1 = V2 = I_2 (x) V^dagger, so a plain map has (I_2 (x) Vbar, I_2 (x) V) and a
     conjugated one (V2^T (I_2 (x) Vbar), V1^dagger (I_2 (x) V)).  U must be an
-    antisymmetric unitary, which ``witnesses.reject_off_unitary_u`` checks first: for any
+    antisymmetric unitary, which ``witnesses.Request`` checks first: for any
     other U the factor is no unitary and (A, B) relates nothing.
     """
     v = youla_factor(m.u)

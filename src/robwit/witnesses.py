@@ -46,27 +46,24 @@ POSITIVITY_SEED = 42
 POSITIVITY_BLOCK = 256
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class Choi:
-    """Choi data of a map plus its provenance; it acts on C^d (x) C^d.
+    """Choi data of a map, a function of the map's descriptor ``source``; it acts on C^d (x) C^d."""
 
-    ``plain`` is the Choi matrix W_p of the PhiU4N map under the source: W itself for a
-    plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1 the
-    matrix that ``matrix`` moves to W on first use.  Both fields are keyword-only, so no
-    positional call can pass a conjugated W where W_p is meant.
-    """
-
-    plain: np.ndarray
     source: maps.MapDescriptor
-
-    def __post_init__(self):
-        if self.plain.shape != (self.d ** 2, self.d ** 2):
-            raise ValueError(f"a witness of a map on {self.d}x{self.d} matrices is {self.d ** 2}x{self.d ** 2}, "
-                             f"got {self.plain.shape}")
 
     @property
     def d(self) -> int:
         return maps.input_dim(self.source)
+
+    @cached_property
+    def plain(self) -> np.ndarray:
+        """W_p, the Choi matrix of the PhiU4N map under the source (``plain_choi``), filled on first use.
+
+        It is W itself for a plain map, and for a conjugated map X -> V1^dagger Phi_U(V2 X V2^dagger) V1
+        the matrix that ``matrix`` moves to W.
+        """
+        return plain_choi(self.source)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -106,19 +103,25 @@ class Choi:
         return tuple(detect(self, states.isotropic_state(self.d, lam)) for lam in (0.0, 1.0))
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class Request:
-    """One map as ``certify`` reads it: W_p and the source, as its ``Choi`` holds them, measured against W(U0).
+    """One map as ``certify`` reads it, measured against W(U0): it holds W_p, as its ``Choi`` does.
 
     It reads W_p only through ``pulled_back`` and ``identity_image``, and its base's facts
-    through ``base``.
+    through ``base``.  A U that is no antisymmetric unitary has no Youla factor onto U0, so
+    no certificate can read W(U0) for it: such a request is refused when it is built, with
+    the one ``ValueError`` of every certificate, before anything is filled or factorized.
     """
 
-    plain: np.ndarray
     source: maps.MapDescriptor
 
-    __post_init__ = Choi.__post_init__  # the same shape check
     d = Choi.d
+    plain = Choi.plain
+
+    def __post_init__(self):
+        if not self.source.unitary_u:
+            raise ValueError("U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T")
+        self.plain  # filled before the rotation, the order in which a request's memory has been measured
 
     @cached_property
     def identity_image(self) -> np.ndarray:
@@ -138,7 +141,6 @@ class Request:
     @cached_property
     def rotation(self) -> tuple[np.ndarray, np.ndarray]:
         """The map's local rotation (A, B) onto ``base`` from ``maps.local_rotation``, computed once."""
-        self.base  # a U without a Youla factor is rejected before it is factorized
         return maps.local_rotation(self.source)
 
     @cached_property
@@ -238,11 +240,8 @@ class Request:
     def base(self) -> Base:
         """W(U0) of the map's N, ``canonical_witness``, which ``rotation`` moves to this map's W.
 
-        Every request of that N shares it, and every certificate reads it, so a U that
-        ``reject_off_unitary_u`` rejects is rejected here, before any check maps,
-        factorizes or diagonalizes anything.
+        Every request of that N shares it, and every certificate reads it.
         """
-        reject_off_unitary_u(self.source)
         return canonical_witness(self.source.size)
 
 
@@ -338,28 +337,19 @@ class Base(Choi):
         return hermiticity_defect(realign(self.matrix, self.d, self.d))
 
     @cached_property
-    def detection_boundary(self) -> tuple[float, bool]:
-        """(lam, crosses): where lam -> Tr(W rho_lam) stops being negative on [0, 1], and whether it changes sign.
+    def detection_boundary(self) -> float:
+        """Where lam -> Tr(W rho_lam) stops being negative on [0, 1].
 
-        Its root is read off ``detection_line``, exact up to rounding.  Without a
-        sign change lam is 0 (no isotropic state is detected) or 1 (every one is).
+        Its root is read off ``detection_line``, exact up to rounding; it lies strictly inside (0, 1)
+        exactly when the line changes sign.  Otherwise it is 0 (no isotropic state is detected) or
+        1 (every one is).
         """
         g0, g1 = self.detection_line
         if g0 >= 0:
-            return 0.0, False
+            return 0.0
         if g1 <= 0:
-            return 1.0, False
-        return g0 / (g0 - g1), True
-
-
-def reject_off_unitary_u(m: maps.MapDescriptor) -> None:
-    """Raise the one ``ValueError`` of every certificate for a U that is not an antisymmetric unitary.
-
-    Such a U (``MapDescriptor.unitary_u``, decided once per map) has no Youla factor onto U0,
-    so no certificate can read W(U0) for it.
-    """
-    if not m.unitary_u:
-        raise ValueError("U must be an antisymmetric unitary: every certificate reads W(U0) through U = V U0 V^T")
+            return 1.0
+        return g0 / (g0 - g1)
 
 
 @lru_cache(maxsize=1)
@@ -371,7 +361,7 @@ def canonical_witness(n: int) -> Base:
     Its matrix is read-only: every request of that N reads it.
     """
     m = maps.phi_u(n, maps.canonical_u0(n))
-    w = Base(plain=plain_choi(m), source=m)
+    w = Base(m)
     w.plain.flags.writeable = False
     return w
 
@@ -452,12 +442,12 @@ def plain_choi(m: maps.MapDescriptor) -> np.ndarray:
 
 
 def choi(m: maps.MapDescriptor) -> Choi:
-    """Choi data of a plain or conjugated PhiU map: W_p from ``plain_choi``.
+    """Choi data of a plain or conjugated PhiU map: ``Choi(m)``.
 
-    A conjugated map's W = (1 (x) F) P+_d is formed by ``Choi.matrix`` when first read,
-    as for ``transform_witness``.
+    Its W_p is filled by ``plain_choi``, and a conjugated map's W = (1 (x) F) P+_d formed by
+    ``Choi.matrix``, when first read, as for ``transform_witness``.
     """
-    return Choi(plain=plain_choi(m), source=m)
+    return Choi(m)
 
 
 def expected_spectrum(n: int) -> list[tuple[float, int]]:
@@ -506,8 +496,9 @@ def verify_spectrum(w: Request, tol: float = EIGENVALUE_TOL) -> CertReport:
 def transform_witness(w: Choi, v1: np.ndarray, v2: np.ndarray) -> Choi:
     """Choi data of the conjugated map, whose W is (V2^T (x) V1^dagger) W_w (V2^T (x) V1^dagger)^dagger.
 
-    It keeps w's matrix as its ``plain``; ``Choi.matrix`` forms its W when first read, as for ``choi``.
+    Its ``plain`` equals w's, as ``plain_choi`` ignores V1 and V2; ``Choi.matrix`` forms its W
+    when first read, as for ``choi``.
     """
     if w.source.family != "PhiU4N":
         raise ValueError("transform_witness expects a plain PhiU4N witness")
-    return Choi(plain=w.plain, source=maps.conjugated_phi(w.source.size, w.source.u, v1, v2))
+    return Choi(maps.conjugated_phi(w.source.size, w.source.u, v1, v2))

@@ -91,27 +91,18 @@ def self_dual_reference(f, d: int):
     return ref
 
 
-def with_facts(cls: type, plain: np.ndarray, source: maps.MapDescriptor, **facts):
-    """A ``cls`` (``Request`` or ``Base``) of (plain, source) whose named facts are the given values.
+def with_facts(cls: type, source: maps.MapDescriptor, **facts):
+    """A ``cls`` (``Choi``, ``Base`` or ``Request``) of ``source`` whose named facts are the given values.
 
     Each value is a class attribute of a one-off subclass, so it shadows the cached property
-    of that name and every other fact is computed as usual.  A name that ``cls`` has no fact of
+    of that name and every other fact is computed as usual.  ``plain`` is one such fact: a
+    stand-in W_p in place of ``plain_choi(source)``.  A name that ``cls`` has no fact of
     raises, so a stand-in cannot set a fact that no check reads off its class.
     """
     unknown = [name for name in facts if not hasattr(cls, name)]
     if unknown:
         raise AttributeError(f"{cls.__name__} has no fact {unknown}")
-    return type(f"StandIn{cls.__name__}", (cls,), facts)(plain=plain, source=source)
-
-
-def request(m: maps.MapDescriptor) -> witnesses.Request:
-    """The ``Request`` of m as ``certify.run_full_suite`` builds it: W_p from ``witnesses.plain_choi``."""
-    return witnesses.Request(plain=witnesses.plain_choi(m), source=m)
-
-
-def choi_of(w: witnesses.Request) -> witnesses.Choi:
-    """The ``Choi`` of a request's (plain, source): the W, spectrum and detection line a request does not hold."""
-    return witnesses.Choi(plain=w.plain, source=w.source)
+    return type(f"StandIn{cls.__name__}", (cls,), facts)(source)
 
 
 def dense_generators(n: int) -> np.ndarray:
@@ -153,10 +144,10 @@ def example_action():
 
 def perturb_witness(scale: float) -> witnesses.Request:
     """The request of W + scale H at N=1, H a seeded Hermitian: Hermitian and not positive, but not a Phi_U witness."""
-    w = witnesses.choi(maps.phi_u(1, maps.canonical_u0(1)))
+    m = maps.phi_u(1, maps.canonical_u0(1))
     rng = np.random.default_rng(2024)
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    return witnesses.Request(plain=w.matrix + scale * (g + g.conj().T) / 2, source=w.source)
+    return with_facts(witnesses.Request, m, plain=witnesses.plain_choi(m) + scale * (g + g.conj().T) / 2)
 
 
 def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Request:
@@ -168,7 +159,7 @@ def corrupted_witness(m: maps.MapDescriptor, i: int, j: int) -> witnesses.Reques
     """
     corrupted = witnesses.plain_choi(m)
     corrupted[i, j] += 1e-6
-    return witnesses.Request(plain=corrupted, source=m)
+    return with_facts(witnesses.Request, m, plain=corrupted)
 
 
 def corrupted_conjugated_witness(i: int, j: int) -> witnesses.Request:

@@ -13,8 +13,6 @@ import reference_maps
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, partial_transpose, realign, trace_norm
 
-from conftest import request
-
 
 def announce(number: int, label: str, ok: bool, detail: str = "") -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number} ({label})" + (f": {detail}" if detail else ""))
@@ -67,13 +65,13 @@ def test_criterion_2_nondecomposability():
 def test_criterion_3_optimality():
     ok = True
     for n in (1, 2):
-        w = request(maps.phi_u(n, maps.canonical_u0(n)))
+        w = witnesses.Request(maps.phi_u(n, maps.canonical_u0(n)))
         ok = ok and certify.verify_optimality(w, tol=1e-10).passed
         ok = ok and certify.verify_nd_optimality(w, tol=1e-10).passed
         transformed = witnesses.transform_witness(
             witnesses.choi(w.source), maps.random_unitary(4 * n, seed=200 + n), maps.random_unitary(4 * n, seed=300 + n)
         )
-        transformed = witnesses.Request(plain=transformed.plain, source=transformed.source)
+        transformed = witnesses.Request(transformed.source)
         ok = ok and certify.verify_optimality(transformed, tol=1e-10).passed
     announce(3, "optimality incl. partial transpose and transformed witness", ok)
     assert ok
@@ -84,7 +82,7 @@ def test_criterion_4_map_positivity():
     details = []
     assert witnesses.POSITIVITY_TRIALS == 1000
     for n in (1, 2):
-        report = certify.verify_positivity(request(maps.phi_u(n, maps.canonical_u0(n))))
+        report = certify.verify_positivity(witnesses.Request(maps.phi_u(n, maps.canonical_u0(n))))
         premises = re.search(r"proof-identity defect (\S+), Schur defect (\S+),", report.details)
         assert premises is not None, report.details
         defects = [float(x) for x in premises.groups()]
@@ -114,7 +112,7 @@ def test_criterion_6_self_duality():
     worst = 0.0
     for n in (1, 2):
         for _, u in u_cases(n):
-            report = certify.verify_self_duality(request(maps.phi_u(n, u)), tol=1e-10)
+            report = certify.verify_self_duality(witnesses.Request(maps.phi_u(n, u)), tol=1e-10)
             ok = ok and report.passed
             worst = max(worst, report.measured)
     announce(6, "self-duality, exact (Hermitian natural matrix)", ok, f"max |R - R^dagger| {worst:.2e}")
@@ -131,8 +129,8 @@ def test_criterion_7_isotropic_detection(detection_sum):
             closed = certify.isotropic_detection_value(n, float(lam))
             worst = max(worst, abs(numeric - closed))
         ok = ok and worst <= 1e-12
-        root, crosses = w.detection_boundary
-        ok = ok and crosses and abs(root - 4 * n / (4 * n + 1)) <= 1e-12
+        root = w.detection_boundary  # strictly inside (0, 1): the line crosses zero
+        ok = ok and abs(root - 4 * n / (4 * n + 1)) <= 1e-12
         total = detection_sum(maps.phi_u(n, maps.canonical_u0(n)))
         ok = ok and abs(total + 4 * n) <= 1e-12
     announce(7, "isotropic detection curve and sum identity", ok, f"max curve deviation {worst:.2e}")
@@ -144,7 +142,7 @@ def test_criterion_8_entanglement_breaking():
     for n in (1, 2):
         for _, u in u_cases(n):
             m = maps.phi_u(n, u)
-            ok = ok and certify.verify_eb_certificate(request(m)).passed
+            ok = ok and certify.verify_eb_certificate(witnesses.Request(m)).passed
             approx = witnesses.spa_witness(witnesses.choi(m), states.isotropic_entanglement_threshold(n))
             d = 4 * n
             ok = ok and min_eigenvalue(partial_transpose(approx, d, d)) >= -1e-10
@@ -152,7 +150,7 @@ def test_criterion_8_entanglement_breaking():
     conj = maps.conjugated_phi(
         1, maps.canonical_u0(1), maps.random_unitary(4, seed=601), maps.random_unitary(4, seed=602)
     )
-    ok = ok and certify.verify_eb_certificate(request(conj)).passed
+    ok = ok and certify.verify_eb_certificate(witnesses.Request(conj)).passed
     announce(8, "entanglement-breaking certificate incl. conjugated variant", ok)
     assert ok
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from robwit import certify, linalg, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, numerical_rank, partial_transpose
 
-from conftest import (MODES, NOT_UNITARY, choi_of, corrupted_conjugated_witness, corrupted_plain_witness,
-                      dense_generators, densify, flip_one_block, perturb_witness, random_u, request, with_facts)
+from conftest import (MODES, NOT_UNITARY, corrupted_conjugated_witness, corrupted_plain_witness, dense_generators,
+                      densify, flip_one_block, perturb_witness, random_u, with_facts)
 from reference_maps import breuer_hall, reference_witness
 
 REJECTED = f"^{re.escape(NOT_UNITARY)}$"  # pytest.raises matches a regular expression
@@ -24,7 +24,7 @@ def canonical_witness():
 
 @pytest.fixture(scope="module")
 def canonical_request():
-    return request(maps.phi_u(1, maps.canonical_u0(1)))
+    return witnesses.Request(maps.phi_u(1, maps.canonical_u0(1)))
 
 
 def reference_spa_bisect(w, tol=1e-10):
@@ -62,7 +62,7 @@ def checked_families(w):
     a, b = maps.local_rotation(w.source)
     g0 = np.kron(np.eye(2), maps.canonical_u0(w.source.size))
     pulled = w.pulled_back.reshape(d, d, d, d)
-    matrix = choi_of(w).matrix
+    matrix = with_facts(witnesses.Choi, w.source, plain=w.plain).matrix
     return [(matrix, a, b, pulled, (np.arange(d), np.ones(d))),
             (partial_transpose(matrix, d, d), a.conj() @ g0, b, pulled.transpose(2, 1, 0, 3),
              witnesses.canonical_gamma(w.source.size))]
@@ -127,7 +127,7 @@ def family_ranks(monkeypatch, n, cells, values):
     monkeypatch.setattr(witnesses, "spanning_family", lambda size: (cells, values))
     witnesses.canonical_witness.cache_clear()
     gens = densify(cells, values, 4 * n)
-    w = request(maps.phi_u(n, maps.canonical_u0(n)))
+    w = witnesses.Request(maps.phi_u(n, maps.canonical_u0(n)))
     reports = certify.verify_optimality(w), certify.verify_nd_optimality(w)
     return w.base.family_rank, numerical_rank(product_vectors(gens, gens.conj())), reports
 
@@ -261,26 +261,26 @@ def fresh_base():
 
 class TestPositivity:
     def test_canonical(self):
-        report = certify.verify_positivity(request(maps.phi_u(1, maps.canonical_u0(1))))
+        report = certify.verify_positivity(witnesses.Request(maps.phi_u(1, maps.canonical_u0(1))))
         assert report.passed
 
     def test_random_u_n2(self):
         u = random_u(2, 2, "complex-unitary")
-        report = certify.verify_positivity(request(maps.phi_u(2, u)))
+        report = certify.verify_positivity(witnesses.Request(maps.phi_u(2, u)))
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(
             1, maps.canonical_u0(1), maps.random_unitary(4, seed=4), maps.random_unitary(4, seed=5)
         )
-        report = certify.verify_positivity(request(m))
+        report = certify.verify_positivity(witnesses.Request(m))
         assert report.passed
 
     def test_sampling_matches_loop_reference(self, monkeypatch, fresh_base):
         # reference: one projector per apply_map call on Phi_{U0}, drawn from the same stream;
         # the trials cross several POSITIVITY_BLOCK boundaries.  The request's U is not U0.
         base = maps.phi_u(1, maps.canonical_u0(1))
-        w = request(maps.phi_u(1, random_u(1, 4, "complex-unitary")))
+        w = witnesses.Request(maps.phi_u(1, random_u(1, 4, "complex-unitary")))
         w.rotation_residual  # builds the base before apply_map is recorded
         rng = np.random.default_rng(witnesses.POSITIVITY_SEED)
         worst, projectors = np.inf, []
@@ -304,7 +304,7 @@ class TestPositivity:
         m = maps.phi_u(2, u)
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, seed=9), maps.random_unitary(8, seed=10))
-        w = request(m)
+        w = witnesses.Request(m)
         report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
         assert w.rotation_residual >= 1e-6
@@ -312,7 +312,7 @@ class TestPositivity:
 
     def test_a_corrupted_base_map_fails_the_sample(self, monkeypatch, fresh_base):
         # W and W(U0) are built on the exact map, so the residual is rounding; the sample fails
-        w = request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
+        w = witnesses.Request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=8)))
         assert w.rotation_residual <= 1e-14
         corrupt_apply_map(monkeypatch)
         report = certify.verify_positivity(w)
@@ -325,7 +325,7 @@ class TestPositivity:
             m = maps.phi_u(n, u)
             if conjugated:
                 m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed), maps.random_unitary(4 * n, seed + 1))
-            w = request(m)
+            w = witnesses.Request(m)
             w.rotation_residual  # builds the base and measures the residual before any counting
             return w
 
@@ -346,10 +346,10 @@ class TestPositivity:
     @pytest.mark.parametrize("n", [1, 2])
     def test_proof_identity_fails_for_a_contraction(self, n):
         # Phi_U is still positive for U = U0 / 2, but M M^dagger = Q + Q^U needs a unitary U;
-        # the certificate rejects such a U before it samples anything
+        # its request is refused before the certificate samples anything
         u = 0.5 * maps.canonical_u0(n)
         with pytest.raises(ValueError, match=REJECTED):
-            certify.verify_positivity(request(maps.phi_u(n, u)))
+            witnesses.Request(maps.phi_u(n, u))
         assert certify.premise_defects(u)[0] > 1e-2
 
     @settings(max_examples=60, deadline=None)
@@ -375,16 +375,13 @@ class TestPositivity:
     @pytest.mark.parametrize("kind", ["symmetric", "scaled"])
     @pytest.mark.parametrize("eps", [1e-3, 1e-11])
     def test_premises_fail_off_the_antisymmetric_unitaries(self, n, kind, eps):
-        # the descriptor is built around phi_u's validation; every certificate rejects U, whose
+        # the descriptor is built around phi_u's validation; its request and its suite reject U, whose
         # premise bounds are off too
         u = perturbed_u(n, kind, eps)
         m = maps.MapDescriptor(n, u)
-        w = request(m)
-        for check in (certify.verify_positivity, *WITNESS_CHECKS):
+        for build in (witnesses.Request, certify.run_full_suite):
             with pytest.raises(ValueError, match=REJECTED):
-                check(w)
-        with pytest.raises(ValueError, match=REJECTED):
-            certify.run_full_suite(m)
+                build(m)
         assert min(certify.premise_defects(u)) > linalg.CONSTRUCTION_TOL
 
     @pytest.mark.parametrize("n", [1, 4])
@@ -392,7 +389,7 @@ class TestPositivity:
         # U0 + 4e-13 I passes the entrywise test (defects 8e-13) and reaches the base; the sample
         # passes on it, and only the premises, bounded in the 2-norm, fail the report
         u = maps.canonical_u0(n) + 4e-13 * np.eye(2 * n)
-        w = request(maps.phi_u(n, u))
+        w = witnesses.Request(maps.phi_u(n, u))
         assert w.source.unitary_u and w.base is witnesses.canonical_witness(n)
         report = certify.verify_positivity(w)
         assert report.measured >= -report.tolerance
@@ -425,19 +422,19 @@ class TestNondecomposability:
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_n2_canonical(self):
-        report = certify.verify_nondecomposability(request(maps.phi_u(2, maps.canonical_u0(2))))
+        report = certify.verify_nondecomposability(witnesses.Request(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 9216, abs=1e-12)
 
     def test_n1_random(self):
-        w = request(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=8)))
+        w = witnesses.Request(maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=8)))
         report = certify.verify_nondecomposability(w)
         assert report.passed
 
     def test_conjugated(self):
         m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=9),
                                 maps.random_unitary(4, seed=10))
-        report = certify.verify_nondecomposability(request(m))
+        report = certify.verify_nondecomposability(witnesses.Request(m))
         assert report.passed
         assert report.measured == pytest.approx(-1 / 320, abs=1e-12)
 
@@ -445,8 +442,8 @@ class TestNondecomposability:
     def test_fails_on_a_positive_matrix_in_place_of_w(self, n):
         # a PSD "witness" detects no state, so Tr(W rho) cannot reach the negative target
         d = 4 * n
-        w = witnesses.Request(plain=np.eye(d * d, dtype=complex) / d ** 2,
-                              source=maps.phi_u(n, maps.canonical_u0(n)))
+        w = with_facts(witnesses.Request, maps.phi_u(n, maps.canonical_u0(n)),
+                       plain=np.eye(d * d, dtype=complex) / d ** 2)
         report = certify.verify_nondecomposability(w)
         assert report.measured >= 0 > report.expected
         assert not report.passed
@@ -470,7 +467,8 @@ class TestNondecomposability:
         witnesses.canonical_witness.cache_clear()
         rho = states.ppt_entangled_state(witnesses.canonical_witness(n))
         rotated = linalg.local_conjugate(rho, *maps.local_rotation(desc))
-        w, again = request(desc), request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=28)))
+        w = witnesses.Request(desc)
+        again = witnesses.Request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=28)))
         solved = record_hermitian_eig(monkeypatch)
         assert certify.verify_nondecomposability(w).passed
         assert sum(m.shape == rho.shape and np.array_equal(m, rho) for m in solved) == 1
@@ -520,14 +518,14 @@ class TestOptimality:
         assert report.passed and report.measured < 1e-12
 
     def test_n2(self):
-        w = request(maps.phi_u(2, maps.canonical_u0(2)))
+        w = witnesses.Request(maps.phi_u(2, maps.canonical_u0(2)))
         assert certify.verify_optimality(w).passed
 
     def test_transformed(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=11), maps.random_unitary(4, seed=12)
         )
-        assert certify.verify_optimality(witnesses.Request(plain=out.plain, source=out.source)).passed
+        assert certify.verify_optimality(witnesses.Request(out.source)).passed
 
     def test_fails_off_the_family(self, perturbed_witness):
         report = certify.verify_optimality(perturbed_witness)
@@ -541,7 +539,7 @@ class TestOptimality:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(8, seed=22), maps.random_unitary(8, seed=23))
-        w = request(m)
+        w = witnesses.Request(m)
         for matrix, left, right, view, g in checked_families(w):
             worst, size, ok = certify._product_family_check(view, g, w.base.family_rank, 1e-10)
             ref_worst, ref_rank = loop_product_family(matrix, n, left, right)
@@ -583,7 +581,7 @@ class TestFamilyRank:
         gens = dense_generators(n)
         families, ranks = [], []
         for m in (maps.phi_u(n, u), conj):
-            w = request(m)
+            w = witnesses.Request(m)
             for _, left, right, _, _ in checked_families(w):
                 families.append(product_vectors(gens @ left.T, gens.conj() @ right.T))
                 ranks.append(w.base.family_rank)
@@ -595,7 +593,7 @@ class TestFamilyRank:
         # W(U0): one stack of the 28 per-pair Gram matrices at N = 2
         ranked = record_pair_ranks(monkeypatch)
         for seed in (1, 2):
-            w = request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
+            w = witnesses.Request(maps.phi_u(2, maps.random_antisymmetric_unitary(2, seed=seed)))
             assert certify.verify_optimality(w).passed and certify.verify_nd_optimality(w).passed
         assert ranked == [28]
 
@@ -641,7 +639,7 @@ class TestFamilyRank:
         d = 4 * n
         gens = densify(*witnesses.spanning_family(n), d)
         dropped = d + d * (d - 1) // 2
-        w = request(maps.phi_u(n, maps.canonical_u0(n)))
+        w = witnesses.Request(maps.phi_u(n, maps.canonical_u0(n)))
         rank = w.base.family_rank
         for _, _, _, view, g in checked_families(w):
             _, size, ok = certify._product_family_check(view, g, rank, 1e-10)
@@ -659,14 +657,14 @@ class TestNdOptimality:
 
     def test_random_u(self):
         u = random_u(1, 13, "complex-unitary")
-        w = request(maps.phi_u(1, u))
+        w = witnesses.Request(maps.phi_u(1, u))
         assert certify.verify_nd_optimality(w).passed
 
     def test_conjugated(self, canonical_witness):
         out = witnesses.transform_witness(
             canonical_witness, maps.random_unitary(4, seed=14), maps.random_unitary(4, seed=15)
         )
-        assert certify.verify_nd_optimality(witnesses.Request(plain=out.plain, source=out.source)).passed
+        assert certify.verify_nd_optimality(witnesses.Request(out.source)).passed
 
     def test_fails_off_the_family(self, perturbed_witness):
         report = certify.verify_nd_optimality(perturbed_witness)
@@ -688,17 +686,17 @@ class TestSelfDuality:
         # the Breuer-Hall witness at U0, built by the reference formula, is the witness of Phi_{sigma_y}
         u0 = maps.canonical_u0(2)
         bh = reference_witness(lambda x: breuer_hall(x, u0), 4)
-        w = witnesses.Request(plain=bh.matrix, source=maps.phi_u(1, maps.SIGMA_Y))
+        w = with_facts(witnesses.Request, maps.phi_u(1, maps.SIGMA_Y), plain=bh.matrix)
         assert certify.verify_self_duality(w).passed
 
     def test_fails_on_conjugated_map(self):
         # independent V1, V2 break self-duality of W; the check certifies the PhiU4N map under the
         # conjugation, and the conjugated W passed off as that plain map's witness fails it
         m = maps.conjugated_phi(1, maps.canonical_u0(1), maps.random_unitary(4, seed=1), maps.random_unitary(4, seed=2))
-        w = request(m)
-        assert witnesses.Base(plain=w.plain, source=m).self_duality_defect > 1e-2  # measured on W itself
+        w = witnesses.Request(m)
+        assert witnesses.Base(m).self_duality_defect > 1e-2  # measured on W itself
         assert certify.verify_self_duality(w).passed
-        passed_off = witnesses.Request(plain=witnesses.choi(m).matrix, source=maps.phi_u(1, maps.canonical_u0(1)))
+        passed_off = with_facts(witnesses.Request, maps.phi_u(1, maps.canonical_u0(1)), plain=witnesses.choi(m).matrix)
         report = certify.verify_self_duality(passed_off)
         assert not report.passed
 
@@ -750,7 +748,7 @@ class TestSpa:
         assert certify.spa_threshold(w) == pytest.approx(reference_spa_bisect(w), abs=1e-12)
 
     def test_bisect_matches_reference_off_the_family(self, perturbed_witness):
-        w = choi_of(perturbed_witness)
+        w = with_facts(witnesses.Choi, perturbed_witness.source, plain=perturbed_witness.plain)
         measured = certify.spa_threshold(w)
         assert measured == pytest.approx(reference_spa_bisect(w), abs=1e-12)
         assert abs(measured - 0.8) > 1e-6
@@ -767,7 +765,7 @@ class TestSpa:
         m = maps.phi_u(2, u)
         if conjugated:
             m = maps.conjugated_phi(2, u, maps.random_unitary(8, 1), maps.random_unitary(8, 2))
-        w = request(m)
+        w = witnesses.Request(m)
         w.base.spectrum
         calls = count_eigensolves(monkeypatch)
         report = certify.spa_threshold_report(w)
@@ -802,12 +800,11 @@ class TestSpa:
         assert w.spectrum[0] == pytest.approx(-1 / (4 * n), abs=1e-14)
         assert certify.spa_threshold(w) == pytest.approx(states.isotropic_entanglement_threshold(n), abs=1e-8)
         assert np.max(np.abs(w.spectrum - witnesses.expected_spectrum_sorted(n))) > 1e-3
-        for check in (certify.spa_threshold_report, witnesses.verify_spectrum):
-            with pytest.raises(ValueError, match=REJECTED):
-                check(request(w.source))
+        with pytest.raises(ValueError, match=REJECTED):
+            witnesses.Request(w.source)
 
     def test_bisect_rejects_positive_input(self, canonical_witness):
-        fake = witnesses.Choi(plain=np.eye(16, dtype=complex) / 16, source=canonical_witness.source)
+        fake = with_facts(witnesses.Choi, canonical_witness.source, plain=np.eye(16, dtype=complex) / 16)
         with pytest.raises(ValueError, match="already positive"):
             certify.spa_threshold(fake)
 
@@ -849,8 +846,8 @@ class TestIsotropicDetection:
         assert detection_sum(m) == pytest.approx(16 * overlap, abs=1e-12)
 
     def test_detection_root(self):
-        root, crosses = witnesses.canonical_witness(1).detection_boundary
-        assert crosses is True
+        root = witnesses.canonical_witness(1).detection_boundary
+        assert 0.0 < root < 1.0  # the line crosses zero
         assert root == pytest.approx(0.8, abs=1e-12)
 
     def test_isotropic_state_needs_no_eigensolve(self, monkeypatch):
@@ -869,11 +866,11 @@ class TestEbCertificate:
             maps.random_unitary(4, seed=18),
             maps.random_unitary(4, seed=19),
         )
-        assert certify.verify_eb_certificate(request(m)).passed
+        assert certify.verify_eb_certificate(witnesses.Request(m)).passed
 
     def test_rejects_contraction_u(self):
         with pytest.raises(ValueError, match=REJECTED):
-            certify.verify_eb_certificate(request(maps.phi_u(1, np.zeros((2, 2)))))
+            witnesses.Request(maps.phi_u(1, np.zeros((2, 2))))
 
     def test_fails_on_a_corrupted_conjugated_witness(self):
         report = certify.verify_eb_certificate(corrupted_conjugated_witness(5, 5))
@@ -899,7 +896,7 @@ class TestEbCertificate:
         bumped = w.matrix.copy()
         bumped[0, 0] += 1e-3  # |00><00|
         bumped[d + 1, d + 1] -= 1e-3  # |11><11|
-        report = certify.verify_eb_certificate(witnesses.Request(plain=bumped, source=w.source))
+        report = certify.verify_eb_certificate(with_facts(witnesses.Request, w.source, plain=bumped))
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
         assert unitality == pytest.approx(d * 1e-3, rel=1e-2)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
@@ -913,10 +910,11 @@ class TestEbCertificate:
         bumped = witnesses.plain_choi(m)
         bumped[0, 0] += 1e-3
         bumped[d + 1, d + 1] -= 1e-3
-        w = witnesses.Request(plain=bumped, source=m)
+        w = with_facts(witnesses.Request, m, plain=bumped)
         report = certify.verify_eb_certificate(w)
         unitality = float(re.search(r"unitality defect (\S+),", report.details).group(1))
-        direct = d * np.trace(choi_of(w).matrix.reshape(d, d, d, d), axis1=0, axis2=2)  # F(I) of the formed W
+        formed = with_facts(witnesses.Choi, m, plain=bumped).matrix
+        direct = d * np.trace(formed.reshape(d, d, d, d), axis1=0, axis2=2)  # F(I) of the formed W
         assert unitality == pytest.approx(float(np.max(np.abs(direct - np.eye(d)))), rel=1e-2)
         assert unitality > 1e-4
         assert not report.passed
@@ -938,7 +936,7 @@ class TestPositiveStandIn:
 
     @pytest.fixture(scope="class")
     def stand_in(self):
-        return witnesses.Request(plain=np.eye(16, dtype=complex) / 16, source=maps.phi_u(1, maps.canonical_u0(1)))
+        return with_facts(witnesses.Request, maps.phi_u(1, maps.canonical_u0(1)), plain=np.eye(16, dtype=complex) / 16)
 
     @pytest.mark.parametrize("check", WITNESS_CHECKS, ids=lambda check: check.__name__)
     def test_every_check_reports_and_fails(self, stand_in, check):
@@ -950,9 +948,7 @@ class TestPositiveStandIn:
 
     def test_detection_boundary_does_not_cross(self, stand_in):
         # Tr(W rho_lam) >= 0 on all of [0, 1]: no isotropic state is detected, so no root
-        root, crosses = witnesses.Base(plain=stand_in.plain, source=stand_in.source).detection_boundary
-        assert crosses is False
-        assert root == 0.0
+        assert with_facts(witnesses.Base, stand_in.source, plain=stand_in.plain).detection_boundary == 0.0
 
 
 def off_unitary_maps(n):
@@ -968,24 +964,27 @@ def off_unitary_maps(n):
 
 
 class TestRejectsAnOffUnitaryU:
-    """Every certificate rejects a U that is not an antisymmetric unitary, with one message and no work."""
+    """Every certificate rejects a U that is not an antisymmetric unitary, with one message and no work.
+
+    Every check takes a ``Request``, and a request of such a U is refused when it is built, so a check
+    is reached on the map only through its request.
+    """
 
     @pytest.mark.parametrize("m", off_unitary_maps(2),
                              ids=["half-u0", "half-u0-conjugated", "symmetric", "symmetric-conjugated"])
-    @pytest.mark.parametrize("check", (certify.verify_positivity, *WITNESS_CHECKS, certify.run_full_suite),
-                             ids=lambda check: check.__name__)
+    @pytest.mark.parametrize("check", (witnesses.Request, certify.run_full_suite, certify.verify_positivity,
+                                       *WITNESS_CHECKS), ids=lambda check: check.__name__)
     def test_raises_before_any_factorization_sample_or_eigensolve(self, monkeypatch, m, check):
-        w = request(m)
         factored = []
         factor = maps.youla_factor
         monkeypatch.setattr(maps, "youla_factor", lambda u: factored.append(u) or factor(u))
-        built = record_plain_choi(monkeypatch)
+        filled = record_plain_choi(monkeypatch)
         mapped = record_apply_map(monkeypatch)
         solved = count_eigensolves(monkeypatch)
         with pytest.raises(ValueError, match=REJECTED):
-            check(m if check is certify.run_full_suite else w)
-        # a suite rejects U before it fills any Choi entry of its own W; no check maps a projector
-        assert factored == [] and solved == [] and built == [] and mapped == []
+            check(m) if check in (witnesses.Request, certify.run_full_suite) else check(witnesses.Request(m))
+        # no Choi entry of W is filled and no W(U0) is built; nothing maps a projector
+        assert factored == [] and solved == [] and filled == [] and mapped == []
 
 
 class TestFormedWInPlaceOfItsPlainChoiMatrix:
@@ -994,7 +993,7 @@ class TestFormedWInPlaceOfItsPlainChoiMatrix:
     def test_fails_every_check_through_the_rotation_residual(self):
         m = maps.conjugated_phi(1, maps.random_antisymmetric_unitary(1, seed=3), maps.random_unitary(4, seed=1),
                                 maps.random_unitary(4, seed=2))
-        w = witnesses.Request(plain=witnesses.choi(m).matrix, source=m)
+        w = with_facts(witnesses.Request, m, plain=witnesses.choi(m).matrix)
         assert w.rotation_residual > 0.1
         assert not any(check(w).passed for check in (certify.verify_positivity, *WITNESS_CHECKS))
 
@@ -1008,9 +1007,9 @@ class TestStandInBase:
         true = witnesses.canonical_witness(1)
         mixed = true.matrix + 3.0 * (states.max_entangled(4) - np.eye(16) / 16)
         kept = ("detection_boundary", "spectrum", "gamma_conjugation_defect", "self_duality_defect")
-        base = with_facts(witnesses.Base, mixed, true.source, **{fact: getattr(true, fact) for fact in kept})
+        base = with_facts(witnesses.Base, true.source, plain=mixed, **{fact: getattr(true, fact) for fact in kept})
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = witnesses.Request(plain=mixed, source=true.source)
+        w = with_facts(witnesses.Request, true.source, plain=mixed)
         assert w.base is base and w.rotation_residual == 0.0 and w.unitarity_defect == 0.0
         report = certify.verify_eb_certificate(w)
         realigned = float(re.search(r"realignment trace norm at most (\S+) ", report.details).group(1))
@@ -1020,9 +1019,9 @@ class TestStandInBase:
 
     def test_a_base_with_a_gamma_conjugation_defect_fails_nd_optimality(self, monkeypatch):
         true = witnesses.canonical_witness(1)
-        base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
+        base = with_facts(witnesses.Base, true.source, gamma_conjugation_defect=1e-9)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = request(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
+        w = witnesses.Request(maps.phi_u(1, random_u(1, 3, "complex-unitary")))
         assert w.base is base
         report = certify.verify_nd_optimality(w)
         assert report.measured <= report.tolerance  # the family alone would pass
@@ -1033,9 +1032,9 @@ class TestStandInBase:
         # W(U0)^Gamma is W(U0) moved by G0 (x) 1 only up to the base's defect, which EB's partial
         # transpose subtracts: (1 - p) 1e-9 = 2e-10 below the base's exact 0 at N = 1, past -1e-10
         true = witnesses.canonical_witness(1)
-        base = with_facts(witnesses.Base, true.matrix, true.source, gamma_conjugation_defect=1e-9)
+        base = with_facts(witnesses.Base, true.source, gamma_conjugation_defect=1e-9)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = request(maps.phi_u(1, maps.canonical_u0(1)))
+        w = witnesses.Request(maps.phi_u(1, maps.canonical_u0(1)))
         assert w.base is base
         report = certify.verify_eb_certificate(w)
         ppt_low = float(re.search(r"min eig of partial transpose (\S+) ", report.details).group(1))
@@ -1047,9 +1046,9 @@ class TestStandInBase:
     def test_a_base_whose_ppt_state_is_off_unit_trace_fails_nondecomposability(self, monkeypatch):
         true = witnesses.canonical_witness(1)
         (index, values), lows = true.ppt_state
-        base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=((index, values * (1 + 1e-9)), lows))
+        base = with_facts(witnesses.Base, true.source, ppt_state=((index, values * (1 + 1e-9)), lows))
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        report = certify.verify_nondecomposability(request(maps.phi_u(1, maps.canonical_u0(1))))
+        report = certify.verify_nondecomposability(witnesses.Request(maps.phi_u(1, maps.canonical_u0(1))))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
         assert trace_defect == pytest.approx(1e-9, rel=1e-3)
         assert not report.passed
@@ -1061,9 +1060,9 @@ class TestCarriedTerms:
     def test_positivity_carries_a_negative_worst_further_below_zero(self, monkeypatch):
         # worst - u |worst| = -0.8e-10 * 1.5 = -1.2e-10, past -1e-10; worst + u |worst| would pass
         true = witnesses.canonical_witness(1)
-        base = with_facts(witnesses.Base, true.matrix, true.source, positivity_worst=-0.8e-10)
+        base = with_facts(witnesses.Base, true.source, positivity_worst=-0.8e-10)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.source, unitarity_defect=0.5, rotation_residual=0.0)
         report = certify.verify_positivity(w)
         carried = float(re.search(r"= (\S+), pass iff >= -tol", report.details).group(1))
         assert carried == pytest.approx(-1.2e-10, rel=1e-3)
@@ -1073,17 +1072,16 @@ class TestCarriedTerms:
         # Ostrowski: each min eig lies within u |lambda| of the base state's, and the check takes the low end
         true = witnesses.canonical_witness(1)
         entries, _ = true.ppt_state
-        base = with_facts(witnesses.Base, true.matrix, true.source, ppt_state=(entries, (-1e-3, 2e-3)))
+        base = with_facts(witnesses.Base, true.source, ppt_state=(entries, (-1e-3, 2e-3)))
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5)
+        w = with_facts(witnesses.Request, true.source, unitarity_defect=0.5)
         details = certify.verify_nondecomposability(w).details
         assert "min eig(rho) = -1.50e-03, min eig(rho^Gamma) = 1.00e-03 " in details
 
     def test_nondecomposability_widens_the_trace_defect_by_u(self):
         # Tr rho lies within u Tr rho_b of Tr rho_b: u = 2e-12 alone pushes the trace defect past 1e-12
         m = maps.phi_u(1, maps.canonical_u0(1))
-        report = certify.verify_nondecomposability(with_facts(witnesses.Request, witnesses.plain_choi(m), m,
-                                                              unitarity_defect=2e-12))
+        report = certify.verify_nondecomposability(with_facts(witnesses.Request, m, unitarity_defect=2e-12))
         trace_defect = float(re.search(r"trace defect (\S+)$", report.details).group(1))
         assert trace_defect == pytest.approx(2e-12, rel=1e-3)
         assert report.measured == pytest.approx(report.expected, abs=report.tolerance)
@@ -1092,9 +1090,9 @@ class TestCarriedTerms:
     def test_self_duality_scales_the_base_defect_up_by_one_plus_u(self, monkeypatch):
         # (1 + u) D delta_b = 1.5 * 16 * 5.2e-12 = 1.25e-10, past 1e-10; (1 - u) D delta_b = 4.2e-11 would pass
         true = witnesses.canonical_witness(1)
-        base = with_facts(witnesses.Base, true.matrix, true.source, self_duality_defect=5.2e-12)
+        base = with_facts(witnesses.Base, true.source, self_duality_defect=5.2e-12)
         monkeypatch.setattr(witnesses, "canonical_witness", lambda n: base)
-        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=0.5, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.source, unitarity_defect=0.5, rotation_residual=0.0)
         report = certify.verify_self_duality(w)
         bound = float(re.search(r"defect by (\S+), pass iff", report.details).group(1))
         assert bound == pytest.approx(1.25e-10, rel=1e-2)
@@ -1104,7 +1102,7 @@ class TestCarriedTerms:
         # (1 + u)(delta_b + (2u + u^2) ||W_base||_F) = 2e-12 * sqrt(6) / 4 = 1.22e-12 with delta_b = 0, past 1e-12;
         # subtracting the moved base would give a negative bound, which passes
         true = witnesses.canonical_witness(1)
-        w = with_facts(witnesses.Request, true.plain, true.source, unitarity_defect=1e-12, rotation_residual=0.0)
+        w = with_facts(witnesses.Request, true.source, unitarity_defect=1e-12, rotation_residual=0.0)
         report = certify.verify_nd_optimality(w)
         bound = float(re.search(r"conjugation residual bound (\S+) <=", report.details).group(1))
         assert bound == pytest.approx(2e-12 * np.sqrt(6) / 4, rel=1e-2)
@@ -1114,7 +1112,7 @@ class TestCarriedTerms:
         # (1 - p) s = 1e-8 / 5 = 2e-9 alone is past |boundary| <= 1e-9; the root, 3.2e-10 off and widened by
         # 6.4e-9, stays within 1e-8
         true = witnesses.canonical_witness(1)
-        w = with_facts(witnesses.Request, true.plain, true.source, rotation_slack=1e-8)
+        w = with_facts(witnesses.Request, true.source, rotation_slack=1e-8)
         report = certify.spa_threshold_report(w)
         widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
         assert abs(report.measured - report.expected) + widened <= report.tolerance
@@ -1125,10 +1123,10 @@ class TestCarriedTerms:
         # further than the c s / (g (g + s)) of lowering it; s = 0.01 sets the two apart by 6%
         true = witnesses.canonical_witness(1)
         slack = 0.01
-        w = with_facts(witnesses.Request, true.plain, true.source, rotation_slack=slack)
+        w = with_facts(witnesses.Request, true.source, rotation_slack=slack)
         report = certify.spa_threshold_report(w)
         widened = float(re.search(r"widens the root by (\S+) ", report.details).group(1))
-        raised = with_facts(witnesses.Base, true.plain, true.source, spectrum=true.spectrum + slack)
+        raised = with_facts(witnesses.Base, true.source, spectrum=true.spectrum + slack)
         assert widened == pytest.approx(abs(certify.spa_threshold(raised) - certify.spa_threshold(true)), rel=1e-2)
 
 
@@ -1246,7 +1244,7 @@ class TestFullSuite:
         for n in (2, 3, 2):
             m = maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=10 + n))
             assert all(r.passed for r in certify.run_full_suite(m))
-            w = request(m)
+            w = witnesses.Request(m)
             assert w.base.source.size == n and w.rotation_slack <= 1e-14
 
 
@@ -1299,7 +1297,8 @@ class TestCorruptedPlainWitness:
                                           certify.verify_nd_optimality, certify.verify_eb_certificate)]
         nondecomposability, optimality, nd_optimality, eb = reports
         rho = linalg.local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
-        assert nondecomposability.measured == pytest.approx(witnesses.detect(choi_of(w), rho), rel=1e-12)
+        choi = with_facts(witnesses.Choi, w.source, plain=w.plain)
+        assert nondecomposability.measured == pytest.approx(witnesses.detect(choi, rho), rel=1e-12)
         assert abs(nondecomposability.measured - nondecomposability.expected) > 1e-9
         assert optimality.measured > 1e-7
         bound = float(re.search(r"conjugation residual bound (\S+) ", nd_optimality.details).group(1))

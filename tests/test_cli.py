@@ -348,6 +348,13 @@ def test_seed_is_not_an_option(capsys, command):
 
 
 @pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
+def test_an_empty_out_path_names_no_file(capsys, command):
+    # any given --out-path is a path, and the empty one names no file
+    refused = (2, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert run(capsys, command, "--n", "1", "--out-path", "") == refused
+
+
+@pytest.mark.parametrize("command", ["build", "certify", "curve", "spectrum"])
 @pytest.mark.parametrize("seed", ["abc", "-1", "", "1.5", "9" * 5000], ids=["abc", "-1", "empty", "1.5", "5000-digits"])
 @pytest.mark.parametrize("option", ["--u", "--v1"])
 def test_a_seed_that_is_no_non_negative_integer_is_named_by_its_option(capsys, option, seed, command):

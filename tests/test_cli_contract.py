@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robwit import cli, maps
+from robwit import certify, cli, maps
 
 # Physical memory as the guard reads it here: N = 3 with a curve of 20 points fits, and no N above 3 does
 MEMORY = cli.PEAK_W_ARRAYS * 16 * 12 ** 4 + cli.PEAK_POINT_BYTES * 20
@@ -51,38 +51,73 @@ VALID = {"u-n1": maps.random_antisymmetric_unitary(1, 5), "u-n2": maps.random_an
          "v-n1": maps.random_unitary(4, 1)}
 PAYLOADS |= {name: json.dumps(cli.matrix_to_payload(matrix)) for name, matrix in VALID.items()}
 
-SEEDS = ["0", "3", "-1", str(10 ** 30), "1.5", "", "abc", "9" * 5000]
-SPECS = st.one_of(st.just("canonical"), st.sampled_from(SEEDS).map("seed:".__add__),
-                  st.sampled_from(FILES).map("file:".__add__), st.sampled_from(list(VALID)).map("file:".__add__))
 OUTPUTS = {"build": ["json", "text"], "certify": ["text", "json"], "curve": ["csv", "text"], "spectrum": ["csv", "text"]}
-POINTS = ["1", "11", "20", "0", "10000000000000"]
-TOLS = ["spectrum=1e-3", "spa-threshold=1e-15", "positivity=0", "spectrum=abc", "spectrum=-1", "spectrum=nan",
-        "bogus=1", "spectrum"]
 # Wording of Python's and numpy's own exceptions, each of which once reached stderr as the error line
 FOREIGN = ["invalid literal for int()", "set_int_max_str_digits", "expected non-negative integer",
            "could not convert string to float"]
-OUT = "<out>"  # stands for the --out-path file
+OUT, OUT_DIR = "<out>", "<dir>"  # stand for the --out-path file and for a directory
+
+# The valid values of each part of a request.  Every --tol check may be set to 0, which fails most checks: exit 1
+VALID_N = ["1"] * 5 + ["2"] * 2 + ["3"]
+VALID_SEEDS = ["seed:0", "seed:3", "seed:" + str(10 ** 30)]
+VALID_POINTS = ["1", "11", "20"]
+VALID_TOLS = ["spectrum=1e-3", "spa-threshold=1e-15", *(f"{check}=0" for check in certify.SUITE_CHECKS)]
+# Invalid values of each part, each a usage error (exit 2), but for the few unitary matrices among the FILES
+BAD_N = ["0", "-1", "1.5", "4", "1" + "0" * 19]  # N = 4 and up exceed MEMORY
+BAD_SPECS = ["bogus", *(f"seed:{seed}" for seed in ("-1", "1.5", "", "abc", "9" * 5000)), *(f"file:{f}" for f in FILES)]
+BAD_POINTS = ["0", "-1", "10000000000000"]
+BAD_TOLS = ["spectrum=abc", "spectrum=-1", "spectrum=nan", "bogus=1", "spectrum"]
+
+
+# Per command, (option, value) pairs that make a request invalid; the value None drops one of V1 and V2
+INVALID = {command: [
+    *(("--n", n) for n in BAD_N),
+    *((option, spec) for option in ("--u", "--v1", "--v2") for spec in BAD_SPECS),
+    *(("--v1", spec) for spec in ("file:u-n1", "file:u-n2", *(["seed:7"] if command == "curve" else []))),  # V1 != V2
+    ("--v1", None), ("--v2", None),
+    *(("--output", out) for outputs in OUTPUTS.values() for out in outputs if out not in OUTPUTS[command]),
+    *(("--points", points) for points in (BAD_POINTS if command == "curve" else VALID_POINTS)),
+    *(("--tol", [tol]) for tol in (BAD_TOLS if command == "certify" else VALID_TOLS)),
+    ("--out-path", ""), ("--out-path", OUT_DIR),
+] for command in OUTPUTS}
 
 
 @st.composite
 def requests(draw):
-    """A command line, mostly of options its subcommand takes, each drawn from valid and invalid values alike."""
+    """A command line: a valid request, in most draws with one or two of its parts made invalid.
+
+    The valid parts fit one another: a U file of the request's N, V files at N = 1 only, and for
+    ``curve`` V1 = V2.
+    """
     command = draw(st.sampled_from(list(OUTPUTS)))
-    argv = [command, "--n", draw(st.sampled_from(["1"] * 4 + ["2"] * 3 + ["3"] * 2 + ["0", "-1", "1.5", "1" + "0" * 19]))]
+    n = draw(st.sampled_from(VALID_N))
+    options = {"--n": n}
     if draw(st.booleans()):
-        argv += ["--u", draw(SPECS)]
-    v1, v2 = draw(SPECS), draw(SPECS)
-    argv += draw(st.sampled_from([[], [], ["--v1", v1, "--v2", v2], ["--v1", v1, "--v2", v1], ["--v1", v1], ["--v2", v2]]))
+        options["--u"] = draw(st.sampled_from(["canonical", *VALID_SEEDS, *([f"file:u-n{n}"] * 2 if n != "3" else [])]))
     if draw(st.booleans()):
-        argv += ["--output", draw(st.sampled_from(OUTPUTS[command] * 3 + ["json", "csv"]))]
-    # --points and --tol, mostly with the one subcommand that takes each, and now and then with another
-    if draw(st.integers(0, 9)) < (6 if command == "curve" else 1):
-        argv += ["--points", draw(st.sampled_from(POINTS))]
-    if draw(st.integers(0, 9)) < (6 if command == "certify" else 1):
-        for entry in draw(st.lists(st.sampled_from(TOLS), min_size=1, max_size=2)):
-            argv += ["--tol", entry]
+        v_specs = [*VALID_SEEDS, *(["file:v-n1"] * 2 if n == "1" else [])]
+        v1 = draw(st.sampled_from(v_specs))
+        options |= {"--v1": v1, "--v2": v1 if command == "curve" else draw(st.sampled_from(v_specs))}
+    if draw(st.booleans()):
+        options["--output"] = draw(st.sampled_from(OUTPUTS[command]))
+    if command == "curve" and draw(st.booleans()):
+        options["--points"] = draw(st.sampled_from(VALID_POINTS))
+    if command == "certify" and draw(st.booleans()):
+        options["--tol"] = draw(st.lists(st.sampled_from(VALID_TOLS), min_size=1, max_size=2))
     if draw(st.integers(0, 3)) == 0:
-        argv += ["--out-path", OUT]
+        options["--out-path"] = OUT
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        option, value = draw(st.sampled_from(INVALID[command]))
+        if value is not None:
+            options[option] = value
+        elif "--v1" in options:  # only one of V1 and V2 is given
+            del options[option]
+        else:
+            options[option] = "seed:1"
+    argv = [command]
+    for option, value in options.items():
+        for one in value if isinstance(value, list) else [value]:
+            argv += [option, one]
     return argv
 
 
@@ -126,12 +161,13 @@ def answer(argv):
 @example(argv=["spectrum", "--n", "1", "--v1", "seed:", "--v2", "seed:2"])
 @example(argv=["curve", "--n", "1", "--v1", "seed:1.5", "--v2", "seed:1"])
 @example(argv=["build", "--n", "2", "--v1", "seed:1", "--v2", "seed:" + "9" * 5000])
+@example(argv=["curve", "--n", "1", "--points", "2", "--out-path", ""])
 def test_every_request_keeps_the_exit_code_contract(files, argv):
     paths = {"dir": files, "missing": files / "missing"}
     argv = [f"file:{paths.get(a[5:], files / a[5:])}" if a.startswith("file:") else a for a in argv]
     out_path = files / "out"
     out_path.unlink(missing_ok=True)
-    argv = [str(out_path) if a == OUT else a for a in argv]
+    argv = [{OUT: str(out_path), OUT_DIR: str(files)}.get(a, a) for a in argv]
     code, out, err, exited = answer(argv)
     assert code in (0, 1, 2), code
     if code == 1:

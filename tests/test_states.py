@@ -6,7 +6,7 @@ import pytest
 from robwit import certify, maps, states, witnesses
 from robwit.linalg import min_eigenvalue, partial_transpose
 
-from conftest import NOT_UNITARY, request
+from conftest import NOT_UNITARY
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +49,14 @@ class TestPptEntangledState:
         assert witnesses.detect(w, state) == pytest.approx(-1 / 320, abs=1e-12)
 
     def test_rejects_contraction_u(self, monkeypatch):
-        # the state is built only from W(U0), read through Request.base, which rejects a contraction U
-        # first (witnesses.reject_off_unitary_u), with the one message, before any state is built
-        w = request(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
+        # the state is built only from W(U0), for a Request, which refuses a contraction U when it is
+        # built, with the one message, before any state is built
         built = []
         build = states.ppt_entangled_state
         monkeypatch.setattr(states, "ppt_entangled_state", lambda x: built.append(x) or build(x))
         witnesses.canonical_witness.cache_clear()
         with pytest.raises(ValueError, match=f"^{re.escape(NOT_UNITARY)}$"):
-            certify.verify_nondecomposability(w)
+            certify.run_full_suite(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
         assert built == []
 
 

@@ -10,8 +10,8 @@ from robwit import certify, maps, states, witnesses
 from robwit.linalg import (CONSTRUCTION_TOL, hermitian_eig, local_conjugate, min_eigenvalue, partial_transpose, realign,
                            trace_norm)
 
-from conftest import (CORE_FAMILIES, FAMILIES, MODES, choi_of, corrupted_conjugated_witness, flip_one_block,
-                      gamma_unitary, matrix_unit, oracle_choi, random_u, request, self_dual_reference)
+from conftest import (CORE_FAMILIES, FAMILIES, MODES, corrupted_conjugated_witness, flip_one_block, gamma_unitary,
+                      matrix_unit, oracle_choi, random_u, self_dual_reference, with_facts)
 
 
 @pytest.fixture(scope="module")
@@ -110,16 +110,16 @@ class TestExpectedSpectrum:
 
 class TestVerifySpectrum:
     def test_canonical(self, canonical_witness):
-        report = witnesses.verify_spectrum(request(canonical_witness.source))
+        report = witnesses.verify_spectrum(witnesses.Request(canonical_witness.source))
         assert report.passed and report.measured < 1e-9
 
     def test_spectrum_is_u_independent(self):
         u = random_u(1, 21, "complex-unitary")
-        report = witnesses.verify_spectrum(request(maps.phi_u(1, u)))
+        report = witnesses.verify_spectrum(witnesses.Request(maps.phi_u(1, u)))
         assert report.passed
 
     def test_n2(self):
-        report = witnesses.verify_spectrum(request(maps.phi_u(2, maps.canonical_u0(2))))
+        report = witnesses.verify_spectrum(witnesses.Request(maps.phi_u(2, maps.canonical_u0(2))))
         assert report.passed
 
     def test_fails_on_perturbed_witness(self, perturbed_witness):
@@ -161,28 +161,34 @@ class TestCachedSpectrum:
         skewed = canonical_witness.matrix.copy()
         skewed[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            witnesses.Choi(plain=skewed, source=canonical_witness.source).spectrum
+            with_facts(witnesses.Choi, canonical_witness.source, plain=skewed).spectrum
 
 
-HOLDERS = (witnesses.Choi, witnesses.Request)  # each holds (plain, source) of one map
+HOLDERS = (witnesses.Choi, witnesses.Base, witnesses.Request)  # each is a function of one map's descriptor
 
 
 class TestFields:
     @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
-    def test_rejects_a_matrix_of_the_wrong_size(self, canonical_witness, cls):
-        with pytest.raises(ValueError, match=r"is 16x16, got \(4, 4\)"):
-            cls(plain=np.eye(4, dtype=complex) / 4, source=canonical_witness.source)
+    def test_has_only_its_source_as_a_field(self, cls):
+        # W_p, and all that is read off it, W of a conjugated map included, is a cached property, not a field
+        assert [f.name for f in dataclasses.fields(cls)] == ["source"]
 
-    @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
-    def test_takes_its_fields_by_keyword_only(self, canonical_witness, cls):
-        # a positional call raises instead of reading a conjugated W as W_p
-        with pytest.raises(TypeError, match="positional"):
-            cls(canonical_witness.matrix, canonical_witness.source)
+    @pytest.mark.parametrize("family", CORE_FAMILIES)
+    def test_plain_is_the_closed_form_of_the_source(self, example_map, family):
+        m = example_map(family, 2, "complex-unitary", seed=3)
+        expected = witnesses.plain_choi(m)
+        for w in (witnesses.Request(m), witnesses.choi(m)):
+            np.testing.assert_array_equal(w.plain, expected)
+            assert w.plain is w.plain  # filled once
 
-    @pytest.mark.parametrize("cls", HOLDERS, ids=lambda cls: cls.__name__)
-    def test_has_only_its_choi_data_and_source_as_fields(self, cls):
-        # what is read off W_p, W of a conjugated map included, is a cached property kept with it, not a field
-        assert [f.name for f in dataclasses.fields(cls)] == ["plain", "source"]
+    def test_a_request_fills_w_p_when_it_is_built(self, monkeypatch):
+        # after U is admitted and before the rotation, through the module's plain_choi
+        m = maps.phi_u(1, maps.random_antisymmetric_unitary(1, seed=4))
+        filled = []
+        fill = witnesses.plain_choi
+        monkeypatch.setattr(witnesses, "plain_choi", lambda x: filled.append(x) or fill(x))
+        w = witnesses.Request(m)
+        assert filled == [m] and "plain" in vars(w) and "rotation" not in vars(w)
 
 
 BASE_FACTS = ("positivity_worst", "family_rank", "ppt_state", "gamma_conjugation_defect", "self_duality_defect",
@@ -201,14 +207,14 @@ def assert_has_none(w, facts):
 class TestBase:
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_a_request_has_no_base_fact(self, example_map, family):
-        w = request(example_map(family, 1))
+        w = witnesses.Request(example_map(family, 1))
         assert type(w) is witnesses.Request
         assert_has_none(w, BASE_FACTS)
 
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_a_request_has_no_choi_data(self, example_map, family):
         # it reads W_p only through its pull-back and F(I): it holds no W, spectrum or detection line
-        w = request(example_map(family, 1))
+        w = witnesses.Request(example_map(family, 1))
         assert not isinstance(w, witnesses.Choi)
         assert_has_none(w, CHOI_DATA)
 
@@ -235,9 +241,9 @@ class TestBase:
 
     @pytest.mark.parametrize("family", CORE_FAMILIES)
     def test_every_witness_of_one_n_shares_the_canonical_base(self, example_map, family):
-        w = request(example_map(family, 2, "complex-unitary", seed=5))
+        w = witnesses.Request(example_map(family, 2, "complex-unitary", seed=5))
         base = witnesses.canonical_witness(2)
-        assert w.base is base and w.base is request(example_map(family, 2, seed=8)).base
+        assert w.base is base and w.base is witnesses.Request(example_map(family, 2, seed=8)).base
         assert "base" not in vars(w) and "base" not in vars(base)  # nothing holds the memo's witness but the memo
         assert maps.is_antisymmetric_unitary(base.source.u)
         np.testing.assert_array_equal(base.source.u, maps.canonical_u0(2))
@@ -251,7 +257,7 @@ class TestBase:
 
     def test_one_entry_memo_follows_n(self):
         witnesses.canonical_witness.cache_clear()
-        sizes = [request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=n))).base.source.size
+        sizes = [witnesses.Request(maps.phi_u(n, maps.random_antisymmetric_unitary(n, seed=n))).base.source.size
                  for n in (2, 3, 2)]
         assert sizes == [2, 3, 2]
         assert witnesses.canonical_witness.cache_info().currsize == 1
@@ -275,8 +281,8 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_partial_transpose_of_the_pull_back(self, example_map, n, mode, family, seed):
         # Gamma(S^dagger W S) = (A^T (x) B^dagger) W^Gamma (Abar (x) B), for the rotation and for any A, B
-        w = request(example_map(family, n, mode, seed))
-        matrix = choi_of(w).matrix
+        w = witnesses.Request(example_map(family, n, mode, seed))
+        matrix = witnesses.Choi(w.source).matrix
         d = w.d
         a, b = w.rotation
         plain = local_conjugate(matrix, a.conj().T, b.conj().T)
@@ -295,10 +301,10 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_realignment_covariance(self, example_map, n, mode, family, seed):
         # realign(S M S^dagger) = (A (x) Abar) realign(M) (B (x) Bbar)^T, for the rotation and for any A, B
-        w = request(example_map(family, n, mode, seed))
+        w = witnesses.Request(example_map(family, n, mode, seed))
         d = w.d
         rng = np.random.default_rng(seed)
-        for m in (w.base.matrix, choi_of(w).matrix):
+        for m in (w.base.matrix, witnesses.Choi(w.source).matrix):
             for x, y in (w.rotation, (random_factor(rng, d), random_factor(rng, d))):
                 moved = realign(local_conjugate(m, x, y), d, d)
                 covariant = np.kron(x, x.conj()) @ realign(m, d, d) @ np.kron(y, y.conj()).T
@@ -309,10 +315,10 @@ class TestPullBack:
            seed=st.integers(0, 2 ** 16))
     def test_trace_through_the_pull_back(self, example_map, n, mode, family, seed):
         # Tr(W rho) on the rotated state rho = S rho_b S^dagger is the report's Tr(W' rho_b)
-        w = request(example_map(family, n, mode, seed))
+        w = witnesses.Request(example_map(family, n, mode, seed))
         rho = local_conjugate(states.ppt_entangled_state(w.base), *w.rotation)
         measured = certify.verify_nondecomposability(w).measured
-        assert measured == pytest.approx(witnesses.detect(choi_of(w), rho), rel=1e-12, abs=1e-17)
+        assert measured == pytest.approx(witnesses.detect(witnesses.Choi(w.source), rho), rel=1e-12, abs=1e-17)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 3), mode=st.sampled_from(MODES), family=st.sampled_from(CORE_FAMILIES),
@@ -321,7 +327,7 @@ class TestPullBack:
         # the family (G0 psi) (x) psi* on Gamma(W') is psi (x) psi* on (G0 (x) 1)^dagger Gamma(W') (G0 (x) 1);
         # that is W^Gamma pulled back by (G A, B), G = Abar G0 A^dagger, up to A's unitarity defect
         m = example_map(family, n, mode, seed)
-        w = request(m)
+        w = witnesses.Request(m)
         d = w.d
         a, b = w.rotation
         g0 = np.kron(np.eye(2), maps.canonical_u0(n))
@@ -340,8 +346,8 @@ class TestPullBack:
         plain = witnesses.plain_choi(m)  # W_p: a conjugated map moves W_p + eps H by a unitary
         rng = np.random.default_rng(seed)
         h = random_factor(rng, len(plain))
-        w = witnesses.Request(plain=plain + eps * (h + h.conj().T) / 2, source=m)
-        c = choi_of(w)
+        w = with_facts(witnesses.Request, m, plain=plain + eps * (h + h.conj().T) / 2)
+        c = with_facts(witnesses.Choi, m, plain=w.plain)
         d = w.d
         rounding = 1e-15
         residual = np.linalg.norm(c.matrix - local_conjugate(w.base.matrix, *w.rotation))
@@ -388,7 +394,7 @@ class TestSelfDualityDefect:
     def test_exact_on_self_dual_families_only(self, example_map, example_action, family, size):
         if family in CORE_FAMILIES:
             m = example_map(family, size)
-            w = witnesses.Base(plain=witnesses.plain_choi(m), source=m)  # the fact of a base, measured on its own W
+            w = witnesses.Base(m)  # the fact of a base, measured on its own W
         else:
             w = self_dual_reference(*example_action(family, size))
         defect = w.self_duality_defect
@@ -426,7 +432,7 @@ class TestGammaUnitary:
     def test_rejects_invalid_u(self):
         # Phi_U accepts a contraction, but (W)^Gamma is a unitary conjugate of W only for unitary U
         with pytest.raises(ValueError, match="antisymmetric"):
-            certify.verify_nd_optimality(request(maps.phi_u(1, 0.5 * maps.SIGMA_Y)))
+            witnesses.Request(maps.phi_u(1, 0.5 * maps.SIGMA_Y))
 
 
 class TestTransformWitness:
@@ -484,7 +490,9 @@ class TestClosedForm:
         w = witnesses.choi(m)
         np.testing.assert_allclose(w.plain, oracle_choi(maps.phi_u(n, u)), rtol=0, atol=1e-15)
         np.testing.assert_allclose(w.matrix, oracle_choi(m), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(request(m).identity_image, maps.apply_map(m, np.eye(4 * n)), rtol=0, atol=1e-14)
+        if not contraction:  # a contraction has no request
+            image = witnesses.Request(m).identity_image
+            np.testing.assert_allclose(image, maps.apply_map(m, np.eye(4 * n)), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("conjugated", [False, True])
     @pytest.mark.parametrize("n", [1, 2])
@@ -493,7 +501,7 @@ class TestClosedForm:
         m = maps.phi_u(n, u)
         if conjugated:
             m = maps.conjugated_phi(n, u, maps.random_unitary(4 * n, seed=7), maps.random_unitary(4 * n, seed=8))
-        w = witnesses.Choi(plain=flip_one_block(witnesses.plain_choi(m), n), source=m)
+        w = with_facts(witnesses.Choi, m, plain=flip_one_block(witnesses.plain_choi(m), n))
         assert np.max(np.abs(w.plain - oracle_choi(maps.phi_u(n, u)))) > 1e-3 / n ** 2
         assert np.max(np.abs(w.matrix - oracle_choi(m))) > 1e-3 / n ** 2
 
@@ -516,7 +524,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("i, j, hermitian", [(0, 1, False), (1, 1, True)])
     def test_only_an_exactly_hermitian_w_p_is_projected(self, i, j, hermitian):
-        w = choi_of(corrupted_conjugated_witness(i, j))
+        corrupted = corrupted_conjugated_witness(i, j)
+        w = with_facts(witnesses.Choi, corrupted.source, plain=corrupted.plain)
         raw = local_conjugate(w.plain, w.source.v2.T, w.source.v1.conj().T)
         assert np.array_equal(w.matrix, w.matrix.conj().T) == hermitian
         if not hermitian:
@@ -530,7 +539,7 @@ class TestClosedForm:
         m = example_map(family, n, mode, seed)
         rng = np.random.default_rng(seed)
         h = random_factor(rng, (4 * n) ** 2)
-        w = witnesses.Request(plain=witnesses.plain_choi(m) + eps * h, source=m)
+        w = with_facts(witnesses.Request, m, plain=witnesses.plain_choi(m) + eps * h)
         d = w.d
-        direct = d * np.trace(choi_of(w).matrix.reshape(d, d, d, d), axis1=0, axis2=2)
+        direct = d * np.trace(with_facts(witnesses.Choi, m, plain=w.plain).matrix.reshape(d, d, d, d), axis1=0, axis2=2)
         assert max_relative(w.identity_image, direct) <= 1e-14
